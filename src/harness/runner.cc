@@ -203,13 +203,11 @@ verifySwapInvariants(const sim::Machine &machine,
     }
 }
 
-} // namespace
-
+/** runOne proper. @p stub receives the startup source prepended to
+ *  the workload, so runOne can place an error's line number. */
 Metrics
-runOne(const RunSpec &spec)
+runWithStub(const RunSpec &spec, std::string &stub)
 {
-    if (!spec.workload)
-        support::fatal("runOne: no workload");
     Metrics m;
 
     PlacementPlan plan = makePlacement(spec.placement);
@@ -261,9 +259,8 @@ runOne(const RunSpec &spec)
     std::string body = spec.workload->source;
     if (spec.include_lib)
         body += workloads::libSource();
-    masm::Program program = masm::parse(
-        startupSource(plan.stack_top, spec.main_repeats, recover) +
-        body);
+    stub = startupSource(plan.stack_top, spec.main_repeats, recover);
+    masm::Program program = masm::parse(stub + body);
 
     // For the Split placement, size the data region first with a
     // baseline assembly, then carve the cache from the SRAM left over.
@@ -305,14 +302,18 @@ runOne(const RunSpec &spec)
         // The probe is a plain baseline assembly, which does not
         // define the recovery symbol; assemble without the call (a
         // text-only difference, so the data/bss sizing is identical).
+        // While it builds, its own stub numbers the error lines.
+        std::string main_stub;
+        if (!recover.empty()) {
+            main_stub = std::exchange(
+                stub, startupSource(plan.stack_top, spec.main_repeats));
+        }
         masm::Program probe_program =
-            recover.empty()
-                ? program
-                : masm::parse(startupSource(plan.stack_top,
-                                            spec.main_repeats) +
-                              body);
+            recover.empty() ? program : masm::parse(stub + body);
         masm::AssembleResult probe =
             masm::assemble(probe_program, plan.layout);
+        if (!recover.empty())
+            stub = std::move(main_stub);
         std::uint32_t bss_end = probe.image.bss.end();
         if (carve_standard) {
             // Standard keeps the stack at the SRAM top: the cache gets
@@ -681,6 +682,28 @@ runOne(const RunSpec &spec)
         m.data_snapshot.push_back(
             machine.peek8(static_cast<std::uint16_t>(a)));
     return m;
+}
+
+} // namespace
+
+Metrics
+runOne(const RunSpec &spec)
+{
+    if (!spec.workload)
+        support::fatal("runOne: no workload");
+    std::string stub;
+    try {
+        return runWithStub(spec, stub);
+    } catch (const support::FatalError &e) {
+        // Parse and assemble errors count lines from the top of the
+        // stub; say which piece of the source holds the line instead.
+        const std::string lib =
+            spec.include_lib ? workloads::libSource() : "";
+        throw support::FatalError(masm::mapSourceLines(
+            e.what(), {{"<startup>", stub},
+                       {spec.workload->name, spec.workload->source},
+                       {"<lib>", lib}}));
+    }
 }
 
 IntermittentCheck

@@ -131,10 +131,8 @@ struct RunSpec {
     /** Host-side threaded fast path (see sim::MachineConfig): it runs
      *  only with both flags on; either off is the single-step oracle
      *  for differential tests. Simulated results must be identical
-     *  either way. The default follows the build
-     *  (-DSWAPRAM_NO_SUPERBLOCK flips it off). perfbench still reads
-     *  both flags. */
-    bool superblock = sim::kSuperblockDefaultEnabled;
+     *  either way. perfbench reads both flags. */
+    bool superblock = true;
     bool threaded = true; ///< see above; perfbench reads it
 
     /**

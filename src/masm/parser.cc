@@ -1,5 +1,8 @@
 #include "masm/parser.hh"
 
+#include <algorithm>
+#include <cctype>
+#include <charconv>
 #include <functional>
 #include <sstream>
 #include <unordered_map>
@@ -518,6 +521,45 @@ parse(const std::string &source)
             parseInstruction(cur, name, program);
     }
     return program;
+}
+
+std::string
+mapSourceLines(std::string_view message,
+               const std::vector<SourcePart> &parts)
+{
+    // First line of each part, numbered like parse() numbers the whole.
+    std::vector<long> first;
+    long next_line = 1;
+    for (const SourcePart &part : parts) {
+        first.push_back(next_line);
+        next_line += std::count(part.text.begin(), part.text.end(), '\n');
+    }
+    constexpr std::string_view kKey = "line ";
+    std::string out;
+    std::size_t pos = 0;
+    for (std::size_t at; (at = message.find(kKey, pos)) !=
+                         std::string_view::npos;) {
+        std::size_t digits = at + kKey.size(), end = digits;
+        while (end < message.size() &&
+               std::isdigit(static_cast<unsigned char>(message[end])))
+            ++end;
+        out.append(message.substr(pos, at - pos));
+        pos = end;
+        long line = 0;
+        std::from_chars(message.data() + digits, message.data() + end,
+                        line);
+        // The last non-empty part starting at or before the line.
+        std::size_t i = parts.size();
+        while (i > 0 && (parts[i - 1].text.empty() || first[i - 1] > line))
+            --i;
+        if (line > 0 && i > 0)
+            out += support::cat(parts[i - 1].name, ':',
+                                line - first[i - 1] + 1);
+        else
+            out.append(message.substr(at, end - at));
+    }
+    out.append(message.substr(pos));
+    return out;
 }
 
 } // namespace swapram::masm

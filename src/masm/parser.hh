@@ -13,6 +13,8 @@
 #define SWAPRAM_MASM_PARSER_HH
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "masm/ast.hh"
 
@@ -20,6 +22,21 @@ namespace swapram::masm {
 
 /** Parse @p source into a Program. fatal()s with line diagnostics. */
 Program parse(const std::string &source);
+
+/** One named piece of a source parsed as a concatenation. */
+struct SourcePart {
+    std::string_view name;
+    std::string_view text;
+};
+
+/**
+ * Rewrite each "line N" in @p message, N counted over the
+ * concatenation of @p parts as parse() counts it, as "NAME:M", M
+ * counted within the part that holds line N. It rescans the parts on
+ * every call, so it belongs on error paths only.
+ */
+std::string mapSourceLines(std::string_view message,
+                           const std::vector<SourcePart> &parts);
 
 } // namespace swapram::masm
 

@@ -14,16 +14,6 @@
 
 namespace swapram::sim {
 
-/** Build-configured default for MachineConfig::superblock_enabled;
- *  the -DSWAPRAM_NO_SUPERBLOCK CI leg runs everything on the
- *  single-step oracle. harness::RunSpec follows the same default. */
-inline constexpr bool kSuperblockDefaultEnabled =
-#ifdef SWAPRAM_NO_SUPERBLOCK
-    false;
-#else
-    true;
-#endif
-
 /** Configuration of one Machine instance. */
 struct MachineConfig {
     /** CPU clock (MCLK). The paper evaluates 8 MHz and 24 MHz. */
@@ -70,11 +60,10 @@ struct MachineConfig {
      * hold and the build has the GNU computed-goto extension; otherwise
      * the Machine runs the single-step oracle. Simulated behaviour and
      * timing are identical either way (the chain bails to the oracle at
-     * every boundary it cannot prove safe). The build-time default of
-     * superblock_enabled is flipped by -DSWAPRAM_NO_SUPERBLOCK (CI
-     * oracle leg). perfbench still reads both flags.
+     * every boundary it cannot prove safe). Tests turn both flags off
+     * for the oracle side of a tier twin; perfbench reads both.
      */
-    bool superblock_enabled = kSuperblockDefaultEnabled;
+    bool superblock_enabled = true;
     bool threaded_enabled = true; ///< see above; perfbench reads it
 
     /**

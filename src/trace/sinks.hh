@@ -5,7 +5,7 @@
  *
  * Sinks write as events arrive, so arbitrarily long runs stream to
  * disk without buffering. Each sink accepts an optional event limit
- * (the legacy `--trace N` behaviour) and an optional symbolizer that
+ * (`swapram_tool --trace-limit N`) and an optional symbolizer that
  * maps an address to a "func+0x12"-style label.
  */
 

@@ -119,57 +119,9 @@ TEST(Interrupts, RetiRestoresFlags)
     EXPECT_EQ(r.machine->peek16(r.assembled.symbol("fg_acc")), 0);
 }
 
-/** SwapRAM + blacklisted ISR: the paper's strict-timing use case. */
-const char *kSwapIsrWorkload = R"(
-        .text
-        .func main
-        PUSH R10
-        MOV #tick_isr, &0xFFF0
-        EINT
-        PUSH R9
-        CLR R9
-        MOV #40, R10
-mi_loop:
-        MOV R9, R12
-        CALL #work
-        MOV R12, R9
-        DEC R10
-        JNZ mi_loop
-        DINT
-        MOV R9, R12
-        XOR &tick_count, R12
-        MOV R12, &bench_result
-        POP R9
-        POP R10
-        RET
-        .endfunc
-        .func work
-        PUSH R10
-        MOV #50, R10
-wk_loop:
-        ADD #7, R12
-        XOR #0x0180, R12
-        DEC R10
-        JNZ wk_loop
-        POP R10
-        RET
-        .endfunc
-        .func tick_isr
-        ADD #1, &tick_count
-        RETI
-        .endfunc
-        .data
-        .align 2
-tick_count: .word 0
-bench_result: .word 0
-)";
-
 TEST(Interrupts, SwapRamWithBlacklistedIsr)
 {
-    workloads::Workload w;
-    w.name = "isr";
-    w.display = "ISR";
-    w.source = kSwapIsrWorkload;
+    workloads::Workload w = test::swapIsrWorkload();
 
     harness::RunSpec spec;
     spec.workload = &w;

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "masm/parser.hh"
 #include "support/logging.hh"
 
@@ -195,6 +197,25 @@ TEST(Parser, ProgramTextRoundTrips)
     auto p1 = parse(source);
     auto p2 = parse(p1.text());
     EXPECT_EQ(p1.text(), p2.text());
+}
+
+TEST(Parser, SourceLinesMapToTheirPart)
+{
+    const std::string stub = "        .text\n        NOP\n";
+    const std::string body = "        NOP\n        BOGUS R4\n";
+    std::string message;
+    try {
+        parse(stub + body);
+    } catch (const support::FatalError &e) {
+        message = e.what();
+    }
+    EXPECT_EQ(message, "fatal: line 4: unknown mnemonic 'BOGUS'");
+    // An empty part holds no line; a "line" without a number stays.
+    EXPECT_EQ(masm::mapSourceLines(
+                  message + " (line of code, line 2)",
+                  {{"<startup>", stub}, {"bad.s", body}, {"<lib>", ""}}),
+              "fatal: bad.s:2: unknown mnemonic 'BOGUS' (line of code, "
+              "<startup>:2)");
 }
 
 } // namespace

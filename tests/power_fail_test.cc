@@ -264,34 +264,7 @@ TEST(PowerFail, InterruptDrivenWorkloadSurvivesReboots)
 {
     // A workload that expects a timer interrupt keeps its configured
     // period across reboots (timer state is reset like hardware).
-    std::string source =
-        "        .text\n"
-        "fz_isr:\n"
-        "        ADD #1, &ticks\n"
-        "        CMP #3, &ticks\n"
-        "        JNE fz_isr_ret\n"
-        "        BIC #8, 0(SP)\n"
-        "fz_isr_ret:\n"
-        "        RETI\n"
-        "        .func main\n"
-        "        MOV #fz_isr, &0xFFF0\n"
-        "        EINT\n"
-        "wait:   CMP #3, &ticks\n"
-        "        JNE wait\n"
-        "        DINT\n"
-        "        MOV &ticks, R12\n"
-        "        MOV R12, &bench_result\n"
-        "        RET\n"
-        "        .endfunc\n"
-        "        .data\n        .align 2\n"
-        "ticks: .word 0\n"
-        "bench_result: .word 0\n";
-    workloads::Workload w;
-    w.name = "isrwl";
-    w.display = w.name;
-    w.source = source;
-    w.expected = 3;
-    w.timer_period_cycles = 300;
+    workloads::Workload w = test::tickWaitWorkload();
 
     harness::RunSpec spec;
     spec.workload = &w;

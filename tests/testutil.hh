@@ -13,6 +13,7 @@
 #include "masm/assembler.hh"
 #include "masm/parser.hh"
 #include "sim/machine.hh"
+#include "workloads/workload.hh"
 
 namespace swapram::test {
 
@@ -60,6 +61,96 @@ runBody(const std::string &body, sim::MachineConfig config = {},
         masm::LayoutSpec layout = {})
 {
     return runSource(wrapBody(body), config, layout);
+}
+
+/** SwapRAM's strict-timing case (§3.1): a foreground loop calling a
+ *  cacheable function while a tick ISR, to be blacklisted, counts
+ *  timer interrupts. The timer is off until the caller sets
+ *  timer_period_cycles. */
+inline workloads::Workload
+swapIsrWorkload()
+{
+    workloads::Workload w;
+    w.name = "isr";
+    w.display = "ISR";
+    w.source = R"(
+        .text
+        .func main
+        PUSH R10
+        MOV #tick_isr, &0xFFF0
+        EINT
+        PUSH R9
+        CLR R9
+        MOV #40, R10
+mi_loop:
+        MOV R9, R12
+        CALL #work
+        MOV R12, R9
+        DEC R10
+        JNZ mi_loop
+        DINT
+        MOV R9, R12
+        XOR &tick_count, R12
+        MOV R12, &bench_result
+        POP R9
+        POP R10
+        RET
+        .endfunc
+        .func work
+        PUSH R10
+        MOV #50, R10
+wk_loop:
+        ADD #7, R12
+        XOR #0x0180, R12
+        DEC R10
+        JNZ wk_loop
+        POP R10
+        RET
+        .endfunc
+        .func tick_isr
+        ADD #1, &tick_count
+        RETI
+        .endfunc
+        .data
+        .align 2
+tick_count: .word 0
+bench_result: .word 0
+)";
+    return w;
+}
+
+/** main spins until the ISR has counted three 300-cycle timer ticks
+ *  (the third also disables interrupts), then returns the count. */
+inline workloads::Workload
+tickWaitWorkload()
+{
+    workloads::Workload w;
+    w.name = "isrwl";
+    w.display = w.name;
+    w.source = "        .text\n"
+               "fz_isr:\n"
+               "        ADD #1, &ticks\n"
+               "        CMP #3, &ticks\n"
+               "        JNE fz_isr_ret\n"
+               "        BIC #8, 0(SP)\n"
+               "fz_isr_ret:\n"
+               "        RETI\n"
+               "        .func main\n"
+               "        MOV #fz_isr, &0xFFF0\n"
+               "        EINT\n"
+               "wait:   CMP #3, &ticks\n"
+               "        JNE wait\n"
+               "        DINT\n"
+               "        MOV &ticks, R12\n"
+               "        MOV R12, &bench_result\n"
+               "        RET\n"
+               "        .endfunc\n"
+               "        .data\n        .align 2\n"
+               "ticks: .word 0\n"
+               "bench_result: .word 0\n";
+    w.expected = 3;
+    w.timer_period_cycles = 300;
+    return w;
 }
 
 } // namespace swapram::test

@@ -134,6 +134,13 @@ TEST(Threaded, CountersAccountForBlockCoverage)
     ASSERT_TRUE(off.result.done);
     EXPECT_EQ(off.stats().superblock_blocks_built, 0u);
     EXPECT_EQ(off.stats().threaded_dispatches, 0u);
+
+    // The threaded tier is the default: a default RunSpec on crc
+    // retires most of its instructions threaded.
+    workloads::Workload crc = workloads::makeCrc();
+    harness::RunSpec spec;
+    spec.workload = &crc;
+    expectMostlyThreaded(harness::runOne(spec).stats, "default RunSpec");
     expectSimStatsEqual(on.stats(), off.stats(), "counters");
 }
 
@@ -390,7 +397,10 @@ TEST(Threaded, HarvestBrownOutMidChainMatches)
  *  threaded tier vs the oracle. Every simulated observable must agree
  *  on all 47 keys; golden_test.cc separately pins the absolute
  *  numbers. The sweep spec's swap timeline stays on the oracle side
- *  only: on the fast side it would pin most rows to the oracle. */
+ *  only: on the fast side it would pin most rows to the oracle. The
+ *  interrupt and power-failure runs of interrupt_test.cc and
+ *  power_fail_test.cc, which run on the default tier only, join the
+ *  matrix here. */
 TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
 {
     const harness::System systems[] = {harness::System::Baseline,
@@ -416,6 +426,33 @@ TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
              mc.workload->name + "/" +
                  harness::systemName(mc.system) + "@" +
                  std::to_string(mc.sram_size));
+    }
+
+    // Timer interrupts into cached code with a blacklisted FRAM ISR.
+    workloads::Workload isr = test::swapIsrWorkload();
+    isr.timer_period_cycles = 300;
+    harness::RunSpec isr_spec;
+    isr_spec.workload = &isr;
+    isr_spec.system = harness::System::SwapRam;
+    isr_spec.include_lib = false;
+    isr_spec.swap.blacklist = {"tick_isr"};
+    push(isr_spec, "isr/swapram");
+    // A timer-driven workload rebooted before each third tick.
+    workloads::Workload ticks = test::tickWaitWorkload();
+    harness::RunSpec ticks_spec;
+    ticks_spec.workload = &ticks;
+    ticks_spec.include_lib = false;
+    ticks_spec.intermittent.plan = sim::FaultPlan::periodic(400, 3);
+    push(ticks_spec, "isrwl/baseline+faults");
+    // Both cache runtimes' boot recovery across periodic reboots.
+    workloads::Workload arith = workloads::makeArith();
+    for (harness::System system :
+         {harness::System::SwapRam, harness::System::BlockCache}) {
+        harness::RunSpec spec;
+        spec.workload = &arith;
+        spec.system = system;
+        spec.intermittent.plan = sim::FaultPlan::periodic(5'000, 6);
+        push(spec, "arith/" + harness::systemName(system) + "+faults");
     }
 
     std::vector<harness::RunOutcome> outcomes =

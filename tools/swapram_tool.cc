@@ -35,11 +35,6 @@
  *   --policy queue|stack     SwapRAM replacement structure
  *   --blacklist f1,f2        functions excluded from caching
  *   --listing                print the address-annotated listing
- *   --no-superblock          disable threaded-code dispatch; execute
- *                            on the single-step (predecode) oracle.
- *                            Simulated results are identical either
- *                            way — this exists for conformance runs
- *                            and host-performance comparisons.
  *
  * Observability options (run/profile/trace):
  *   --json                   emit a swapram-run-report/v1 JSON document
@@ -50,9 +45,6 @@
  *                            extension: .json=chrome, .csv=csv)
  *   --trace-limit N          stop streaming after N events
  *   --disasm                 annotate instruction events (text format)
- *   --trace N                deprecated alias for
- *                            "--trace-categories instr --trace-limit N
- *                            --disasm"
  *   --ring-capacity N        trace ring-buffer size in events (default
  *                            65536). When a traced run drops events the
  *                            tool warns on stderr; raise this to keep
@@ -124,10 +116,14 @@
  *                            tree's tests/golden/expectations.json)
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -167,7 +163,6 @@ struct Args {
     bool capacity = false; ///< sweep: append capacity-pressure rows
     bool listing = false;
     bool json = false;
-    bool no_superblock = false; ///< force single-step/predecode path
     bool disasm = false;
     std::uint32_t trace_categories = trace::kCatNone;
     std::string trace_out;
@@ -217,10 +212,9 @@ usage()
         "         --sram-size N   --no-evict   --data-pool N\n"
         "         --policy queue|stack   --blacklist f1,f2\n"
         "         --func NAME (disasm)   --listing   --json\n"
-        "         --no-superblock (single-step execution engine)\n"
         "         --trace-categories LIST   --trace-out FILE\n"
         "         --trace-format text|csv|chrome   --trace-limit N\n"
-        "         --disasm   --trace N (deprecated)\n"
+        "         --disasm\n"
         "         --fault-periods N,N,...   --fault-count N\n"
         "         --fault-seed S   --no-recovery   (faults)\n"
         "         --harvest-trace F,F,...   --ckpt-scheme LIST\n"
@@ -228,6 +222,43 @@ usage()
         "         --livelock-boots N   --cap-capacity UJ\n"
         "         --cap-power-on UJ --cap-brown-out UJ --cap-leak UW\n");
     std::exit(2);
+}
+
+/** @p text as a whole integer in [@p lo, @p hi] (@p base as for
+ *  strtoull: 0 also takes 0x hex and 0 octal), or a fatal() that
+ *  names @p flag and the value. */
+template <typename T>
+T
+number(const std::string &flag, const std::string &text, int base = 0,
+       std::uint64_t lo = 0,
+       std::uint64_t hi = std::numeric_limits<T>::max())
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text.c_str(), &end, base);
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) ||
+        *end || errno == ERANGE || v < lo || v > hi) {
+        support::fatal(flag, ": '", text, "' is not an integer in [", lo,
+                       ", ", hi, "]");
+    }
+    return static_cast<T>(v);
+}
+
+/** @p text as a whole finite non-negative decimal number, or a
+ *  fatal() that names @p flag and the value. */
+double
+quantity(const std::string &flag, const std::string &text)
+{
+    char *end = nullptr;
+    double v = std::strtod(text.c_str(), &end);
+    if (text.empty() ||
+        !(std::isdigit(static_cast<unsigned char>(text[0])) ||
+          text[0] == '.') ||
+        *end || !std::isfinite(v)) {
+        support::fatal(flag, ": '", text,
+                       "' is not a non-negative number");
+    }
+    return v;
 }
 
 Args
@@ -259,7 +290,8 @@ parseArgs(int argc, char **argv)
             else if (v == "block")
                 args.system = harness::System::BlockCache;
             else
-                usage();
+                support::fatal("--system: unknown system '", v,
+                               "' (want baseline|swapram|block)");
         } else if (a == "--placement") {
             args.placement_set = true;
             std::string v = next();
@@ -274,33 +306,38 @@ parseArgs(int argc, char **argv)
             else if (v == "split")
                 args.placement = harness::Placement::Split;
             else
-                usage();
+                support::fatal("--placement: unknown placement '", v,
+                               "' (want unified|standard|sram-code|"
+                               "sram-all|split)");
         } else if (a == "--clock") {
-            args.clock_hz = static_cast<std::uint32_t>(
-                                std::stoul(next())) *
+            // MHz, so that the clock in Hz still fits its field.
+            args.clock_hz = number<std::uint32_t>(
+                                a, next(), 10, 1,
+                                UINT32_MAX / 1'000'000u) *
                             1'000'000u;
         } else if (a == "--cache-base") {
-            args.swap.cache_base = static_cast<std::uint16_t>(
-                std::stoul(next(), nullptr, 0));
+            args.swap.cache_base = number<std::uint16_t>(a, next());
             args.block.cache_base = args.swap.cache_base;
         } else if (a == "--cache-end") {
-            args.swap.cache_end = static_cast<std::uint16_t>(
-                std::stoul(next(), nullptr, 0));
+            args.swap.cache_end = number<std::uint16_t>(a, next());
             args.block.cache_end = args.swap.cache_end;
         } else if (a == "--sram-size") {
-            args.sram_size = static_cast<std::uint32_t>(
-                std::stoul(next(), nullptr, 0));
+            args.sram_size = number<std::uint32_t>(a, next());
         } else if (a == "--no-evict") {
             args.swap.evict = false;
         } else if (a == "--data-pool") {
-            args.swap.data_pool_bytes = static_cast<std::uint16_t>(
-                std::stoul(next(), nullptr, 0));
+            args.swap.data_pool_bytes = number<std::uint16_t>(a, next());
         } else if (a == "--capacity") {
             args.capacity = true;
         } else if (a == "--policy") {
-            args.swap.policy = next() == "stack"
-                                   ? cache::Policy::Stack
-                                   : cache::Policy::CircularQueue;
+            std::string v = next();
+            if (v == "queue")
+                args.swap.policy = cache::Policy::CircularQueue;
+            else if (v == "stack")
+                args.swap.policy = cache::Policy::Stack;
+            else
+                support::fatal("--policy: unknown policy '", v,
+                               "' (want queue|stack)");
         } else if (a == "--blacklist") {
             args.swap.blacklist = support::split(next(), ',');
         } else if (a == "--func") {
@@ -309,8 +346,6 @@ parseArgs(int argc, char **argv)
             args.listing = true;
         } else if (a == "--json") {
             args.json = true;
-        } else if (a == "--no-superblock") {
-            args.no_superblock = true;
         } else if (a == "--disasm") {
             args.disasm = true;
         } else if (a == "--trace-categories") {
@@ -320,9 +355,9 @@ parseArgs(int argc, char **argv)
         } else if (a == "--trace-format") {
             args.trace_format = next();
         } else if (a == "--trace-limit") {
-            args.trace_limit = std::stoull(next());
+            args.trace_limit = number<std::uint64_t>(a, next(), 10);
         } else if (a == "--ring-capacity") {
-            args.ring_capacity = std::stoull(next());
+            args.ring_capacity = number<std::size_t>(a, next(), 10);
         } else if (a == "--metrics") {
             args.metrics = true;
         } else if (a == "--progress") {
@@ -333,13 +368,11 @@ parseArgs(int argc, char **argv)
             args.heat_csv = next();
         } else if (a == "--fault-periods") {
             for (const std::string &p : support::split(next(), ','))
-                args.fault_periods.push_back(std::stoull(p, nullptr, 0));
+                args.fault_periods.push_back(number<std::uint64_t>(a, p));
         } else if (a == "--fault-count") {
-            args.fault_count =
-                static_cast<std::uint32_t>(std::stoul(next()));
+            args.fault_count = number<std::uint32_t>(a, next(), 10);
         } else if (a == "--fault-seed") {
-            args.fault_seed = static_cast<std::uint32_t>(
-                std::stoul(next(), nullptr, 0));
+            args.fault_seed = number<std::uint32_t>(a, next());
         } else if (a == "--no-recovery") {
             args.no_recovery = true;
         } else if (a == "--harvest-trace") {
@@ -348,38 +381,27 @@ parseArgs(int argc, char **argv)
         } else if (a == "--ckpt-scheme") {
             args.ckpt_schemes = next();
         } else if (a == "--ckpt-period") {
-            args.ckpt_period =
-                static_cast<int>(std::stoul(next(), nullptr, 0));
+            args.ckpt_period = number<int>(a, next());
         } else if (a == "--ckpt-threshold") {
-            args.ckpt_threshold = static_cast<std::uint32_t>(
-                std::stoul(next(), nullptr, 0));
+            args.ckpt_threshold = number<std::uint16_t>(a, next());
         } else if (a == "--livelock-boots") {
-            args.livelock_boots =
-                static_cast<std::uint32_t>(std::stoul(next()));
+            args.livelock_boots = number<std::uint32_t>(a, next(), 10);
         } else if (a == "--cap-capacity") {
-            args.cap_capacity_uj = std::stod(next());
+            args.cap_capacity_uj = quantity(a, next());
         } else if (a == "--cap-power-on") {
-            args.cap_power_on_uj = std::stod(next());
+            args.cap_power_on_uj = quantity(a, next());
         } else if (a == "--cap-brown-out") {
-            args.cap_brown_out_uj = std::stod(next());
+            args.cap_brown_out_uj = quantity(a, next());
         } else if (a == "--cap-leak") {
-            args.cap_leak_uw = std::stod(next());
+            args.cap_leak_uw = quantity(a, next());
         } else if (a == "--jobs") {
-            args.jobs =
-                static_cast<unsigned>(std::stoul(next()));
+            args.jobs = number<unsigned>(a, next(), 10);
         } else if (a == "--systems") {
             args.systems = next();
         } else if (a == "--update-golden") {
             args.update_golden = true;
         } else if (a == "--golden-out") {
             args.golden_out = next();
-        } else if (a == "--trace") {
-            support::warn("--trace N is deprecated; use "
-                          "--trace-categories instr --trace-limit N "
-                          "--disasm");
-            args.trace_categories |= trace::kCatInstr;
-            args.trace_limit = std::stoull(next());
-            args.disasm = true;
         } else if (!a.empty() && a[0] != '-') {
             args.file = a;
         } else {
@@ -405,7 +427,6 @@ specFromArgs(const Args &args, const workloads::Workload *w)
     spec.sram_size = args.sram_size;
     spec.swap.boot_recovery = !args.no_recovery;
     spec.block.boot_recovery = !args.no_recovery;
-    spec.superblock = !args.no_superblock;
     return spec;
 }
 
@@ -431,25 +452,21 @@ loadSource(const Args &args, const workloads::Workload **wl_out)
     return buf.str();
 }
 
-/** The full program: startup (if `main` is used as entry) + source. */
-masm::Program
-buildProgram(const Args &args, const harness::PlacementPlan &plan,
-             const std::string &source)
-{
-    (void)args;
-    if (source.find("__start") != std::string::npos)
-        return masm::parse(source);
-    return masm::parse(harness::startupSource(plan.stack_top) + source);
-}
+/** The input of assemble/transform/disasm: the source, its placement,
+ *  and the startup stub prepended to it (none when the source brings
+ *  its own __start). */
+struct Input {
+    std::string source;
+    harness::PlacementPlan plan;
+    std::string stub;
+
+    masm::Program program() const { return masm::parse(stub + source); }
+};
 
 int
-cmdAssemble(const Args &args)
+cmdAssemble(const Args &args, const Input &in)
 {
-    const workloads::Workload *wl = nullptr;
-    std::string source = loadSource(args, &wl);
-    auto plan = harness::makePlacement(args.placement);
-    auto program = buildProgram(args, plan, source);
-    auto assembled = masm::assemble(program, plan.layout);
+    auto assembled = masm::assemble(in.program(), in.plan.layout);
     std::printf("%s", masm::sectionSummary(assembled.image).c_str());
     std::printf("entry %s, %zu symbols, %zu functions\n",
                 support::hex16(assembled.image.entry).c_str(),
@@ -460,14 +477,10 @@ cmdAssemble(const Args &args)
 }
 
 int
-cmdTransform(const Args &args)
+cmdTransform(const Args &args, const Input &in)
 {
-    const workloads::Workload *wl = nullptr;
-    std::string source = loadSource(args, &wl);
-    auto plan = harness::makePlacement(args.placement);
-    auto program = buildProgram(args, plan, source);
     if (args.system == harness::System::BlockCache) {
-        auto info = bb::build(program, plan.layout, args.block);
+        auto info = bb::build(in.program(), in.plan.layout, args.block);
         std::fprintf(stderr,
                      "block cache: %d blocks, %d stubs, app %u B, "
                      "runtime %u B, metadata %u B\n",
@@ -478,7 +491,7 @@ cmdTransform(const Args &args)
                               : info.assembled.relaxed.text().c_str());
         return 0;
     }
-    auto info = cache::build(program, plan.layout, args.swap);
+    auto info = cache::build(in.program(), in.plan.layout, args.swap);
     std::fprintf(stderr,
                  "swapram: %d functions, %d relocatable branches, "
                  "%d call sites; app %u B, runtime %u B, metadata %u B\n",
@@ -1751,13 +1764,9 @@ cmdHeatmap(const Args &args)
 }
 
 int
-cmdDisasm(const Args &args)
+cmdDisasm(const Args &args, const Input &in)
 {
-    const workloads::Workload *wl = nullptr;
-    std::string source = loadSource(args, &wl);
-    auto plan = harness::makePlacement(args.placement);
-    auto program = buildProgram(args, plan, source);
-    auto assembled = masm::assemble(program, plan.layout);
+    auto assembled = masm::assemble(in.program(), in.plan.layout);
     if (args.func.empty()) {
         auto all = masm::reimportAllFunctions(assembled);
         std::printf("%s", all.text().c_str());
@@ -1772,6 +1781,31 @@ cmdDisasm(const Args &args)
     return 0;
 }
 
+/** assemble, transform or disasm, with error lines placed in the stub
+ *  or the input file. */
+int
+cmdOnInput(const Args &args)
+{
+    const workloads::Workload *wl = nullptr;
+    Input in;
+    in.source = loadSource(args, &wl);
+    in.plan = harness::makePlacement(args.placement);
+    if (in.source.find("__start") == std::string::npos)
+        in.stub = harness::startupSource(in.plan.stack_top);
+    try {
+        if (args.command == "assemble")
+            return cmdAssemble(args, in);
+        if (args.command == "transform")
+            return cmdTransform(args, in);
+        return cmdDisasm(args, in);
+    } catch (const support::FatalError &e) {
+        throw support::FatalError(masm::mapSourceLines(
+            e.what(),
+            {{"<startup>", in.stub},
+             {args.file.empty() ? args.workload : args.file, in.source}}));
+    }
+}
+
 } // namespace
 
 int
@@ -1779,10 +1813,9 @@ main(int argc, char **argv)
 {
     try {
         Args args = parseArgs(argc, argv);
-        if (args.command == "assemble")
-            return cmdAssemble(args);
-        if (args.command == "transform")
-            return cmdTransform(args);
+        if (args.command == "assemble" || args.command == "transform" ||
+            args.command == "disasm")
+            return cmdOnInput(args);
         if (args.command == "run" || args.command == "profile" ||
             args.command == "trace")
             return cmdRun(args);
@@ -1792,8 +1825,6 @@ main(int argc, char **argv)
             return cmdFaults(args);
         if (args.command == "sweep")
             return cmdSweep(args);
-        if (args.command == "disasm")
-            return cmdDisasm(args);
         usage();
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
