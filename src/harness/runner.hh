@@ -79,7 +79,8 @@ struct ObserveSpec {
      *  stall-latency histogram, and (for cache systems) the
      *  miss-handler-duration histogram. Results land in
      *  Metrics::run_metrics. Host-side only; forces single-step
-     *  execution like tracing. */
+     *  execution like the profiler and the per-step trace categories
+     *  (the swap timeline does not). */
     bool metrics = false;
 
     bool tracing() const { return categories != trace::kCatNone; }

@@ -10,7 +10,8 @@
  * miss-handler histogram from the reconstructed SwapTimeline after the
  * run. Everything is host-side observation: attaching metrics never
  * changes simulated timing or results (it does force the single-step
- * execution path, like tracing — see sim::Machine::run).
+ * execution path, like profiling and the per-step trace categories —
+ * see sim::Machine::run).
  *
  * Well-known instrument names (the swapram-metrics/v1 JSON keys):
  *  - "fram_stall_cycles":    one sample per stalled FRAM access, the

@@ -129,7 +129,9 @@ Machine::powerCycle()
     timer_pending_ = false;
     timer_next_fire_ = stats_.totalCycles();
     in_recovery_ = false;
-    last_owner_ = 0xFF;
+    last_owner_ = trace::TraceEngine::kNoOwner;
+    if (trace_)
+        trace_->setOwner(last_owner_);
 
     if (trace_ && trace_->wants(trace::kCatPower)) {
         trace_->emit({stats_.totalCycles(), trace::EventKind::PowerFail,
@@ -169,18 +171,57 @@ Machine::classifyPc(std::uint16_t pc) const
                : CodeOwner::AppFram;
 }
 
+bool
+Machine::preStep(std::uint16_t pc, std::uint8_t owner, std::uint64_t now)
+{
+    if (ckpt_commit_entry_ || ckpt_restore_entry_) {
+        // Entry-point probe: one event per call of the generated
+        // checkpoint routines (their first instruction executes exactly
+        // once per invocation).
+        if (trace_ && trace_->wants(trace::kCatPower)) {
+            if (pc == ckpt_commit_entry_) {
+                trace_->emit({now, trace::EventKind::CkptCommit, 0, pc,
+                              0, 0});
+            } else if (pc == ckpt_restore_entry_) {
+                trace_->emit({now, trace::EventKind::CkptRestore, 0, pc,
+                              0, 0});
+            }
+        }
+    }
+    bool in = false;
+    if (recovery_end_) {
+        in = pc >= recovery_base_ &&
+             static_cast<std::uint32_t>(pc) < recovery_end_;
+        if (in != in_recovery_) {
+            in_recovery_ = in;
+            if (in)
+                recovery_enter_cycle_ = now;
+            if (trace_ && trace_->wants(trace::kCatPower)) {
+                trace_->emit({now,
+                              in ? trace::EventKind::RecoveryEnter
+                                 : trace::EventKind::RecoveryExit,
+                              0, pc, 0,
+                              in ? 0
+                                 : static_cast<std::uint32_t>(
+                                       now - recovery_enter_cycle_)});
+            }
+        }
+    }
+    if (trace_ && owner != last_owner_) {
+        if (trace_->wants(trace::kCatSwap)) {
+            trace_->emit({now, trace::EventKind::OwnerChange, 0, pc,
+                          owner, last_owner_});
+        }
+        last_owner_ = owner;
+        trace_->setOwner(owner);
+    }
+    return in;
+}
+
 void
 Machine::stepObserved(std::uint16_t pc, CodeOwner owner)
 {
     auto owner8 = static_cast<std::uint8_t>(owner);
-    if (trace_ && owner8 != last_owner_) {
-        if (trace_->wants(trace::kCatSwap)) {
-            trace_->emit({stats_.totalCycles(),
-                          trace::EventKind::OwnerChange, 0, pc, owner8,
-                          last_owner_});
-        }
-        last_owner_ = owner8;
-    }
     StatSnapshot pre(stats_);
     cpu_.step(stats_);
     trace::StepCosts costs = pre.deltaTo(stats_);
@@ -231,65 +272,40 @@ Machine::step()
             return; // interrupt entry consumes this step
         }
     }
-    CodeOwner owner = classifyPc(cpu_.pc());
+    const std::uint16_t pc = cpu_.pc();
+    CodeOwner owner = classifyPc(pc);
     ++stats_.instr_by_owner[static_cast<int>(owner)];
-    if (ckpt_commit_entry_ || ckpt_restore_entry_) {
-        // Entry-point probe: one event per call of the generated
-        // checkpoint routines (their first instruction executes exactly
-        // once per invocation).
-        std::uint16_t pc = cpu_.pc();
-        if (trace_ && trace_->wants(trace::kCatPower)) {
-            if (pc == ckpt_commit_entry_) {
-                trace_->emit({stats_.totalCycles(),
-                              trace::EventKind::CkptCommit, 0, pc, 0,
-                              0});
-            } else if (pc == ckpt_restore_entry_) {
-                trace_->emit({stats_.totalCycles(),
-                              trace::EventKind::CkptRestore, 0, pc, 0,
-                              0});
-            }
-        }
-    }
-    if (recovery_end_) {
-        std::uint16_t pc = cpu_.pc();
-        bool in = pc >= recovery_base_ &&
-                  static_cast<std::uint32_t>(pc) < recovery_end_;
-        if (in != in_recovery_) {
-            in_recovery_ = in;
-            std::uint64_t now = stats_.totalCycles();
-            if (in)
-                recovery_enter_cycle_ = now;
-            if (trace_ && trace_->wants(trace::kCatPower)) {
-                trace_->emit({now,
-                              in ? trace::EventKind::RecoveryEnter
-                                 : trace::EventKind::RecoveryExit,
-                              0, pc, 0,
-                              in ? 0
-                                 : static_cast<std::uint32_t>(
-                                       now - recovery_enter_cycle_)});
-            }
-        }
-        if (in) {
-            std::uint64_t before = stats_.totalCycles();
-            if (trace_ || profiler_)
-                stepObserved(pc, owner);
-            else
-                cpu_.step(stats_);
-            stats_.recovery_cycles += stats_.totalCycles() - before;
-            return;
-        }
-    }
-    if (trace_ || profiler_) {
-        stepObserved(cpu_.pc(), owner);
-        return;
-    }
-    cpu_.step(stats_);
+    const std::uint64_t before = stats_.totalCycles();
+    bool in_recovery =
+        preStep(pc, static_cast<std::uint8_t>(owner), before);
+    if (profiler_ || (trace_ && trace_->wants(trace::kCatInstr)))
+        stepObserved(pc, owner);
+    else
+        cpu_.step(stats_);
+    if (in_recovery)
+        stats_.recovery_cycles += stats_.totalCycles() - before;
 }
 
 bool
 Machine::tryThreaded()
 {
+    const std::uint16_t pc = cpu_.pc();
     ThreadedEngine::ChainLimits limits;
+    std::uint8_t owner = ThreadedEngine::ChainLimits::kAnyOwner;
+    if (trace_) {
+        // Scoped subscriptions want per-step events inside their
+        // owners: those run on the oracle. Elsewhere the chain stays
+        // inside the entry owner and stops before checkpoint probes,
+        // so every pre-step event lands on a chain's first block.
+        owner = static_cast<std::uint8_t>(classifyPc(pc));
+        if (trace_->scopeOwners() & (1u << owner))
+            return false;
+        limits.owner = owner;
+        if (trace_->wants(trace::kCatPower)) {
+            limits.ckpt_commit = ckpt_commit_entry_;
+            limits.ckpt_restore = ckpt_restore_entry_;
+        }
+    }
     limits.now = stats_.totalCycles();
     limits.limit_cycles = config_.max_cycles;
     if (fault_) {
@@ -300,27 +316,14 @@ Machine::tryThreaded()
     limits.timer_fire = timer_next_fire_;
     limits.timer_pending = timer_pending_;
 
-    bool in = false;
-    if (recovery_end_) {
-        std::uint16_t pc = cpu_.pc();
-        in = pc >= recovery_base_ &&
-             static_cast<std::uint32_t>(pc) < recovery_end_;
-        if (in != in_recovery_) {
-            // Trace recovery events only exist with an engine attached,
-            // and an attached engine disables dispatch entirely -- only
-            // the accounting state needs maintaining here.
-            in_recovery_ = in;
-            if (in)
-                recovery_enter_cycle_ = limits.now;
-        }
-    }
-
     ThreadedEngine::ChainResult res = threaded_->runChain(limits);
     if (!res.instructions)
         return false;
-    // The chain never crosses the recovery boundary, so its whole
-    // cycle delta attributes to the entry PC's side.
-    if (in)
+    // The chain emits nothing, so the entry instruction's pre-step
+    // events, stamped with the entry cycle, may follow it. It never
+    // crosses the recovery boundary, so its whole cycle delta
+    // attributes to the entry PC's side.
+    if (preStep(pc, owner, limits.now))
         stats_.recovery_cycles += res.cycles;
     return true;
 }
@@ -370,6 +373,13 @@ Machine::bootWatermark() const
 RunResult
 Machine::run()
 {
+    // The threaded tier runs whatever no observer needs step by step:
+    // the profiler and metrics record every instruction, and per-step
+    // trace categories exist only on the oracle unless a sink scopes
+    // them to some owners (tryThreaded leaves those to the oracle).
+    const bool dispatch =
+        threaded_ && !profiler_ && !metrics_ &&
+        !(trace_ && (trace_->unscopedMask() & trace::kCatPerStep));
     while (!mmio_.done()) {
         if (stats_.totalCycles() >= config_.max_cycles) {
             return {false, 0, RunResult::Stop::MaxCycles};
@@ -391,10 +401,7 @@ Machine::run()
             powerCycle();
             continue;
         }
-        // Threaded fast path: per-instruction observability (trace,
-        // profiler, metrics) needs the oracle.
-        if (threaded_ && !trace_ && !profiler_ && !metrics_ &&
-            tryThreaded())
+        if (dispatch && tryThreaded())
             continue;
         step();
     }

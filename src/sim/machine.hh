@@ -10,6 +10,15 @@
  * exact stat deltas of every executed instruction, so per-function
  * cycle attribution sums to Stats::totalCycles(). Both default to
  * nullptr and cost one branch per step when absent.
+ *
+ * Observers and the fast tier: the profiler, run metrics, and the
+ * per-step trace categories (instr, access, stall, hwcache) pin a run
+ * to the single-step oracle. The swap timeline and the swap, power,
+ * and interrupt categories do not: the timeline scopes its access
+ * events to the copy loop (the Memcpy owner), which single-steps,
+ * while every other owner runs threaded, with chains ending at owner
+ * changes and checkpoint probes so each event lands on the same cycle
+ * and in the same order as on the oracle.
  */
 
 #ifndef SWAPRAM_SIM_MACHINE_HH
@@ -85,10 +94,11 @@ class Machine
 
     /**
      * Attach run metrics (heatmap + histograms, recorded by the bus);
-     * nullptr detaches. Not owned. Like tracing and profiling, an
-     * attached collector forces single-step execution — the threaded
-     * fast path accounts accesses in bulk and would bypass per-access
-     * recording — while simulated results stay identical.
+     * nullptr detaches. Not owned. Like profiling and the per-step
+     * trace categories, an attached collector forces single-step
+     * execution — the threaded fast path accounts accesses in bulk and
+     * would bypass per-access recording — while simulated results stay
+     * identical.
      */
     void setMetrics(metrics::RunMetrics *metrics)
     {
@@ -172,15 +182,25 @@ class Machine
      *  PC folded into an FNV-1a hash of the persistent (FRAM) state. */
     std::uint64_t bootWatermark() const;
 
-    /** step()/interrupt with observability hooks engaged. */
+    /**
+     * Events and bookkeeping due before the instruction at @p pc runs,
+     * stamped @p now: the checkpoint probe, RecoveryEnter/Exit, and
+     * OwnerChange (which also moves the trace engine's owner scope),
+     * in that order. Returns true when @p pc is in the recovery range.
+     */
+    bool preStep(std::uint16_t pc, std::uint8_t owner, std::uint64_t now);
+
+    /** step() for the profiler and instruction retires, and
+     *  interrupt entry with observability hooks engaged. */
     void stepObserved(std::uint16_t pc, CodeOwner owner);
     void interruptObserved(std::uint16_t pc);
 
     /**
      * Attempt a threaded chain at the current PC. Returns true if at
      * least one instruction retired; false means the caller must
-     * single-step (no block here, or a cycle boundary — fault, timer,
-     * max_cycles — could land inside the block's worst-case bound).
+     * single-step (no block here, a cycle boundary — fault, timer,
+     * max_cycles — could land inside the block's worst-case bound, or
+     * the entry owner is inside a trace scope).
      */
     bool tryThreaded();
 
@@ -209,7 +229,8 @@ class Machine
     trace::FunctionProfiler *profiler_ = nullptr;
     metrics::RunMetrics *metrics_ = nullptr;
     FaultInjector *fault_ = nullptr;
-    std::uint8_t last_owner_ = 0xFF; ///< 0xFF = no owner seen yet
+    /// Owner of the last traced step (kNoOwner = none yet).
+    std::uint8_t last_owner_ = trace::TraceEngine::kNoOwner;
 
     // Retained for powerCycle()'s crt0-style re-initialisation.
     masm::Image image_;

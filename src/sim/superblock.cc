@@ -214,6 +214,11 @@ SuperblockEngine::build(std::uint16_t pc)
     b->start_pc = pc;
     b->end_addr = pc;
     b->fetch_region = regionOf(pc, config_.sramEnd());
+    auto ownerOf = [this](std::uint32_t addr) -> std::uint8_t {
+        return classify_ ? classify_(static_cast<std::uint16_t>(addr))
+                         : 0;
+    };
+    b->owner = ownerOf(pc);
 
     // The most any one FRAM access can stall: a contending miss.
     const std::uint32_t stall_max = fram::accessStall(
@@ -230,8 +235,9 @@ SuperblockEngine::build(std::uint16_t pc)
         while (b->instrs.size() < kMaxBlockInstrs &&
                cur - pc < kMaxBlockBytes) {
             if (inRecovery(static_cast<std::uint16_t>(cur)) !=
-                block_in_recovery)
-                break; // recovery attribution boundary
+                    block_in_recovery ||
+                ownerOf(cur) != b->owner)
+                break; // recovery or owner attribution boundary
             std::uint16_t w0 =
                 memory_.read16(static_cast<std::uint16_t>(cur));
             if (!isa::validLeadingWord(w0))
@@ -272,9 +278,6 @@ SuperblockEngine::build(std::uint16_t pc)
             bi.n_words = static_cast<std::uint8_t>(n_words);
             bi.base_cycles =
                 static_cast<std::uint8_t>(isa::baseCycles(instr));
-            bi.owner = classify_
-                           ? classify_(static_cast<std::uint16_t>(cur))
-                           : 0;
             bi.flags = a.flags;
             fram::LineChain fetch_chain;
             for (int w = 0; w < n_words; ++w) {

@@ -11,11 +11,13 @@
  *     device space) — such instructions always run on the oracle;
  *   - a fetch that would leave the block's memory region (or a word
  *     that is not a decodable leading word, or a PC wrap);
- *   - crossing the boot-recovery attribution boundary;
+ *   - crossing the boot-recovery attribution boundary or a code-owner
+ *     boundary (so a block has one owner, and a trace engine sees
+ *     every owner change at a block start);
  *   - the size caps (kMaxBlockInstrs / kMaxBlockBytes).
  *
- * Each instruction carries its build-time analysis: owner attribution,
- * code-space fetch words, the FRAM line-contention flags of its fetch
+ * Each instruction carries its build-time analysis: code-space fetch
+ * words, the FRAM line-contention flags of its fetch
  * stream (static, because fetch addresses are), and whether any
  * operand address depends on a register (dynOperandsMapped() then
  * guards it at run time). Each block carries a worst-case cycle bound,
@@ -78,7 +80,6 @@ class SuperblockEngine
         std::uint16_t next_pc = 0;
         std::uint8_t n_words = 1;
         std::uint8_t base_cycles = 0;
-        std::uint8_t owner = 0; ///< CodeOwner of pc (static per range)
         std::uint8_t flags = 0;
         std::uint8_t code_words = 0; ///< fetch words inside .text
         /** FRAM fetch line-contention flags (static: the 2nd+ FRAM
@@ -96,6 +97,7 @@ class SuperblockEngine
         std::uint16_t start_pc = 0;
         std::uint32_t end_addr = 0; ///< one past the last code byte
         RegionKind fetch_region = RegionKind::Fram;
+        std::uint8_t owner = 0; ///< CodeOwner of every instruction
         bool writes_sr = false;
         /** Upper bound on total cycles one execution can cost. */
         std::uint32_t worst_case_cycles = 0;
@@ -115,8 +117,9 @@ class SuperblockEngine
     SuperblockEngine(Memory &memory, Bus &bus, Stats &stats,
                      const MachineConfig &config);
 
-    /** Owner classification used to pre-attribute instr_by_owner
-     *  (Machine::classifyPc). Build-time only. */
+    /** Owner classification (Machine::classifyPc): blocks end at
+     *  owner boundaries and pre-attribute instr_by_owner. Build-time
+     *  only. */
     void setClassifier(std::function<std::uint8_t(std::uint16_t)> fn)
     {
         classify_ = std::move(fn);

@@ -93,7 +93,6 @@ struct TDelta {
     std::uint8_t d_sram_r = 0, d_sram_w = 0;
     std::uint8_t d_fram_r = 0, d_fram_w = 0;
     std::uint8_t d_hits = 0, d_misses = 0, d_pre = 0;
-    std::uint8_t owner = 0;
 };
 
 /** Lowered form of one block: the op array (with a trailing
@@ -105,6 +104,7 @@ class ThreadedCode
     std::vector<TOp> ops;
     std::vector<TDelta> deltas;
     bool fram_code = false;
+    std::uint8_t owner = 0; ///< the block's CodeOwner
     /** Static block totals, indexed by AccIdx (the fetch count is
      *  already in the fram/sram slot matching fetch_region). */
     alignas(32) std::array<std::uint32_t, kNumAcc> tot{};
@@ -892,6 +892,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     std::uint16_t *regs = cpu_.regs().data();
     std::uint8_t *bytes = memory_.bytes();
     tc->fram_code = fram_code;
+    tc->owner = block.owner;
 
     const std::size_t n = block.instrs.size();
     // Sized once up front: ops never reallocate afterwards, so an
@@ -971,7 +972,6 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         TOp &t = tc->ops[i];
         TDelta &dl = tc->deltas[i];
         t.next_pc = bi.next_pc;
-        dl.owner = bi.owner;
         dl.d_base = bi.base_cycles;
         t.byte = in.byte ? 1 : 0;
         t.mask = in.byte ? 0xFF : 0xFFFF;
@@ -1187,8 +1187,8 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         tc->tot[kAccHits] += dl.d_hits;
         tc->tot[kAccMisses] += dl.d_misses;
         tc->tot[kAccPreInval] += dl.d_pre;
-        ++tc->tot[kAccOwner0 + dl.owner];
     }
+    tc->tot[kAccOwner0 + block.owner] = static_cast<std::uint32_t>(n);
     tc->ops[n].h = labels_[kBlockEnd];
 
     block.threaded = std::move(tc);
@@ -1251,6 +1251,13 @@ ThreadedEngine::advanceChain(void *p)
     if (st.first)
         st.chain_in_recovery = in_recovery;
     else if (in_recovery != st.chain_in_recovery)
+        return nullptr;
+    // Under a trace engine, owner changes and checkpoint-probe entries
+    // are events the oracle's pre-step emits: chains stop before them.
+    if (limits.owner != ChainLimits::kAnyOwner &&
+        (block->owner != limits.owner ||
+         (!st.first &&
+          (pc == limits.ckpt_commit || pc == limits.ckpt_restore))))
         return nullptr;
     st.first = false;
 
@@ -1330,8 +1337,8 @@ ThreadedEngine::runChain(const ChainLimits &limits)
                 st.acc[kAccHits] -= t.d_hits;
                 st.acc[kAccMisses] -= t.d_misses;
                 st.acc[kAccPreInval] -= t.d_pre;
-                --st.acc[kAccOwner0 + t.owner];
             }
+            st.acc[kAccOwner0 + tc.owner] -= n - executed;
         }
         if (st.bail_kind == 1)
             ++stats_.threaded_bail_operand;

@@ -36,8 +36,11 @@
  *   - own-block SMC via the shared page-generation table (committed,
  *     then stop);
  *   - fault/timer/max-cycle worst-case-bound refusal before dispatch;
- *   - trace/profiler/metrics force the oracle entirely (Machine never
- *     calls this engine with observers attached).
+ *   - the profiler, metrics, and per-step trace categories force the
+ *     oracle (Machine::run does not dispatch with them attached);
+ *     other trace events are the Machine's pre-step events, so under
+ *     a trace engine chains end before owner changes and checkpoint
+ *     probes (ChainLimits::owner, ckpt_commit/ckpt_restore).
  *
  * The tier requires the GNU computed-goto extension; without it the
  * Machine runs the oracle (available()). Simulated results are
@@ -101,6 +104,16 @@ class ThreadedEngine
         std::uint64_t timer_period = 0;
         std::uint64_t timer_fire = 0;
         bool timer_pending = false;
+
+        static constexpr std::uint8_t kAnyOwner = 0xFF;
+        /** Every block must belong to this code owner (kAnyOwner:
+         *  chains may cross owner changes). */
+        std::uint8_t owner = kAnyOwner;
+        /** With an owner set, chains also stop before a block
+         *  starting at either PC (0 = none; no block starts at 0,
+         *  which is device space). */
+        std::uint16_t ckpt_commit = 0;
+        std::uint16_t ckpt_restore = 0;
     };
 
     struct ChainResult {
@@ -115,7 +128,8 @@ class ThreadedEngine
      * would. instructions == 0 means the caller must single-step the
      * oracle. Chains never cross the recovery-range boundary (every
      * block's cycles attribute the same way); with a recovery range
-     * set, all retired cycles belong to the entry PC's side.
+     * set, all retired cycles belong to the entry PC's side. A chain
+     * emits no trace events.
      */
     ChainResult runChain(const ChainLimits &limits);
 

@@ -31,6 +31,10 @@ enum Category : std::uint32_t {
     kCatPower = 1u << 6,     ///< power failures and boot recovery
     kCatAll = (1u << 7) - 1,
     kCatNone = 0,
+    /** Emitted for every instruction or bus access: only the
+     *  single-step oracle produces them, so wanting one outside a
+     *  sink's scope (Sink::scope) keeps a run off the fast tier. */
+    kCatPerStep = kCatInstr | kCatAccess | kCatStall | kCatHwCache,
 };
 
 /** Fine-grained event type. */
@@ -70,8 +74,10 @@ Category categoryOf(EventKind kind);
 /** Short stable name ("retire", "copy-in", ...). */
 const char *kindName(EventKind kind);
 
-/** Parse a category list like "instr,swap,stall"; fatal()s on junk. */
-std::uint32_t parseCategories(const std::string &list);
+/** Parse a category list like "instr,swap,stall"; fatal()s on junk,
+ *  naming @p flag (the option the list came from) when given. */
+std::uint32_t parseCategories(const std::string &list,
+                              const std::string &flag = "");
 
 /** Comma-separated names of the categories set in @p mask. */
 std::string categoryNames(std::uint32_t mask);

@@ -310,6 +310,14 @@ SwapTimeline::event(const Event &event)
     }
 }
 
+Scope
+SwapTimeline::scope() const
+{
+    // event() reads Read/Write only while in_copy_, i.e. while the
+    // copy loop (the Memcpy owner) executes, and never reads Fetch.
+    return {kCatAccess, 1u << kMemcpy};
+}
+
 void
 SwapTimeline::finish()
 {

@@ -36,6 +36,8 @@ struct SwapEvent {
     std::uint16_t nvm_addr = 0;    ///< FRAM home (copy-in/evict)
     std::uint32_t bytes = 0;       ///< body bytes (copy-in/evict)
     std::uint64_t handler_cycles = 0; ///< miss-exit: span length
+
+    bool operator==(const SwapEvent &) const = default;
 };
 
 /** Cache occupancy after each copy-in/evict. */
@@ -43,6 +45,8 @@ struct OccupancySample {
     std::uint64_t cycle = 0;
     std::uint32_t resident_bytes = 0;
     int resident_functions = 0;
+
+    bool operator==(const OccupancySample &) const = default;
 };
 
 /** Roll-up counters for the report. */
@@ -60,10 +64,15 @@ struct SwapSummary {
     std::uint64_t recovery_cycles = 0; ///< cycles in boot recovery
     std::uint64_t ckpt_commits = 0;    ///< __ckpt_commit entries seen
     std::uint64_t ckpt_restores = 0;   ///< __ckpt_restore entries seen
+
+    bool operator==(const SwapSummary &) const = default;
 };
 
 /** Streaming analyzer; subscribe with
- *  kCatSwap | kCatAccess | kCatPower. */
+ *  kCatSwap | kCatAccess | kCatPower. Its scope limits the access
+ *  events to the Memcpy owner: only the copy loop's traffic names
+ *  what was copied, so everywhere else the run stays on the fast
+ *  tier. */
 class SwapTimeline : public Sink
 {
   public:
@@ -100,6 +109,7 @@ class SwapTimeline : public Sink
 
     void event(const Event &event) override;
     void finish() override;
+    Scope scope() const override;
 
     const std::vector<SwapEvent> &events() const { return events_; }
     const std::vector<OccupancySample> &occupancy() const

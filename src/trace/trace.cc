@@ -78,7 +78,7 @@ constexpr CategoryName kCategoryNames[] = {
 } // namespace
 
 std::uint32_t
-parseCategories(const std::string &list)
+parseCategories(const std::string &list, const std::string &flag)
 {
     std::uint32_t mask = 0;
     for (const std::string &raw : support::split(list, ',')) {
@@ -99,7 +99,8 @@ parseCategories(const std::string &list)
             }
         }
         if (!found) {
-            support::fatal("unknown trace category '", name,
+            support::fatal(flag.empty() ? "" : flag + ": ",
+                           "unknown trace category '", name,
                            "' (want instr,access,stall,hwcache,"
                            "interrupt,swap,power,all)");
         }
@@ -122,7 +123,8 @@ categoryNames(std::uint32_t mask)
 }
 
 TraceEngine::TraceEngine(std::uint32_t ring_mask, std::size_t capacity)
-    : ring_mask_(capacity ? ring_mask : 0), mask_(ring_mask_)
+    : ring_mask_(capacity ? ring_mask : 0), mask_(ring_mask_),
+      unscoped_mask_(ring_mask_)
 {
     ring_.resize(capacity);
 }
@@ -132,8 +134,28 @@ TraceEngine::addSink(Sink *sink, std::uint32_t mask)
 {
     if (!sink)
         support::panic("TraceEngine::addSink: null sink");
-    sinks_.push_back({sink, mask});
-    mask_ |= mask;
+    Scope scope = sink->scope();
+    scope.categories &= mask;
+    if (!scope.categories)
+        scope.owners = 0;
+    sinks_.push_back({sink, mask, scope, 0});
+    unscoped_mask_ |= mask & ~scope.categories;
+    scope_owners_ |= scope.owners;
+    setOwner(owner_);
+}
+
+void
+TraceEngine::setOwner(std::uint8_t owner)
+{
+    owner_ = owner;
+    const std::uint32_t bit = owner < 32 ? 1u << owner : 0;
+    mask_ = unscoped_mask_;
+    for (Subscription &sub : sinks_) {
+        sub.live = sub.mask & ~sub.scope.categories;
+        if (sub.scope.owners & bit)
+            sub.live |= sub.scope.categories;
+        mask_ |= sub.live;
+    }
 }
 
 void
@@ -154,7 +176,7 @@ TraceEngine::emit(const Event &event)
     // Index loop (not iterators): a sink may re-emit derived events,
     // which recurses into emit(); sinks_ itself never changes mid-run.
     for (std::size_t i = 0; i < sinks_.size(); ++i) {
-        if (sinks_[i].mask & category)
+        if (sinks_[i].live & category)
             sinks_[i].sink->event(event);
     }
 }

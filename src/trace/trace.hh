@@ -12,7 +12,11 @@
  *  - pluggable sinks: streaming consumers (text/CSV/Chrome writers,
  *    the swap-timeline analyzer) subscribe with their own category
  *    mask; the engine's effective mask is the union of the ring's and
- *    every sink's, so emit sites skip work nobody wants.
+ *    every sink's, so emit sites skip work nobody wants;
+ *  - scoped subscriptions: a sink may want some categories only while
+ *    particular code owners execute (Sink::scope). The machine reports
+ *    every owner change (setOwner), so those events are emitted only
+ *    inside the scope, and the fast tier runs everywhere else.
  *
  * Sinks may re-emit derived events from inside notify() (SwapTimeline
  * does); delivery order for other sinks is trigger-then-derived as
@@ -29,6 +33,12 @@
 
 namespace swapram::trace {
 
+/** Categories a sink wants only while certain code owners execute. */
+struct Scope {
+    std::uint32_t categories = kCatNone; ///< the scoped categories
+    std::uint32_t owners = 0; ///< bit (1u << sim::CodeOwner) per owner
+};
+
 /** Streaming consumer of trace events. */
 class Sink
 {
@@ -40,6 +50,10 @@ class Sink
 
     /** Called once when the producing run completes (flush point). */
     virtual void finish() {}
+
+    /** The part of the subscription wanted only inside some owners
+     *  (read once, by addSink); the default wants it everywhere. */
+    virtual Scope scope() const { return {}; }
 };
 
 /** Central event hub: bounded ring buffer + subscribed sinks. */
@@ -53,18 +67,34 @@ class TraceEngine
 
     static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
-    /** Subscribe @p sink to categories in @p mask (not owned). */
+    /** Subscribe @p sink to categories in @p mask (not owned),
+     *  narrowed by the sink's scope(). */
     void addSink(Sink *sink, std::uint32_t mask = kCatAll);
 
-    /** True when somebody wants events of @p category. */
+    /** No code owner is executing (before the first instruction and
+     *  after a power failure). */
+    static constexpr std::uint8_t kNoOwner = 0xFF;
+
+    /** The code owner now executing; scoped subscriptions are live
+     *  only while their owner set contains it. */
+    void setOwner(std::uint8_t owner);
+
+    /** True when somebody wants events of @p category right now. */
     bool
     wants(Category category) const
     {
         return (mask_ & category) != 0;
     }
 
-    /** Union of ring and sink masks (0 = nothing to do). */
+    /** Union of ring and live sink masks (0 = nothing to do). */
     std::uint32_t mask() const { return mask_; }
+
+    /** Categories wanted whichever owner executes. */
+    std::uint32_t unscopedMask() const { return unscoped_mask_; }
+
+    /** Owners (bit per owner) inside which a scoped subscription is
+     *  live. */
+    std::uint32_t scopeOwners() const { return scope_owners_; }
 
     /** Record @p event and deliver it to matching sinks. */
     void emit(const Event &event);
@@ -88,10 +118,15 @@ class TraceEngine
     struct Subscription {
         Sink *sink;
         std::uint32_t mask;
+        Scope scope;       ///< categories limited to scope.owners
+        std::uint32_t live; ///< mask as of the executing owner
     };
 
     std::uint32_t ring_mask_;
     std::uint32_t mask_;
+    std::uint32_t unscoped_mask_;
+    std::uint32_t scope_owners_ = 0;
+    std::uint8_t owner_ = kNoOwner; ///< the executing code owner
     std::vector<Event> ring_; ///< fixed-size circular storage
     std::size_t head_ = 0;    ///< next write slot
     std::size_t count_ = 0;   ///< valid entries (<= ring_.size())

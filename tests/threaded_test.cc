@@ -8,6 +8,10 @@
  * superblock_*, and predecode hit/miss counters are the only
  * permitted divergence. Every twin also checks that its fast side
  * really ran: more than half its instructions must retire threaded.
+ * The harness twins add an observed side, the spec with its swap
+ * timeline on the default tier: its timeline and trace event count
+ * must equal the oracle's, and more than half of its instructions
+ * outside the single-stepped copy loop must retire threaded.
  *
  * Coverage concentrates on the bail-out guards: register-dependent
  * MMIO operands, stores into the executing block, fault/timer cycle
@@ -47,7 +51,8 @@ withThreaded(bool enabled)
 }
 
 /** The fast side of a harness twin: the threaded tier with nothing
- *  observed (an attached observer pins a run to the oracle). */
+ *  observed (the profiler, metrics, and per-step trace categories pin
+ *  a run to the oracle; the swap timeline pins only the copy loop). */
 harness::RunSpec
 fastSide(harness::RunSpec spec)
 {
@@ -74,6 +79,39 @@ expectMostlyThreaded(const sim::Stats &fast, const std::string &ctx)
     EXPECT_GT(2 * fast.threaded_instructions, fast.instructions)
         << ctx << ": only " << fast.threaded_instructions << " of "
         << fast.instructions << " instructions ran threaded";
+}
+
+/** The observed side of a twin keeps its swap timeline, which
+ *  single-steps only the copy loop (the Memcpy owner): more than half
+ *  of the other instructions must retire threaded. */
+void
+expectThreadedOutsideCopyLoop(const sim::Stats &observed,
+                              const std::string &ctx)
+{
+    std::uint64_t outside =
+        observed.instructions -
+        observed.instr_by_owner[static_cast<int>(sim::CodeOwner::Memcpy)];
+    EXPECT_GT(2 * observed.threaded_instructions, outside)
+        << ctx << ": only " << observed.threaded_instructions << " of "
+        << outside << " instructions outside the copy loop ran threaded";
+}
+
+/** The observed run reconstructs the oracle's timeline exactly and
+ *  its trace engine accepted the same number of events. */
+void
+expectTimelineEqual(const harness::Metrics &observed,
+                    const harness::Metrics &oracle,
+                    const std::string &ctx)
+{
+    EXPECT_EQ(observed.swap_events.size(), oracle.swap_events.size())
+        << ctx;
+    EXPECT_TRUE(observed.swap_events == oracle.swap_events)
+        << ctx << ": swap events differ";
+    EXPECT_TRUE(observed.occupancy == oracle.occupancy)
+        << ctx << ": occupancy differs";
+    EXPECT_TRUE(observed.swap_summary == oracle.swap_summary)
+        << ctx << ": swap summary differs";
+    EXPECT_EQ(observed.trace_emitted, oracle.trace_emitted) << ctx;
 }
 
 /** Every simulated Stats field (host-side fast-path counters — the
@@ -306,7 +344,8 @@ TEST(Threaded, InjectedFaultsLandOnSameCycle)
  *  mid-eviction scans, and __swp_din/__swp_dout copy windows; the
  *  lowered code and the oracle must account every one of them
  *  identically. The oracle side keeps the swap timeline, which shows
- *  the windows are really there. */
+ *  the windows are really there, and the observed side must
+ *  reconstruct the same timeline. */
 TEST(Threaded, EvictionAndDataSwapWindowsMatch)
 {
     std::vector<harness::RunSpec> specs;
@@ -318,16 +357,19 @@ TEST(Threaded, EvictionAndDataSwapWindowsMatch)
             names.push_back(w.name + "@" + std::to_string(sram));
             specs.push_back(fastSide(spec));
             specs.push_back(oracleSide(spec));
+            specs.push_back(spec);
         }
     }
     std::vector<harness::RunOutcome> outcomes =
         harness::Engine().runAll(specs);
-    for (std::size_t i = 0; i < outcomes.size(); i += 2) {
-        const std::string &key = names[i / 2];
+    for (std::size_t i = 0; i < outcomes.size(); i += 3) {
+        const std::string &key = names[i / 3];
         ASSERT_TRUE(outcomes[i].ok()) << key;
         ASSERT_TRUE(outcomes[i + 1].ok()) << key;
+        ASSERT_TRUE(outcomes[i + 2].ok()) << key;
         const harness::Metrics &on = outcomes[i].metrics;
         const harness::Metrics &off = outcomes[i + 1].metrics;
+        const harness::Metrics &obs = outcomes[i + 2].metrics;
         ASSERT_TRUE(on.fits) << key;
         ASSERT_TRUE(on.done) << key;
         EXPECT_EQ(on.checksum, off.checksum) << key;
@@ -335,6 +377,9 @@ TEST(Threaded, EvictionAndDataSwapWindowsMatch)
         EXPECT_GT(off.swap_summary.copy_ins, 0u) << key;
         expectSimStatsEqual(on.stats, off.stats, key);
         expectMostlyThreaded(on.stats, key);
+        expectSimStatsEqual(obs.stats, off.stats, key + " observed");
+        expectTimelineEqual(obs, off, key);
+        expectThreadedOutsideCopyLoop(obs.stats, key);
     }
 }
 
@@ -396,11 +441,14 @@ TEST(Threaded, HarvestBrownOutMidChainMatches)
  *  at the platform default plus every capacity-pressure cell — on the
  *  threaded tier vs the oracle. Every simulated observable must agree
  *  on all 47 keys; golden_test.cc separately pins the absolute
- *  numbers. The sweep spec's swap timeline stays on the oracle side
- *  only: on the fast side it would pin most rows to the oracle. The
- *  interrupt and power-failure runs of interrupt_test.cc and
- *  power_fail_test.cc, which run on the default tier only, join the
- *  matrix here. */
+ *  numbers. Each cache-system spec runs three ways: unobserved on the
+ *  fast tier, with its swap timeline on the oracle, and with its swap
+ *  timeline on the default tier, whose timeline must equal the
+ *  oracle's. The interrupt and power-failure runs of
+ *  interrupt_test.cc and power_fail_test.cc, which run on the default
+ *  tier only, join the matrix here, as does a checkpointing Split
+ *  placement under periodic faults (checkpoint probes and recovery
+ *  events in the observed stream). */
 TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
 {
     const harness::System systems[] = {harness::System::Baseline,
@@ -409,9 +457,12 @@ TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
     std::vector<harness::RunSpec> specs;
     std::vector<std::string> names;
     auto push = [&](harness::RunSpec spec, const std::string &name) {
+        spec.observe.swap_timeline =
+            spec.system != harness::System::Baseline;
         names.push_back(name);
         specs.push_back(fastSide(spec));
         specs.push_back(oracleSide(spec));
+        specs.push_back(spec);
     };
     for (const workloads::Workload &w : workloads::all()) {
         for (harness::System system : systems) {
@@ -454,25 +505,52 @@ TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
         spec.intermittent.plan = sim::FaultPlan::periodic(5'000, 6);
         push(spec, "arith/" + harness::systemName(system) + "+faults");
     }
+    // Checkpoint commits at every miss, restored across reboots.
+    workloads::Workload crc = workloads::makeCrc();
+    harness::RunSpec ckpt_spec;
+    ckpt_spec.workload = &crc;
+    ckpt_spec.system = harness::System::SwapRam;
+    ckpt_spec.placement = harness::Placement::Split;
+    ckpt_spec.swap.ckpt.scheme = ckpt::Scheme::Periodic;
+    ckpt_spec.swap.ckpt.period = 1;
+    ckpt_spec.intermittent.plan = sim::FaultPlan::periodic(5'000, 6);
+    const std::string ckpt_key = "crc/swapram+split+ckpt+faults";
+    push(ckpt_spec, ckpt_key);
 
     std::vector<harness::RunOutcome> outcomes =
         harness::Engine().runAll(specs);
-    for (std::size_t i = 0; i < outcomes.size(); i += 2) {
-        const std::string &key = names[i / 2];
+    for (std::size_t i = 0; i < outcomes.size(); i += 3) {
+        const std::string &key = names[i / 3];
         ASSERT_TRUE(outcomes[i].ok()) << key;
         ASSERT_TRUE(outcomes[i + 1].ok()) << key;
+        ASSERT_TRUE(outcomes[i + 2].ok()) << key;
         const harness::Metrics &on = outcomes[i].metrics;
         const harness::Metrics &off = outcomes[i + 1].metrics;
+        const harness::Metrics &obs = outcomes[i + 2].metrics;
         ASSERT_EQ(on.fits, off.fits) << key;
+        ASSERT_EQ(obs.fits, off.fits) << key;
         if (!on.fits)
             continue;
         ASSERT_EQ(on.done, off.done) << key;
+        ASSERT_EQ(obs.done, off.done) << key;
         EXPECT_EQ(on.checksum, off.checksum) << key;
         EXPECT_EQ(on.data_snapshot, off.data_snapshot) << key;
         EXPECT_EQ(on.console, off.console) << key;
         EXPECT_EQ(on.energy_pj, off.energy_pj) << key;
         expectSimStatsEqual(on.stats, off.stats, key);
         expectMostlyThreaded(on.stats, key);
+        EXPECT_EQ(obs.checksum, off.checksum) << key;
+        EXPECT_EQ(obs.energy_pj, off.energy_pj) << key;
+        expectSimStatsEqual(obs.stats, off.stats, key + " observed");
+        expectTimelineEqual(obs, off, key);
+        expectThreadedOutsideCopyLoop(obs.stats, key);
+        if (key == ckpt_key) {
+            // The observed stream really carries the probes and the
+            // recovery spans.
+            EXPECT_GT(obs.swap_summary.ckpt_commits, 0u);
+            EXPECT_GT(obs.swap_summary.ckpt_restores, 0u);
+            EXPECT_GT(obs.swap_summary.recovery_cycles, 0u);
+        }
     }
 }
 
@@ -509,10 +587,10 @@ maskHostCounters(const std::string &json_text)
 TEST(Threaded, RunReportByteIdenticalWithHostCountersMasked)
 {
     workloads::Workload w = workloads::makeCrc();
-    // The sweep spec attaches the swap-timeline trace, which forces
-    // single-step; drop it on both sides so the reports compare.
+    // Both sides keep the sweep spec's swap timeline: its report
+    // sections (swap events, occupancy, trace counts) must match too.
     harness::RunSpec on_spec =
-        fastSide(harness::sweepSpec(w, harness::System::SwapRam));
+        harness::sweepSpec(w, harness::System::SwapRam);
     harness::RunSpec off_spec = oracleSide(on_spec);
 
     std::vector<harness::RunOutcome> outcomes =
@@ -531,7 +609,7 @@ TEST(Threaded, RunReportByteIdenticalWithHostCountersMasked)
     EXPECT_NE(on_text, off_text)
         << "host counters should differ across tiers";
     EXPECT_EQ(maskHostCounters(on_text), maskHostCounters(off_text));
-    expectMostlyThreaded(outcomes[0].metrics.stats, "report");
+    expectThreadedOutsideCopyLoop(outcomes[0].metrics.stats, "report");
 }
 
 } // namespace

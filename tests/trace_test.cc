@@ -99,6 +99,45 @@ TEST(TraceEngine, ZeroCapacityDisablesRing)
     EXPECT_EQ(engine.emitted(), 0u);
 }
 
+TEST(TraceEngine, ScopedCategoriesAreLiveOnlyInsideTheirOwners)
+{
+    // Wants access events only while owner 3 executes, swap events
+    // everywhere.
+    struct Scoped : trace::Sink {
+        std::vector<trace::Event> seen;
+        void event(const trace::Event &e) override
+        {
+            seen.push_back(e);
+        }
+        trace::Scope scope() const override
+        {
+            return {trace::kCatAccess, 1u << 3};
+        }
+    } sink;
+
+    trace::TraceEngine engine(trace::kCatNone, 0);
+    engine.addSink(&sink, trace::kCatAccess | trace::kCatSwap);
+    EXPECT_EQ(engine.unscopedMask(),
+              static_cast<std::uint32_t>(trace::kCatSwap));
+    EXPECT_EQ(engine.scopeOwners(), 1u << 3);
+    EXPECT_FALSE(engine.wants(trace::kCatAccess)); // no owner yet
+    engine.emit(ev(1, trace::EventKind::Read, 0x2000));
+    engine.setOwner(3);
+    EXPECT_TRUE(engine.wants(trace::kCatAccess));
+    engine.emit(ev(2, trace::EventKind::Read, 0x2002));
+    engine.setOwner(1);
+    EXPECT_FALSE(engine.wants(trace::kCatAccess));
+    engine.emit(ev(3, trace::EventKind::Read, 0x2004));
+    engine.emit(ev(4, trace::EventKind::OwnerChange, 0x8000));
+    engine.setOwner(trace::TraceEngine::kNoOwner);
+    EXPECT_FALSE(engine.wants(trace::kCatAccess));
+
+    ASSERT_EQ(sink.seen.size(), 2u);
+    EXPECT_EQ(sink.seen[0].cycle, 2u);
+    EXPECT_EQ(sink.seen[1].cycle, 4u);
+    EXPECT_EQ(engine.emitted(), 2u);
+}
+
 TEST(TraceCategories, ParseAndNames)
 {
     EXPECT_EQ(trace::parseCategories("all"), trace::kCatAll);

@@ -1,13 +1,19 @@
 # Run a command that must fail: it has to exit non-zero (not crash)
 # and print output matching EXPECT.
 #
-#   cmake -DEXPECT=<regex> -P expect_failure.cmake <command> [args...]
+#   cmake -DEXPECT=<regex> -P expect_failure.cmake -- <command> [args...]
+#
+# The "--" stops cmake from taking options of the command that it also
+# knows (--trace-format) as its own; it is optional otherwise.
 
-# The command is every argument after "-P <this script>".
+# The command is every argument after "-P <this script> [--]".
 set(command "")
 math(EXPR last "${CMAKE_ARGC} - 1")
 foreach(i RANGE ${last})
     if(in_command)
+        if(NOT command AND CMAKE_ARGV${i} STREQUAL "--")
+            continue()
+        endif()
         list(APPEND command "${CMAKE_ARGV${i}}")
     elseif(CMAKE_ARGV${i} STREQUAL "-P")
         math(EXPR script_at "${i} + 1")
@@ -17,7 +23,7 @@ foreach(i RANGE ${last})
 endforeach()
 if(NOT command)
     message(FATAL_ERROR "usage: cmake -DEXPECT=<regex> -P "
-                        "expect_failure.cmake <command> [args...]")
+                        "expect_failure.cmake -- <command> [args...]")
 endif()
 
 execute_process(COMMAND ${command} RESULT_VARIABLE rc

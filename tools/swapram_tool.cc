@@ -349,11 +349,17 @@ parseArgs(int argc, char **argv)
         } else if (a == "--disasm") {
             args.disasm = true;
         } else if (a == "--trace-categories") {
-            args.trace_categories = trace::parseCategories(next());
+            args.trace_categories = trace::parseCategories(next(), a);
         } else if (a == "--trace-out") {
             args.trace_out = next();
         } else if (a == "--trace-format") {
             args.trace_format = next();
+            if (args.trace_format != "text" &&
+                args.trace_format != "csv" &&
+                args.trace_format != "chrome")
+                support::fatal(a, ": unknown trace format '",
+                               args.trace_format,
+                               "' (want text|csv|chrome)");
         } else if (a == "--trace-limit") {
             args.trace_limit = number<std::uint64_t>(a, next(), 10);
         } else if (a == "--ring-capacity") {
@@ -865,10 +871,7 @@ streamFormat(const Args &args)
             return Format::Text;
         if (args.trace_format == "csv")
             return Format::Csv;
-        if (args.trace_format == "chrome")
-            return Format::Chrome;
-        support::fatal("unknown trace format '", args.trace_format,
-                       "' (expected text|csv|chrome)");
+        return Format::Chrome; // parseArgs admits nothing else
     }
     if (args.trace_out.size() > 5 &&
         args.trace_out.ends_with(".json"))
