@@ -1,6 +1,7 @@
 #include "blockcache/builder.hh"
 
 #include <string>
+#include <utility>
 
 #include "blockcache/pass.hh"
 #include "blockcache/runtime_gen.hh"
@@ -41,10 +42,10 @@ build(const masm::Program &app, const masm::LayoutSpec &layout,
 
     masm::Program runtime = masm::parse(
         generateRuntimeAsm(transformed, options, sections));
-    masm::Program final_program = transformed.program;
-    final_program.append(runtime);
+    masm::Program final_program = std::move(transformed.program);
+    final_program.append(std::move(runtime));
 
-    info.assembled = masm::assemble(final_program, layout);
+    info.assembled = masm::assemble(std::move(final_program), layout);
 
     const auto &miss = info.assembled.function("__bb_miss");
     const auto &ret = info.assembled.function("__bb_ret");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "blockcache/builder.hh"
@@ -20,6 +21,66 @@
 namespace swapram::harness {
 
 namespace plat = swapram::platform;
+
+namespace {
+
+/** The helper library's text and its parse, made once per process. */
+struct LibParse {
+    std::string text = workloads::libSource();
+    masm::Program program = masm::parse(text);
+};
+
+const LibParse &
+libParse()
+{
+    static const LibParse lib;
+    return lib;
+}
+
+/** Number of '\n' in @p text: the line offset of what follows it in a
+ *  concatenation, as parse() numbers lines. */
+int
+newlines(const std::string &text)
+{
+    return static_cast<int>(std::count(text.begin(), text.end(), '\n'));
+}
+
+/** Append a copy of @p piece to @p out, its lines moved down by
+ *  @p offset. */
+void
+appendShifted(masm::Program &out, const masm::Program &piece, int offset)
+{
+    for (const masm::Statement &s : piece.stmts) {
+        out.stmts.push_back(s);
+        out.stmts.back().line += offset;
+    }
+}
+
+} // namespace
+
+masm::Program
+spliceSource(const std::string &stub, const workloads::Workload &workload,
+             bool include_lib)
+{
+    std::shared_ptr<const masm::Program> source;
+    try {
+        source = workload.parsed->get(workload.source);
+    } catch (const support::FatalError &e) {
+        throw support::FatalError(masm::mapSourceLines(
+            e.what(), {{workload.name, workload.source}}));
+    }
+    const masm::Program *lib =
+        include_lib ? &libParse().program : nullptr;
+    masm::Program program = masm::parse(stub);
+    program.stmts.reserve(program.stmts.size() + source->stmts.size() +
+                          (lib ? lib->stmts.size() : 0));
+    const int source_offset = newlines(stub);
+    appendShifted(program, *source, source_offset);
+    if (lib)
+        appendShifted(program, *lib,
+                      source_offset + newlines(workload.source));
+    return program;
+}
 
 std::string
 systemName(System system)
@@ -256,11 +317,9 @@ runWithStub(const RunSpec &spec, std::string &stub)
                                                     spec.sram_size);
     }
 
-    std::string body = spec.workload->source;
-    if (spec.include_lib)
-        body += workloads::libSource();
     stub = startupSource(plan.stack_top, spec.main_repeats, recover);
-    masm::Program program = masm::parse(stub + body);
+    masm::Program program =
+        spliceSource(stub, *spec.workload, spec.include_lib);
 
     // For the Split placement, size the data region first with a
     // baseline assembly, then carve the cache from the SRAM left over.
@@ -308,10 +367,12 @@ runWithStub(const RunSpec &spec, std::string &stub)
             main_stub = std::exchange(
                 stub, startupSource(plan.stack_top, spec.main_repeats));
         }
-        masm::Program probe_program =
-            recover.empty() ? program : masm::parse(stub + body);
         masm::AssembleResult probe =
-            masm::assemble(probe_program, plan.layout);
+            recover.empty()
+                ? masm::assemble(program, plan.layout)
+                : masm::assemble(spliceSource(stub, *spec.workload,
+                                              spec.include_lib),
+                                 plan.layout);
         if (!recover.empty())
             stub = std::move(main_stub);
         std::uint32_t bss_end = probe.image.bss.end();
@@ -356,7 +417,7 @@ runWithStub(const RunSpec &spec, std::string &stub)
     cache::FuncIds swap_funcs; // kept for post-run invariant checks
     switch (spec.system) {
       case System::Baseline: {
-        assembled = masm::assemble(program, plan.layout);
+        assembled = masm::assemble(std::move(program), plan.layout);
         m.app_text_bytes = assembled.image.text.size;
         break;
       }
@@ -692,13 +753,18 @@ runOne(const RunSpec &spec)
     if (!spec.workload)
         support::fatal("runOne: no workload");
     std::string stub;
+    const std::uint64_t parsed_before = masm::statementsParsed();
     try {
-        return runWithStub(spec, stub);
+        Metrics m = runWithStub(spec, stub);
+        m.host_statements_parsed =
+            masm::statementsParsed() - parsed_before;
+        return m;
     } catch (const support::FatalError &e) {
-        // Parse and assemble errors count lines from the top of the
-        // stub; say which piece of the source holds the line instead.
-        const std::string lib =
-            spec.include_lib ? workloads::libSource() : "";
+        // Assemble errors count lines from the top of the stub (the
+        // spliced pieces keep that numbering); say which piece of the
+        // source holds the line instead.
+        const std::string_view lib =
+            spec.include_lib ? std::string_view(libParse().text) : "";
         throw support::FatalError(masm::mapSourceLines(
             e.what(), {{"<startup>", stub},
                        {spec.workload->name, spec.workload->source},

@@ -218,6 +218,12 @@ struct Metrics {
     std::uint16_t rt_ckpt_commits = 0;  ///< checkpoints sealed
     std::uint16_t rt_ckpt_restores = 0; ///< boots resumed from one
 
+    /** Statements masm::parse produced during this run (host-side,
+     *  like the Stats fast-path counters). A workload source parsed by
+     *  an earlier run is not parsed again, so the count depends on run
+     *  order: no report carries it. */
+    std::uint64_t host_statements_parsed = 0;
+
     std::uint32_t
     totalNvmBytes() const
     {
@@ -231,6 +237,19 @@ struct Metrics {
  *  completion. */
 std::string startupSource(std::uint16_t stack_top, int repeats = 1,
                           const std::string &recover = "");
+
+/**
+ * The program runOne assembles for @p workload behind the startup
+ * stub @p stub. Only the stub is parsed here. The workload's source
+ * comes from its parse memo, the library (with @p include_lib) from a
+ * parse made once per process; both are copied in behind the stub,
+ * their lines moved down by the '\n's before them, so the result
+ * equals masm::parse(stub + source + lib) statement for statement. A
+ * parse error in the source names the workload and its own line.
+ */
+masm::Program spliceSource(const std::string &stub,
+                           const workloads::Workload &workload,
+                           bool include_lib);
 
 /** Run one experiment. */
 Metrics runOne(const RunSpec &spec);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <utility>
 
 #include "isa/encode.hh"
 #include "support/logging.hh"
@@ -455,9 +456,8 @@ FunctionIndex::label(std::uint16_t addr) const
 }
 
 AssembleResult
-assemble(const Program &program, const LayoutSpec &layout)
+assemble(Program work, const LayoutSpec &layout)
 {
-    Program work = program;
     int relax_counter = 0;
 
     for (int iteration = 0;; ++iteration) {
@@ -525,7 +525,6 @@ assemble(const Program &program, const LayoutSpec &layout)
 
         // Stable: emit.
         AssembleResult out;
-        out.relaxed = work;
         out.stmt_addr.resize(work.stmts.size());
         std::array<std::vector<std::uint8_t>, kNumSections> buf;
         for (int sec = 0; sec < kNumSections; ++sec)
@@ -629,6 +628,8 @@ assemble(const Program &program, const LayoutSpec &layout)
         out.image.entry = entry_it != out.symbols.end()
                               ? entry_it->second
                               : bases.base[0];
+        // Only now: the emission loop above reads the statements.
+        out.relaxed = std::move(work);
         return out;
     }
 }

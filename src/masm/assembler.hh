@@ -103,8 +103,12 @@ class FunctionIndex
     std::vector<FunctionInfo> funcs_;
 };
 
-/** Assemble @p program with section placement @p layout. */
-AssembleResult assemble(const Program &program, const LayoutSpec &layout);
+/**
+ * Assemble @p program with section placement @p layout. The program is
+ * consumed: it becomes AssembleResult::relaxed. Pass an rvalue to hand
+ * it over; an lvalue argument is copied.
+ */
+AssembleResult assemble(Program program, const LayoutSpec &layout);
 
 /**
  * Encoded size in bytes of one symbolic instruction (stable across

@@ -1,5 +1,7 @@
 #include "masm/ast.hh"
 
+#include <iterator>
+
 #include "support/logging.hh"
 #include "support/strings.hh"
 
@@ -241,9 +243,10 @@ Statement::text() const
 }
 
 void
-Program::append(const Program &other)
+Program::append(Program &&other)
 {
-    stmts.insert(stmts.end(), other.stmts.begin(), other.stmts.end());
+    stmts.insert(stmts.end(), std::make_move_iterator(other.stmts.begin()),
+                 std::make_move_iterator(other.stmts.end()));
 }
 
 std::string

@@ -190,8 +190,8 @@ struct Statement {
 struct Program {
     std::vector<Statement> stmts;
 
-    /** Append all statements of @p other. */
-    void append(const Program &other);
+    /** Append all statements of @p other, moving them. */
+    void append(Program &&other);
 
     /** Render the whole program as assembler text. */
     std::string text() const;

@@ -479,6 +479,9 @@ parseInstruction(Cursor &cur, const std::string &raw, Program &out)
     out.stmts.push_back(Statement::makeInstr(std::move(instr), cur.line()));
 }
 
+/** Running total behind statementsParsed(). */
+thread_local std::uint64_t t_statements_parsed = 0;
+
 } // namespace
 
 Program
@@ -520,7 +523,25 @@ parse(const std::string &source)
         else
             parseInstruction(cur, name, program);
     }
+    t_statements_parsed += program.stmts.size();
     return program;
+}
+
+std::uint64_t
+statementsParsed()
+{
+    return t_statements_parsed;
+}
+
+std::shared_ptr<const Program>
+ParseMemo::get(const std::string &source)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!program_ || source_ != source) {
+        program_ = std::make_shared<const Program>(parse(source));
+        source_ = source;
+    }
+    return program_;
 }
 
 std::string

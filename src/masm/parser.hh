@@ -12,6 +12,9 @@
 #ifndef SWAPRAM_MASM_PARSER_HH
 #define SWAPRAM_MASM_PARSER_HH
 
+#include <cstdint>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,6 +25,29 @@ namespace swapram::masm {
 
 /** Parse @p source into a Program. fatal()s with line diagnostics. */
 Program parse(const std::string &source);
+
+/** Statements parse() has produced on the calling thread so far: a
+ *  host-side work counter (take differences around a span of work). */
+std::uint64_t statementsParsed();
+
+/**
+ * The parse of one source text, kept for reuse. Holders share it
+ * through a shared_ptr; concurrent first use parses once. The Program
+ * is immutable: callers copy the statements they go on to rewrite.
+ */
+class ParseMemo
+{
+  public:
+    /** The parse of @p source: the kept one when it was parsed from
+     *  the same text, else a fresh parse that replaces it. Parse errors
+     *  propagate as parse() throws them (lines counted in @p source). */
+    std::shared_ptr<const Program> get(const std::string &source);
+
+  private:
+    std::mutex mutex_;
+    std::string source_; ///< the text program_ was parsed from
+    std::shared_ptr<const Program> program_;
+};
 
 /** One named piece of a source parsed as a concatenation. */
 struct SourcePart {

@@ -165,10 +165,8 @@ reimportAllFunctions(const AssembleResult &assembled)
     }
     Program out;
     out.stmts.push_back(Statement::makeDirective(Directive::Text));
-    for (const FunctionInfo &f : assembled.functions) {
-        Program one = reimportFunction(assembled.image, f, names);
-        out.append(one);
-    }
+    for (const FunctionInfo &f : assembled.functions)
+        out.append(reimportFunction(assembled.image, f, names));
     return out;
 }
 

@@ -1,5 +1,7 @@
 #include "swapram/builder.hh"
 
+#include <utility>
+
 #include "ckpt/gen.hh"
 #include "masm/parser.hh"
 #include "support/logging.hh"
@@ -33,10 +35,12 @@ build(const masm::Program &app, const masm::LayoutSpec &layout,
     }
     for (const std::string &name : info.funcs.names)
         inter_layout.predefined.emplace("__swp_id_" + name, 0);
-    masm::AssembleResult inter = masm::assemble(instrumented,
-                                                inter_layout);
+    masm::AssembleResult inter =
+        masm::assemble(std::move(instrumented), inter_layout);
 
-    // 3. Relocate intra-function absolute branches (Figure 4).
+    // 3. Relocate intra-function absolute branches (Figure 4). This
+    //    takes inter.relaxed; from here on only inter's image, symbols
+    //    and functions are read.
     RelocResult relocs = relocateBranches(inter, info.funcs);
     info.reloc_count = static_cast<int>(relocs.entries.size());
 
@@ -51,11 +55,11 @@ build(const masm::Program &app, const masm::LayoutSpec &layout,
     // 4. Generate and append the runtime + metadata tables.
     masm::Program runtime = masm::parse(
         generateRuntimeAsm(info.funcs, relocs, options, sections));
-    masm::Program final_program = relocs.program;
-    final_program.append(runtime);
+    masm::Program final_program = std::move(relocs.program);
+    final_program.append(std::move(runtime));
 
     // 5. Final assembly.
-    info.assembled = masm::assemble(final_program, layout);
+    info.assembled = masm::assemble(std::move(final_program), layout);
 
     // The relocation pass recorded NVM addresses from the intermediate
     // assembly; verify the final layout kept them (it must: the rewrite

@@ -1,5 +1,7 @@
 #include "swapram/reloc.hh"
 
+#include <utility>
+
 #include "support/logging.hh"
 
 namespace swapram::cache {
@@ -67,10 +69,10 @@ isAbsoluteBranch(const Statement &s)
 } // namespace
 
 RelocResult
-relocateBranches(const masm::AssembleResult &inter, const FuncIds &funcs)
+relocateBranches(masm::AssembleResult &inter, const FuncIds &funcs)
 {
     RelocResult out;
-    out.program = inter.relaxed;
+    out.program = std::move(inter.relaxed);
     out.func_first.assign(funcs.count() + 1, 0);
 
     // Walk functions in id order so entries group contiguously.

@@ -49,8 +49,9 @@ struct RelocResult {
 };
 
 /** Run the pass over an intermediate assembly of the instrumented
- *  program. */
-RelocResult relocateBranches(const masm::AssembleResult &inter,
+ *  program. The rewrite takes over inter.relaxed (left empty); the
+ *  rest of @p inter is only read. */
+RelocResult relocateBranches(masm::AssembleResult &inter,
                              const FuncIds &funcs);
 
 } // namespace swapram::cache

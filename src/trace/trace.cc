@@ -126,7 +126,9 @@ TraceEngine::TraceEngine(std::uint32_t ring_mask, std::size_t capacity)
     : ring_mask_(capacity ? ring_mask : 0), mask_(ring_mask_),
       unscoped_mask_(ring_mask_)
 {
-    ring_.resize(capacity);
+    // An engine that only feeds sinks records nothing: no storage.
+    if (ring_mask_)
+        ring_.resize(capacity);
 }
 
 void

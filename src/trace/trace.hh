@@ -61,7 +61,8 @@ class TraceEngine
 {
   public:
     /** @p ring_mask selects what the ring records; @p capacity bounds
-     *  it (0 disables in-memory recording entirely). */
+     *  it (0 disables in-memory recording entirely). The ring's
+     *  storage is allocated only when it records something. */
     explicit TraceEngine(std::uint32_t ring_mask = kCatAll,
                          std::size_t capacity = kDefaultCapacity);
 

@@ -18,8 +18,11 @@
 #define SWAPRAM_WORKLOADS_WORKLOAD_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "masm/parser.hh"
 
 namespace swapram::workloads {
 
@@ -43,6 +46,13 @@ struct Workload {
      *  around large-buffer phases and must embed the identity shims so
      *  they still run under the other systems. */
     std::uint16_t data_pool_bytes = 0;
+
+    /** Parse of `source`, made by the first run that needs it (never
+     *  at construction) and shared by copies of this Workload. It is
+     *  checked against `source` on every use, so editing the source
+     *  re-parses it. */
+    std::shared_ptr<masm::ParseMemo> parsed =
+        std::make_shared<masm::ParseMemo>();
 };
 
 /** All nine paper benchmarks, in Table-1 order. */

@@ -99,6 +99,34 @@ TEST(TraceEngine, ZeroCapacityDisablesRing)
     EXPECT_EQ(engine.emitted(), 0u);
 }
 
+TEST(TraceEngine, SinkOnlyEngineKeepsNoRing)
+{
+    struct Capture : trace::Sink {
+        std::vector<trace::Event> seen;
+        void event(const trace::Event &e) override
+        {
+            seen.push_back(e);
+        }
+    } cap;
+
+    // The runner's shape for a swap-timeline run: nothing recorded,
+    // one sink fed.
+    trace::TraceEngine engine(trace::kCatNone);
+    EXPECT_EQ(engine.ringCapacity(), 0u);
+    engine.addSink(&cap, trace::kCatAll);
+    engine.emit(ev(1, trace::EventKind::InstrRetire, 0x8000));
+    engine.emit(ev(2, trace::EventKind::Read, 0x2000));
+    engine.emit(ev(3, trace::EventKind::FramStall, 0x8004));
+
+    ASSERT_EQ(cap.seen.size(), 3u);
+    EXPECT_EQ(cap.seen[0].cycle, 1u);
+    EXPECT_EQ(cap.seen[2].cycle, 3u);
+    EXPECT_EQ(engine.emitted(), 3u);
+    EXPECT_EQ(engine.dropped(), 0u);
+    EXPECT_TRUE(engine.ring().empty());
+    EXPECT_EQ(engine.ringCapacity(), 0u);
+}
+
 TEST(TraceEngine, ScopedCategoriesAreLiveOnlyInsideTheirOwners)
 {
     // Wants access events only while owner 3 executes, swap events

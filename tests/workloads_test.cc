@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/runner.hh"
+#include "masm/parser.hh"
 #include "workloads/workload.hh"
 
 namespace swapram::workloads {
@@ -120,6 +121,76 @@ TEST(Workloads, CrcGoldenMatchesCcittCheckValue)
         crc = workloads::crcGoldenUpdate(crc,
                                          static_cast<std::uint8_t>(c));
     EXPECT_EQ(crc, 0x29B1);
+}
+
+/** Statement-for-statement equality, source line included. */
+void
+expectSameProgram(const masm::Program &got, const masm::Program &want,
+                  const std::string &what)
+{
+    ASSERT_EQ(got.stmts.size(), want.stmts.size()) << what;
+    for (std::size_t i = 0; i < want.stmts.size(); ++i) {
+        ASSERT_EQ(got.stmts[i].line, want.stmts[i].line)
+            << what << ", statement " << i;
+        ASSERT_EQ(got.stmts[i].text(), want.stmts[i].text())
+            << what << ", statement " << i;
+    }
+}
+
+/** runOne's splice of the stub, the memoized source and the library
+ *  equals the parse of their concatenation, for every workload and
+ *  every stub shape the runner emits. */
+TEST(Workloads, SplicedProgramEqualsWholeTextParse)
+{
+    std::vector<const workloads::Workload *> ws;
+    for (const workloads::Workload &w : workloads::all())
+        ws.push_back(&w);
+    for (const workloads::Workload &w : workloads::capacity())
+        ws.push_back(&w);
+    const std::string lib = workloads::libSource();
+    const std::uint16_t top =
+        harness::makePlacement(Placement::Unified).stack_top;
+    for (const workloads::Workload *w : ws) {
+        for (int repeats : {1, 10}) {
+            for (const char *recover : {"", "__swp_recover"}) {
+                const std::string stub =
+                    harness::startupSource(top, repeats, recover);
+                expectSameProgram(
+                    harness::spliceSource(stub, *w, true),
+                    masm::parse(stub + w->source + lib),
+                    w->name + " x" + std::to_string(repeats) + " " +
+                        recover);
+            }
+        }
+    }
+}
+
+TEST(Workloads, SpliceFollowsTheSourceText)
+{
+    // No final newline: its last line runs into the library's first.
+    workloads::Workload w;
+    w.name = "no_newline";
+    w.source = "        .text\n"
+               "        .func main\n"
+               "        MOV #7, R12\n"
+               "        RET\n"
+               "        .endfunc";
+    const std::string lib = workloads::libSource();
+    const std::string stub = harness::startupSource(0x3000, 10);
+    expectSameProgram(harness::spliceSource(stub, w, true),
+                      masm::parse(stub + w.source + lib), "with lib");
+    expectSameProgram(harness::spliceSource(stub, w, false),
+                      masm::parse(stub + w.source), "without lib");
+
+    // A copy shares the parse until its source changes; then it is
+    // re-parsed, and the original still splices its own text.
+    workloads::Workload edited = w;
+    EXPECT_EQ(edited.parsed, w.parsed);
+    edited.source.insert(edited.source.find("RET"), "NOP\n        ");
+    expectSameProgram(harness::spliceSource(stub, edited, true),
+                      masm::parse(stub + edited.source + lib), "edited");
+    expectSameProgram(harness::spliceSource(stub, w, true),
+                      masm::parse(stub + w.source + lib), "original");
 }
 
 TEST(Workloads, ArithKernelRunsEverywhere)
