@@ -656,8 +656,7 @@ runWithStub(const RunSpec &spec, std::string &stub)
             if (profiler)
                 timeline->setProfiler(profiler.get());
             engine->addSink(timeline.get(),
-                            trace::kCatSwap | trace::kCatAccess |
-                                trace::kCatPower);
+                            trace::kCatSwap | trace::kCatPower);
         }
         machine.setTraceEngine(engine.get());
         support::debug("observe: categories=",

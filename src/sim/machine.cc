@@ -2,12 +2,15 @@
 
 #include <algorithm>
 
+#include "isa/decode.hh"
 #include "support/logging.hh"
 #include "trace/profile.hh"
 
 namespace swapram::sim {
 
 namespace {
+
+constexpr auto kMemcpy = static_cast<std::uint8_t>(CodeOwner::Memcpy);
 
 /** Stats fields the profiler attributes per instruction. */
 struct StatSnapshot {
@@ -129,9 +132,9 @@ Machine::powerCycle()
     timer_pending_ = false;
     timer_next_fire_ = stats_.totalCycles();
     in_recovery_ = false;
-    last_owner_ = trace::TraceEngine::kNoOwner;
-    if (trace_)
-        trace_->setOwner(last_owner_);
+    // The copy episode in flight, if any, is abandoned with the
+    // registers that described it.
+    last_owner_ = kNoOwner;
 
     if (trace_ && trace_->wants(trace::kCatPower)) {
         trace_->emit({stats_.totalCycles(), trace::EventKind::PowerFail,
@@ -145,9 +148,46 @@ Machine::addOwnerRange(std::uint16_t base, std::uint32_t end,
                        CodeOwner owner)
 {
     owner_ranges_.push_back({base, end, owner});
+    if (owner == CodeOwner::Memcpy)
+        copy_ = readCopyRoutine(base, end);
     // Blocks pre-attribute instr_by_owner at build time.
     if (superblock_)
         superblock_->invalidateAll();
+}
+
+Machine::CopyRegs
+Machine::readCopyRoutine(std::uint16_t base, std::uint32_t end) const
+{
+    CopyRegs regs;
+    bool copies = false, counts = false;
+    for (std::uint32_t pc = base; pc < end;) {
+        const std::uint16_t at = static_cast<std::uint16_t>(pc);
+        const std::uint16_t words[3] = {
+            memory_.read16(at),
+            memory_.read16(static_cast<std::uint16_t>(at + 2)),
+            memory_.read16(static_cast<std::uint16_t>(at + 4))};
+        if (!isa::validLeadingWord(words[0]))
+            break;
+        const isa::Decoded d = isa::decodeAt(words, at);
+        const isa::Instr &in = d.instr;
+        if (in.op == isa::Op::Mov && !in.byte &&
+            in.src.mode == isa::Mode::IndirectInc &&
+            in.dst.mode == isa::Mode::Indexed) {
+            regs.src = in.src.reg;
+            regs.dst = in.dst.reg;
+            copies = true;
+        } else if (in.op == isa::Op::Sub && !in.byte &&
+                   in.src.mode == isa::Mode::Immediate &&
+                   in.src.value == 2 &&
+                   in.dst.mode == isa::Mode::Register) {
+            regs.count = in.dst.reg;
+            counts = true;
+        }
+        pc += d.size_bytes;
+    }
+    if (copies && counts)
+        regs.entry = base;
+    return regs;
 }
 
 void
@@ -171,8 +211,19 @@ Machine::classifyPc(std::uint16_t pc) const
                : CodeOwner::AppFram;
 }
 
+void
+Machine::copyEnd(std::uint64_t now, std::uint16_t pc,
+                 const std::array<std::uint16_t, 16> &regs)
+{
+    if (copy_.entry && trace_->wants(trace::kCatSwap)) {
+        trace_->emit({now, trace::EventKind::CopyEnd, 0, pc,
+                      regs[isa::regIndex(copy_.src)], 0});
+    }
+}
+
 bool
-Machine::preStep(std::uint16_t pc, std::uint8_t owner, std::uint64_t now)
+Machine::preStep(std::uint16_t pc, std::uint8_t owner, std::uint64_t now,
+                 const std::array<std::uint16_t, 16> &regs)
 {
     if (ckpt_commit_entry_ || ckpt_restore_entry_) {
         // Entry-point probe: one event per call of the generated
@@ -208,12 +259,21 @@ Machine::preStep(std::uint16_t pc, std::uint8_t owner, std::uint64_t now)
         }
     }
     if (trace_ && owner != last_owner_) {
+        if (last_owner_ == kMemcpy)
+            copyEnd(now, pc, regs);
         if (trace_->wants(trace::kCatSwap)) {
             trace_->emit({now, trace::EventKind::OwnerChange, 0, pc,
                           owner, last_owner_});
+            if (owner == kMemcpy && copy_.entry) {
+                trace_->emit(
+                    {now, trace::EventKind::CopyBegin,
+                     static_cast<std::uint8_t>(pc == copy_.entry),
+                     regs[isa::regIndex(copy_.dst)],
+                     regs[isa::regIndex(copy_.src)],
+                     regs[isa::regIndex(copy_.count)]});
+            }
         }
         last_owner_ = owner;
-        trace_->setOwner(owner);
     }
     return in;
 }
@@ -276,8 +336,8 @@ Machine::step()
     CodeOwner owner = classifyPc(pc);
     ++stats_.instr_by_owner[static_cast<int>(owner)];
     const std::uint64_t before = stats_.totalCycles();
-    bool in_recovery =
-        preStep(pc, static_cast<std::uint8_t>(owner), before);
+    bool in_recovery = preStep(pc, static_cast<std::uint8_t>(owner),
+                               before, cpu_.regs());
     if (profiler_ || (trace_ && trace_->wants(trace::kCatInstr)))
         stepObserved(pc, owner);
     else
@@ -293,13 +353,15 @@ Machine::tryThreaded()
     ThreadedEngine::ChainLimits limits;
     std::uint8_t owner = ThreadedEngine::ChainLimits::kAnyOwner;
     if (trace_) {
-        // Scoped subscriptions want per-step events inside their
-        // owners: those run on the oracle. Elsewhere the chain stays
-        // inside the entry owner and stops before checkpoint probes,
-        // so every pre-step event lands on a chain's first block.
+        // The chain stays inside the entry owner and stops before
+        // checkpoint probes, so every pre-step event lands on a
+        // chain's first block. preStep runs after the chain, so on
+        // an owner change keep the registers the copy events report
+        // as the chain found them (the copy loop advances them, the
+        // runtime after it clobbers them).
         owner = static_cast<std::uint8_t>(classifyPc(pc));
-        if (trace_->scopeOwners() & (1u << owner))
-            return false;
+        if (owner != last_owner_)
+            chain_regs_ = cpu_.regs();
         limits.owner = owner;
         if (trace_->wants(trace::kCatPower)) {
             limits.ckpt_commit = ckpt_commit_entry_;
@@ -323,7 +385,7 @@ Machine::tryThreaded()
     // events, stamped with the entry cycle, may follow it. It never
     // crosses the recovery boundary, so its whole cycle delta
     // attributes to the entry PC's side.
-    if (preStep(pc, owner, limits.now))
+    if (preStep(pc, owner, limits.now, chain_regs_))
         stats_.recovery_cycles += res.cycles;
     return true;
 }
@@ -373,13 +435,22 @@ Machine::bootWatermark() const
 RunResult
 Machine::run()
 {
+    RunResult result = runLoop();
+    // A copy cut short by the end of the run (cycle budget, livelock,
+    // empty capacitor) still reports how far it got.
+    if (trace_ && last_owner_ == kMemcpy)
+        copyEnd(stats_.totalCycles(), cpu_.pc(), cpu_.regs());
+    return result;
+}
+
+RunResult
+Machine::runLoop()
+{
     // The threaded tier runs whatever no observer needs step by step:
     // the profiler and metrics record every instruction, and per-step
-    // trace categories exist only on the oracle unless a sink scopes
-    // them to some owners (tryThreaded leaves those to the oracle).
-    const bool dispatch =
-        threaded_ && !profiler_ && !metrics_ &&
-        !(trace_ && (trace_->unscopedMask() & trace::kCatPerStep));
+    // trace categories exist only on the oracle.
+    const bool dispatch = threaded_ && !profiler_ && !metrics_ &&
+                          !(trace_ && (trace_->mask() & trace::kCatPerStep));
     while (!mmio_.done()) {
         if (stats_.totalCycles() >= config_.max_cycles) {
             return {false, 0, RunResult::Stop::MaxCycles};

@@ -11,19 +11,27 @@
  * cycle attribution sums to Stats::totalCycles(). Both default to
  * nullptr and cost one branch per step when absent.
  *
+ * Copy episodes: the cache runtimes copy through one routine (the
+ * Memcpy owner) with a fixed register contract, read from its code
+ * when the Memcpy range is registered. With the swap category wanted,
+ * entering the routine emits a CopyBegin event with its destination,
+ * source and byte-count registers, and leaving it emits a CopyEnd
+ * event with the advanced source register, from which the swap
+ * timeline derives each copy's extent without watching its accesses.
+ *
  * Observers and the fast tier: the profiler, run metrics, and the
  * per-step trace categories (instr, access, stall, hwcache) pin a run
  * to the single-step oracle. The swap timeline and the swap, power,
- * and interrupt categories do not: the timeline scopes its access
- * events to the copy loop (the Memcpy owner), which single-steps,
- * while every other owner runs threaded, with chains ending at owner
- * changes and checkpoint probes so each event lands on the same cycle
- * and in the same order as on the oracle.
+ * and interrupt categories do not: every owner runs threaded, with
+ * chains ending at owner changes and checkpoint probes so each event
+ * lands on the same cycle, in the same order, and with the same
+ * register values as on the oracle.
  */
 
 #ifndef SWAPRAM_SIM_MACHINE_HH
 #define SWAPRAM_SIM_MACHINE_HH
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_set>
@@ -77,7 +85,9 @@ class Machine
     /**
      * Attribute instructions fetched from [base, end) to @p owner
      * (e.g. the SwapRAM miss handler's range). Later registrations win
-     * on overlap.
+     * on overlap. A Memcpy range must hold a loaded copy routine
+     * (call after load()): the machine reads its register contract
+     * from the code, starting at @p base.
      */
     void addOwnerRange(std::uint16_t base, std::uint32_t end,
                        CodeOwner owner);
@@ -182,13 +192,36 @@ class Machine
      *  PC folded into an FNV-1a hash of the persistent (FRAM) state. */
     std::uint64_t bootWatermark() const;
 
+    /** Register contract of the copy routine: one word per step,
+     *  read at src and written at dst, with src advancing in the same
+     *  instruction as the write; count holds the bytes left. */
+    struct CopyRegs {
+        std::uint16_t entry = 0; ///< first instruction (0 = none)
+        isa::Reg src = isa::Reg::PC, dst = isa::Reg::PC,
+                 count = isa::Reg::PC;
+    };
+
+    /** Read the contract of the copy routine at [base, end): the
+     *  registers of its `MOV @src+, x(dst)` and `SUB #2, count`. */
+    CopyRegs readCopyRoutine(std::uint16_t base, std::uint32_t end) const;
+
     /**
      * Events and bookkeeping due before the instruction at @p pc runs,
      * stamped @p now: the checkpoint probe, RecoveryEnter/Exit, and
-     * OwnerChange (which also moves the trace engine's owner scope),
-     * in that order. Returns true when @p pc is in the recovery range.
+     * OwnerChange (bracketed by CopyEnd and CopyBegin when it leaves or
+     * enters the copy routine), in that order. @p regs is the register
+     * file as it was before that instruction. Returns true when @p pc
+     * is in the recovery range.
      */
-    bool preStep(std::uint16_t pc, std::uint8_t owner, std::uint64_t now);
+    bool preStep(std::uint16_t pc, std::uint8_t owner, std::uint64_t now,
+                 const std::array<std::uint16_t, 16> &regs);
+
+    /** CopyEnd at @p pc with the source register in @p regs. */
+    void copyEnd(std::uint64_t now, std::uint16_t pc,
+                 const std::array<std::uint16_t, 16> &regs);
+
+    /** Run until a stop; run() adds the end-of-run events. */
+    RunResult runLoop();
 
     /** step() for the profiler and instruction retires, and
      *  interrupt entry with observability hooks engaged. */
@@ -198,9 +231,9 @@ class Machine
     /**
      * Attempt a threaded chain at the current PC. Returns true if at
      * least one instruction retired; false means the caller must
-     * single-step (no block here, a cycle boundary — fault, timer,
-     * max_cycles — could land inside the block's worst-case bound, or
-     * the entry owner is inside a trace scope).
+     * single-step (no block here, or a cycle boundary — fault,
+     * timer, max_cycles — could land inside the block's worst-case
+     * bound).
      */
     bool tryThreaded();
 
@@ -229,8 +262,14 @@ class Machine
     trace::FunctionProfiler *profiler_ = nullptr;
     metrics::RunMetrics *metrics_ = nullptr;
     FaultInjector *fault_ = nullptr;
-    /// Owner of the last traced step (kNoOwner = none yet).
-    std::uint8_t last_owner_ = trace::TraceEngine::kNoOwner;
+    /// No code owner has executed yet (start, or after a reboot).
+    static constexpr std::uint8_t kNoOwner = 0xFF;
+    /// Owner of the last traced step.
+    std::uint8_t last_owner_ = kNoOwner;
+    CopyRegs copy_; ///< contract of the Memcpy range's routine
+    /// Register file at the entry of a traced chain that changes the
+    /// owner (its pre-step events are emitted after the chain).
+    std::array<std::uint16_t, 16> chain_regs_{};
 
     // Retained for powerCycle()'s crt0-style re-initialisation.
     masm::Image image_;

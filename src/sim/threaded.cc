@@ -197,7 +197,11 @@ mappedAddr(const DCtx *st, std::uint16_t addr)
                st->sram_size;
 }
 
-inline void
+/** Force inlining where GCC's per-unit budget would leave a hot helper
+ *  out of line in the dispatch loop. */
+#define SWAPRAM_INLINE inline __attribute__((always_inline))
+
+SWAPRAM_INLINE void
 setF(std::uint16_t *regs, bool n, bool z, bool c, bool v)
 {
     namespace sr = isa::sr;
@@ -237,7 +241,7 @@ struct AluR {
  *  op by op (the kernels then store-before-set-flags in the same
  *  order, which matters when the destination is SR). */
 template <Op OP>
-inline AluR
+SWAPRAM_INLINE AluR
 fmt1Alu(std::uint32_t src, std::uint32_t dst, std::uint16_t sr_val,
         std::uint32_t mask, std::uint32_t msb)
 {
@@ -466,8 +470,6 @@ class ShimMem
   private:
     DCtx *st_;
 };
-
-#define SWAPRAM_INLINE inline __attribute__((always_inline))
 
 /** Replay the fetch stream's dynamic hardware-cache probes (at most
  *  two line runs; same-line followers are folded statically). The

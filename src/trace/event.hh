@@ -4,11 +4,12 @@
  *
  * An Event is a small POD stamped with the total-cycle time at which it
  * occurred. Primitive events (instruction retire, bus access, FRAM
- * stall, hardware-cache hit/miss, interrupt entry, code-owner change)
- * are emitted by sim::Bus and sim::Machine; derived SwapRAM runtime
- * events (miss-handler span, function copy-in, eviction) are
- * reconstructed from the primitive stream by trace::SwapTimeline and
- * re-emitted under Category::Swap.
+ * stall, hardware-cache hit/miss, interrupt entry, code-owner change,
+ * the copy routine's registers on entry and exit) are emitted by
+ * sim::Bus and sim::Machine; derived SwapRAM runtime events
+ * (miss-handler span, function copy-in, eviction) are reconstructed
+ * from the primitive stream by trace::SwapTimeline and re-emitted
+ * under Category::Swap.
  */
 
 #ifndef SWAPRAM_TRACE_EVENT_HH
@@ -27,13 +28,14 @@ enum Category : std::uint32_t {
     kCatHwCache = 1u << 3,   ///< hardware read-cache hits and misses
     kCatInterrupt = 1u << 4, ///< interrupt entries
     kCatSwap = 1u << 5,      ///< cache-runtime events (owner changes,
-                             ///< miss spans, copy-ins, evictions)
+                             ///< copy registers, miss spans, copy-ins,
+                             ///< evictions)
     kCatPower = 1u << 6,     ///< power failures and boot recovery
     kCatAll = (1u << 7) - 1,
     kCatNone = 0,
     /** Emitted for every instruction or bus access: only the
-     *  single-step oracle produces them, so wanting one outside a
-     *  sink's scope (Sink::scope) keeps a run off the fast tier. */
+     *  single-step oracle produces them, so wanting any of them keeps
+     *  the whole run off the fast tier. */
     kCatPerStep = kCatInstr | kCatAccess | kCatStall | kCatHwCache,
 };
 
@@ -50,6 +52,14 @@ enum class EventKind : std::uint8_t {
     InterruptEnter, ///< addr = vector address
     OwnerChange,    ///< addr = pc, value = new sim::CodeOwner,
                     ///< extra = previous owner
+    CopyBegin,      ///< the copy routine (Memcpy owner) is entered,
+                    ///< right after its OwnerChange: addr = dst,
+                    ///< value = src, extra = byte count registers;
+                    ///< byte = 1 at the routine's entry (a new
+                    ///< call), 0 on a return into its loop
+    CopyEnd,        ///< the copy routine is left, right before its
+                    ///< OwnerChange or at the end of the run (not at
+                    ///< a power failure): addr = pc, value = src
 
     // Derived SwapRAM runtime events (emitted by SwapTimeline).
     MissEnter, ///< addr = faulting call site pc
@@ -86,7 +96,8 @@ std::string categoryNames(std::uint32_t mask);
 struct Event {
     std::uint64_t cycle = 0; ///< Stats::totalCycles() at emission
     EventKind kind = EventKind::InstrRetire;
-    std::uint8_t byte = 0;   ///< byte-sized access (Fetch/Read/Write)
+    std::uint8_t byte = 0;   ///< byte-sized access (Fetch/Read/Write);
+                             ///< new call (CopyBegin)
     std::uint16_t addr = 0;  ///< primary address / pc
     std::uint16_t value = 0; ///< kind-specific payload
     std::uint32_t extra = 0; ///< kind-specific payload

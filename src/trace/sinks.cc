@@ -63,6 +63,14 @@ TextSink::event(const Event &event)
         out_ << "  " << ownerLabel(event.extra & 0xFF) << " -> "
              << ownerLabel(event.value);
         break;
+      case EventKind::CopyBegin:
+        out_ << "  src=" << support::hex16(event.value)
+             << " bytes=" << event.extra
+             << (event.byte ? "" : " resumed");
+        break;
+      case EventKind::CopyEnd:
+        out_ << "  src=" << support::hex16(event.value);
+        break;
       case EventKind::MissExit:
         out_ << "  handler-cycles=" << event.extra
              << " copies=" << event.value;
@@ -197,6 +205,21 @@ ChromeTraceSink::event(const Event &event)
         }
         return;
       }
+      case EventKind::CopyBegin:
+        emitRecord(kindName(event.kind), "swap", "i", ts(event.cycle), 2,
+                   support::cat("\"dst\":\"", support::hex16(event.addr),
+                                "\",\"src\":\"",
+                                support::hex16(event.value),
+                                "\",\"bytes\":", event.extra,
+                                ",\"resumed\":",
+                                event.byte ? "false" : "true"));
+        return;
+      case EventKind::CopyEnd:
+        emitRecord(kindName(event.kind), "swap", "i", ts(event.cycle), 2,
+                   addr_arg + support::cat(",\"src\":\"",
+                                           support::hex16(event.value),
+                                           "\""));
+        return;
       case EventKind::CopyIn:
       case EventKind::Evict:
       case EventKind::DataSwapIn:

@@ -21,6 +21,44 @@ isRuntime(std::uint8_t owner)
     return owner == kHandler || owner == kMemcpy;
 }
 
+constexpr std::uint32_t kNone = UINT32_MAX;
+constexpr std::uint32_t kTop = 0x10000; ///< one past the address space
+
+/** The word addresses base, base + 2, ... of a copy's n steps. */
+struct Steps {
+    std::uint32_t base;
+    std::uint32_t n;
+
+    /** The first step address in [lo, hi), or kNone. */
+    std::uint32_t
+    first(std::uint32_t lo, std::uint32_t hi) const
+    {
+        lo = std::max(lo, base);
+        std::uint32_t a = base + ((lo - base + 1) & ~1u);
+        return a < std::min(hi, base + 2 * n) ? a : kNone;
+    }
+
+    /** The last step address in [lo, hi), or kNone. */
+    std::uint32_t
+    last(std::uint32_t lo, std::uint32_t hi) const
+    {
+        hi = std::min(hi, base + 2 * n);
+        if (hi <= std::max(lo, base))
+            return kNone;
+        std::uint32_t a = base + ((hi - 1 - base) & ~1u);
+        return a >= lo ? a : kNone;
+    }
+
+    /** The first step address in [lo, hi) outside [ex_lo, ex_hi). */
+    std::uint32_t
+    firstOutside(std::uint32_t lo, std::uint32_t hi, std::uint32_t ex_lo,
+                 std::uint32_t ex_hi) const
+    {
+        std::uint32_t a = first(lo, std::min(hi, ex_lo));
+        return a != kNone ? a : first(std::max(lo, ex_hi), hi);
+    }
+};
+
 } // namespace
 
 SwapTimeline::SwapTimeline(std::uint16_t cache_base,
@@ -95,39 +133,104 @@ SwapTimeline::sample(std::uint64_t cycle)
     occupancy_.push_back(s);
 }
 
+SwapTimeline::Extents
+SwapTimeline::classifyCopy() const
+{
+    // Step i reads copy_src_ + 2i and then writes copy_dst_ + 2i. The
+    // source register advances in the instruction that writes, so the
+    // distance it moved counts the words copied exactly, wherever an
+    // interrupt or the end of the run cut the episode.
+    const std::uint32_t words =
+        static_cast<std::uint16_t>(copy_src_end_ - copy_src_) / 2u;
+    const Steps reads{copy_src_, words};
+    const Steps writes{copy_dst_, words};
+    // The pool is [pool_base_, cache_end_); none when pool_base_ is 0.
+    const std::uint32_t pool_lo = pool_base_ ? pool_base_ : kTop;
+    const std::uint32_t pool_hi = pool_base_ ? cache_end_ : kTop;
+
+    Extents x;
+    std::uint32_t first_pool = reads.first(pool_lo, pool_hi);
+    x.read_pool = first_pool != kNone;
+    if (x.read_pool)
+        x.pool_src = static_cast<std::uint16_t>(first_pool);
+    std::uint32_t src = reads.firstOutside(0, kTop, pool_lo, pool_hi);
+    if (src != kNone)
+        x.src_addr = static_cast<std::uint16_t>(src);
+    // The function holding the first read in read order (the first
+    // registered one on overlap).
+    std::uint32_t best = kNone;
+    for (std::size_t i = 0; i < funcs_.size(); ++i) {
+        const Func &f = funcs_[i];
+        std::uint32_t a = reads.firstOutside(
+            f.addr, static_cast<std::uint32_t>(f.addr) + f.size, pool_lo,
+            pool_hi);
+        if (a < best) {
+            best = a;
+            x.src_func = i;
+        }
+    }
+
+    auto span = [](const Steps &steps, std::uint32_t lo,
+                   std::uint32_t hi) {
+        Span out;
+        std::uint32_t a = steps.first(lo, hi);
+        if (a != kNone) {
+            out.lo = a;
+            out.hi = steps.last(lo, hi) + 2;
+        }
+        return out;
+    };
+    x.pool_dst = span(writes, pool_lo, pool_hi);
+    x.code_dst = span(writes, cache_base_, codeEnd());
+    if (x.read_pool) {
+        // Writes from the first pool read on that land outside the
+        // cache region (code cache and pool alike).
+        const std::uint32_t k = (first_pool - reads.base) / 2;
+        const Steps tail{writes.base + 2 * k, words - k};
+        const std::uint32_t ex_lo = std::min(cache_base_, pool_base_);
+        std::uint32_t lo = tail.firstOutside(0, kTop, ex_lo, cache_end_);
+        if (lo != kNone) {
+            std::uint32_t hi = tail.last(cache_end_, kTop);
+            if (hi == kNone)
+                hi = tail.last(0, ex_lo);
+            x.home_dst = {lo, hi + 2};
+        }
+    }
+    return x;
+}
+
 void
 SwapTimeline::finishCopy(std::uint64_t cycle)
 {
     in_copy_ = false;
+    const Extents x = classifyCopy();
     // Data-pool episodes (__swp_din/__swp_dout drive the same memcpy):
     // writes into the pool are a swap-in from the FRAM home; pool reads
     // paired with writes outside the cache are the write-back. Neither
     // touches the code-residency tracking.
-    if (pool_base_ && pool_dst_max_ > pool_dst_min_) {
-        derive({cycle, EventKind::DataSwapIn, 0, pool_dst_min_,
-                copy_src_addr_, pool_dst_max_ - pool_dst_min_});
+    if (x.pool_dst.size()) {
+        derive({cycle, EventKind::DataSwapIn, 0,
+                static_cast<std::uint16_t>(x.pool_dst.lo), x.src_addr,
+                x.pool_dst.size()});
         ++summary_.data_swap_ins;
-        summary_.data_bytes_copied += pool_dst_max_ - pool_dst_min_;
-        resetCopy();
+        summary_.data_bytes_copied += x.pool_dst.size();
         return;
     }
-    if (pool_base_ && copy_read_pool_ && home_dst_max_ > home_dst_min_) {
-        derive({cycle, EventKind::DataSwapOut, 0, pool_src_,
-                home_dst_min_, home_dst_max_ - home_dst_min_});
+    if (x.read_pool && x.home_dst.size()) {
+        derive({cycle, EventKind::DataSwapOut, 0, x.pool_src,
+                static_cast<std::uint16_t>(x.home_dst.lo),
+                x.home_dst.size()});
         ++summary_.data_swap_outs;
-        summary_.data_bytes_copied += home_dst_max_ - home_dst_min_;
-        resetCopy();
+        summary_.data_bytes_copied += x.home_dst.size();
         return;
     }
-    if (copy_dst_max_ <= copy_dst_min_) {
-        resetCopy();
+    if (!x.code_dst.size())
         return; // copy loop ran but wrote nothing into the cache
-    }
-    std::uint16_t dst = copy_dst_min_;
-    std::uint32_t end = copy_dst_max_;
+    std::uint16_t dst = static_cast<std::uint16_t>(x.code_dst.lo);
+    std::uint32_t end = x.code_dst.hi;
     std::uint32_t bytes = end - dst;
     std::uint16_t nvm =
-        copy_src_func_ != SIZE_MAX ? funcs_[copy_src_func_].addr : 0;
+        x.src_func != SIZE_MAX ? funcs_[x.src_func].addr : 0;
 
     // Overlap eviction (§3.4): any resident function the new body
     // lands on is evicted whole.
@@ -146,7 +249,7 @@ SwapTimeline::finishCopy(std::uint64_t cycle)
         }
     }
 
-    resident_.push_back({dst, end, copy_src_func_});
+    resident_.push_back({dst, end, x.src_func});
     if (profiler_)
         profiler_->mapResident(dst, bytes, nvm);
     derive({cycle, EventKind::CopyIn, 0, dst, nvm, bytes});
@@ -154,23 +257,6 @@ SwapTimeline::finishCopy(std::uint64_t cycle)
     summary_.bytes_copied += bytes;
     ++copies_this_miss_;
     sample(cycle);
-
-    resetCopy();
-}
-
-void
-SwapTimeline::resetCopy()
-{
-    copy_src_func_ = SIZE_MAX;
-    copy_dst_min_ = 0xFFFF;
-    copy_dst_max_ = 0;
-    copy_src_addr_ = 0;
-    copy_read_pool_ = false;
-    pool_src_ = 0;
-    pool_dst_min_ = 0xFFFF;
-    pool_dst_max_ = 0;
-    home_dst_min_ = 0xFFFF;
-    home_dst_max_ = 0;
 }
 
 void
@@ -212,7 +298,7 @@ SwapTimeline::ownerChange(const Event &event)
 
     if (next == kMemcpy && !in_copy_) {
         in_copy_ = true;
-        resetCopy();
+        copy_src_ = copy_src_end_ = copy_dst_ = 0; // until CopyBegin
     }
 }
 
@@ -223,59 +309,24 @@ SwapTimeline::event(const Event &event)
       case EventKind::OwnerChange:
         ownerChange(event);
         return;
-      case EventKind::Read:
-        if (!in_copy_)
-            return;
-        if (inPool(event.addr)) {
-            // Pool reads mark the episode as a write-back.
-            if (!copy_read_pool_) {
-                copy_read_pool_ = true;
-                pool_src_ = event.addr;
-            }
-            return;
+      case EventKind::CopyBegin:
+        if (event.byte) {
+            call_src_ = event.value;
+            call_dst_ = event.addr;
         }
-        if (copy_src_addr_ == 0)
-            copy_src_addr_ = event.addr;
-        // The first FRAM read inside a known function range while the
-        // copy loop runs identifies the function being cached.
-        if (copy_src_func_ == SIZE_MAX) {
-            for (std::size_t i = 0; i < funcs_.size(); ++i) {
-                const Func &f = funcs_[i];
-                if (event.addr >= f.addr &&
-                    event.addr <
-                        static_cast<std::uint32_t>(f.addr) + f.size) {
-                    copy_src_func_ = i;
-                    break;
-                }
-            }
-        }
+        copy_src_ = copy_src_end_ = event.value;
+        copy_dst_ = static_cast<std::uint16_t>(
+            call_dst_ + (event.value - call_src_));
         return;
-      case EventKind::Write: {
-        if (!in_copy_)
-            return;
-        std::uint32_t end = static_cast<std::uint32_t>(event.addr) +
-                            (event.byte ? 1u : 2u);
-        if (inPool(event.addr)) {
-            pool_dst_min_ = std::min(pool_dst_min_, event.addr);
-            pool_dst_max_ = std::max(pool_dst_max_, end);
-        } else if (event.addr >= cache_base_ &&
-                   event.addr < codeEnd()) {
-            copy_dst_min_ = std::min(copy_dst_min_, event.addr);
-            copy_dst_max_ = std::max(copy_dst_max_, end);
-        } else if (copy_read_pool_) {
-            // Pool-sourced writes land at the FRAM home: write-back.
-            home_dst_min_ = std::min(home_dst_min_, event.addr);
-            home_dst_max_ = std::max(home_dst_max_, end);
-        }
+      case EventKind::CopyEnd:
+        copy_src_end_ = event.value;
         return;
-      }
       case EventKind::PowerFail: {
         // SRAM is gone: drop all residency, abandon any half-tracked
         // miss or copy episode, and mark the reboot in the timeline.
         in_miss_ = false;
         in_data_ = false;
         in_copy_ = false;
-        resetCopy();
         if (profiler_) {
             for (const Resident &r : resident_)
                 profiler_->unmapResident(r.base);
@@ -308,14 +359,6 @@ SwapTimeline::event(const Event &event)
       default:
         return; // derived kinds (our own re-emissions) and others
     }
-}
-
-Scope
-SwapTimeline::scope() const
-{
-    // event() reads Read/Write only while in_copy_, i.e. while the
-    // copy loop (the Memcpy owner) executes, and never reads Fetch.
-    return {kCatAccess, 1u << kMemcpy};
 }
 
 void

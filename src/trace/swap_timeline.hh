@@ -7,11 +7,17 @@
  * The SwapRAM runtime is generated assembly executing *inside* the
  * simulator, so there is no API to hook; instead the timeline watches
  * the existing CodeOwner classification (handler / memcpy ranges
- * registered by the builder) and the bus traffic while the copy loop
- * runs: FRAM reads identify the source function, SRAM writes into the
- * cache region identify the destination and size. Derived events are
- * re-emitted into the engine under Category::Swap so file sinks and
- * the ring record them alongside the primitive stream.
+ * registered by the builder) and the copy routine's registers, which
+ * the machine reports as each copy episode begins and ends
+ * (CopyBegin/CopyEnd). The routine copies a word per step, so its
+ * source, destination and the distance its source register advanced
+ * give the episode's read and write extents: the first read inside a
+ * known function names the function, and where the writes land (the
+ * code cache, the data pool, or elsewhere) says what kind of copy it
+ * was. Derived events are re-emitted into the engine under
+ * Category::Swap so file sinks and the ring record them alongside the
+ * primitive stream. Nothing the timeline reads is a per-step event,
+ * so a run it watches stays on the fast tier.
  */
 
 #ifndef SWAPRAM_TRACE_SWAP_TIMELINE_HH
@@ -68,11 +74,8 @@ struct SwapSummary {
     bool operator==(const SwapSummary &) const = default;
 };
 
-/** Streaming analyzer; subscribe with
- *  kCatSwap | kCatAccess | kCatPower. Its scope limits the access
- *  events to the Memcpy owner: only the copy loop's traffic names
- *  what was copied, so everywhere else the run stays on the fast
- *  tier. */
+/** Streaming analyzer of the swap and power categories (any wider
+ *  subscription is narrowed to those). */
 class SwapTimeline : public Sink
 {
   public:
@@ -109,7 +112,10 @@ class SwapTimeline : public Sink
 
     void event(const Event &event) override;
     void finish() override;
-    Scope scope() const override;
+    std::uint32_t categories() const override
+    {
+        return kCatSwap | kCatPower;
+    }
 
     const std::vector<SwapEvent> &events() const { return events_; }
     const std::vector<OccupancySample> &occupancy() const
@@ -129,19 +135,32 @@ class SwapTimeline : public Sink
         std::uint32_t end;
         std::size_t func; ///< index into funcs_ (SIZE_MAX = unknown)
     };
+    /** Byte span [lo, hi); empty while hi <= lo. */
+    struct Span {
+        std::uint32_t lo = 0xFFFF, hi = 0;
+        std::uint32_t size() const { return hi > lo ? hi - lo : 0; }
+    };
+    /** What one copy episode read and wrote. */
+    struct Extents {
+        std::size_t src_func = SIZE_MAX; ///< first function read
+        std::uint16_t src_addr = 0; ///< first read outside the pool
+        bool read_pool = false;     ///< some read was in the pool
+        std::uint16_t pool_src = 0; ///< first read in the pool
+        Span pool_dst;              ///< writes into the pool
+        Span code_dst;              ///< writes into the code cache
+        /** Writes outside both, from the first pool read on: a
+         *  write-back to the FRAM home. */
+        Span home_dst;
+    };
 
     const Func *functionAt(std::uint16_t addr) const;
-    bool inPool(std::uint16_t addr) const
-    {
-        return pool_base_ && addr >= pool_base_ && addr < cache_end_;
-    }
     /** End of the code-cache region (the pool is carved off the top). */
     std::uint16_t codeEnd() const
     {
         return pool_base_ ? pool_base_ : cache_end_;
     }
     void ownerChange(const Event &event);
-    void resetCopy();
+    Extents classifyCopy() const;
     void finishCopy(std::uint64_t cycle);
     void derive(Event event);
     void sample(std::uint64_t cycle);
@@ -161,21 +180,15 @@ class SwapTimeline : public Sink
     std::uint16_t miss_site_ = 0;
     std::uint32_t copies_this_miss_ = 0;
 
-    // Current copy episode.
-    std::size_t copy_src_func_ = SIZE_MAX;
-    std::uint16_t copy_dst_min_ = 0xFFFF;
-    std::uint32_t copy_dst_max_ = 0;
-    // Data-pool classification (pool_base_ != 0 only): the episode's
-    // first non-pool read (the FRAM home on a swap-in), pool writes
-    // (swap-in destination), pool reads (write-back source), and
-    // non-cache writes (write-back destination).
-    std::uint16_t copy_src_addr_ = 0;
-    bool copy_read_pool_ = false;
-    std::uint16_t pool_src_ = 0; ///< first pool read (write-back src)
-    std::uint16_t pool_dst_min_ = 0xFFFF;
-    std::uint32_t pool_dst_max_ = 0;
-    std::uint16_t home_dst_min_ = 0xFFFF;
-    std::uint32_t home_dst_max_ = 0;
+    // Current copy episode: the source register on entry and on exit,
+    // and the address of the episode's first write.
+    std::uint16_t copy_src_ = 0, copy_src_end_ = 0, copy_dst_ = 0;
+    // The call the episode belongs to: its source and destination
+    // registers at the routine's entry. An interrupt splits a call
+    // into episodes; a resumed one continues from these, because its
+    // destination register lags by a word if the interrupt landed
+    // between a write and the increment after it.
+    std::uint16_t call_src_ = 0, call_dst_ = 0;
 
     std::vector<Resident> resident_;
     std::vector<SwapEvent> events_;

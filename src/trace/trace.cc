@@ -18,6 +18,8 @@ categoryOf(EventKind kind)
       case EventKind::HwCacheMiss: return kCatHwCache;
       case EventKind::InterruptEnter: return kCatInterrupt;
       case EventKind::OwnerChange:
+      case EventKind::CopyBegin:
+      case EventKind::CopyEnd:
       case EventKind::MissEnter:
       case EventKind::MissExit:
       case EventKind::CopyIn:
@@ -46,6 +48,8 @@ kindName(EventKind kind)
       case EventKind::HwCacheMiss: return "hwcache-miss";
       case EventKind::InterruptEnter: return "interrupt";
       case EventKind::OwnerChange: return "owner-change";
+      case EventKind::CopyBegin: return "copy-begin";
+      case EventKind::CopyEnd: return "copy-end";
       case EventKind::MissEnter: return "miss-enter";
       case EventKind::MissExit: return "miss-exit";
       case EventKind::CopyIn: return "copy-in";
@@ -123,8 +127,7 @@ categoryNames(std::uint32_t mask)
 }
 
 TraceEngine::TraceEngine(std::uint32_t ring_mask, std::size_t capacity)
-    : ring_mask_(capacity ? ring_mask : 0), mask_(ring_mask_),
-      unscoped_mask_(ring_mask_)
+    : ring_mask_(capacity ? ring_mask : 0), mask_(ring_mask_)
 {
     // An engine that only feeds sinks records nothing: no storage.
     if (ring_mask_)
@@ -136,28 +139,9 @@ TraceEngine::addSink(Sink *sink, std::uint32_t mask)
 {
     if (!sink)
         support::panic("TraceEngine::addSink: null sink");
-    Scope scope = sink->scope();
-    scope.categories &= mask;
-    if (!scope.categories)
-        scope.owners = 0;
-    sinks_.push_back({sink, mask, scope, 0});
-    unscoped_mask_ |= mask & ~scope.categories;
-    scope_owners_ |= scope.owners;
-    setOwner(owner_);
-}
-
-void
-TraceEngine::setOwner(std::uint8_t owner)
-{
-    owner_ = owner;
-    const std::uint32_t bit = owner < 32 ? 1u << owner : 0;
-    mask_ = unscoped_mask_;
-    for (Subscription &sub : sinks_) {
-        sub.live = sub.mask & ~sub.scope.categories;
-        if (sub.scope.owners & bit)
-            sub.live |= sub.scope.categories;
-        mask_ |= sub.live;
-    }
+    mask &= sink->categories();
+    sinks_.push_back({sink, mask});
+    mask_ |= mask;
 }
 
 void
@@ -178,7 +162,7 @@ TraceEngine::emit(const Event &event)
     // Index loop (not iterators): a sink may re-emit derived events,
     // which recurses into emit(); sinks_ itself never changes mid-run.
     for (std::size_t i = 0; i < sinks_.size(); ++i) {
-        if (sinks_[i].live & category)
+        if (sinks_[i].mask & category)
             sinks_[i].sink->event(event);
     }
 }

@@ -11,12 +11,14 @@
  *    billion-cycle run cannot OOM the host;
  *  - pluggable sinks: streaming consumers (text/CSV/Chrome writers,
  *    the swap-timeline analyzer) subscribe with their own category
- *    mask; the engine's effective mask is the union of the ring's and
- *    every sink's, so emit sites skip work nobody wants;
- *  - scoped subscriptions: a sink may want some categories only while
- *    particular code owners execute (Sink::scope). The machine reports
- *    every owner change (setOwner), so those events are emitted only
- *    inside the scope, and the fast tier runs everywhere else.
+ *    mask, narrowed to the categories the sink reads; the engine's
+ *    effective mask is the union of the ring's and every sink's, so
+ *    emit sites skip work nobody wants;
+ *  - a fixed mask: what an engine wants never changes during a run, so
+ *    the machine decides once whether any per-step category
+ *    (kCatPerStep) keeps it on the single-step oracle. The swap
+ *    timeline needs none: it reads owner changes and the copy
+ *    routine's registers.
  *
  * Sinks may re-emit derived events from inside notify() (SwapTimeline
  * does); delivery order for other sinks is trigger-then-derived as
@@ -33,12 +35,6 @@
 
 namespace swapram::trace {
 
-/** Categories a sink wants only while certain code owners execute. */
-struct Scope {
-    std::uint32_t categories = kCatNone; ///< the scoped categories
-    std::uint32_t owners = 0; ///< bit (1u << sim::CodeOwner) per owner
-};
-
 /** Streaming consumer of trace events. */
 class Sink
 {
@@ -51,9 +47,9 @@ class Sink
     /** Called once when the producing run completes (flush point). */
     virtual void finish() {}
 
-    /** The part of the subscription wanted only inside some owners
-     *  (read once, by addSink); the default wants it everywhere. */
-    virtual Scope scope() const { return {}; }
+    /** The categories event() reads (read once, by addSink, which
+     *  subscribes the sink to no others); the default reads all. */
+    virtual std::uint32_t categories() const { return kCatAll; }
 };
 
 /** Central event hub: bounded ring buffer + subscribed sinks. */
@@ -69,16 +65,8 @@ class TraceEngine
     static constexpr std::size_t kDefaultCapacity = 1 << 16;
 
     /** Subscribe @p sink to categories in @p mask (not owned),
-     *  narrowed by the sink's scope(). */
+     *  narrowed to the sink's categories(). */
     void addSink(Sink *sink, std::uint32_t mask = kCatAll);
-
-    /** No code owner is executing (before the first instruction and
-     *  after a power failure). */
-    static constexpr std::uint8_t kNoOwner = 0xFF;
-
-    /** The code owner now executing; scoped subscriptions are live
-     *  only while their owner set contains it. */
-    void setOwner(std::uint8_t owner);
 
     /** True when somebody wants events of @p category right now. */
     bool
@@ -87,15 +75,8 @@ class TraceEngine
         return (mask_ & category) != 0;
     }
 
-    /** Union of ring and live sink masks (0 = nothing to do). */
+    /** Union of ring and sink masks (0 = nothing to do). */
     std::uint32_t mask() const { return mask_; }
-
-    /** Categories wanted whichever owner executes. */
-    std::uint32_t unscopedMask() const { return unscoped_mask_; }
-
-    /** Owners (bit per owner) inside which a scoped subscription is
-     *  live. */
-    std::uint32_t scopeOwners() const { return scope_owners_; }
 
     /** Record @p event and deliver it to matching sinks. */
     void emit(const Event &event);
@@ -119,15 +100,10 @@ class TraceEngine
     struct Subscription {
         Sink *sink;
         std::uint32_t mask;
-        Scope scope;       ///< categories limited to scope.owners
-        std::uint32_t live; ///< mask as of the executing owner
     };
 
     std::uint32_t ring_mask_;
     std::uint32_t mask_;
-    std::uint32_t unscoped_mask_;
-    std::uint32_t scope_owners_ = 0;
-    std::uint8_t owner_ = kNoOwner; ///< the executing code owner
     std::vector<Event> ring_; ///< fixed-size circular storage
     std::size_t head_ = 0;    ///< next write slot
     std::size_t count_ = 0;   ///< valid entries (<= ring_.size())

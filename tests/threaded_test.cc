@@ -10,8 +10,8 @@
  * really ran: more than half its instructions must retire threaded.
  * The harness twins add an observed side, the spec with its swap
  * timeline on the default tier: its timeline and trace event count
- * must equal the oracle's, and more than half of its instructions
- * outside the single-stepped copy loop must retire threaded.
+ * must equal the oracle's, and it must single-step fewer instructions
+ * than half its copy loop ran, so the copy loop itself ran threaded.
  *
  * Coverage concentrates on the bail-out guards: register-dependent
  * MMIO operands, stores into the executing block, fault/timer cycle
@@ -52,7 +52,7 @@ withThreaded(bool enabled)
 
 /** The fast side of a harness twin: the threaded tier with nothing
  *  observed (the profiler, metrics, and per-step trace categories pin
- *  a run to the oracle; the swap timeline pins only the copy loop). */
+ *  a run to the oracle). */
 harness::RunSpec
 fastSide(harness::RunSpec spec)
 {
@@ -81,19 +81,20 @@ expectMostlyThreaded(const sim::Stats &fast, const std::string &ctx)
         << fast.instructions << " instructions ran threaded";
 }
 
-/** The observed side of a twin keeps its swap timeline, which
- *  single-steps only the copy loop (the Memcpy owner): more than half
- *  of the other instructions must retire threaded. */
+/** The observed side of a twin keeps its swap timeline, which reads
+ *  the copy loop's registers instead of its accesses: it must retire
+ *  fewer instructions on the oracle than half the copy loop's (the
+ *  Memcpy owner's), so most of the copy loop ran threaded. */
 void
-expectThreadedOutsideCopyLoop(const sim::Stats &observed,
-                              const std::string &ctx)
+expectCopyLoopThreaded(const sim::Stats &observed, const std::string &ctx)
 {
-    std::uint64_t outside =
-        observed.instructions -
+    std::uint64_t stepped =
+        observed.instructions - observed.threaded_instructions;
+    std::uint64_t copy_loop =
         observed.instr_by_owner[static_cast<int>(sim::CodeOwner::Memcpy)];
-    EXPECT_GT(2 * observed.threaded_instructions, outside)
-        << ctx << ": only " << observed.threaded_instructions << " of "
-        << outside << " instructions outside the copy loop ran threaded";
+    EXPECT_LT(2 * stepped, copy_loop)
+        << ctx << ": " << stepped << " instructions single-stepped, "
+        << copy_loop << " in the copy loop";
 }
 
 /** The observed run reconstructs the oracle's timeline exactly and
@@ -379,7 +380,7 @@ TEST(Threaded, EvictionAndDataSwapWindowsMatch)
         expectMostlyThreaded(on.stats, key);
         expectSimStatsEqual(obs.stats, off.stats, key + " observed");
         expectTimelineEqual(obs, off, key);
-        expectThreadedOutsideCopyLoop(obs.stats, key);
+        expectCopyLoopThreaded(obs.stats, key);
     }
 }
 
@@ -543,7 +544,15 @@ TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
         EXPECT_EQ(obs.energy_pj, off.energy_pj) << key;
         expectSimStatsEqual(obs.stats, off.stats, key + " observed");
         expectTimelineEqual(obs, off, key);
-        expectThreadedOutsideCopyLoop(obs.stats, key);
+        // Baseline has no copy loop, and the timer-driven isr cell
+        // single-steps around every tick, far more than its one short
+        // copy: both fall back to the tier twins' own check.
+        const harness::RunSpec &spec = specs[i + 2];
+        if (spec.system == harness::System::Baseline ||
+            spec.workload->timer_period_cycles)
+            expectMostlyThreaded(obs.stats, key + " observed");
+        else
+            expectCopyLoopThreaded(obs.stats, key);
         if (key == ckpt_key) {
             // The observed stream really carries the probes and the
             // recovery spans.
@@ -609,7 +618,7 @@ TEST(Threaded, RunReportByteIdenticalWithHostCountersMasked)
     EXPECT_NE(on_text, off_text)
         << "host counters should differ across tiers";
     EXPECT_EQ(maskHostCounters(on_text), maskHostCounters(off_text));
-    expectThreadedOutsideCopyLoop(outcomes[0].metrics.stats, "report");
+    expectCopyLoopThreaded(outcomes[0].metrics.stats, "report");
 }
 
 } // namespace

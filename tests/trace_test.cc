@@ -127,42 +127,33 @@ TEST(TraceEngine, SinkOnlyEngineKeepsNoRing)
     EXPECT_EQ(engine.ringCapacity(), 0u);
 }
 
-TEST(TraceEngine, ScopedCategoriesAreLiveOnlyInsideTheirOwners)
+TEST(TraceEngine, CopyEventsAreSwapEventsAndNoneIsPerStep)
 {
-    // Wants access events only while owner 3 executes, swap events
-    // everywhere.
-    struct Scoped : trace::Sink {
-        std::vector<trace::Event> seen;
-        void event(const trace::Event &e) override
-        {
-            seen.push_back(e);
-        }
-        trace::Scope scope() const override
-        {
-            return {trace::kCatAccess, 1u << 3};
-        }
-    } sink;
+    for (trace::EventKind kind :
+         {trace::EventKind::CopyBegin, trace::EventKind::CopyEnd}) {
+        EXPECT_EQ(trace::categoryOf(kind), trace::kCatSwap);
+    }
+    EXPECT_STREQ(trace::kindName(trace::EventKind::CopyBegin),
+                 "copy-begin");
+    EXPECT_STREQ(trace::kindName(trace::EventKind::CopyEnd), "copy-end");
 
-    trace::TraceEngine engine(trace::kCatNone, 0);
-    engine.addSink(&sink, trace::kCatAccess | trace::kCatSwap);
-    EXPECT_EQ(engine.unscopedMask(),
-              static_cast<std::uint32_t>(trace::kCatSwap));
-    EXPECT_EQ(engine.scopeOwners(), 1u << 3);
-    EXPECT_FALSE(engine.wants(trace::kCatAccess)); // no owner yet
-    engine.emit(ev(1, trace::EventKind::Read, 0x2000));
-    engine.setOwner(3);
-    EXPECT_TRUE(engine.wants(trace::kCatAccess));
-    engine.emit(ev(2, trace::EventKind::Read, 0x2002));
-    engine.setOwner(1);
-    EXPECT_FALSE(engine.wants(trace::kCatAccess));
-    engine.emit(ev(3, trace::EventKind::Read, 0x2004));
-    engine.emit(ev(4, trace::EventKind::OwnerChange, 0x8000));
-    engine.setOwner(trace::TraceEngine::kNoOwner);
-    EXPECT_FALSE(engine.wants(trace::kCatAccess));
+    // A swap-only engine wants nothing only the oracle emits, so the
+    // machine keeps the whole run on the fast tier.
+    trace::TraceEngine swap_only(trace::kCatSwap, 16);
+    EXPECT_EQ(swap_only.mask() & trace::kCatPerStep, 0u);
 
-    ASSERT_EQ(sink.seen.size(), 2u);
-    EXPECT_EQ(sink.seen[0].cycle, 2u);
-    EXPECT_EQ(sink.seen[1].cycle, 4u);
+    // The swap timeline reads swap and power events only: a wider
+    // subscription adds no per-step category, and copy events reach
+    // it.
+    trace::SwapTimeline timeline(0x2000, 0x3000);
+    trace::TraceEngine engine(trace::kCatNone);
+    engine.addSink(&timeline, trace::kCatAll);
+    EXPECT_EQ(engine.mask(),
+              static_cast<std::uint32_t>(trace::kCatSwap |
+                                         trace::kCatPower));
+    engine.emit(ev(1, trace::EventKind::Read, 0x8000));
+    engine.emit(ev(2, trace::EventKind::CopyBegin, 0x2000, 0x8000, 4));
+    engine.emit(ev(3, trace::EventKind::CopyEnd, 0, 0x8004));
     EXPECT_EQ(engine.emitted(), 2u);
 }
 
