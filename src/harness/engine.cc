@@ -6,7 +6,6 @@
 #include <mutex>
 #include <thread>
 
-#include "isa/opcodes.hh"
 #include "support/logging.hh"
 #include "workloads/workload.hh"
 
@@ -26,7 +25,6 @@ warmSharedState()
 {
     workloads::all();           // workload registry (sources + goldens)
     workloads::libSource();     // shared helper library source
-    isa::parseOp("MOV");        // mnemonic table
     support::logLevel();        // resolves SWAPRAM_LOG once (atomic)
 }
 

@@ -1,9 +1,6 @@
 #include "isa/opcodes.hh"
 
-#include <unordered_map>
-
 #include "support/logging.hh"
-#include "support/strings.hh"
 
 namespace swapram::isa {
 
@@ -53,28 +50,6 @@ opMnemonic(Op op)
       case Op::Jmp: return "JMP";
     }
     support::panic("opMnemonic: bad opcode");
-}
-
-std::optional<Op>
-parseOp(std::string_view mnemonic)
-{
-    static const std::unordered_map<std::string, Op> table = {
-        {"MOV", Op::Mov},   {"ADD", Op::Add},   {"ADDC", Op::Addc},
-        {"SUBC", Op::Subc}, {"SUB", Op::Sub},   {"CMP", Op::Cmp},
-        {"DADD", Op::Dadd}, {"BIT", Op::Bit},   {"BIC", Op::Bic},
-        {"BIS", Op::Bis},   {"XOR", Op::Xor},   {"AND", Op::And},
-        {"RRC", Op::Rrc},   {"SWPB", Op::Swpb}, {"RRA", Op::Rra},
-        {"SXT", Op::Sxt},   {"PUSH", Op::Push}, {"CALL", Op::Call},
-        {"RETI", Op::Reti}, {"JNE", Op::Jne},   {"JNZ", Op::Jne},
-        {"JEQ", Op::Jeq},   {"JZ", Op::Jeq},    {"JNC", Op::Jnc},
-        {"JLO", Op::Jnc},   {"JC", Op::Jc},     {"JHS", Op::Jc},
-        {"JN", Op::Jn},     {"JGE", Op::Jge},   {"JL", Op::Jl},
-        {"JMP", Op::Jmp},
-    };
-    auto it = table.find(support::toUpper(mnemonic));
-    if (it == table.end())
-        return std::nullopt;
-    return it->second;
 }
 
 bool

@@ -12,9 +12,7 @@
 #define SWAPRAM_ISA_OPCODES_HH
 
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace swapram::isa {
 
@@ -66,12 +64,6 @@ OpFormat opFormat(Op op);
 
 /** Canonical upper-case mnemonic ("MOV", "JNE", ...). */
 std::string opMnemonic(Op op);
-
-/**
- * Parse a core mnemonic (case-insensitive), without .B/.W suffix.
- * Jump aliases JZ/JNZ/JHS/JLO are accepted.
- */
-std::optional<Op> parseOp(std::string_view mnemonic);
 
 /** True if the instruction may take a .B (byte) suffix. */
 bool supportsByte(Op op);

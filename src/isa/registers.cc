@@ -1,7 +1,5 @@
 #include "isa/registers.hh"
 
-#include "support/strings.hh"
-
 namespace swapram::isa {
 
 std::string
@@ -19,19 +17,33 @@ regName(Reg r)
 std::optional<Reg>
 parseReg(std::string_view name)
 {
-    std::string upper = support::toUpper(name);
-    if (upper == "PC") return Reg::PC;
-    if (upper == "SP") return Reg::SP;
-    if (upper == "SR") return Reg::SR;
-    if (upper == "CG2") return Reg::CG2;
-    if (upper.size() >= 2 && upper[0] == 'R') {
-        int index = 0;
-        for (size_t i = 1; i < upper.size(); ++i) {
-            if (upper[i] < '0' || upper[i] > '9')
-                return std::nullopt;
-            index = index * 10 + (upper[i] - '0');
+    // Called for every identifier operand the parser meets, so it
+    // compares in place instead of building an upper-case copy.
+    auto upper = [](char c) {
+        return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+    };
+    auto is = [&](std::string_view want) {
+        if (name.size() != want.size())
+            return false;
+        for (size_t i = 0; i < name.size(); ++i) {
+            if (upper(name[i]) != want[i])
+                return false;
         }
-        if (index >= 0 && index < kNumRegs)
+        return true;
+    };
+    if (is("PC")) return Reg::PC;
+    if (is("SP")) return Reg::SP;
+    if (is("SR")) return Reg::SR;
+    if (is("CG2")) return Reg::CG2;
+    if (name.size() >= 2 && upper(name[0]) == 'R') {
+        int index = 0;
+        for (size_t i = 1; i < name.size(); ++i) {
+            if (name[i] < '0' || name[i] > '9')
+                return std::nullopt;
+            if (index < kNumRegs) // larger stays out of range
+                index = index * 10 + (name[i] - '0');
+        }
+        if (index < kNumRegs)
             return regFromIndex(static_cast<std::uint8_t>(index));
     }
     return std::nullopt;

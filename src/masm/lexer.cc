@@ -1,6 +1,6 @@
 #include "masm/lexer.hh"
 
-#include <cctype>
+#include <array>
 
 #include "support/logging.hh"
 
@@ -8,17 +8,51 @@ namespace swapram::masm {
 
 namespace {
 
-bool
-identStart(char c)
+/** Character classes, one table lookup per character. */
+enum : std::uint8_t {
+    kSpace = 0x01,      ///< isspace() in the C locale
+    kIdentStart = 0x02, ///< letter, '_', '$', '.'
+    kDigit = 0x04,      ///< 0-9
+    kHexDigit = 0x08,   ///< 0-9, a-f, A-F
+    kPunct = 0x10,      ///< a one-character punctuation token
+};
+
+constexpr std::array<std::uint8_t, 256>
+makeClasses()
 {
-    return std::isalpha(static_cast<unsigned char>(c)) || c == '_' ||
-           c == '$' || c == '.';
+    std::array<std::uint8_t, 256> t{};
+    for (unsigned char c : {' ', '\t', '\n', '\v', '\f', '\r'})
+        t[c] |= kSpace;
+    for (int c = 'a'; c <= 'z'; ++c)
+        t[c] |= kIdentStart;
+    for (int c = 'A'; c <= 'Z'; ++c)
+        t[c] |= kIdentStart;
+    for (unsigned char c : {'_', '$', '.'})
+        t[c] |= kIdentStart;
+    for (int c = '0'; c <= '9'; ++c)
+        t[c] |= kDigit | kHexDigit;
+    for (int c = 'a'; c <= 'f'; ++c)
+        t[c] |= kHexDigit;
+    for (int c = 'A'; c <= 'F'; ++c)
+        t[c] |= kHexDigit;
+    for (unsigned char c : {':', ',', '#', '&', '@', '+', '-', '*', '/',
+                            '(', ')', '|'})
+        t[c] |= kPunct;
+    return t;
+}
+
+constexpr std::array<std::uint8_t, 256> kClasses = makeClasses();
+
+bool
+is(char c, std::uint8_t cls)
+{
+    return kClasses[static_cast<unsigned char>(c)] & cls;
 }
 
 bool
 identCont(char c)
 {
-    return identStart(c) || std::isdigit(static_cast<unsigned char>(c));
+    return is(c, kIdentStart | kDigit);
 }
 
 char
@@ -39,48 +73,43 @@ unescape(char c, int line)
 
 } // namespace
 
-std::vector<Token>
-lexLine(const std::string &text, int line)
+const std::vector<Token> &
+Lexer::lex(std::string_view text, int line)
 {
-    std::vector<Token> tokens;
+    tokens_.clear();
+    payloads_.clear();
     size_t i = 0;
     const size_t n = text.size();
     while (i < n) {
         char c = text[i];
         if (c == ';')
             break; // comment to end of line
-        if (std::isspace(static_cast<unsigned char>(c))) {
+        if (is(c, kSpace)) {
             ++i;
             continue;
         }
-        Token tok;
+        Token &tok = tokens_.emplace_back();
         tok.column = static_cast<int>(i);
-        if (identStart(c)) {
+        if (is(c, kIdentStart)) {
             size_t start = i;
             while (i < n && identCont(text[i]))
                 ++i;
             tok.kind = TokKind::Ident;
             tok.text = text.substr(start, i - start);
-            tokens.push_back(std::move(tok));
             continue;
         }
-        if (std::isdigit(static_cast<unsigned char>(c))) {
+        if (is(c, kDigit)) {
             size_t start = i;
-            std::int64_t value = 0;
+            std::uint64_t value = 0;
             if (c == '0' && i + 1 < n &&
                 (text[i + 1] == 'x' || text[i + 1] == 'X')) {
                 i += 2;
-                if (i >= n || !std::isxdigit(static_cast<unsigned char>(
-                                  text[i]))) {
+                if (i >= n || !is(text[i], kHexDigit))
                     support::fatal("line ", line, ": bad hex literal");
-                }
-                while (i < n &&
-                       std::isxdigit(static_cast<unsigned char>(text[i]))) {
+                while (i < n && is(text[i], kHexDigit)) {
                     char d = text[i];
-                    int digit = std::isdigit(
-                                    static_cast<unsigned char>(d))
-                                    ? d - '0'
-                                    : (std::tolower(d) - 'a' + 10);
+                    int digit = is(d, kDigit) ? d - '0'
+                                              : ((d | 0x20) - 'a' + 10);
                     value = value * 16 + digit;
                     ++i;
                 }
@@ -94,8 +123,7 @@ lexLine(const std::string &text, int line)
                     ++i;
                 }
             } else {
-                while (i < n &&
-                       std::isdigit(static_cast<unsigned char>(text[i]))) {
+                while (i < n && is(text[i], kDigit)) {
                     value = value * 10 + (text[i] - '0');
                     ++i;
                 }
@@ -105,8 +133,7 @@ lexLine(const std::string &text, int line)
                                text.substr(start, i - start + 1), "'");
             }
             tok.kind = TokKind::Number;
-            tok.number = value;
-            tokens.push_back(std::move(tok));
+            tok.number = static_cast<std::int64_t>(value);
             continue;
         }
         if (c == '\'') {
@@ -126,51 +153,60 @@ lexLine(const std::string &text, int line)
             ++i;
             tok.kind = TokKind::Number;
             tok.number = static_cast<unsigned char>(value);
-            tokens.push_back(std::move(tok));
             continue;
         }
         if (c == '"') {
-            ++i;
-            std::string payload;
+            size_t start = ++i;
+            while (i < n && text[i] != '"' && text[i] != '\\')
+                ++i;
+            tok.kind = TokKind::String;
+            if (i < n && text[i] == '"') {
+                // No escapes: the payload is a view of the line.
+                tok.text = text.substr(start, i - start);
+                ++i;
+                continue;
+            }
+            // Escapes: unescape into the lexer's buffer. Payloads are
+            // never longer than the line, so once the buffer holds
+            // the line's length it does not move until the next line.
+            payloads_.reserve(n);
+            const size_t offset = payloads_.size();
+            payloads_.append(text.substr(start, i - start));
             while (i < n && text[i] != '"') {
                 if (text[i] == '\\') {
                     ++i;
                     if (i >= n)
                         support::fatal("line ", line, ": bad escape");
-                    payload += unescape(text[i], line);
+                    payloads_ += unescape(text[i], line);
                 } else {
-                    payload += text[i];
+                    payloads_ += text[i];
                 }
                 ++i;
             }
             if (i >= n)
                 support::fatal("line ", line, ": unterminated string");
             ++i;
-            tok.kind = TokKind::String;
-            tok.text = std::move(payload);
-            tokens.push_back(std::move(tok));
+            tok.text = std::string_view(payloads_).substr(offset);
             continue;
         }
         // Punctuation, two-char shifts first.
         if ((c == '<' || c == '>') && i + 1 < n && text[i + 1] == c) {
             tok.kind = TokKind::Punct;
-            tok.text = std::string(2, c);
+            tok.text = text.substr(i, 2);
             i += 2;
-            tokens.push_back(std::move(tok));
             continue;
         }
-        static const std::string kSingle = ":,#&@+-*/()|";
-        if (kSingle.find(c) != std::string::npos) {
+        if (is(c, kPunct)) {
             tok.kind = TokKind::Punct;
-            tok.text = std::string(1, c);
+            tok.text = text.substr(i, 1);
             ++i;
-            tokens.push_back(std::move(tok));
             continue;
         }
         support::fatal("line ", line, ": unexpected character '", c, "'");
     }
-    tokens.push_back(Token{TokKind::End, "", 0, static_cast<int>(n)});
-    return tokens;
+    Token &end = tokens_.emplace_back();
+    end.column = static_cast<int>(n);
+    return tokens_;
 }
 
 } // namespace swapram::masm

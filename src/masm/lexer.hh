@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace swapram::masm {
@@ -21,24 +22,41 @@ enum class TokKind : std::uint8_t {
     End,    ///< end of line
 };
 
-/** One token. */
+/** One token. Its text views the lexed line, or the lexer's own
+ *  buffer for a string payload that had escapes. */
 struct Token {
     TokKind kind = TokKind::End;
-    std::string text;        ///< identifier/punct text
+    std::string_view text;   ///< identifier/punct text, string payload
     std::int64_t number = 0; ///< value for Number
     int column = 0;          ///< 0-based start column
 
-    bool isPunct(const char *p) const
+    bool
+    isPunct(std::string_view p) const
     {
         return kind == TokKind::Punct && text == p;
     }
 };
 
 /**
- * Tokenize one source line. Comments (';' to end of line) are stripped.
- * fatal()s on malformed literals, mentioning @p line for diagnostics.
+ * Tokenizer that reuses its buffers from line to line. Comments (';'
+ * to end of line) are stripped.
  */
-std::vector<Token> lexLine(const std::string &text, int line);
+class Lexer
+{
+  public:
+    /**
+     * Tokenize one source line, ending with an End token. The tokens
+     * view @p text and this lexer, so they stay valid until the next
+     * call or until @p text goes away. fatal()s on malformed literals,
+     * mentioning @p line for diagnostics.
+     */
+    const std::vector<Token> &lex(std::string_view text, int line);
+
+  private:
+    std::vector<Token> tokens_;
+    /** Unescaped string payloads of the current line. */
+    std::string payloads_;
+};
 
 } // namespace swapram::masm
 

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <functional>
-#include <sstream>
-#include <unordered_map>
+#include <iterator>
+#include <utility>
 
 #include "masm/lexer.hh"
 #include "support/logging.hh"
@@ -24,6 +23,8 @@ class Cursor
     {}
 
     const Token &peek() const { return tokens_[pos_]; }
+    /** The token after peek() (peek() must not be the End). */
+    const Token &peekNext() const { return tokens_[pos_ + 1]; }
     const Token &
     next()
     {
@@ -35,7 +36,7 @@ class Cursor
     bool atEnd() const { return peek().kind == TokKind::End; }
 
     bool
-    eatPunct(const char *p)
+    eatPunct(std::string_view p)
     {
         if (peek().isPunct(p)) {
             next();
@@ -45,10 +46,10 @@ class Cursor
     }
 
     void
-    expectPunct(const char *p)
+    expectPunct(std::string_view p)
     {
         if (!eatPunct(p))
-            fail(std::string("expected '") + p + "'");
+            fail(support::cat("expected '", p, "'"));
     }
 
     [[noreturn]] void
@@ -77,7 +78,7 @@ parsePrimary(Cursor &cur)
     }
     if (t.kind == TokKind::Ident) {
         cur.next();
-        return Expr::sym(t.text);
+        return Expr::sym(std::string(t.text));
     }
     if (t.isPunct("(")) {
         cur.next();
@@ -145,12 +146,6 @@ parseShift(Cursor &cur)
 }
 
 Expr
-parseExprNoBitops(Cursor &cur)
-{
-    return parseShift(cur);
-}
-
-Expr
 parseExpr(Cursor &cur)
 {
     Expr lhs = parseShift(cur);
@@ -166,6 +161,19 @@ parseExpr(Cursor &cur)
     }
 }
 
+/** The register a register-operand token names. */
+isa::Reg
+registerAfter(Cursor &cur, const char *expected)
+{
+    const Token &t = cur.next();
+    if (t.kind != TokKind::Ident)
+        cur.fail(expected);
+    auto reg = isa::parseReg(t.text);
+    if (!reg)
+        cur.fail(support::cat("bad register '", t.text, "'"));
+    return *reg;
+}
+
 /**
  * Parse one operand. Binary '&'/'|' are not allowed at the top level of a
  * bare-expression operand (the '&' prefix means absolute mode); use
@@ -179,199 +187,205 @@ parseOperand(Cursor &cur)
     if (cur.eatPunct("&"))
         return AsmOperand::abs(parseExpr(cur));
     if (cur.eatPunct("@")) {
-        const Token &t = cur.next();
-        if (t.kind != TokKind::Ident)
-            cur.fail("expected register after '@'");
-        auto reg = isa::parseReg(t.text);
-        if (!reg)
-            cur.fail("bad register '" + t.text + "'");
+        isa::Reg reg = registerAfter(cur, "expected register after '@'");
         bool post_inc = cur.eatPunct("+");
-        return AsmOperand::indirect(*reg, post_inc);
+        return AsmOperand::indirect(reg, post_inc);
     }
-    // Bare register?
+    // Bare register? (A symbol may not be named like a register.)
     if (cur.peek().kind == TokKind::Ident) {
-        auto reg = isa::parseReg(cur.peek().text);
-        if (reg) {
-            // Only a register if not followed by an arithmetic
-            // continuation (a symbol could collide with a register name;
-            // we forbid such symbols instead).
+        if (auto reg = isa::parseReg(cur.peek().text)) {
             cur.next();
             return AsmOperand::reg_(*reg);
         }
     }
-    Expr e = parseExprNoBitops(cur);
+    Expr e = parseShift(cur);
     if (cur.eatPunct("(")) {
-        const Token &t = cur.next();
-        if (t.kind != TokKind::Ident)
-            cur.fail("expected register in X(Rn)");
-        auto reg = isa::parseReg(t.text);
-        if (!reg)
-            cur.fail("bad register '" + t.text + "'");
+        isa::Reg reg = registerAfter(cur, "expected register in X(Rn)");
         cur.expectPunct(")");
-        return AsmOperand::indexed(*reg, std::move(e));
+        return AsmOperand::indexed(reg, std::move(e));
     }
     return AsmOperand::mem(std::move(e));
 }
 
-struct Mnemonic {
-    std::string base; ///< upper-case, without suffix
-    bool byte = false;
+/** ASCII upper case (mnemonics, registers and suffixes are ASCII). */
+char
+upper(char c)
+{
+    return c >= 'a' && c <= 'z' ? static_cast<char>(c - 'a' + 'A') : c;
+}
+
+/** Case-insensitive equality with the upper-case @p want. */
+bool
+equalsUpper(std::string_view text, std::string_view want)
+{
+    if (text.size() != want.size())
+        return false;
+    for (size_t i = 0; i < text.size(); ++i) {
+        if (upper(text[i]) != want[i])
+            return false;
+    }
+    return true;
+}
+
+/** Case-insensitive order of @p text against the upper-case @p name. */
+bool
+lessUpper(std::string_view name, std::string_view text)
+{
+    const size_t n = std::min(name.size(), text.size());
+    for (size_t i = 0; i < n; ++i) {
+        char c = upper(text[i]);
+        if (name[i] != c)
+            return name[i] < c;
+    }
+    return name.size() < text.size();
+}
+
+/** How a mnemonic becomes one core instruction. The emulated
+ *  mnemonics expand as the MSP430 assembler defines them. */
+enum class Form : std::uint8_t {
+    Core,   ///< a core op, operands as written
+    Const,  ///< no operand: op #imm, reg (NOP, CLRC ... EINT)
+    Ret,    ///< RET: MOV @SP+, PC
+    Pop,    ///< POP dst: MOV @SP+, dst
+    Br,     ///< BR src: MOV src, PC
+    ImmDst, ///< one operand: op #imm, dst (CLR, INC, TST, ...)
+    DupDst, ///< one operand: op dst, dst (RLA, RLC)
 };
 
-Mnemonic
-splitMnemonic(const std::string &raw, Cursor &cur)
+struct Mnemonic {
+    std::string_view name; ///< upper case, without suffix
+    isa::Op op;
+    Form form = Form::Core;
+    std::int64_t imm = 0;        ///< Const/ImmDst source immediate
+    isa::Reg reg = isa::Reg::PC; ///< Const destination
+};
+
+/** Every mnemonic, core and emulated, sorted by name. */
+constexpr Mnemonic kMnemonics[] = {
+    {"ADC", isa::Op::Addc, Form::ImmDst, 0},
+    {"ADD", isa::Op::Add},
+    {"ADDC", isa::Op::Addc},
+    {"AND", isa::Op::And},
+    {"BIC", isa::Op::Bic},
+    {"BIS", isa::Op::Bis},
+    {"BIT", isa::Op::Bit},
+    {"BR", isa::Op::Mov, Form::Br},
+    {"CALL", isa::Op::Call},
+    {"CLR", isa::Op::Mov, Form::ImmDst, 0},
+    {"CLRC", isa::Op::Bic, Form::Const, 1, isa::Reg::SR},
+    {"CLRN", isa::Op::Bic, Form::Const, 4, isa::Reg::SR},
+    {"CLRZ", isa::Op::Bic, Form::Const, 2, isa::Reg::SR},
+    {"CMP", isa::Op::Cmp},
+    {"DADC", isa::Op::Dadd, Form::ImmDst, 0},
+    {"DADD", isa::Op::Dadd},
+    {"DEC", isa::Op::Sub, Form::ImmDst, 1},
+    {"DECD", isa::Op::Sub, Form::ImmDst, 2},
+    {"DINT", isa::Op::Bic, Form::Const, 8, isa::Reg::SR},
+    {"EINT", isa::Op::Bis, Form::Const, 8, isa::Reg::SR},
+    {"INC", isa::Op::Add, Form::ImmDst, 1},
+    {"INCD", isa::Op::Add, Form::ImmDst, 2},
+    {"INV", isa::Op::Xor, Form::ImmDst, 0xFFFF},
+    {"JC", isa::Op::Jc},
+    {"JEQ", isa::Op::Jeq},
+    {"JGE", isa::Op::Jge},
+    {"JHS", isa::Op::Jc},
+    {"JL", isa::Op::Jl},
+    {"JLO", isa::Op::Jnc},
+    {"JMP", isa::Op::Jmp},
+    {"JN", isa::Op::Jn},
+    {"JNC", isa::Op::Jnc},
+    {"JNE", isa::Op::Jne},
+    {"JNZ", isa::Op::Jne},
+    {"JZ", isa::Op::Jeq},
+    {"MOV", isa::Op::Mov},
+    {"NOP", isa::Op::Mov, Form::Const, 0, isa::Reg::CG2},
+    {"POP", isa::Op::Mov, Form::Pop},
+    {"PUSH", isa::Op::Push},
+    {"RET", isa::Op::Mov, Form::Ret},
+    {"RETI", isa::Op::Reti},
+    {"RLA", isa::Op::Add, Form::DupDst},
+    {"RLC", isa::Op::Addc, Form::DupDst},
+    {"RRA", isa::Op::Rra},
+    {"RRC", isa::Op::Rrc},
+    {"SBC", isa::Op::Subc, Form::ImmDst, 0},
+    {"SETC", isa::Op::Bis, Form::Const, 1, isa::Reg::SR},
+    {"SETN", isa::Op::Bis, Form::Const, 4, isa::Reg::SR},
+    {"SETZ", isa::Op::Bis, Form::Const, 2, isa::Reg::SR},
+    {"SUB", isa::Op::Sub},
+    {"SUBC", isa::Op::Subc},
+    {"SWPB", isa::Op::Swpb},
+    {"SXT", isa::Op::Sxt},
+    {"TST", isa::Op::Cmp, Form::ImmDst, 0},
+    {"XOR", isa::Op::Xor},
+};
+
+struct DirectiveName {
+    std::string_view name; ///< upper case
+    Directive directive;
+};
+
+/** Every directive, sorted by name. */
+constexpr DirectiveName kDirectives[] = {
+    {".ALIGN", Directive::Align},   {".ASCII", Directive::Ascii},
+    {".ASCIZ", Directive::Asciz},   {".BSS", Directive::Bss},
+    {".BYTE", Directive::Byte},     {".CONST", Directive::Const},
+    {".DATA", Directive::Data},     {".ENDFUNC", Directive::EndFunc},
+    {".EQU", Directive::Equ},       {".FUNC", Directive::Func},
+    {".GLOBAL", Directive::Global}, {".GLOBL", Directive::Global},
+    {".SET", Directive::Equ},       {".SPACE", Directive::Space},
+    {".TEXT", Directive::Text},     {".WORD", Directive::Word},
+};
+
+template <typename Entry, size_t N>
+constexpr bool
+sortedByName(const Entry (&table)[N])
 {
-    std::string upper = support::toUpper(raw);
-    Mnemonic m;
-    size_t dot = upper.rfind('.');
-    if (dot != std::string::npos && dot > 0) {
-        std::string suffix = upper.substr(dot + 1);
-        if (suffix == "B") {
-            m.byte = true;
-            upper = upper.substr(0, dot);
-        } else if (suffix == "W") {
-            upper = upper.substr(0, dot);
-        } else {
-            cur.fail("bad mnemonic suffix '." + suffix + "'");
-        }
+    for (size_t i = 1; i < N; ++i) {
+        if (!(table[i - 1].name < table[i].name))
+            return false;
     }
-    m.base = upper;
-    return m;
+    return true;
 }
 
-AsmInstr
-makeFormatI(isa::Op op, bool byte, AsmOperand src, AsmOperand dst)
+static_assert(sortedByName(kMnemonics));
+static_assert(sortedByName(kDirectives));
+
+/** Case-insensitive binary search of a name-sorted table. */
+template <typename Entry, size_t N>
+const Entry *
+findName(const Entry (&table)[N], std::string_view text)
 {
-    AsmInstr instr;
-    instr.op = op;
-    instr.byte = byte;
-    instr.src = std::move(src);
-    instr.dst = std::move(dst);
-    return instr;
+    const Entry *it = std::lower_bound(
+        std::begin(table), std::end(table), text,
+        [](const Entry &e, std::string_view t) {
+            return lessUpper(e.name, t);
+        });
+    if (it == std::end(table) || !equalsUpper(text, it->name))
+        return nullptr;
+    return it;
 }
 
-/** Expand an emulated mnemonic, or return nullopt if not one. */
-std::optional<AsmInstr>
-expandPseudo(const std::string &base, bool byte,
-             std::vector<AsmOperand> ops, Cursor &cur)
+Statement &
+newStatement(Program &out, Statement::Kind kind, int line)
 {
-    using isa::Op;
-    auto want = [&](size_t n) {
-        if (ops.size() != n) {
-            cur.fail(base + " expects " + std::to_string(n) +
-                     " operand(s)");
-        }
-    };
-    auto sr = AsmOperand::reg_(isa::Reg::SR);
-    auto pc = AsmOperand::reg_(isa::Reg::PC);
-    auto immN = [](std::int64_t v) { return AsmOperand::imm(Expr::num(v)); };
-    auto sp_inc = AsmOperand::indirect(isa::Reg::SP, true);
-
-    if (base == "NOP") {
-        want(0);
-        return makeFormatI(Op::Mov, false, immN(0),
-                           AsmOperand::reg_(isa::Reg::CG2));
-    }
-    if (base == "RET") {
-        want(0);
-        return makeFormatI(Op::Mov, false, sp_inc, pc);
-    }
-    if (base == "POP") {
-        want(1);
-        return makeFormatI(Op::Mov, byte, sp_inc, std::move(ops[0]));
-    }
-    if (base == "BR") {
-        want(1);
-        return makeFormatI(Op::Mov, false, std::move(ops[0]), pc);
-    }
-    if (base == "CLR") {
-        want(1);
-        return makeFormatI(Op::Mov, byte, immN(0), std::move(ops[0]));
-    }
-    if (base == "CLRC") { want(0); return makeFormatI(Op::Bic, false, immN(1), sr); }
-    if (base == "SETC") { want(0); return makeFormatI(Op::Bis, false, immN(1), sr); }
-    if (base == "CLRZ") { want(0); return makeFormatI(Op::Bic, false, immN(2), sr); }
-    if (base == "SETZ") { want(0); return makeFormatI(Op::Bis, false, immN(2), sr); }
-    if (base == "CLRN") { want(0); return makeFormatI(Op::Bic, false, immN(4), sr); }
-    if (base == "SETN") { want(0); return makeFormatI(Op::Bis, false, immN(4), sr); }
-    if (base == "DINT") { want(0); return makeFormatI(Op::Bic, false, immN(8), sr); }
-    if (base == "EINT") { want(0); return makeFormatI(Op::Bis, false, immN(8), sr); }
-    if (base == "INC") {
-        want(1);
-        return makeFormatI(Op::Add, byte, immN(1), std::move(ops[0]));
-    }
-    if (base == "INCD") {
-        want(1);
-        return makeFormatI(Op::Add, byte, immN(2), std::move(ops[0]));
-    }
-    if (base == "DEC") {
-        want(1);
-        return makeFormatI(Op::Sub, byte, immN(1), std::move(ops[0]));
-    }
-    if (base == "DECD") {
-        want(1);
-        return makeFormatI(Op::Sub, byte, immN(2), std::move(ops[0]));
-    }
-    if (base == "INV") {
-        want(1);
-        return makeFormatI(Op::Xor, byte, immN(0xFFFF), std::move(ops[0]));
-    }
-    if (base == "TST") {
-        want(1);
-        return makeFormatI(Op::Cmp, byte, immN(0), std::move(ops[0]));
-    }
-    if (base == "ADC") {
-        want(1);
-        return makeFormatI(Op::Addc, byte, immN(0), std::move(ops[0]));
-    }
-    if (base == "SBC") {
-        want(1);
-        return makeFormatI(Op::Subc, byte, immN(0), std::move(ops[0]));
-    }
-    if (base == "DADC") {
-        want(1);
-        return makeFormatI(Op::Dadd, byte, immN(0), std::move(ops[0]));
-    }
-    if (base == "RLA") {
-        want(1);
-        AsmOperand copy = ops[0];
-        return makeFormatI(Op::Add, byte, std::move(copy),
-                           std::move(ops[0]));
-    }
-    if (base == "RLC") {
-        want(1);
-        AsmOperand copy = ops[0];
-        return makeFormatI(Op::Addc, byte, std::move(copy),
-                           std::move(ops[0]));
-    }
-    return std::nullopt;
-}
-
-Directive
-directiveFromName(const std::string &lower, Cursor &cur)
-{
-    static const std::unordered_map<std::string, Directive> table = {
-        {".text", Directive::Text},   {".const", Directive::Const},
-        {".data", Directive::Data},   {".bss", Directive::Bss},
-        {".word", Directive::Word},   {".byte", Directive::Byte},
-        {".space", Directive::Space}, {".align", Directive::Align},
-        {".ascii", Directive::Ascii}, {".asciz", Directive::Asciz},
-        {".global", Directive::Global}, {".globl", Directive::Global},
-        {".equ", Directive::Equ},     {".set", Directive::Equ},
-        {".func", Directive::Func},   {".endfunc", Directive::EndFunc},
-    };
-    auto it = table.find(lower);
-    if (it == table.end())
-        cur.fail("unknown directive '" + lower + "'");
-    return it->second;
+    Statement &stmt = out.stmts.emplace_back();
+    stmt.kind = kind;
+    stmt.line = line;
+    return stmt;
 }
 
 void
-parseDirective(Cursor &cur, const std::string &name, Program &out)
+parseDirective(Cursor &cur, std::string_view name, Program &out)
 {
-    Directive d = directiveFromName(support::toLower(name), cur);
-    Statement stmt = Statement::makeDirective(d, cur.line());
-    switch (d) {
+    const DirectiveName *entry = findName(kDirectives, name);
+    if (!entry) {
+        cur.fail(support::cat("unknown directive '", support::toLower(name),
+                              "'"));
+    }
+    Statement &stmt =
+        newStatement(out, Statement::Kind::Directive, cur.line());
+    stmt.directive = entry->directive;
+    switch (stmt.directive) {
       case Directive::Text:
       case Directive::Const:
       case Directive::Data:
@@ -415,68 +429,125 @@ parseDirective(Cursor &cur, const std::string &name, Program &out)
     }
     if (!cur.atEnd())
         cur.fail("trailing junk after directive");
-    out.stmts.push_back(std::move(stmt));
 }
 
 void
-parseInstruction(Cursor &cur, const std::string &raw, Program &out)
+parseInstruction(Cursor &cur, std::string_view raw, Program &out)
 {
-    Mnemonic m = splitMnemonic(raw, cur);
-    std::vector<AsmOperand> ops;
-    // RETI and pseudo-ops with zero operands have nothing to parse.
+    // Split an optional .B/.W suffix off the mnemonic.
+    std::string_view base = raw;
+    bool byte = false;
+    size_t dot = raw.rfind('.');
+    if (dot != std::string_view::npos && dot > 0) {
+        std::string_view suffix = raw.substr(dot + 1);
+        if (equalsUpper(suffix, "B"))
+            byte = true;
+        else if (!equalsUpper(suffix, "W"))
+            cur.fail(support::cat("bad mnemonic suffix '.",
+                                  support::toUpper(suffix), "'"));
+        base = raw.substr(0, dot);
+    }
+    const Mnemonic *m = findName(kMnemonics, base);
+
+    // Operands: the first two are kept, the rest only counted.
+    AsmOperand ops[2];
+    size_t n_ops = 0;
     if (!cur.atEnd()) {
-        ops.push_back(parseOperand(cur));
-        while (cur.eatPunct(","))
-            ops.push_back(parseOperand(cur));
+        do {
+            AsmOperand op = parseOperand(cur);
+            if (n_ops < 2)
+                ops[n_ops] = std::move(op);
+            ++n_ops;
+        } while (cur.eatPunct(","));
     }
     if (!cur.atEnd())
         cur.fail("trailing junk after instruction");
+    if (!m) {
+        cur.fail(support::cat("unknown mnemonic '", support::toUpper(base),
+                              "'"));
+    }
 
-    if (auto pseudo = expandPseudo(m.base, m.byte, ops, cur)) {
-        out.stmts.push_back(
-            Statement::makeInstr(std::move(*pseudo), cur.line()));
+    auto sp_inc = [] { return AsmOperand::indirect(isa::Reg::SP, true); };
+    auto pc = [] { return AsmOperand::reg_(isa::Reg::PC); };
+    auto imm = [m] { return AsmOperand::imm(Expr::num(m->imm)); };
+    if (m->form != Form::Core) {
+        const size_t want =
+            m->form == Form::Const || m->form == Form::Ret ? 0 : 1;
+        if (n_ops != want) {
+            cur.fail(support::cat(m->name, " expects ", want,
+                                  " operand(s)"));
+        }
+        AsmInstr &in =
+            newStatement(out, Statement::Kind::Instr, cur.line()).instr;
+        in.op = m->op;
+        // Only the forms with a written destination honour .B.
+        in.byte = byte && (m->form == Form::Pop || m->form == Form::ImmDst ||
+                           m->form == Form::DupDst);
+        switch (m->form) {
+          case Form::Core:
+            break;
+          case Form::Const:
+            in.src = imm();
+            in.dst = AsmOperand::reg_(m->reg);
+            break;
+          case Form::Ret:
+            in.src = sp_inc();
+            in.dst = pc();
+            break;
+          case Form::Pop:
+            in.src = sp_inc();
+            in.dst = std::move(ops[0]);
+            break;
+          case Form::Br:
+            in.src = std::move(ops[0]);
+            in.dst = pc();
+            break;
+          case Form::ImmDst:
+            in.src = imm();
+            in.dst = std::move(ops[0]);
+            break;
+          case Form::DupDst:
+            in.src = ops[0];
+            in.dst = std::move(ops[0]);
+            break;
+        }
         return;
     }
 
-    auto op = isa::parseOp(m.base);
-    if (!op)
-        cur.fail("unknown mnemonic '" + m.base + "'");
-    if (m.byte && !isa::supportsByte(*op))
-        cur.fail(m.base + " has no .B form");
-
-    AsmInstr instr;
-    instr.op = *op;
-    instr.byte = m.byte;
-    switch (isa::opFormat(*op)) {
-      case isa::OpFormat::Jump: {
-        if (ops.size() != 1)
+    if (byte && !isa::supportsByte(m->op))
+        cur.fail(support::cat(m->name, " has no .B form"));
+    switch (isa::opFormat(m->op)) {
+      case isa::OpFormat::Jump:
+        if (n_ops != 1)
             cur.fail("jump expects one target");
-        const AsmOperand &target = ops[0];
-        if (target.kind != OperKind::SymbolicMem)
+        if (ops[0].kind != OperKind::SymbolicMem)
             cur.fail("jump target must be a label/expression");
-        instr.jump_target = target.expr;
         break;
-      }
-      case isa::OpFormat::SingleOperand: {
-        if (*op == isa::Op::Reti) {
-            if (!ops.empty())
+      case isa::OpFormat::SingleOperand:
+        if (m->op == isa::Op::Reti) {
+            if (n_ops != 0)
                 cur.fail("RETI takes no operand");
-            break;
+        } else if (n_ops != 1) {
+            cur.fail(support::cat(m->name, " expects one operand"));
         }
-        if (ops.size() != 1)
-            cur.fail(m.base + " expects one operand");
-        instr.dst = std::move(ops[0]);
         break;
-      }
-      case isa::OpFormat::DoubleOperand: {
-        if (ops.size() != 2)
-            cur.fail(m.base + " expects two operands");
-        instr.src = std::move(ops[0]);
-        instr.dst = std::move(ops[1]);
+      case isa::OpFormat::DoubleOperand:
+        if (n_ops != 2)
+            cur.fail(support::cat(m->name, " expects two operands"));
         break;
-      }
     }
-    out.stmts.push_back(Statement::makeInstr(std::move(instr), cur.line()));
+    AsmInstr &in =
+        newStatement(out, Statement::Kind::Instr, cur.line()).instr;
+    in.op = m->op;
+    in.byte = byte;
+    if (isa::opFormat(m->op) == isa::OpFormat::Jump) {
+        in.jump_target = std::move(ops[0].expr);
+    } else if (n_ops == 2) {
+        in.src = std::move(ops[0]);
+        in.dst = std::move(ops[1]);
+    } else if (n_ops == 1) {
+        in.dst = std::move(ops[0]);
+    }
 }
 
 /** Running total behind statementsParsed(). */
@@ -488,40 +559,39 @@ Program
 parse(const std::string &source)
 {
     Program program;
-    std::istringstream stream(source);
-    std::string line_text;
+    // At most a statement per line plus one per label (each label
+    // ends in ':'): one allocation, no regrowth moves.
+    size_t bound = 1;
+    for (char c : source)
+        bound += c == '\n' || c == ':';
+    program.stmts.reserve(bound);
+    Lexer lexer;
+    std::string_view rest = source;
     int line = 0;
-    while (std::getline(stream, line_text)) {
+    while (!rest.empty()) {
+        // One line, as std::getline would split it.
+        const size_t eol = rest.find('\n');
+        const std::string_view text = rest.substr(0, eol);
+        rest.remove_prefix(eol == std::string_view::npos ? rest.size()
+                                                         : eol + 1);
         ++line;
-        std::vector<Token> tokens = lexLine(line_text, line);
-        Cursor cur(tokens, line);
-        // Leading labels.
+        Cursor cur(lexer.lex(text, line), line);
+        // Leading labels: an identifier followed by ':'.
         while (cur.peek().kind == TokKind::Ident &&
-               cur.peek().text[0] != '.') {
-            // Lookahead for ':' requires a second cursor trick: labels and
-            // mnemonics are both idents; a label is an ident followed by
-            // ':'.
-            Token ident = cur.peek();
-            Cursor probe = cur;
-            probe.next();
-            if (!probe.peek().isPunct(":"))
-                break;
-            cur.next();
+               cur.peek().text[0] != '.' && cur.peekNext().isPunct(":")) {
+            newStatement(program, Statement::Kind::Label, line).label =
+                cur.next().text;
             cur.next(); // ':'
-            program.stmts.push_back(
-                Statement::makeLabel(ident.text, line));
         }
         if (cur.atEnd())
             continue;
-        const Token &head = cur.peek();
+        const Token &head = cur.next();
         if (head.kind != TokKind::Ident)
             cur.fail("expected mnemonic or directive");
-        std::string name = head.text;
-        cur.next();
-        if (name[0] == '.')
-            parseDirective(cur, name, program);
+        if (head.text[0] == '.')
+            parseDirective(cur, head.text, program);
         else
-            parseInstruction(cur, name, program);
+            parseInstruction(cur, head.text, program);
     }
     t_statements_parsed += program.stmts.size();
     return program;

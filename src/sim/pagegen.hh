@@ -4,10 +4,11 @@
  *
  * The address space is divided into small pages; every store bumps the
  * generation of the page(s) it touches, and every built block
- * snapshots the generations of the pages its code spans. A block whose
- * snapshot no longer matches has (conservatively) been overwritten —
- * SwapRAM copy-ins, self-modifying stores, or plain data writes that
- * share a page with code — and is rebuilt before dispatch.
+ * snapshots the generations of the pages its scan read (its code and
+ * the word that stopped it). A block whose snapshot no longer matches
+ * may have been overwritten — SwapRAM copy-ins, self-modifying
+ * stores, or plain data writes that share a page with code — and is
+ * revalidated by its bytes before dispatch, else rebuilt.
  *
  * This piggybacks on the same write paths that drive the predecode
  * cache's 3-slot invalidation: the Bus calls noteWrite() for oracle

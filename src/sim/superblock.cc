@@ -1,5 +1,7 @@
 #include "sim/superblock.hh"
 
+#include <cstring>
+
 #include "isa/cycles.hh"
 #include "isa/decode.hh"
 #include "sim/fram_timing.hh"
@@ -213,6 +215,7 @@ SuperblockEngine::build(std::uint16_t pc)
     auto b = std::make_unique<Block>();
     b->start_pc = pc;
     b->end_addr = pc;
+    b->scan_end = pc;
     b->fetch_region = regionOf(pc, config_.sramEnd());
     auto ownerOf = [this](std::uint32_t addr) -> std::uint8_t {
         return classify_ ? classify_(static_cast<std::uint16_t>(addr))
@@ -240,6 +243,7 @@ SuperblockEngine::build(std::uint16_t pc)
                 break; // recovery or owner attribution boundary
             std::uint16_t w0 =
                 memory_.read16(static_cast<std::uint16_t>(cur));
+            b->scan_end = cur + 2;
             if (!isa::validLeadingWord(w0))
                 break; // garbage: only the oracle may diagnose it
             isa::Shape shape = isa::decodeShape(w0);
@@ -265,6 +269,7 @@ SuperblockEngine::build(std::uint16_t pc)
                     ? memory_.read16(static_cast<std::uint16_t>(
                           cur + 2 + (shape.src_ext ? 2 : 0)))
                     : 0;
+            b->scan_end = end;
             isa::Instr instr = isa::decodeWords(
                 w0, ext_src, ext_dst, static_cast<std::uint16_t>(cur));
             Analysis a = analyze(instr, config_.sram_size);
@@ -303,30 +308,47 @@ SuperblockEngine::build(std::uint16_t pc)
     }
 
     b->worst_case_cycles = worst;
-    b->global_gen = gens_.globalGen();
-    b->first_page = PageGenTable::pageOf(pc);
-    b->last_page = PageGenTable::pageOf(static_cast<std::uint16_t>(
-        b->end_addr > pc ? b->end_addr - 1 : pc));
-    for (std::uint32_t i = 0;
-         i <= static_cast<std::uint32_t>(b->last_page - b->first_page);
-         ++i) {
-        b->page_gens[i] = gens_.pageGen(
-            static_cast<std::uint16_t>(b->first_page + i));
-    }
+    std::memcpy(b->bytes.data(), memory_.bytes() + pc, b->scan_end - pc);
+    stamp(*b);
     return b;
 }
 
-bool
-SuperblockEngine::valid(const Block &b) const
+void
+SuperblockEngine::stamp(Block &b) const
 {
+    b.global_gen = gens_.globalGen();
+    b.first_page = PageGenTable::pageOf(b.start_pc);
+    b.last_page = PageGenTable::pageOf(static_cast<std::uint16_t>(
+        b.scan_end > b.start_pc ? b.scan_end - 1 : b.start_pc));
+    for (std::uint32_t i = 0;
+         i <= static_cast<std::uint32_t>(b.last_page - b.first_page);
+         ++i) {
+        b.page_gens[i] = gens_.pageGen(
+            static_cast<std::uint16_t>(b.first_page + i));
+    }
+}
+
+bool
+SuperblockEngine::revalidate(Block &b)
+{
+    // Load, power cycle, owner or recovery ranges: what build() would
+    // make may differ even where every byte is the same.
     if (b.global_gen != gens_.globalGen())
         return false;
     for (std::uint32_t i = 0;
          i <= static_cast<std::uint32_t>(b.last_page - b.first_page);
          ++i) {
-        if (b.page_gens[i] !=
+        if (b.page_gens[i] ==
             gens_.pageGen(static_cast<std::uint16_t>(b.first_page + i)))
+            continue;
+        // A store landed on a page the scan read (often data beside
+        // the code, or a copy-in of the same function): keep the block
+        // if what it read is unchanged.
+        if (std::memcmp(b.bytes.data(), memory_.bytes() + b.start_pc,
+                        b.scan_end - b.start_pc) != 0)
             return false;
+        stamp(b);
+        return true;
     }
     return true;
 }
@@ -338,7 +360,7 @@ SuperblockEngine::lookup(std::uint16_t pc)
         return nullptr; // the oracle owns the odd-PC fatal
     std::unique_ptr<Block> &slot = blocks_[pc >> 1];
     if (slot) {
-        if (valid(*slot))
+        if (revalidate(*slot))
             return slot->instrs.empty() ? nullptr : slot.get();
         ++stats_.superblock_invalidations;
     }

@@ -27,6 +27,14 @@
  * Invalidation piggybacks on the write paths that already feed the
  * predecode cache's 3-slot invalidation: every store bumps per-page
  * write generations (PageGenTable) which blocks validate at lookup.
+ * A block whose pages were written is revalidated by its bytes: if
+ * everything build() read still reads the same, it is re-stamped and
+ * kept together with its lowered code, else rebuilt. build() reads
+ * past the block's last instruction when the scan stopped at an
+ * undecodable word or a static-MMIO operand, so the snapshot covers
+ * that "scan end" too. Bulk changes behind the bus (image load, power
+ * cycle, owner or recovery ranges) bump a global generation that
+ * rebuilds every block, whatever its bytes.
  */
 
 #ifndef SWAPRAM_SIM_SUPERBLOCK_HH
@@ -59,9 +67,12 @@ class SuperblockEngine
   public:
     static constexpr std::uint32_t kMaxBlockInstrs = 32;
     static constexpr std::uint32_t kMaxBlockBytes = 120;
-    /** kMaxBlockBytes bytes span at most this many gen pages. */
+    /** Most bytes one build reads: an instruction (at most 6 bytes)
+     *  may start 2 bytes short of kMaxBlockBytes. */
+    static constexpr std::uint32_t kMaxScanBytes = kMaxBlockBytes + 4;
+    /** kMaxScanBytes bytes span at most this many gen pages. */
     static constexpr std::uint32_t kMaxBlockPages =
-        kMaxBlockBytes / (1u << PageGenTable::kPageShift) + 2;
+        kMaxScanBytes / (1u << PageGenTable::kPageShift) + 2;
 
     /** Per-instruction flags. */
     enum : std::uint8_t {
@@ -92,7 +103,7 @@ class SuperblockEngine
     };
 
     /** A built block (instrs empty = tombstone: PC known unblockable,
-     *  revalidated by generations like any block). */
+     *  revalidated like any block). */
     struct Block {
         std::uint16_t start_pc = 0;
         std::uint32_t end_addr = 0; ///< one past the last code byte
@@ -103,11 +114,16 @@ class SuperblockEngine
         std::uint32_t worst_case_cycles = 0;
         std::vector<BlockInstr> instrs;
 
-        // Invalidation snapshot.
+        // Invalidation snapshot of [start_pc, scan_end).
+        /** One past the last byte build() read: end_addr, or past the
+         *  undecodable word or static-MMIO instruction that stopped
+         *  the scan. */
+        std::uint32_t scan_end = 0;
         std::uint64_t global_gen = 0;
         std::uint16_t first_page = 0;
         std::uint16_t last_page = 0;
         std::array<std::uint64_t, kMaxBlockPages> page_gens{};
+        std::array<std::uint8_t, kMaxScanBytes> bytes{}; ///< as read
 
         /** Lazily lowered threaded code (null until the threaded tier
          *  first dispatches this block; dropped with the block). */
@@ -178,7 +194,11 @@ class SuperblockEngine
 
   private:
     std::unique_ptr<Block> build(std::uint16_t pc);
-    bool valid(const Block &b) const;
+    /** Record the current generations of @p b's pages. */
+    void stamp(Block &b) const;
+    /** True when @p b still decodes as built (re-stamped when only
+     *  its pages' generations moved). */
+    bool revalidate(Block &b);
 
     Memory &memory_;
     Bus &bus_;

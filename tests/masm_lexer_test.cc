@@ -11,8 +11,16 @@
 namespace {
 
 using namespace swapram;
-using masm::lexLine;
 using masm::TokKind;
+
+/** The tokens of one line; their text stays valid until the next
+ *  call. */
+std::vector<masm::Token>
+lexLine(std::string_view text, int line)
+{
+    static thread_local masm::Lexer lexer;
+    return lexer.lex(text, line);
+}
 
 TEST(Lexer, BasicInstructionLine)
 {

@@ -14,8 +14,8 @@
  * than half its copy loop ran, so the copy loop itself ran threaded.
  *
  * Coverage concentrates on the bail-out guards: register-dependent
- * MMIO operands, stores into the executing block, fault/timer cycle
- * boundaries, mid-eviction and data-pool swap windows under capacity
+ * MMIO operands, stores into the executing block, block revalidation
+ * after stores beside or into code, fault/timer cycle boundaries, mid-eviction and data-pool swap windows under capacity
  * pressure, harvest brown-outs landing mid-chain, and the full golden
  * workload×system×sram_size matrix.
  */
@@ -29,8 +29,10 @@
 
 #include "harness/engine.hh"
 #include "harness/report.hh"
+#include "isa/decode.hh"
 #include "sim/fault.hh"
 #include "sim/harvest.hh"
+#include "sim/superblock.hh"
 #include "support/platform.hh"
 #include "testutil.hh"
 #include "workloads/workload.hh"
@@ -233,6 +235,143 @@ TEST(Threaded, SelfModifyingStoreInOwnBlockMatchesOracle)
     expectMostlyThreaded(on.stats(), "smc");
 }
 
+/** A loop that stores into a word on its own code's 64-byte page:
+ *  every store moves the page's generation, but the bytes the block
+ *  was built from stay the same, so the block and its lowered code
+ *  are kept instead of rebuilt once per iteration. */
+const char kStoreBesideCodeBody[] =
+    "        MOV #200, R10\n"
+    "sloop:  ADD #3, &scount\n"
+    "        DEC R10\n"
+    "        JNZ sloop\n"
+    "        JMP sdone\n"
+    "scount: .word 0\n"
+    "sdone:\n";
+
+TEST(Threaded, StoreBesideCodeKeepsItsBlock)
+{
+    test::MiniRun on = test::runBody(kStoreBesideCodeBody,
+                                     withThreaded(true));
+    test::MiniRun off = test::runBody(kStoreBesideCodeBody,
+                                      withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    const std::uint16_t count = on.assembled.symbol("scount");
+    ASSERT_EQ(count >> sim::PageGenTable::kPageShift,
+              on.assembled.symbol("sloop") >> sim::PageGenTable::kPageShift);
+    EXPECT_EQ(on.machine->peek16(count), 600);
+    EXPECT_EQ(off.machine->peek16(count), 600);
+    expectSimStatsEqual(on.stats(), off.stats(), "store beside code");
+    expectMostlyThreaded(on.stats(), "store beside code");
+    EXPECT_LT(on.stats().threaded_blocks_lowered, 10u);
+    EXPECT_LT(on.stats().superblock_invalidations, 10u);
+}
+
+/** A loop that rewrites the immediate of an instruction in another
+ *  block before running it: changed bytes must rebuild that block on
+ *  every pass, or a stale immediate is added. */
+const char kPatchedImmediateBody[] =
+    "        MOV #0, R12\n"
+    "        MOV #50, R10\n"
+    "ploop:  ADD #1, &pimm+2\n"
+    "        JMP pimm\n"
+    "pimm:   ADD #100, R12\n"
+    "        DEC R10\n"
+    "        JNZ ploop\n";
+
+TEST(Threaded, ChangedBytesRebuildTheBlock)
+{
+    test::MiniRun on = test::runBody(kPatchedImmediateBody,
+                                     withThreaded(true));
+    test::MiniRun off = test::runBody(kPatchedImmediateBody,
+                                      withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    // 101 + 102 + ... + 150.
+    EXPECT_EQ(on.reg(Reg::R12), 6275) << "stale lowered kernel executed";
+    EXPECT_EQ(off.reg(Reg::R12), 6275);
+    expectSimStatsEqual(on.stats(), off.stats(), "patched immediate");
+    expectMostlyThreaded(on.stats(), "patched immediate");
+    EXPECT_GE(on.stats().superblock_invalidations, 49u);
+}
+
+/** A block stopped by an undecodable word that its own first
+ *  instruction overwrites with a real one: the next pass must see the
+ *  longer block a fresh build would make. */
+const char kPatchedScanEndBody[] =
+    "        MOV #0, R12\n"
+    "        MOV #3, R10\n"
+    "utop:   MOV &utmpl, &uslot\n"
+    "uslot:  .word 0\n"
+    "        DEC R10\n"
+    "        JNZ utop\n"
+    "        JMP udone\n"
+    "utmpl:  ADD R10, R12\n"
+    "udone:\n";
+
+/** A block engine of the test's own over an oracle machine's memory,
+ *  fed by the machine bus's stores. */
+struct EngineRig {
+    sim::Machine machine{withThreaded(false)};
+    sim::Stats stats;
+    sim::SuperblockEngine sb{machine.memory(), machine.bus(), stats,
+                             machine.config()};
+
+    EngineRig() { machine.bus().setPageGens(&sb.pageGens()); }
+
+    /** Instructions in the block at @p pc (0 when none). */
+    std::size_t
+    length(std::uint16_t pc)
+    {
+        const sim::SuperblockEngine::Block *b = sb.lookup(pc);
+        return b ? b->instrs.size() : 0;
+    }
+};
+
+constexpr std::uint16_t kAddR4R12 = 0x540C; ///< ADD R4, R12
+
+TEST(Threaded, RewrittenScanEndWordRebuildsTheBlock)
+{
+    test::MiniRun on = test::runBody(kPatchedScanEndBody,
+                                     withThreaded(true));
+    test::MiniRun off = test::runBody(kPatchedScanEndBody,
+                                      withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    EXPECT_EQ(on.reg(Reg::R12), 6);
+    EXPECT_EQ(off.reg(Reg::R12), 6);
+    expectSimStatsEqual(on.stats(), off.stats(), "patched scan end");
+
+    // The stopping word opens the next gen page: the snapshot must
+    // cover it, not only the block's own code.
+    ASSERT_FALSE(isa::validLeadingWord(0));
+    EngineRig rig;
+    constexpr std::uint16_t kSlot = 0x8480;
+    static_assert(kSlot % (1u << sim::PageGenTable::kPageShift) == 0);
+    rig.machine.memory().write16(kSlot - 4, kAddR4R12);
+    rig.machine.memory().write16(kSlot - 2, kAddR4R12);
+    EXPECT_EQ(rig.length(kSlot - 4), 2u);
+    rig.machine.bus().write16(kSlot, 0); // same bytes: kept
+    EXPECT_EQ(rig.length(kSlot - 4), 2u);
+    EXPECT_EQ(rig.stats.superblock_invalidations, 0u);
+    rig.machine.bus().write16(kSlot, kAddR4R12);
+    EXPECT_EQ(rig.length(kSlot - 4), 3u);
+    EXPECT_EQ(rig.stats.superblock_invalidations, 1u);
+
+    // So must it cover the operand word of a static-MMIO instruction
+    // that stopped the scan: pointed at SRAM, the instruction joins.
+    constexpr std::uint16_t kMmio = 0x8500;
+    static_assert(kMmio % (1u << sim::PageGenTable::kPageShift) == 0);
+    rig.machine.memory().write16(kMmio - 6, kAddR4R12);
+    rig.machine.memory().write16(kMmio - 4, kAddR4R12);
+    rig.machine.memory().write16(kMmio - 2, 0x4C82); // MOV R12, &...
+    rig.machine.memory().write16(kMmio, 0x0100);     // ... console
+    EXPECT_EQ(rig.length(kMmio - 6), 2u);
+    rig.machine.bus().write16(kMmio, 0x2000);
+    EXPECT_EQ(rig.length(kMmio - 6), 3u);
+    EXPECT_EQ(rig.stats.superblock_invalidations, 2u);
+}
+
 /** Timer interrupts must land on exactly the same cycle: the chain
  *  must refuse any block whose worst-case bound could reach the fire
  *  cycle, handing back to the single-stepping machine loop. */
@@ -337,6 +476,28 @@ TEST(Threaded, InjectedFaultsLandOnSameCycle)
     expectSimStatsEqual(on.stats, off.stats, "fault");
     EXPECT_EQ(on.acc, off.acc);
     EXPECT_EQ(on.mix, off.mix);
+}
+
+/** A power cycle (like a load, or new owner ranges) changes what a
+ *  build makes without a store: every block is rebuilt after it, even
+ *  though its code, in FRAM, reads exactly the same. */
+TEST(Threaded, PowerCycleRebuildsBlocksWithEqualBytes)
+{
+    EngineRig rig;
+    rig.machine.memory().write16(0x8400, kAddR4R12);
+    EXPECT_EQ(rig.length(0x8400), 1u);
+    EXPECT_EQ(rig.length(0x8400), 1u);
+    EXPECT_EQ(rig.stats.superblock_blocks_built, 1u);
+    rig.sb.invalidateAll();
+    EXPECT_EQ(rig.length(0x8400), 1u);
+    EXPECT_EQ(rig.stats.superblock_blocks_built, 2u);
+    EXPECT_EQ(rig.stats.superblock_invalidations, 1u);
+
+    FaultRun on = runFaulted(true);
+    FaultRun off = runFaulted(false);
+    EXPECT_EQ(on.stats.reboots, 5u);
+    expectSimStatsEqual(on.stats, off.stats, "power cycles");
+    EXPECT_GE(on.stats.superblock_invalidations, on.stats.reboots);
 }
 
 /** Capacity pressure: SRAM sizes where the SwapRAM runtime constantly
