@@ -271,6 +271,13 @@ runWithStub(const RunSpec &spec, std::string &stub)
 {
     Metrics m;
 
+    // SRAM past kFramBase would overlap FRAM, and past 0xE000 the fast
+    // path's mapped-space check would wrap onto device space.
+    if (spec.sram_size > plat::kSramMaxSize) {
+        support::fatal("sram_size ", spec.sram_size, " exceeds the ",
+                       plat::kSramMaxSize, " bytes below FRAM");
+    }
+
     PlacementPlan plan = makePlacement(spec.placement);
 
     // Crash consistency: the cache runtimes' startup stub calls their
@@ -343,11 +350,6 @@ runWithStub(const RunSpec &spec, std::string &stub)
     }
     if (!swap.data_pool_bytes && spec.workload->data_pool_bytes)
         swap.data_pool_bytes = spec.workload->data_pool_bytes;
-    if (swap.cache_end > sram_end || block.cache_end > sram_end) {
-        support::fatal("cache region ends beyond the configured SRAM "
-                       "end ", support::hex16(static_cast<std::uint16_t>(
-                                   sram_end)));
-    }
 
     // Standard also places .data/.bss (and the stack) in SRAM, so a
     // caching system must carve its region out of what is left —
@@ -404,6 +406,27 @@ runWithStub(const RunSpec &spec, std::string &stub)
             swap.cache_end = static_cast<std::uint16_t>(sram_end);
             block.cache_base = stack_top;
             block.cache_end = static_cast<std::uint16_t>(sram_end);
+        }
+    }
+
+    // The region the runtime manages, as finally placed: the copy loop
+    // moves words, and the invariant walk expects copies inside it (an
+    // empty region, as a zero-byte SRAM leaves, runs all from FRAM).
+    if (spec.system != System::Baseline) {
+        const bool is_block = spec.system == System::BlockCache;
+        const std::uint32_t base = is_block ? block.cache_base
+                                            : swap.cache_base;
+        const std::uint32_t end = is_block ? block.cache_end
+                                           : swap.cache_end;
+        if (((base | end) & 1) || base > end || base < plat::kSramBase ||
+            end > sram_end) {
+            support::fatal(
+                "cache region [",
+                support::hex16(static_cast<std::uint16_t>(base)), ", ",
+                support::hex16(static_cast<std::uint16_t>(end)),
+                ") must have even bounds, base not past end, inside SRAM [",
+                support::hex16(plat::kSramBase), ", ",
+                support::hex16(static_cast<std::uint16_t>(sram_end)), ")");
         }
     }
 

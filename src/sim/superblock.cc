@@ -320,36 +320,26 @@ SuperblockEngine::stamp(Block &b) const
     b.first_page = PageGenTable::pageOf(b.start_pc);
     b.last_page = PageGenTable::pageOf(static_cast<std::uint16_t>(
         b.scan_end > b.start_pc ? b.scan_end - 1 : b.start_pc));
-    for (std::uint32_t i = 0;
-         i <= static_cast<std::uint32_t>(b.last_page - b.first_page);
-         ++i) {
-        b.page_gens[i] = gens_.pageGen(
-            static_cast<std::uint16_t>(b.first_page + i));
-    }
+    b.page_gens = {gens_.pageGen(b.first_page), gens_.pageGen(midPage(b)),
+                   gens_.pageGen(b.last_page)};
 }
 
 bool
 SuperblockEngine::revalidate(Block &b)
 {
+    if (gensMatch(b))
+        return true;
     // Load, power cycle, owner or recovery ranges: what build() would
     // make may differ even where every byte is the same.
     if (b.global_gen != gens_.globalGen())
         return false;
-    for (std::uint32_t i = 0;
-         i <= static_cast<std::uint32_t>(b.last_page - b.first_page);
-         ++i) {
-        if (b.page_gens[i] ==
-            gens_.pageGen(static_cast<std::uint16_t>(b.first_page + i)))
-            continue;
-        // A store landed on a page the scan read (often data beside
-        // the code, or a copy-in of the same function): keep the block
-        // if what it read is unchanged.
-        if (std::memcmp(b.bytes.data(), memory_.bytes() + b.start_pc,
-                        b.scan_end - b.start_pc) != 0)
-            return false;
-        stamp(b);
-        return true;
-    }
+    // A store landed on a page the scan read (often data beside the
+    // code, or a copy-in of the same function): keep the block if what
+    // it read is unchanged.
+    if (std::memcmp(b.bytes.data(), memory_.bytes() + b.start_pc,
+                    b.scan_end - b.start_pc) != 0)
+        return false;
+    stamp(b);
     return true;
 }
 

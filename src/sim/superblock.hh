@@ -73,6 +73,8 @@ class SuperblockEngine
     /** kMaxScanBytes bytes span at most this many gen pages. */
     static constexpr std::uint32_t kMaxBlockPages =
         kMaxScanBytes / (1u << PageGenTable::kPageShift) + 2;
+    static_assert(kMaxBlockPages == 3,
+                  "the snapshot keeps a first, middle and last page");
 
     /** Per-instruction flags. */
     enum : std::uint8_t {
@@ -103,31 +105,33 @@ class SuperblockEngine
     };
 
     /** A built block (instrs empty = tombstone: PC known unblockable,
-     *  revalidated like any block). */
-    struct Block {
+     *  revalidated like any block). The fields peek() and the threaded
+     *  tier's chain step read share the first cache line. */
+    struct alignas(64) Block {
+        // Generation snapshot of [start_pc, scan_end): the global
+        // generation, then the first, middle and last page's (a
+        // shorter span repeats its last page).
+        std::uint64_t global_gen = 0;
+        std::array<std::uint64_t, kMaxBlockPages> page_gens{};
+        /** Lazily lowered threaded code (null until the threaded tier
+         *  first dispatches this block; dropped with the block). */
+        std::shared_ptr<ThreadedCode> threaded;
         std::uint16_t start_pc = 0;
-        std::uint32_t end_addr = 0; ///< one past the last code byte
-        RegionKind fetch_region = RegionKind::Fram;
+        std::uint16_t first_page = 0;
+        std::uint16_t last_page = 0;
         std::uint8_t owner = 0; ///< CodeOwner of every instruction
         bool writes_sr = false;
         /** Upper bound on total cycles one execution can cost. */
         std::uint32_t worst_case_cycles = 0;
-        std::vector<BlockInstr> instrs;
+        std::uint32_t end_addr = 0; ///< one past the last code byte
 
-        // Invalidation snapshot of [start_pc, scan_end).
+        RegionKind fetch_region = RegionKind::Fram;
+        std::vector<BlockInstr> instrs;
         /** One past the last byte build() read: end_addr, or past the
          *  undecodable word or static-MMIO instruction that stopped
          *  the scan. */
         std::uint32_t scan_end = 0;
-        std::uint64_t global_gen = 0;
-        std::uint16_t first_page = 0;
-        std::uint16_t last_page = 0;
-        std::array<std::uint64_t, kMaxBlockPages> page_gens{};
         std::array<std::uint8_t, kMaxScanBytes> bytes{}; ///< as read
-
-        /** Lazily lowered threaded code (null until the threaded tier
-         *  first dispatches this block; dropped with the block). */
-        std::shared_ptr<ThreadedCode> threaded;
     };
 
     SuperblockEngine(Memory &memory, Bus &bus, Stats &stats,
@@ -175,6 +179,22 @@ class SuperblockEngine
      */
     Block *lookup(std::uint16_t pc);
 
+    /**
+     * The block table's entry at @p pc when its generation snapshot
+     * still matches — no byte compare, no build, no counters; nullptr
+     * for an odd PC, an empty slot, or moved generations. May return a
+     * tombstone or a block not yet lowered. The threaded tier's inline
+     * chain step; lookup() decides whatever this does not.
+     */
+    const Block *
+    peek(std::uint16_t pc) const
+    {
+        if (pc & 1)
+            return nullptr;
+        const Block *b = blocks_[pc >> 1].get();
+        return b && gensMatch(*b) ? b : nullptr;
+    }
+
     /** True when @p addr lies in plain memory (SRAM or FRAM) — the
      *  only space the fast paths may touch directly. */
     static bool addrMapped(std::uint16_t addr, std::uint32_t sram_size);
@@ -196,6 +216,25 @@ class SuperblockEngine
     std::unique_ptr<Block> build(std::uint16_t pc);
     /** Record the current generations of @p b's pages. */
     void stamp(Block &b) const;
+    /** The page between @p b's first and last (its last page when
+     *  it spans fewer than three). */
+    static std::uint16_t
+    midPage(const Block &b)
+    {
+        return b.first_page == b.last_page
+                   ? b.last_page
+                   : static_cast<std::uint16_t>(b.first_page + 1);
+    }
+    /** True when no store or bulk change reached @p b's pages since
+     *  it was stamped (one branch: the compares are or-ed). */
+    bool
+    gensMatch(const Block &b) const
+    {
+        return ((b.global_gen ^ gens_.globalGen()) |
+                (b.page_gens[0] ^ gens_.pageGen(b.first_page)) |
+                (b.page_gens[1] ^ gens_.pageGen(midPage(b))) |
+                (b.page_gens[2] ^ gens_.pageGen(b.last_page))) == 0;
+    }
     /** True when @p b still decodes as built (re-stamped when only
      *  its pages' generations moved). */
     bool revalidate(Block &b);

@@ -64,8 +64,8 @@ static_assert(sizeof(TOp) == 64, "TOp must stay one cache line");
 
 /** Accumulator indices: one contiguous order shared by the dispatch
  *  context's dynamic accumulators (u64) and each block's static totals
- *  (u32), so block entry applies the totals with one vectorizable
- *  loop. */
+ *  (u32). Base and stall come first: block entry adds only those two,
+ *  and the chain-end fold applies the rest with one loop. */
 enum AccIdx {
     kAccBase = 0,
     kAccStall,
@@ -95,16 +95,31 @@ struct TDelta {
     std::uint8_t d_hits = 0, d_misses = 0, d_pre = 0;
 };
 
+/** Chain-key bit of a block in the recovery range; the low byte is
+ *  the block's CodeOwner. */
+constexpr std::uint16_t kKeyRecovery = 0x100;
+
 /** Lowered form of one block: the op array (with a trailing
- *  block-end sentinel) and the block's static accounting totals,
- *  applied in one shot at block entry. */
+ *  block-end sentinel), the block's static accounting totals, and how
+ *  often the running chain entered it. Entry adds only the base and
+ *  stall totals (chain deadlines need them exact); the chain-end fold
+ *  applies the rest times the entry count. */
 class ThreadedCode
 {
   public:
     std::vector<TOp> ops;
     std::vector<TDelta> deltas;
+    /** The block's decoded instructions (generic kernel). */
+    const SuperblockEngine::BlockInstr *instrs = nullptr;
     bool fram_code = false;
     std::uint8_t owner = 0; ///< the block's CodeOwner
+    /** kKeyRecovery when the block lies in the recovery range, | owner;
+     *  fixed at lowering (range changes rebuild every block). */
+    std::uint16_t key = 0;
+    /** Entries in the running chain (0 outside a chain), and the next
+     *  block on the chain's touched list. */
+    std::uint64_t execs = 0;
+    ThreadedCode *next_touched = nullptr;
     /** Static block totals, indexed by AccIdx (the fetch count is
      *  already in the fram/sram slot matching fetch_region). */
     alignas(32) std::array<std::uint32_t, kNumAcc> tot{};
@@ -148,8 +163,9 @@ struct DCtx {
     PageGenTable *gens = nullptr;
 
     // Dynamic accumulators (AccIdx order), flushed to Stats once per
-    // chain. The static per-block totals are added here at block entry
-    // too, so a bail-out only has to subtract the unexecuted suffix.
+    // chain. Each block's static base and stall totals are added here
+    // at entry, the rest by the chain-end fold over the touched list,
+    // so a bail-out only has to subtract the unexecuted suffix.
     alignas(32) std::array<std::uint64_t, kNumAcc> acc{};
 
     // Timing-model constants.
@@ -165,20 +181,27 @@ struct DCtx {
     std::uint32_t blk_end = 0;
     bool smc = false;
 
-    /// The dispatched block's decoded instructions (generic kernel).
-    const SuperblockEngine::BlockInstr *instrs = nullptr;
-
-    // Chain state for block transitions inside the dispatch loop
+    // Chain state for block transitions inside the dispatch loop: the
+    // inline step (chainStep) and its out-of-line tail
     // (ThreadedEngine::advanceChain).
     ThreadedEngine *eng = nullptr;
+    const SuperblockEngine *sb = nullptr;
     const ThreadedEngine::ChainLimits *limits = nullptr;
-    ThreadedCode *cur_tc = nullptr; ///< dispatched block's lowered code
-    TOp *cur_ops = nullptr;
-    std::size_t cur_n = 0;
-    std::uint64_t total = 0;      ///< retired instructions this chain
+    /** The dispatched block's lowered code (null until the first). */
+    ThreadedCode *cur_tc = nullptr;
+    /** Blocks entered this chain, not yet folded. */
+    ThreadedCode *touched = nullptr;
     std::uint64_t dispatches = 0; ///< blocks with progress this chain
-    bool first = true;
     bool chain_in_recovery = false;
+    // What the inline step checks: blocks end below deadline (0 with a
+    // timer, which only the tail sequences), and their key matches the
+    // chain's under key_mask.
+    std::uint64_t now0 = 0;
+    std::uint64_t deadline = 0;
+    std::uint16_t key = 0;
+    std::uint16_t key_mask = 0;
+    std::uint16_t ckpt_commit = 0;
+    std::uint16_t ckpt_restore = 0;
 
     // Per-instruction FRAM line-contention chain (dynamic paths),
     // seeded from each op's fetch stream.
@@ -704,7 +727,7 @@ kernCallImm(DCtx *st, TOp *op)
 SWAPRAM_INLINE int
 kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
 {
-    const SuperblockEngine::BlockInstr *bi = &st->instrs[op->b];
+    const SuperblockEngine::BlockInstr *bi = &st->cur_tc->instrs[op->b];
     if ((bi->flags & SuperblockEngine::kFlagDynMem) &&
         !SuperblockEngine::dynOperandsMapped(bi->instr, *st->regs_arr,
                                              st->sram_size))
@@ -714,6 +737,66 @@ kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
     st->regs[0] = op->next_pc;
     core.execute(bi->instr);
     return st->smc ? 2 : 0;
+}
+
+/** Enter a lowered block: its base and stall cycles now, one more
+ *  execution for the chain-end fold (joining the touched list on the
+ *  first), and the block's SMC window. Returns its op array. */
+SWAPRAM_INLINE TOp *
+enterBlock(DCtx *st, const SuperblockEngine::Block &b, ThreadedCode &tc)
+{
+    st->acc[kAccBase] += tc.tot[kAccBase];
+    st->acc[kAccStall] += tc.tot[kAccStall];
+    if (tc.execs++ == 0) {
+        tc.next_touched = st->touched;
+        st->touched = &tc;
+    }
+    st->blk_start = b.start_pc;
+    st->blk_end = b.end_addr;
+    st->smc = false;
+    st->cur_tc = &tc;
+    return tc.ops.data();
+}
+
+/**
+ * The block-to-block step, at chain entry (@p kFirst) and at each
+ * block-end sentinel: enters the block at the current PC when its
+ * generations still match, it is lowered, its worst case ends below
+ * the chain's deadline, its key matches the chain's, and (past the
+ * first block) it does not start at a checkpoint probe. Anything else
+ * goes to ThreadedEngine::advanceChain, which re-derives the verdict.
+ * Returns the op array to run, or nullptr when the chain ends.
+ */
+template <bool kFirst>
+SWAPRAM_INLINE TOp *
+chainStep(DCtx *st)
+{
+    const std::uint16_t pc = st->regs[0];
+    if (const SuperblockEngine::Block *b = st->sb->peek(pc)) {
+        ThreadedCode *tc = b->threaded.get();
+        const std::uint64_t now =
+            st->now0 + st->acc[kAccBase] + st->acc[kAccStall];
+        if (tc && now + b->worst_case_cycles < st->deadline &&
+            ((tc->key ^ st->key) & st->key_mask) == 0 &&
+            (kFirst || (pc != st->ckpt_commit && pc != st->ckpt_restore)))
+            return enterBlock(st, *b, *tc);
+    }
+    return static_cast<TOp *>(st->eng->advanceChain(st));
+}
+
+/** Apply every touched block's static totals other than base and
+ *  stall, times its entries, and empty the touched list. */
+void
+foldTouched(DCtx &st)
+{
+    for (ThreadedCode *tc = st.touched; tc; tc = tc->next_touched) {
+        const std::uint64_t e = tc->execs;
+        for (int i = kAccStall + 1; i < kNumAcc; ++i)
+            st.acc[i] += e * tc->tot[i];
+        st.dispatches += e;
+        tc->execs = 0;
+    }
+    st.touched = nullptr;
 }
 
 /**
@@ -855,11 +938,9 @@ L_bail_smc:
     st->bail_kind = 2;
     return kLabels;
 L_end:
-    // Block completed: hand over to the chain-advance helper, which
-    // accounts it and enters the next block (guards, lazy lowering,
-    // static totals) — the dispatch function itself is entered once
-    // per chain, not once per block.
-    op = static_cast<TOp *>(st->eng->advanceChain(st));
+    // Block completed: step to the next one in line — the dispatch
+    // function itself is entered once per chain, not once per block.
+    op = chainStep<false>(st);
     if (op)
         goto *op->h;
     st->bail_op = nullptr;
@@ -893,8 +974,11 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     const std::uint32_t code_end = bus_.codeEnd();
     std::uint16_t *regs = cpu_.regs().data();
     std::uint8_t *bytes = memory_.bytes();
+    tc->instrs = block.instrs.data();
     tc->fram_code = fram_code;
     tc->owner = block.owner;
+    tc->key = static_cast<std::uint16_t>(
+        (sb_.inRecovery(block.start_pc) ? kKeyRecovery : 0) | block.owner);
 
     const std::size_t n = block.instrs.size();
     // Sized once up front: ops never reallocate afterwards, so an
@@ -1202,14 +1286,11 @@ ThreadedEngine::advanceChain(void *p)
 {
     DCtx &st = *static_cast<DCtx *>(p);
     const ChainLimits &limits = *st.limits;
+    const bool first = st.cur_tc == nullptr;
 
-    // Account the block that just ran to completion (mid-block
-    // bail-outs are accounted by runChain's suffix walk instead).
-    if (st.cur_tc) {
-        ++st.dispatches;
-        st.total += st.cur_n;
-        st.cur_tc = nullptr;
-    }
+    // lookup() may rebuild the block at the PC and drop its old code,
+    // which the touched list may hold: fold what ran so far first.
+    foldTouched(st);
 
     const std::uint16_t pc = st.regs[0];
     SuperblockEngine::Block *block = sb_.lookup(pc);
@@ -1249,40 +1330,19 @@ ThreadedEngine::advanceChain(void *p)
     }
     // Chains never cross the recovery attribution boundary (the caller
     // books the whole chain's cycles to the entry side).
-    const bool in_recovery = sb_.inRecovery(pc);
-    if (st.first)
-        st.chain_in_recovery = in_recovery;
-    else if (in_recovery != st.chain_in_recovery)
+    if (sb_.inRecovery(pc) != st.chain_in_recovery)
         return nullptr;
     // Under a trace engine, owner changes and checkpoint-probe entries
     // are events the oracle's pre-step emits: chains stop before them.
     if (limits.owner != ChainLimits::kAnyOwner &&
         (block->owner != limits.owner ||
-         (!st.first &&
+         (!first &&
           (pc == limits.ckpt_commit || pc == limits.ckpt_restore))))
         return nullptr;
-    st.first = false;
 
     if (!block->threaded)
         lower(*block);
-    ThreadedCode &tc = *block->threaded;
-
-    // Static totals up front; a bail-out subtracts the suffix.
-    // One vectorizable pass: both sides share AccIdx order, and the
-    // fetch count was routed to the right region slot at lowering.
-    const std::uint32_t *tot = tc.tot.data();
-    std::uint64_t *acc = st.acc.data();
-    for (int i = 0; i < kNumAcc; ++i)
-        acc[i] += tot[i];
-
-    st.blk_start = block->start_pc;
-    st.blk_end = block->end_addr;
-    st.smc = false;
-    st.instrs = block->instrs.data();
-    st.cur_tc = &tc;
-    st.cur_ops = tc.ops.data();
-    st.cur_n = block->instrs.size();
-    return st.cur_ops;
+    return enterBlock(&st, *block, *block->threaded);
 }
 
 ThreadedEngine::ChainResult
@@ -1304,22 +1364,34 @@ ThreadedEngine::runChain(const ChainLimits &limits)
     st.hw_on = config_.hw_cache_enabled;
 
     st.eng = this;
+    st.sb = &sb_;
     st.limits = &limits;
+    st.now0 = limits.now;
+    st.deadline = limits.timer_period ? 0 : limits.limit_cycles;
+    st.chain_in_recovery = sb_.inRecovery(cpu_.pc());
+    const bool one_owner = limits.owner != ChainLimits::kAnyOwner;
+    st.key = static_cast<std::uint16_t>(
+        (st.chain_in_recovery ? kKeyRecovery : 0) |
+        (one_owner ? limits.owner : 0));
+    st.key_mask = kKeyRecovery | (one_owner ? 0xFF : 0);
+    st.ckpt_commit = limits.ckpt_commit;
+    st.ckpt_restore = limits.ckpt_restore;
 
     // Enter the first block; dispatchRun then chains block-to-block
-    // through advanceChain until a bail-out or chain end.
-    TOp *op0 = static_cast<TOp *>(advanceChain(&st));
+    // until a bail-out or chain end.
+    TOp *op0 = chainStep<true>(&st);
     while (op0) {
         dispatchRun(&st, op0);
         if (st.bail_kind == 0)
-            break; // chain ended at a block boundary (advanceChain)
+            break; // chain ended at a block boundary
 
         // Mid-block bail-out (dyn operand or own-block SMC): subtract
-        // the unexecuted suffix and account what retired.
+        // the unexecuted suffix, whose base and stall cycles entry
+        // added and whose other totals the fold will add.
         ThreadedCode &tc = *st.cur_tc;
-        const std::size_t n = st.cur_n;
+        const std::size_t n = tc.deltas.size();
         const std::size_t idx =
-            static_cast<std::size_t>(st.bail_op - st.cur_ops);
+            static_cast<std::size_t>(st.bail_op - tc.ops.data());
         const std::size_t executed = st.bail_kind == 2 ? idx + 1 : idx;
         if (executed < n) {
             for (std::size_t i = executed; i < n; ++i) {
@@ -1346,20 +1418,20 @@ ThreadedEngine::runChain(const ChainLimits &limits)
             ++stats_.threaded_bail_operand;
         else
             ++stats_.threaded_bail_smc;
-        if (executed) {
-            ++st.dispatches;
-            st.total += executed;
-        }
-        st.cur_tc = nullptr; // accounted here, not by advanceChain
+        if (!executed)
+            --st.dispatches; // the fold counts every entry
         if (executed < n)
             break; // bailed mid-block: the oracle decides what's next
         // Committed own-block SMC on the block's last instruction:
         // the block completed, so the chain may continue (the next
         // lookup sees the bumped generations and rebuilds).
-        op0 = static_cast<TOp *>(advanceChain(&st));
+        op0 = chainStep<false>(&st);
     }
+    foldTouched(st);
 
-    const std::uint64_t total = st.total;
+    std::uint64_t total = 0;
+    for (int i = 0; i < kNumOwners; ++i)
+        total += st.acc[kAccOwner0 + i];
     stats_.threaded_dispatches += st.dispatches;
     if (total) {
         stats_.instructions += total;

@@ -28,10 +28,15 @@
  * semantics stay single-sourced. Static and dynamic accounting alike
  * apply the FRAM cost model of sim/fram_timing.hh, as the bus does.
  *
- * Static per-block totals are applied in one shot at block entry; each
- * op also carries its own static delta so the rare bail-outs can walk
- * the unexecuted suffix and subtract it back. Every case the chain
- * cannot prove identical to the oracle is a guard back to it:
+ * The step from block to block is an inline head at the block-end
+ * sentinel (a generation-only block-table peek, a deadline compare and
+ * one masked key compare) with advanceChain as its out-of-line tail.
+ * Entry adds only a block's static base and stall cycles and counts
+ * the execution; the other static totals are applied at chain end,
+ * times each block's execution count. Each op also carries its own
+ * static delta so the rare bail-outs can walk the unexecuted suffix
+ * and subtract it back. Every case the chain cannot prove identical
+ * to the oracle is a guard back to it:
  *   - dyn-operand MMIO/unmapped pre-check (nothing committed);
  *   - own-block SMC via the shared page-generation table (committed,
  *     then stop);
@@ -134,15 +139,18 @@ class ThreadedEngine
     ChainResult runChain(const ChainLimits &limits);
 
     /**
-     * Block transition inside the dispatch loop: accounts the block
-     * that just completed, then looks up, guards, lazily lowers, and
-     * enters the next block at the current PC. Returns the next
-     * block's op array, or nullptr when the chain must end. Takes and
-     * returns opaque pointers because the dispatch context and op
-     * types are internal to the implementation — this is public only
-     * so the file-local dispatch loop can call it from the block-end
-     * sentinel without re-entering the (register-heavy) dispatch
-     * function once per block.
+     * Out-of-line tail of the block transition, taken whenever the
+     * inline step cannot enter the block at the current PC by
+     * generations, deadline and key alone: folds the blocks run so far
+     * (a rebuild may drop their code), then looks up (revalidating by
+     * bytes, rebuilding), guards (cycle boundary, timer, recovery
+     * side, owner, checkpoint probes), lazily lowers, and enters the
+     * block. Returns its op array, or nullptr when the chain must end.
+     * Takes and returns opaque pointers because the dispatch context
+     * and op types are internal to the implementation — this is
+     * public only so the file-local dispatch loop can call it without
+     * re-entering the (register-heavy) dispatch function once per
+     * block.
      */
     void *advanceChain(void *ctx);
 

@@ -23,6 +23,10 @@ inline constexpr std::uint16_t kFramBase = 0x8000;
 inline constexpr std::uint32_t kFramSize = 0x8000; // 32 KiB
 inline constexpr std::uint32_t kFramEnd = 0x10000; // exclusive
 
+/** Largest SRAM a capacity run may configure: SRAM must end at or
+ *  below kFramBase. */
+inline constexpr std::uint32_t kSramMaxSize = kFramBase - kSramBase;
+
 /** Interrupt vector table; code/data must stay below this. */
 inline constexpr std::uint16_t kVectorsBase = 0xFF80;
 

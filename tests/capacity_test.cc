@@ -34,8 +34,10 @@
 #include "harness/report.hh"
 #include "harness/runner.hh"
 #include "sim/fault.hh"
+#include "support/logging.hh"
 #include "support/platform.hh"
 #include "fuzz_programs.hh"
+#include "workloads/workload.hh"
 
 namespace {
 
@@ -217,6 +219,45 @@ TEST(CapacityInvariants, CapacityLadderMatchesGoldenAtEverySize)
         ASSERT_TRUE(m.done) << ctx;
         EXPECT_EQ(m.checksum, matrix[i].workload->expected) << ctx;
     }
+}
+
+/** runOne refuses an SRAM that would reach into FRAM (or wrap the fast
+ *  path's mapped-space check onto device space) and a cache region
+ *  the runtime cannot use, instead of misreading them mid-run. */
+TEST(CapacityInvariants, RunOneRejectsUnusableSramAndCacheBounds)
+{
+    workloads::Workload crc = workloads::makeCrc();
+    harness::RunSpec ok = harness::capacitySpec(
+        crc, harness::System::SwapRam, platform::kSramMaxSize);
+    EXPECT_TRUE(harness::runOne(ok).done);
+
+    auto rejected = [](const harness::RunSpec &spec) {
+        try {
+            harness::runOne(spec);
+        } catch (const support::FatalError &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    harness::RunSpec big = ok;
+    big.sram_size = platform::kSramMaxSize + 2;
+    EXPECT_NE(rejected(big).find("sram_size"), std::string::npos);
+    big.sram_size = 100000;
+    EXPECT_NE(rejected(big).find("sram_size"), std::string::npos);
+
+    harness::RunSpec odd;
+    odd.workload = &crc;
+    odd.system = harness::System::SwapRam;
+    odd.swap.cache_base = platform::kSramBase + 1;
+    EXPECT_NE(rejected(odd).find("cache region"), std::string::npos);
+    harness::RunSpec empty = odd;
+    empty.swap.cache_base = 0x2800;
+    empty.swap.cache_end = 0x2400;
+    EXPECT_NE(rejected(empty).find("cache region"), std::string::npos);
+    harness::RunSpec below = odd;
+    below.system = harness::System::BlockCache;
+    below.block.cache_base = 0x1000;
+    EXPECT_NE(rejected(below).find("cache region"), std::string::npos);
 }
 
 // ---- Runtime counters and the data pool ----

@@ -15,9 +15,11 @@
  *
  * Coverage concentrates on the bail-out guards: register-dependent
  * MMIO operands, stores into the executing block, block revalidation
- * after stores beside or into code, fault/timer cycle boundaries, mid-eviction and data-pool swap windows under capacity
- * pressure, harvest brown-outs landing mid-chain, and the full golden
- * workload×system×sram_size matrix.
+ * after stores beside or into code, fault/timer/cycle-budget
+ * boundaries, recovery-range crossings, mid-eviction and data-pool
+ * swap windows under capacity pressure, harvest brown-outs landing
+ * mid-chain, and the full golden workload×system×sram_size matrix.
+ * Long loops ending in a bail pin the chain's deferred accounting.
  */
 
 #include <gtest/gtest.h>
@@ -370,6 +372,118 @@ TEST(Threaded, RewrittenScanEndWordRebuildsTheBlock)
     rig.machine.bus().write16(kMmio, 0x2000);
     EXPECT_EQ(rig.length(kMmio - 6), 3u);
     EXPECT_EQ(rig.stats.superblock_invalidations, 2u);
+}
+
+/** Deferred accounting: a chain enters each block's base and stall
+ *  cycles at once and folds its other static totals, times the entry
+ *  count, at chain end. A long loop of fast steps that ends in a
+ *  dynamic-MMIO bail in the middle of the next block must fold the
+ *  whole loop and take back only the instructions that did not
+ *  retire. */
+const char kLoopThenMmioBody[] =
+    "        MOV #0x0100, R7\n" // console register, via register
+    "        MOV #65, R6\n"
+    "        MOV #150, R10\n"
+    "lloop:  ADD #3, R11\n"
+    "        XOR R11, R12\n"
+    "        DEC R10\n"
+    "        JNZ lloop\n"
+    "        ADD #1, R6\n"
+    "        MOV.B R6, 0(R7)\n" // bails with the ADD retired
+    "        ADD #2, R6\n"
+    "        MOV.B R6, 0(R7)\n";
+
+TEST(Threaded, LoopEndingInMidBlockMmioBailMatchesOracle)
+{
+    test::MiniRun on = test::runBody(kLoopThenMmioBody, withThreaded(true));
+    test::MiniRun off = test::runBody(kLoopThenMmioBody,
+                                      withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    EXPECT_EQ(on.machine->mmio().console(), "BD");
+    EXPECT_EQ(off.machine->mmio().console(), "BD");
+    EXPECT_EQ(on.reg(Reg::R12), off.reg(Reg::R12));
+    expectSimStatsEqual(on.stats(), off.stats(), "loop then mmio");
+    EXPECT_GT(on.stats().threaded_bail_operand, 0u);
+    EXPECT_GE(on.stats().threaded_dispatches, 150u);
+    expectMostlyThreaded(on.stats(), "loop then mmio");
+}
+
+/** A cycle budget that runs out inside a long chain: the chain's
+ *  deadline check must hand the last blocks to the oracle, so both
+ *  tiers stop on the same cycle with the same Stats. */
+const char kLongLoopBody[] =
+    "        MOV #3000, R10\n"
+    "bloop:  ADD #3, R11\n"
+    "        XOR R11, R12\n"
+    "        ADD &bword, R13\n"
+    "        DEC R10\n"
+    "        JNZ bloop\n"
+    "        JMP bdone\n"
+    "bword:  .word 7\n"
+    "bdone:\n";
+
+TEST(Threaded, CycleBudgetInsideLongChainMatchesOracle)
+{
+    test::MiniRun full = test::runBody(kLongLoopBody, withThreaded(true));
+    ASSERT_TRUE(full.result.done);
+    const std::uint64_t budget = full.stats().totalCycles() / 2 + 1;
+    sim::MachineConfig on_cfg = withThreaded(true);
+    sim::MachineConfig off_cfg = withThreaded(false);
+    on_cfg.max_cycles = budget;
+    off_cfg.max_cycles = budget;
+    test::MiniRun on = test::runBody(kLongLoopBody, on_cfg);
+    test::MiniRun off = test::runBody(kLongLoopBody, off_cfg);
+    EXPECT_EQ(on.result.stop, sim::RunResult::Stop::MaxCycles);
+    EXPECT_EQ(off.result.stop, sim::RunResult::Stop::MaxCycles);
+    EXPECT_EQ(on.stats().totalCycles(), off.stats().totalCycles());
+    EXPECT_GE(on.stats().totalCycles(), budget);
+    EXPECT_EQ(on.reg(Reg::R10), off.reg(Reg::R10));
+    EXPECT_EQ(on.reg(Reg::R13), off.reg(Reg::R13));
+    expectSimStatsEqual(on.stats(), off.stats(), "cycle budget");
+    EXPECT_GT(on.stats().threaded_bail_boundary, 0u);
+    expectMostlyThreaded(on.stats(), "cycle budget");
+}
+
+/** A loop that calls into the recovery range on every pass: once
+ *  every block is lowered, the inline chain step must still stop at
+ *  each crossing, because the whole chain's cycles are booked to the
+ *  side it started on. */
+const char kRecoveryCallBody[] =
+    "        MOV #120, R10\n"
+    "rloop:  ADD #1, R12\n"
+    "        CALL #rfunc\n"
+    "        DEC R10\n"
+    "        JNZ rloop\n"
+    "        JMP rdone\n"
+    "rfunc:  ADD #2, R13\n"
+    "        XOR R13, R14\n"
+    "        RET\n"
+    "rdone:\n";
+
+TEST(Threaded, RecoveryBoundaryInsideLoopMatchesOracle)
+{
+    auto run = [](bool threaded) {
+        test::MiniRun r;
+        masm::LayoutSpec layout;
+        layout.data_base = 0x2000;
+        r.assembled = masm::assemble(
+            masm::parse(test::wrapBody(kRecoveryCallBody)), layout);
+        r.machine = std::make_unique<sim::Machine>(withThreaded(threaded));
+        r.machine->load(r.assembled.image, 0x3000);
+        r.machine->setRecoveryRange(r.assembled.symbol("rfunc"),
+                                    r.assembled.symbol("rdone"));
+        r.result = r.machine->run();
+        return r;
+    };
+    test::MiniRun on = run(true);
+    test::MiniRun off = run(false);
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    EXPECT_EQ(on.reg(Reg::R14), off.reg(Reg::R14));
+    EXPECT_GT(off.stats().recovery_cycles, 0u);
+    expectSimStatsEqual(on.stats(), off.stats(), "recovery boundary");
+    expectMostlyThreaded(on.stats(), "recovery boundary");
 }
 
 /** Timer interrupts must land on exactly the same cycle: the chain

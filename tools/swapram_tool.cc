@@ -24,8 +24,10 @@
  *   --placement unified|standard|sram-code|sram-all|split
  *   --clock MHZ              8 or 24 (default 24)
  *   --cache-base A --cache-end B         SwapRAM/block cache region
- *   --sram-size N            simulated SRAM bytes (default 4096); a
- *                            default cache region re-anchors to the
+ *                            (even bounds, base < end, inside SRAM)
+ *   --sram-size N            simulated SRAM bytes (default 4096; even,
+ *                            at most 24576, so SRAM ends below FRAM);
+ *                            a default cache region re-anchors to the
  *                            new SRAM end
  *   --no-evict               disable SwapRAM eviction: a blocked miss
  *                            falls back to running from FRAM (the
@@ -160,6 +162,8 @@ struct Args {
     cache::Options swap;
     bb::Options block;
     std::uint32_t sram_size = platform::kSramSize; ///< --sram-size
+    bool cache_base_set = false; ///< --cache-base given
+    bool cache_end_set = false;  ///< --cache-end given
     bool capacity = false; ///< sweep: append capacity-pressure rows
     bool listing = false;
     bool json = false;
@@ -261,6 +265,39 @@ quantity(const std::string &flag, const std::string &text)
     return v;
 }
 
+/** The cache bounds given on the command line must make a region the
+ *  runtime can use: both even, base below end, both inside the SRAM
+ *  that --sram-size configures (an end left at its default follows the
+ *  SRAM end, as the runner re-anchors it). Fails naming the flag. */
+void
+checkCacheBounds(const Args &args)
+{
+    using support::hex16;
+    const std::uint32_t sram_end = platform::kSramBase + args.sram_size;
+    const std::uint32_t base = args.swap.cache_base;
+    const std::uint32_t end =
+        args.cache_end_set ? args.swap.cache_end : sram_end;
+    auto check = [&](bool given, const char *flag, std::uint32_t v) {
+        if (!given)
+            return;
+        if (v & 1)
+            support::fatal(flag, ": ", hex16(static_cast<std::uint16_t>(v)),
+                           " is odd (cache bounds are word-aligned)");
+        if (v < platform::kSramBase || v > sram_end)
+            support::fatal(flag, ": ", hex16(static_cast<std::uint16_t>(v)),
+                           " lies outside SRAM [", hex16(platform::kSramBase),
+                           ", ", hex16(static_cast<std::uint16_t>(sram_end)),
+                           "]");
+    };
+    check(args.cache_base_set, "--cache-base", base);
+    check(args.cache_end_set, "--cache-end", end);
+    if ((args.cache_base_set || args.cache_end_set) && base >= end)
+        support::fatal(args.cache_end_set ? "--cache-end: " : "--cache-base: ",
+                       "cache region [", hex16(static_cast<std::uint16_t>(base)),
+                       ", ", hex16(static_cast<std::uint16_t>(end)),
+                       ") is empty");
+}
+
 Args
 parseArgs(int argc, char **argv)
 {
@@ -318,11 +355,18 @@ parseArgs(int argc, char **argv)
         } else if (a == "--cache-base") {
             args.swap.cache_base = number<std::uint16_t>(a, next());
             args.block.cache_base = args.swap.cache_base;
+            args.cache_base_set = true;
         } else if (a == "--cache-end") {
             args.swap.cache_end = number<std::uint16_t>(a, next());
             args.block.cache_end = args.swap.cache_end;
+            args.cache_end_set = true;
         } else if (a == "--sram-size") {
-            args.sram_size = number<std::uint32_t>(a, next());
+            // SRAM ends at or below FRAM, on a word boundary (a
+            // default cache region ends where SRAM does).
+            args.sram_size = number<std::uint32_t>(
+                a, next(), 0, 0, platform::kSramMaxSize);
+            if (args.sram_size & 1)
+                support::fatal(a, ": ", args.sram_size, " is odd");
         } else if (a == "--no-evict") {
             args.swap.evict = false;
         } else if (a == "--data-pool") {
@@ -414,6 +458,7 @@ parseArgs(int argc, char **argv)
             usage();
         }
     }
+    checkCacheBounds(args);
     return args;
 }
 
