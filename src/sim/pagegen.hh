@@ -10,6 +10,16 @@
  * stores, or plain data writes that share a page with code — and is
  * revalidated by its bytes before dispatch, else rebuilt.
  *
+ * In front of the generations sits a code-write epoch: one byte per
+ * page marks that a stamped block spans it, and a store to a marked
+ * page clears the mark and advances the epoch (so does bumpAll()). A
+ * block whose recorded epoch is still current has had no store on any
+ * of its pages and needs no generation compare; the epoch moves only
+ * when code (or a word beside it) is written, which most stores never
+ * are. It is also what lets the threaded tier cache successor pointers
+ * between lowered blocks: a pointer recorded under the current epoch
+ * names code no rebuild has dropped (sim/threaded.hh).
+ *
  * This piggybacks on the same write paths that drive the predecode
  * cache's 3-slot invalidation: the Bus calls noteWrite() for oracle
  * accesses, the threaded fast path calls it for direct stores, and
@@ -51,17 +61,34 @@ class PageGenTable
         ++gen_[first];
         if (last != first)
             ++gen_[last];
+        if (code_[first] | code_[last]) {
+            code_[first] = code_[last] = 0;
+            ++code_epoch_;
+        }
     }
 
     /** Memory changed wholesale behind the bus (load, power cycle). */
-    void bumpAll() { ++global_; }
+    void
+    bumpAll()
+    {
+        ++global_;
+        ++code_epoch_;
+    }
+
+    /** A block stamped now spans @p page: the next store there must
+     *  advance the code epoch. */
+    void markCode(std::uint16_t page) { code_[page] = 1; }
 
     std::uint64_t globalGen() const { return global_; }
     std::uint64_t pageGen(std::uint16_t page) const { return gen_[page]; }
+    /** Advances on every store to a marked page and on bumpAll(). */
+    std::uint64_t codeEpoch() const { return code_epoch_; }
 
   private:
     std::array<std::uint64_t, kPages> gen_{};
     std::uint64_t global_ = 0;
+    std::uint64_t code_epoch_ = 0;
+    std::array<std::uint8_t, kPages> code_{}; ///< 1 = a block spans it
 };
 
 } // namespace swapram::sim

@@ -314,7 +314,7 @@ SuperblockEngine::build(std::uint16_t pc)
 }
 
 void
-SuperblockEngine::stamp(Block &b) const
+SuperblockEngine::stamp(Block &b)
 {
     b.global_gen = gens_.globalGen();
     b.first_page = PageGenTable::pageOf(b.start_pc);
@@ -322,12 +322,16 @@ SuperblockEngine::stamp(Block &b) const
         b.scan_end > b.start_pc ? b.scan_end - 1 : b.start_pc));
     b.page_gens = {gens_.pageGen(b.first_page), gens_.pageGen(midPage(b)),
                    gens_.pageGen(b.last_page)};
+    gens_.markCode(b.first_page);
+    gens_.markCode(midPage(b));
+    gens_.markCode(b.last_page);
+    b.epoch = gens_.codeEpoch();
 }
 
 bool
 SuperblockEngine::revalidate(Block &b)
 {
-    if (gensMatch(b))
+    if (current(b))
         return true;
     // Load, power cycle, owner or recovery ranges: what build() would
     // make may differ even where every byte is the same.

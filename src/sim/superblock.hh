@@ -27,14 +27,20 @@
  * Invalidation piggybacks on the write paths that already feed the
  * predecode cache's 3-slot invalidation: every store bumps per-page
  * write generations (PageGenTable) which blocks validate at lookup.
- * A block whose pages were written is revalidated by its bytes: if
- * everything build() read still reads the same, it is re-stamped and
- * kept together with its lowered code, else rebuilt. build() reads
- * past the block's last instruction when the scan stopped at an
- * undecodable word or a static-MMIO operand, so the snapshot covers
- * that "scan end" too. Bulk changes behind the bus (image load, power
- * cycle, owner or recovery ranges) bump a global generation that
- * rebuilds every block, whatever its bytes.
+ * A block first compares the code-write epoch it recorded when it was
+ * stamped: while no store has reached a page any stamped block spans,
+ * the epoch holds and the block is current without reading a page
+ * generation. Otherwise its generations decide, and a block that
+ * passes them records the new epoch (no store reached its pages, so
+ * their code marks are still set). A block whose pages were written
+ * is revalidated by its bytes: if everything build() read still reads
+ * the same, it is re-stamped and kept together with its lowered code,
+ * else rebuilt. build() reads past the block's last instruction when
+ * the scan stopped at an undecodable word or a static-MMIO operand, so
+ * the snapshot covers that "scan end" too. Bulk changes behind the bus
+ * (image load, power cycle, owner or recovery ranges) bump a global
+ * generation (and the epoch) that rebuilds every block, whatever its
+ * bytes.
  */
 
 #ifndef SWAPRAM_SIM_SUPERBLOCK_HH
@@ -105,17 +111,19 @@ class SuperblockEngine
     };
 
     /** A built block (instrs empty = tombstone: PC known unblockable,
-     *  revalidated like any block). The fields peek() and the threaded
-     *  tier's chain step read share the first cache line. */
+     *  revalidated like any block). The fields peek() reads on its
+     *  fast path lead the first cache line. */
     struct alignas(64) Block {
+        /** The code epoch at the last stamp or generation match. */
+        std::uint64_t epoch = 0;
+        /** Lazily lowered threaded code (null until the threaded tier
+         *  first dispatches this block; dropped with the block). */
+        std::shared_ptr<ThreadedCode> threaded;
         // Generation snapshot of [start_pc, scan_end): the global
         // generation, then the first, middle and last page's (a
         // shorter span repeats its last page).
         std::uint64_t global_gen = 0;
         std::array<std::uint64_t, kMaxBlockPages> page_gens{};
-        /** Lazily lowered threaded code (null until the threaded tier
-         *  first dispatches this block; dropped with the block). */
-        std::shared_ptr<ThreadedCode> threaded;
         std::uint16_t start_pc = 0;
         std::uint16_t first_page = 0;
         std::uint16_t last_page = 0;
@@ -180,19 +188,20 @@ class SuperblockEngine
     Block *lookup(std::uint16_t pc);
 
     /**
-     * The block table's entry at @p pc when its generation snapshot
-     * still matches — no byte compare, no build, no counters; nullptr
-     * for an odd PC, an empty slot, or moved generations. May return a
-     * tombstone or a block not yet lowered. The threaded tier's inline
-     * chain step; lookup() decides whatever this does not.
+     * The block table's entry at @p pc when it is still current (its
+     * epoch, else its generation snapshot) — no byte compare, no
+     * build, no counters; nullptr for an odd PC, an empty slot, or
+     * moved generations. May return a tombstone or a block not yet
+     * lowered. The threaded tier's inline chain step; lookup() decides
+     * whatever this does not.
      */
-    const Block *
-    peek(std::uint16_t pc) const
+    Block *
+    peek(std::uint16_t pc)
     {
         if (pc & 1)
             return nullptr;
-        const Block *b = blocks_[pc >> 1].get();
-        return b && gensMatch(*b) ? b : nullptr;
+        Block *b = blocks_[pc >> 1].get();
+        return b && current(*b) ? b : nullptr;
     }
 
     /** True when @p addr lies in plain memory (SRAM or FRAM) — the
@@ -214,8 +223,9 @@ class SuperblockEngine
 
   private:
     std::unique_ptr<Block> build(std::uint16_t pc);
-    /** Record the current generations of @p b's pages. */
-    void stamp(Block &b) const;
+    /** Record the current generations and code epoch of @p b's
+     *  pages, and mark them as code. */
+    void stamp(Block &b);
     /** The page between @p b's first and last (its last page when
      *  it spans fewer than three). */
     static std::uint16_t
@@ -234,6 +244,19 @@ class SuperblockEngine
                 (b.page_gens[0] ^ gens_.pageGen(b.first_page)) |
                 (b.page_gens[1] ^ gens_.pageGen(midPage(b))) |
                 (b.page_gens[2] ^ gens_.pageGen(b.last_page))) == 0;
+    }
+    /** True when no store or bulk change reached @p b's pages since
+     *  it was stamped: its epoch is current, or its generations match
+     *  and it records the current epoch. */
+    bool
+    current(Block &b) const
+    {
+        if (b.epoch == gens_.codeEpoch())
+            return true;
+        if (!gensMatch(b))
+            return false;
+        b.epoch = gens_.codeEpoch();
+        return true;
     }
     /** True when @p b still decodes as built (re-stamped when only
      *  its pages' generations moved). */

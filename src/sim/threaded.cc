@@ -100,19 +100,52 @@ struct TDelta {
 constexpr std::uint16_t kKeyRecovery = 0x100;
 
 /** Lowered form of one block: the op array (with a trailing
- *  block-end sentinel), the block's static accounting totals, and how
- *  often the running chain entered it. Entry adds only the base and
- *  stall totals (chain deadlines need them exact); the chain-end fold
- *  applies the rest times the entry count. */
+ *  block-end sentinel), the block's static accounting totals, how
+ *  often the running chain entered it, and links to the blocks that
+ *  followed it. Entry adds only the base and stall totals (chain
+ *  deadlines need them exact); the chain-end fold applies the rest
+ *  times the entry count. Everything the chain step reads lives here,
+ *  so a linked step never touches the block table or the Block. */
 class ThreadedCode
 {
   public:
+    /** A successor seen at this block's end, valid while the code
+     *  epoch still equals @c epoch: the target's code is dropped only
+     *  by a rebuild, which needs a store to its (marked) pages, which
+     *  advances the epoch. */
+    struct Link {
+        std::uint64_t epoch = ~std::uint64_t{0}; ///< never current
+        ThreadedCode *tc = nullptr;
+        std::uint16_t pc = 0;
+    };
+
+    /** The linked successor at @p pc, or nullptr. */
+    ThreadedCode *
+    follow(std::uint16_t pc, std::uint64_t epoch) const
+    {
+        for (const Link &l : links)
+            if (l.pc == pc && l.epoch == epoch)
+                return l.tc;
+        return nullptr;
+    }
+
+    /** Link @p tc as the successor at @p pc (the newest link first;
+     *  a stale link at the same PC is replaced, not kept). */
+    void
+    link(std::uint16_t pc, ThreadedCode *tc, std::uint64_t epoch)
+    {
+        if (links[0].pc != pc)
+            links[1] = links[0];
+        links[0] = {epoch, tc, pc};
+    }
+
+    std::array<Link, 2> links{};
     std::vector<TOp> ops;
-    std::vector<TDelta> deltas;
-    /** The block's decoded instructions (generic kernel). */
-    const SuperblockEngine::BlockInstr *instrs = nullptr;
-    bool fram_code = false;
-    std::uint8_t owner = 0; ///< the block's CodeOwner
+    /** The block's code bytes [start, end) (its SMC window) and
+     *  worst-case cycles, copied from the Block. */
+    std::uint16_t start = 0;
+    std::uint32_t end = 0;
+    std::uint32_t worst = 0;
     /** kKeyRecovery when the block lies in the recovery range, | owner;
      *  fixed at lowering (range changes rebuild every block). */
     std::uint16_t key = 0;
@@ -123,6 +156,11 @@ class ThreadedCode
     /** Static block totals, indexed by AccIdx (the fetch count is
      *  already in the fram/sram slot matching fetch_region). */
     alignas(32) std::array<std::uint32_t, kNumAcc> tot{};
+    std::vector<TDelta> deltas;
+    /** The block's decoded instructions (generic kernel). */
+    const SuperblockEngine::BlockInstr *instrs = nullptr;
+    bool fram_code = false;
+    std::uint8_t owner = 0; ///< the block's CodeOwner
 };
 
 namespace {
@@ -185,7 +223,7 @@ struct DCtx {
     // inline step (chainStep) and its out-of-line tail
     // (ThreadedEngine::advanceChain).
     ThreadedEngine *eng = nullptr;
-    const SuperblockEngine *sb = nullptr;
+    SuperblockEngine *sb = nullptr;
     const ThreadedEngine::ChainLimits *limits = nullptr;
     /** The dispatched block's lowered code (null until the first). */
     ThreadedCode *cur_tc = nullptr;
@@ -743,7 +781,7 @@ kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
  *  execution for the chain-end fold (joining the touched list on the
  *  first), and the block's SMC window. Returns its op array. */
 SWAPRAM_INLINE TOp *
-enterBlock(DCtx *st, const SuperblockEngine::Block &b, ThreadedCode &tc)
+enterBlock(DCtx *st, ThreadedCode &tc)
 {
     st->acc[kAccBase] += tc.tot[kAccBase];
     st->acc[kAccStall] += tc.tot[kAccStall];
@@ -751,8 +789,8 @@ enterBlock(DCtx *st, const SuperblockEngine::Block &b, ThreadedCode &tc)
         tc.next_touched = st->touched;
         st->touched = &tc;
     }
-    st->blk_start = b.start_pc;
-    st->blk_end = b.end_addr;
+    st->blk_start = tc.start;
+    st->blk_end = tc.end;
     st->smc = false;
     st->cur_tc = &tc;
     return tc.ops.data();
@@ -760,27 +798,35 @@ enterBlock(DCtx *st, const SuperblockEngine::Block &b, ThreadedCode &tc)
 
 /**
  * The block-to-block step, at chain entry (@p kFirst) and at each
- * block-end sentinel: enters the block at the current PC when its
- * generations still match, it is lowered, its worst case ends below
- * the chain's deadline, its key matches the chain's, and (past the
- * first block) it does not start at a checkpoint probe. Anything else
- * goes to ThreadedEngine::advanceChain, which re-derives the verdict.
- * Returns the op array to run, or nullptr when the chain ends.
+ * block-end sentinel. It finds the lowered code at the current PC
+ * through the finished block's links when one is current, else by
+ * peeking the block table (and links what it finds), and enters it
+ * when its worst case ends below the chain's deadline, its key
+ * matches the chain's, and (past the first block) it does not start
+ * at a checkpoint probe. Anything else goes to
+ * ThreadedEngine::advanceChain, which re-derives the verdict. Returns
+ * the op array to run, or nullptr when the chain ends.
  */
 template <bool kFirst>
 SWAPRAM_INLINE TOp *
 chainStep(DCtx *st)
 {
     const std::uint16_t pc = st->regs[0];
-    if (const SuperblockEngine::Block *b = st->sb->peek(pc)) {
-        ThreadedCode *tc = b->threaded.get();
-        const std::uint64_t now =
-            st->now0 + st->acc[kAccBase] + st->acc[kAccStall];
-        if (tc && now + b->worst_case_cycles < st->deadline &&
-            ((tc->key ^ st->key) & st->key_mask) == 0 &&
-            (kFirst || (pc != st->ckpt_commit && pc != st->ckpt_restore)))
-            return enterBlock(st, *b, *tc);
+    const std::uint64_t epoch = st->gens->codeEpoch();
+    ThreadedCode *tc = kFirst ? nullptr : st->cur_tc->follow(pc, epoch);
+    if (!tc) {
+        if (SuperblockEngine::Block *b = st->sb->peek(pc)) {
+            tc = b->threaded.get();
+            if (!kFirst && tc)
+                st->cur_tc->link(pc, tc, epoch);
+        }
     }
+    const std::uint64_t now =
+        st->now0 + st->acc[kAccBase] + st->acc[kAccStall];
+    if (tc && now + tc->worst < st->deadline &&
+        ((tc->key ^ st->key) & st->key_mask) == 0 &&
+        (kFirst || (pc != st->ckpt_commit && pc != st->ckpt_restore)))
+        return enterBlock(st, *tc);
     return static_cast<TOp *>(st->eng->advanceChain(st));
 }
 
@@ -975,6 +1021,9 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     std::uint16_t *regs = cpu_.regs().data();
     std::uint8_t *bytes = memory_.bytes();
     tc->instrs = block.instrs.data();
+    tc->start = block.start_pc;
+    tc->end = block.end_addr;
+    tc->worst = block.worst_case_cycles;
     tc->fram_code = fram_code;
     tc->owner = block.owner;
     tc->key = static_cast<std::uint16_t>(
@@ -1342,7 +1391,7 @@ ThreadedEngine::advanceChain(void *p)
 
     if (!block->threaded)
         lower(*block);
-    return enterBlock(&st, *block, *block->threaded);
+    return enterBlock(&st, *block->threaded);
 }
 
 ThreadedEngine::ChainResult

@@ -29,8 +29,15 @@
  * apply the FRAM cost model of sim/fram_timing.hh, as the bus does.
  *
  * The step from block to block is an inline head at the block-end
- * sentinel (a generation-only block-table peek, a deadline compare and
- * one masked key compare) with advanceChain as its out-of-line tail.
+ * sentinel with advanceChain as its out-of-line tail. The head
+ * follows one of the finished block's two successor links when its
+ * recorded code epoch (sim/pagegen.hh) is still current, else peeks
+ * the block table (epoch, then generations; no byte compare) and
+ * links what it finds; either way a deadline compare, one masked key
+ * compare and the checkpoint-probe check decide entry. A link's
+ * target code can only be dropped by a rebuild, which needs a store
+ * to the target's pages or a bulk change, and both advance the epoch:
+ * a stale link is never followed.
  * Entry adds only a block's static base and stall cycles and counts
  * the execution; the other static totals are applied at chain end,
  * times each block's execution count. Each op also carries its own
@@ -87,9 +94,9 @@ class ThreadedEngine
     }
 
     /** The engine shares the block cache's table, page-generation
-     *  invalidation, and recovery boundary; lowered code hangs off each
-     *  Block, so every invalidation path (stale generations, image
-     *  load, power cycle) drops it for free. */
+     *  invalidation, code epoch, and recovery boundary; lowered code
+     *  hangs off each Block, so every invalidation path (stale
+     *  generations, image load, power cycle) drops it for free. */
     ThreadedEngine(Cpu &cpu, Memory &memory, Bus &bus, Stats &stats,
                    const MachineConfig &config, SuperblockEngine &sb);
 
@@ -140,8 +147,8 @@ class ThreadedEngine
 
     /**
      * Out-of-line tail of the block transition, taken whenever the
-     * inline step cannot enter the block at the current PC by
-     * generations, deadline and key alone: folds the blocks run so far
+     * inline step cannot enter the block at the current PC by link or
+     * peek, deadline and key alone: folds the blocks run so far
      * (a rebuild may drop their code), then looks up (revalidating by
      * bytes, rebuilding), guards (cycle boundary, timer, recovery
      * side, owner, checkpoint probes), lazily lowers, and enters the

@@ -15,10 +15,12 @@
  *
  * Coverage concentrates on the bail-out guards: register-dependent
  * MMIO operands, stores into the executing block, block revalidation
- * after stores beside or into code, fault/timer/cycle-budget
- * boundaries, recovery-range crossings, mid-eviction and data-pool
- * swap windows under capacity pressure, harvest brown-outs landing
- * mid-chain, and the full golden workload×system×sram_size matrix.
+ * after stores beside or into code, successor links across stores,
+ * owner changes, checkpoint probes and power cycles,
+ * fault/timer/cycle-budget boundaries, recovery-range crossings,
+ * mid-eviction and data-pool swap windows under capacity pressure,
+ * harvest brown-outs landing mid-chain, and the full golden
+ * workload×system×sram_size matrix.
  * Long loops ending in a bail pin the chain's deferred accounting.
  */
 
@@ -37,6 +39,7 @@
 #include "sim/superblock.hh"
 #include "support/platform.hh"
 #include "testutil.hh"
+#include "trace/trace.hh"
 #include "workloads/workload.hh"
 
 namespace {
@@ -612,6 +615,192 @@ TEST(Threaded, PowerCycleRebuildsBlocksWithEqualBytes)
     EXPECT_EQ(on.stats.reboots, 5u);
     expectSimStatsEqual(on.stats, off.stats, "power cycles");
     EXPECT_GE(on.stats.superblock_invalidations, on.stats.reboots);
+}
+
+/** A loop whose third block patches the immediate of its second, the
+ *  first block's linked successor: the store lands outside the block
+ *  that holds the link, and must still retire the link (through the
+ *  code epoch), or the first block follows it into stale code. */
+const char kPatchedLinkTargetBody[] =
+    "        MOV #0, R12\n"
+    "        MOV #50, R10\n"
+    "kloop:  ADD #1, R13\n"
+    "        JMP ktgt\n"
+    "ktgt:   ADD #100, R12\n"
+    "        JMP kpatch\n"
+    "kpatch: ADD #1, &ktgt+2\n"
+    "        DEC R10\n"
+    "        JNZ kloop\n";
+
+TEST(Threaded, StoreIntoLinkedSuccessorRebuildsIt)
+{
+    test::MiniRun on = test::runBody(kPatchedLinkTargetBody,
+                                     withThreaded(true));
+    test::MiniRun off = test::runBody(kPatchedLinkTargetBody,
+                                      withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    // 100 + 101 + ... + 149.
+    EXPECT_EQ(on.reg(Reg::R12), 6225) << "stale linked kernel executed";
+    EXPECT_EQ(off.reg(Reg::R12), 6225);
+    expectSimStatsEqual(on.stats(), off.stats(), "patched link target");
+    expectMostlyThreaded(on.stats(), "patched link target");
+    EXPECT_GE(on.stats().superblock_invalidations, 49u);
+}
+
+/** Under a trace engine a chain keeps to one code owner and stops
+ *  before checkpoint probes. Here the loop's blocks end in calls whose
+ *  targets are linked once both sides are lowered: one into a
+ *  Handler-owned function, one onto the commit probe, and the
+ *  Handler's return back into application code. A linked entry must
+ *  pass the same key and probe checks as a looked-up one, or the
+ *  chain runs past an owner change or a probe and the events the
+ *  machine emits between chains move. */
+const char *kOwnerLinkProgram = R"(
+        .text
+__start:
+        MOV #0x3000, SP
+        MOV #60, R10
+oloop:  ADD #1, R12
+        CALL #ofunc
+        ADD R13, R14
+        CALL #ockpt
+        DEC R10
+        JNZ oloop
+        MOV.B #0, &__DONE
+__halt: JMP __halt
+ofunc:  ADD #2, R13
+        XOR R13, R14
+        RET
+ockpt:  ADD #3, R15
+        RET
+)";
+
+struct OwnerLinkRun {
+    sim::Stats stats;
+    std::vector<trace::Event> events;
+    std::uint16_t r14 = 0;
+};
+
+OwnerLinkRun
+runOwnerLinks(bool threaded)
+{
+    auto assembled = masm::assemble(masm::parse(kOwnerLinkProgram), {});
+    sim::Machine machine(withThreaded(threaded));
+    machine.load(assembled.image, 0x3000);
+    machine.addOwnerRange(assembled.symbol("ofunc"),
+                          assembled.symbol("ockpt"),
+                          sim::CodeOwner::Handler);
+    machine.setCkptProbe(assembled.symbol("ockpt"), 0);
+    trace::TraceEngine engine(trace::kCatSwap | trace::kCatPower);
+    machine.setTraceEngine(&engine);
+    EXPECT_TRUE(machine.run().done);
+    return {machine.stats(), engine.ring(),
+            machine.cpu().reg(Reg::R14)};
+}
+
+TEST(Threaded, LinkedEntriesKeepOwnerAndProbeStops)
+{
+    OwnerLinkRun on = runOwnerLinks(true);
+    OwnerLinkRun off = runOwnerLinks(false);
+    EXPECT_EQ(on.r14, off.r14);
+    expectSimStatsEqual(on.stats, off.stats, "owner links");
+    expectMostlyThreaded(on.stats, "owner links");
+    // Two owner changes and one probe per pass.
+    ASSERT_GE(off.events.size(), 180u);
+    ASSERT_EQ(on.events.size(), off.events.size());
+    for (std::size_t i = 0; i < on.events.size(); ++i) {
+        const trace::Event &a = on.events[i];
+        const trace::Event &b = off.events[i];
+        EXPECT_TRUE(a.cycle == b.cycle && a.kind == b.kind &&
+                    a.byte == b.byte && a.addr == b.addr &&
+                    a.value == b.value && a.extra == b.extra)
+            << "event " << i << " differs: cycle " << a.cycle << " vs "
+            << b.cycle << ", pc " << a.addr << " vs " << b.addr;
+    }
+}
+
+/** Code in SRAM that patches its own second block once per boot,
+ *  after the first pass has run it: a power cycle re-copies the
+ *  unpatched bytes behind the bus while the patched block and the
+ *  links into it are live, so the first pass after every reboot must
+ *  add 5 again, not the patched 7. */
+const char *kSramPatchProgram = R"(
+        .text
+__start:
+        MOV #0x3000, SP
+        MOV #0, R12
+        MOV #200, R10
+qloop:  JMP qimm
+qimm:   ADD #5, R12
+        CMP #200, R10
+        JNE qskip
+        MOV #7, &qimm+2
+qskip:  DEC R10
+        JNZ qloop
+        MOV.B #0, &__DONE
+__halt: JMP __halt
+)";
+
+TEST(Threaded, PowerCycleRetiresLinksIntoRecopiedCode)
+{
+    auto run = [](bool threaded) {
+        masm::LayoutSpec layout;
+        layout.text_base = platform::kSramBase;
+        layout.data_base = 0x9000;
+        auto assembled =
+            masm::assemble(masm::parse(kSramPatchProgram), layout);
+        sim::Machine machine(withThreaded(threaded));
+        machine.load(assembled.image, 0x3000);
+        sim::FaultInjector injector(sim::FaultPlan::periodic(900, 5));
+        machine.setFaultInjector(&injector);
+        EXPECT_TRUE(machine.run().done);
+        return std::make_pair(machine.stats(),
+                              machine.cpu().reg(Reg::R12));
+    };
+    auto [on, on_r12] = run(true);
+    auto [off, off_r12] = run(false);
+    EXPECT_EQ(on.reboots, 5u);
+    EXPECT_EQ(off_r12, 5 + 7 * 199);
+    EXPECT_EQ(on_r12, off_r12) << "patched block survived a power cycle";
+    expectSimStatsEqual(on, off, "sram patch power cycles");
+    expectMostlyThreaded(on, "sram patch power cycles");
+}
+
+/** Data written now and then beside linked code: each store moves the
+ *  code epoch and the page's generation, the blocks on that page are
+ *  kept by their bytes, and the links between them form again until
+ *  the next store. */
+const char kStoreBesideLinksBody[] =
+    "        MOV #400, R10\n"
+    "dloop:  ADD #3, R11\n"
+    "        JMP dnext\n"
+    "dnext:  BIT #15, R10\n"
+    "        JNZ dskip\n"
+    "        ADD #3, &dcount\n"
+    "dskip:  DEC R10\n"
+    "        JNZ dloop\n"
+    "        JMP ddone\n"
+    "dcount: .word 0\n"
+    "ddone:\n";
+
+TEST(Threaded, StoreBesideLinkedCodeKeepsBlocks)
+{
+    test::MiniRun on = test::runBody(kStoreBesideLinksBody,
+                                     withThreaded(true));
+    test::MiniRun off = test::runBody(kStoreBesideLinksBody,
+                                      withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    const std::uint16_t count = on.assembled.symbol("dcount");
+    ASSERT_EQ(count >> sim::PageGenTable::kPageShift,
+              on.assembled.symbol("dloop") >> sim::PageGenTable::kPageShift);
+    EXPECT_EQ(on.machine->peek16(count), 75);
+    EXPECT_EQ(off.machine->peek16(count), 75);
+    expectSimStatsEqual(on.stats(), off.stats(), "store beside links");
+    expectMostlyThreaded(on.stats(), "store beside links");
+    EXPECT_LT(on.stats().threaded_blocks_lowered, 10u);
+    EXPECT_LT(on.stats().superblock_invalidations, 10u);
 }
 
 /** Capacity pressure: SRAM sizes where the SwapRAM runtime constantly

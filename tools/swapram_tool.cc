@@ -72,10 +72,12 @@
  * Fault-injection options (faults; --harvest-trace and --ckpt-* also
  * apply to run/profile/trace single runs):
  *   --fault-periods LIST     comma list of power-failure periods in
- *                            cycles (default: C/2,C/4,C/8,C/16 where C
- *                            is the uninterrupted run's cycle count)
- *   --fault-count N          power failures per run (default 8; the
- *                            final boot always completes)
+ *                            cycles, each at least 1 (default:
+ *                            C/2,C/4,C/8,C/16 where C is the
+ *                            uninterrupted run's cycle count)
+ *   --fault-count N          power failures per run, at least 1
+ *                            (default 8; the final boot always
+ *                            completes)
  *   --fault-seed S           seeded-random gaps in [P/2, 3P/2) instead
  *                            of a fixed period
  *   --no-recovery            disable the generated boot-recovery call
@@ -418,9 +420,11 @@ parseArgs(int argc, char **argv)
             args.heat_csv = next();
         } else if (a == "--fault-periods") {
             for (const std::string &p : support::split(next(), ','))
-                args.fault_periods.push_back(number<std::uint64_t>(a, p));
+                args.fault_periods.push_back(
+                    number<std::uint64_t>(a, p, 0, 1));
         } else if (a == "--fault-count") {
-            args.fault_count = number<std::uint32_t>(a, next(), 10);
+            // FaultPlan reads a count of 0 as "unlimited".
+            args.fault_count = number<std::uint32_t>(a, next(), 10, 1);
         } else if (a == "--fault-seed") {
             args.fault_seed = number<std::uint32_t>(a, next());
         } else if (a == "--no-recovery") {
