@@ -58,7 +58,7 @@ Bus::account(std::uint16_t addr, RegionKind region, AccessKind kind)
     if (region == RegionKind::Fram) {
         std::uint32_t ws = config_.effectiveWaitStates();
         std::uint32_t contention =
-            fram_chain_.next(addr) ? config_.contention_stall : 0;
+            fram_chain_.next(addr) ? fram::kContentionStall : 0;
 
         // Writes go to the FRAM array directly (write-through
         // controller); they pay the wait states but do not disturb the

@@ -75,13 +75,14 @@ class Bus
      *  nullptr detaches. Not owned. */
     void setMetrics(metrics::RunMetrics *metrics) { metrics_ = metrics; }
 
-    /** Attach a predecode cache to invalidate on writes; nullptr
-     *  detaches. Not owned. */
+    /** Attach the oracle tier's predecode cache to invalidate on
+     *  writes; nullptr detaches. Not owned. */
     void setPredecode(PredecodeCache *cache) { predecode_ = cache; }
 
-    /** Attach the block cache's write-generation table so oracle
-     *  stores invalidate blocks exactly like fast-path stores; nullptr
-     *  detaches. Not owned. */
+    /** Attach the fast tier's write-generation table so the oracle
+     *  steps of a fast run invalidate blocks exactly like threaded
+     *  stores; nullptr detaches. Not owned. A run attaches one of the
+     *  two caches, the one it reads. */
     void setPageGens(PageGenTable *gens) { page_gens_ = gens; }
 
     HwCache &hwCache() { return hw_cache_; }

@@ -1,14 +1,13 @@
 /**
  * @file
- * Machine configuration: clock frequency, FRAM wait states, hardware
- * cache enable, and run limits.
+ * Machine configuration: clock frequency (which sets the FRAM wait
+ * states), hardware cache enable, host tiers, and run limits.
  */
 
 #ifndef SWAPRAM_SIM_CONFIG_HH
 #define SWAPRAM_SIM_CONFIG_HH
 
 #include <cstdint>
-#include <optional>
 
 #include "support/platform.hh"
 
@@ -19,23 +18,6 @@ struct MachineConfig {
     /** CPU clock (MCLK). The paper evaluates 8 MHz and 24 MHz. */
     std::uint32_t clock_hz = 24'000'000;
 
-    /**
-     * Stall cycles per FRAM access that misses the hardware cache.
-     * Defaults from the clock: 0 at or below FRAM's 8 MHz limit,
-     * 3 above it (the paper's §5.4 figure for 24 MHz).
-     */
-    std::optional<std::uint32_t> fram_wait_states;
-
-    /**
-     * Extra stall applied to the second and later FRAM cache misses
-     * issued by a single instruction, modelling the cache-contention
-     * bottleneck the paper observes even at 8 MHz (Figure 1: "a single
-     * instruction execution can dispatch multiple simultaneous accesses
-     * to distant addresses in FRAM, bottlenecking memory accesses at
-     * the cache").
-     */
-    std::uint32_t contention_stall = 2;
-
     /** Model the 2-way/4-line hardware read cache (always present on
      *  the real device; disable only for experiments). */
     bool hw_cache_enabled = true;
@@ -44,8 +26,8 @@ struct MachineConfig {
     std::uint64_t max_cycles = 4'000'000'000ull;
 
     /**
-     * Host-side predecode fast path: cache decoded instructions by PC
-     * and replay only the (fully accounted) bus fetches on a hit.
+     * The oracle tier's predecode cache: cache decoded instructions by
+     * PC and replay only the (fully accounted) bus fetches on a hit.
      * Simulated behaviour and timing are identical either way — tests
      * run both settings differentially; disable to use the always-
      * decode path as the oracle.
@@ -53,15 +35,16 @@ struct MachineConfig {
     bool predecode_enabled = true;
 
     /**
-     * Host-side fast path: straight-line blocks from the block cache,
+     * Host-side fast tier: straight-line blocks from the block cache,
      * lowered once to computed-goto threaded code and dispatched as a
      * chain, with batched accounting and direct-memory data access.
-     * It runs only when superblock_enabled and threaded_enabled both
-     * hold and the build has the GNU computed-goto extension; otherwise
-     * the Machine runs the single-step oracle. Simulated behaviour and
-     * timing are identical either way (the chain bails to the oracle at
-     * every boundary it cannot prove safe). Tests turn both flags off
-     * for the oracle side of a tier twin; perfbench reads both.
+     * A run takes it when both flags hold, the build has the GNU
+     * computed-goto extension and no per-step observer is attached
+     * (Machine::run); otherwise it takes the oracle tier. Simulated
+     * behaviour and timing are identical either way (the chain bails
+     * to the oracle at every boundary it cannot prove safe). Tests
+     * turn both flags off for the oracle side of a tier twin;
+     * perfbench reads both.
      */
     bool superblock_enabled = true;
     bool threaded_enabled = true; ///< see above; perfbench reads it
@@ -105,12 +88,11 @@ struct MachineConfig {
         return platform::kSramBase + sram_size;
     }
 
-    /** Effective wait states given the clock. */
+    /** FRAM wait states from the clock: 0 at or below FRAM's 8 MHz
+     *  limit, 3 above it (the paper's §5.4 figure for 24 MHz). */
     std::uint32_t
     effectiveWaitStates() const
     {
-        if (fram_wait_states)
-            return *fram_wait_states;
         return clock_hz <= platform::kFramMaxHz
                    ? 0
                    : platform::kFramWaitStates24MHz;

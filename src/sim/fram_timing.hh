@@ -15,6 +15,8 @@
  *     earlier access;
  *   - code/data classification: an access is a code-space access when
  *     its address lies in the .text range (Table 1).
+ * The wait states come from the clock (MachineConfig::
+ * effectiveWaitStates); the contention stall is a constant here.
  */
 
 #ifndef SWAPRAM_SIM_FRAM_TIMING_HH
@@ -24,6 +26,16 @@
 #include <cstdint>
 
 namespace swapram::sim::fram {
+
+/**
+ * Stall of a contending FRAM access: the second and later accesses of
+ * one instruction that change line, modelling the cache-contention
+ * bottleneck the paper observes even at 8 MHz (Figure 1: "a single
+ * instruction execution can dispatch multiple simultaneous accesses
+ * to distant addresses in FRAM, bottlenecking memory accesses at the
+ * cache").
+ */
+inline constexpr std::uint32_t kContentionStall = 2;
 
 /** The 8-byte FRAM line holding @p addr. */
 constexpr std::uint32_t

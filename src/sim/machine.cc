@@ -48,28 +48,31 @@ Machine::Machine(const MachineConfig &config)
     : config_(config), bus_(memory_, mmio_, stats_, config_), cpu_(bus_)
 {
     bus_.setCycleProbe(&stats_.base_cycles);
-    if (config_.predecode_enabled) {
-        predecode_ = std::make_unique<PredecodeCache>();
-        cpu_.setPredecode(predecode_.get());
-        bus_.setPredecode(predecode_.get());
-    }
-    // The one fast path: threaded dispatch over the block cache.
-    // Lowered ops carry per-probe stall costs in 16-bit fields, so
-    // pathological wait-state configs run on the oracle.
-    bool stalls_fit = config_.effectiveWaitStates() <= 0xFFFF &&
-                      config_.contention_stall <= 0xFFFF;
-    if (config_.superblock_enabled && config_.threaded_enabled &&
-        ThreadedEngine::available() && stalls_fit) {
+}
+
+void
+Machine::buildTier(bool fast)
+{
+    if (!fast) {
+        threaded_.reset();
+        superblock_.reset();
+    } else if (!threaded_) {
         superblock_ = std::make_unique<SuperblockEngine>(
             memory_, bus_, stats_, config_);
         superblock_->setClassifier([this](std::uint16_t pc) {
             return static_cast<std::uint8_t>(classifyPc(pc));
         });
-        bus_.setPageGens(&superblock_->pageGens());
+        superblock_->setRecoveryRange(recovery_base_, recovery_end_);
         threaded_ = std::make_unique<ThreadedEngine>(
             cpu_, memory_, bus_, stats_, config_, *superblock_);
-        threaded_->setPredecode(predecode_.get());
     }
+    if (fast)
+        predecode_.reset();
+    else if (config_.predecode_enabled && !predecode_)
+        predecode_ = std::make_unique<PredecodeCache>();
+    cpu_.setPredecode(predecode_.get());
+    bus_.setPredecode(predecode_.get());
+    bus_.setPageGens(superblock_ ? &superblock_->pageGens() : nullptr);
 }
 
 void
@@ -435,6 +438,11 @@ Machine::bootWatermark() const
 RunResult
 Machine::run()
 {
+    // The profiler and metrics record every instruction, and per-step
+    // trace categories exist only on the oracle.
+    buildTier(config_.superblock_enabled && config_.threaded_enabled &&
+              ThreadedEngine::available() && !profiler_ && !metrics_ &&
+              !(trace_ && (trace_->mask() & trace::kCatPerStep)));
     RunResult result = runLoop();
     // A copy cut short by the end of the run (cycle budget, livelock,
     // empty capacitor) still reports how far it got.
@@ -446,11 +454,7 @@ Machine::run()
 RunResult
 Machine::runLoop()
 {
-    // The threaded tier runs whatever no observer needs step by step:
-    // the profiler and metrics record every instruction, and per-step
-    // trace categories exist only on the oracle.
-    const bool dispatch = threaded_ && !profiler_ && !metrics_ &&
-                          !(trace_ && (trace_->mask() & trace::kCatPerStep));
+    const bool dispatch = threaded_ != nullptr;
     while (!mmio_.done()) {
         if (stats_.totalCycles() >= config_.max_cycles) {
             return {false, 0, RunResult::Stop::MaxCycles};

@@ -19,13 +19,14 @@
  * event with the advanced source register, from which the swap
  * timeline derives each copy's extent without watching its accesses.
  *
- * Observers and the fast tier: the profiler, run metrics, and the
- * per-step trace categories (instr, access, stall, hwcache) pin a run
- * to the single-step oracle. The swap timeline and the swap, power,
- * and interrupt categories do not: every owner runs threaded, with
- * chains ending at owner changes and checkpoint probes so each event
- * lands on the same cycle, in the same order, and with the same
- * register values as on the oracle.
+ * Tiers: run() picks one and builds only its decode cache. The
+ * profiler, run metrics, and the per-step trace categories (instr,
+ * access, stall, hwcache) pin a run to the single-step oracle and its
+ * predecode cache. The swap timeline and the swap, power, and
+ * interrupt categories do not: every owner runs threaded over the
+ * block cache, with chains ending at owner changes and checkpoint
+ * probes so each event lands on the same cycle, in the same order,
+ * and with the same register values as on the oracle.
  */
 
 #ifndef SWAPRAM_SIM_MACHINE_HH
@@ -220,6 +221,10 @@ class Machine
     void copyEnd(std::uint64_t now, std::uint16_t pc,
                  const std::array<std::uint16_t, 16> &regs);
 
+    /** Build the fast or the oracle tier's decode cache and drop the
+     *  other's, so stores maintain only the cache the run reads. */
+    void buildTier(bool fast);
+
     /** Run until a stop; run() adds the end-of-run events. */
     RunResult runLoop();
 
@@ -244,14 +249,14 @@ class Machine
     Bus bus_;
     Cpu cpu_;
 
-    /** Decoded-instruction cache (null when config disables it). The
-     *  machine owns it and keeps the CPU (lookup/insert) and bus
-     *  (write invalidation) wired to the same instance. */
+    /** The oracle tier's decoded-instruction cache (null unless an
+     *  oracle run built it). The CPU (lookup/insert) and bus (write
+     *  invalidation) are wired to the same instance. */
     std::unique_ptr<PredecodeCache> predecode_;
 
     /** The block cache and the threaded dispatcher over it (both null
-     *  when the Machine runs the oracle); the bus's write paths share
-     *  the block cache's page-generation table. */
+     *  unless a fast run built them); the bus's write paths share the
+     *  block cache's page-generation table. */
     std::unique_ptr<SuperblockEngine> superblock_;
     std::unique_ptr<ThreadedEngine> threaded_;
 

@@ -20,9 +20,8 @@
  * between lowered blocks: a pointer recorded under the current epoch
  * names code no rebuild has dropped (sim/threaded.hh).
  *
- * This piggybacks on the same write paths that drive the predecode
- * cache's 3-slot invalidation: the Bus calls noteWrite() for oracle
- * accesses, the threaded fast path calls it for direct stores, and
+ * It is a fast-tier run's one store duty: the Bus calls noteWrite()
+ * for its single steps, the threaded tier for direct stores, and
  * writers that bypass both (Machine::load, powerCycle's crt0 re-copy)
  * call bumpAll(), which advances a global generation checked first.
  */

@@ -1,9 +1,10 @@
 /**
  * @file
- * Predecode fast path: a direct-mapped cache of decoded instructions
- * keyed by PC, so steady-state simulation skips decodeShape() /
- * decodeWords() / baseCycles() and replays only the bus fetches (which
- * carry all timing and statistics side effects).
+ * Predecode cache, the oracle tier's decode cache (a fast-tier run
+ * has none): a direct-mapped cache of decoded instructions keyed by
+ * PC, so single-step simulation skips decodeShape() / decodeWords() /
+ * baseCycles() and replays only the bus fetches (which carry all
+ * timing and statistics side effects).
  *
  * Correctness rests on invalidation: SwapRAM copies code into SRAM at
  * runtime, so any bus write must kill cached decodes whose words the

@@ -65,10 +65,10 @@ struct Stats {
     std::uint64_t recovery_cycles = 0;
 
     /**
-     * Predecode fast-path behaviour (host-side only: these never feed
+     * Predecode cache behaviour (host-side only: these never feed
      * back into simulated timing, which must be identical with the
-     * cache disabled). Invalidations count bus writes that dropped at
-     * least one potentially-cached slot.
+     * cache disabled). Only oracle-tier runs have the cache; there
+     * invalidations count every bus write.
      */
     std::uint64_t predecode_hits = 0;
     std::uint64_t predecode_misses = 0;

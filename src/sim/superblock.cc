@@ -225,7 +225,7 @@ SuperblockEngine::build(std::uint16_t pc)
 
     // The most any one FRAM access can stall: a contending miss.
     const std::uint32_t stall_max = fram::accessStall(
-        false, config_.effectiveWaitStates(), config_.contention_stall);
+        false, config_.effectiveWaitStates(), fram::kContentionStall);
     const std::uint16_t code_base = bus_.codeBase();
     const std::uint32_t code_end = bus_.codeEnd();
     const bool fram_code = b->fetch_region == RegionKind::Fram;

@@ -24,9 +24,9 @@
  * so the dispatcher can refuse a block that might cross a fault,
  * timer, or max-cycles boundary.
  *
- * Invalidation piggybacks on the write paths that already feed the
- * predecode cache's 3-slot invalidation: every store bumps per-page
- * write generations (PageGenTable) which blocks validate at lookup.
+ * It is a fast-tier run's one decode cache (no predecode cache
+ * exists then). Every store bumps per-page write generations
+ * (PageGenTable) which blocks validate at lookup.
  * A block first compares the code-write epoch it recorded when it was
  * stamped: while no store has reached a page any stamped block spans,
  * the epoch holds and the block is current without reading a page

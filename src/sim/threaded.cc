@@ -61,6 +61,9 @@ struct alignas(64) TOp {
     std::uint8_t chain = 0; ///< FRAM fetch words seeding data contention
 };
 static_assert(sizeof(TOp) == 64, "TOp must stay one cache line");
+static_assert(fram::accessStall(false, platform::kFramWaitStates24MHz,
+                                fram::kContentionStall) <= 0xFFFF,
+              "per-probe stalls must fit TOp's 16-bit stall fields");
 
 /** Accumulator indices: one contiguous order shared by the dispatch
  *  context's dynamic accumulators (u64) and each block's static totals
@@ -79,7 +82,6 @@ enum AccIdx {
     kAccMisses,
     kAccCode,
     kAccData,
-    kAccPreInval,
     kAccOwner0, // + kNumOwners entries
     kNumAcc = kAccOwner0 + kNumOwners
 };
@@ -92,8 +94,11 @@ struct TDelta {
     std::uint8_t d_base = 0, d_fetch = 0, d_code = 0, d_data = 0;
     std::uint8_t d_sram_r = 0, d_sram_w = 0;
     std::uint8_t d_fram_r = 0, d_fram_w = 0;
-    std::uint8_t d_hits = 0, d_misses = 0, d_pre = 0;
+    std::uint8_t d_hits = 0, d_misses = 0;
 };
+
+static_assert(kNumAcc * sizeof(std::uint32_t) == 64,
+              "a block's static totals fill one cache line");
 
 /** Chain-key bit of a block in the recovery range; the low byte is
  *  the block's CodeOwner. */
@@ -154,8 +159,9 @@ class ThreadedCode
     std::uint64_t execs = 0;
     ThreadedCode *next_touched = nullptr;
     /** Static block totals, indexed by AccIdx (the fetch count is
-     *  already in the fram/sram slot matching fetch_region). */
-    alignas(32) std::array<std::uint32_t, kNumAcc> tot{};
+     *  already in the fram/sram slot matching fetch_region): one
+     *  cache line. */
+    alignas(64) std::array<std::uint32_t, kNumAcc> tot{};
     std::vector<TDelta> deltas;
     /** The block's decoded instructions (generic kernel). */
     const SuperblockEngine::BlockInstr *instrs = nullptr;
@@ -197,7 +203,6 @@ struct DCtx {
     std::array<std::uint16_t, 16> *regs_arr = nullptr;
     std::uint8_t *bytes = nullptr;
     HwCache *hw = nullptr;
-    PredecodeCache *pre = nullptr;
     PageGenTable *gens = nullptr;
 
     // Dynamic accumulators (AccIdx order), flushed to Stats once per
@@ -207,7 +212,7 @@ struct DCtx {
     alignas(32) std::array<std::uint64_t, kNumAcc> acc{};
 
     // Timing-model constants.
-    std::uint32_t ws = 0, cstall = 0;
+    std::uint32_t ws = 0;
     std::uint32_t ms = 0; ///< stall of a contending FRAM miss
     std::uint32_t sram_size = 0;
     std::uint16_t code_base = 0;
@@ -416,7 +421,8 @@ simStore(std::uint8_t *dp, std::uint32_t r, std::uint32_t mask)
 inline void
 dynFramRead(DCtx *st, std::uint16_t addr)
 {
-    std::uint32_t contention = st->chain.next(addr) ? st->cstall : 0;
+    std::uint32_t contention =
+        st->chain.next(addr) ? fram::kContentionStall : 0;
     bool hit = st->hw_on && st->hw->access(addr);
     ++st->acc[hit ? kAccHits : kAccMisses];
     st->acc[kAccStall] += fram::accessStall(hit, st->ws, contention);
@@ -426,7 +432,8 @@ dynFramRead(DCtx *st, std::uint16_t addr)
 inline void
 dynFramWrite(DCtx *st, std::uint16_t addr)
 {
-    std::uint32_t contention = st->chain.next(addr) ? st->cstall : 0;
+    std::uint32_t contention =
+        st->chain.next(addr) ? fram::kContentionStall : 0;
     st->acc[kAccStall] += fram::accessStall(false, st->ws, contention);
 }
 
@@ -459,15 +466,11 @@ dynLoad(DCtx *st, std::uint16_t addr, bool byte)
             << 8);
 }
 
-/** Store-side invalidation duties, as the bus does them: predecode
- *  3-slot drop, page-generation bump, plus own-block SMC detection. */
+/** Store-side invalidation duty of this tier: the page-generation
+ *  bump, plus own-block SMC detection. */
 inline void
 dynNoteStore(DCtx *st, std::uint16_t addr, unsigned nbytes)
 {
-    if (st->pre) {
-        st->pre->invalidateWrite(addr);
-        ++st->acc[kAccPreInval];
-    }
     st->gens->noteWrite(addr, nbytes);
     std::uint32_t lo = addr;
     if (lo < st->blk_end && lo + nbytes > st->blk_start)
@@ -537,7 +540,7 @@ class ShimMem
  *  first probe's stall contributions are per-op (fc0/fm0): normally
  *  0/ws (a leading run never contends), but when cross-op folding
  *  removed the leading run, the surviving probe is a contending line
- *  change and carries cstall/ms instead. */
+ *  change and carries the contention stall (ms on a miss) instead. */
 SWAPRAM_INLINE void
 tFetch(DCtx *st, const TOp *op)
 {
@@ -552,7 +555,7 @@ tFetch(DCtx *st, const TOp *op)
         if (op->runs > 1) {
             if (st->hw->access(op->fa1)) {
                 ++st->acc[kAccHits];
-                st->acc[kAccStall] += st->cstall;
+                st->acc[kAccStall] += fram::kContentionStall;
             } else {
                 ++st->acc[kAccMisses];
                 st->acc[kAccStall] += st->ms;
@@ -618,8 +621,8 @@ kernMR(DCtx *st, TOp *op)
 }
 
 /** imm/reg src -> static mem dst: probe covers the non-Mov dst read;
- *  the write's stall and the SMC outcome are static. Invalidation
- *  side effects (predecode, page generations) stay dynamic. */
+ *  the write's stall and the SMC outcome are static. The
+ *  page-generation bump stays dynamic. */
 template <Op OP>
 SWAPRAM_INLINE int
 kernNM(DCtx *st, TOp *op)
@@ -636,8 +639,6 @@ kernNM(DCtx *st, TOp *op)
     AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
     if constexpr (fmt1Writes<OP>()) {
         simStore(op->dp, o.r, op->mask);
-        if (st->pre)
-            st->pre->invalidateWrite(op->b);
         st->gens->noteWrite(op->b, op->byte ? 1 : 2);
     }
     if constexpr (fmt1Flags<OP>())
@@ -1015,7 +1016,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     const bool fram_code = block.fetch_region == RegionKind::Fram;
     const bool hw_on = config_.hw_cache_enabled;
     const std::uint32_t ws = config_.effectiveWaitStates();
-    const std::uint32_t cstall = config_.contention_stall;
+    constexpr std::uint32_t cstall = fram::kContentionStall;
     const std::uint16_t code_base = bus_.codeBase();
     const std::uint32_t code_end = bus_.codeEnd();
     std::uint16_t *regs = cpu_.regs().data();
@@ -1084,8 +1085,6 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         } else {
             ++dl.d_sram_w;
         }
-        if (predecode_)
-            ++dl.d_pre;
         if (static_cast<std::uint32_t>(addr) < block.end_addr &&
             static_cast<std::uint32_t>(addr) + nbytes > block.start_pc)
             t.smc = 1;
@@ -1321,7 +1320,6 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         tc->tot[kAccFramWrite] += dl.d_fram_w;
         tc->tot[kAccHits] += dl.d_hits;
         tc->tot[kAccMisses] += dl.d_misses;
-        tc->tot[kAccPreInval] += dl.d_pre;
     }
     tc->tot[kAccOwner0 + block.owner] = static_cast<std::uint32_t>(n);
     tc->ops[n].h = labels_[kBlockEnd];
@@ -1402,11 +1400,9 @@ ThreadedEngine::runChain(const ChainLimits &limits)
     st.regs = cpu_.regs().data();
     st.bytes = memory_.bytes();
     st.hw = &bus_.hwCache();
-    st.pre = predecode_;
     st.gens = &sb_.pageGens();
     st.ws = config_.effectiveWaitStates();
-    st.cstall = config_.contention_stall;
-    st.ms = fram::accessStall(false, st.ws, st.cstall);
+    st.ms = fram::accessStall(false, st.ws, fram::kContentionStall);
     st.sram_size = config_.sram_size;
     st.code_base = bus_.codeBase();
     st.code_end = bus_.codeEnd();
@@ -1459,7 +1455,6 @@ ThreadedEngine::runChain(const ChainLimits &limits)
                 st.acc[kAccFramWrite] -= t.d_fram_w;
                 st.acc[kAccHits] -= t.d_hits;
                 st.acc[kAccMisses] -= t.d_misses;
-                st.acc[kAccPreInval] -= t.d_pre;
             }
             st.acc[kAccOwner0 + tc.owner] -= n - executed;
         }
@@ -1496,7 +1491,6 @@ ThreadedEngine::runChain(const ChainLimits &limits)
         stats_.fram_cache_misses += st.acc[kAccMisses];
         stats_.code_space_accesses += st.acc[kAccCode];
         stats_.data_space_accesses += st.acc[kAccData];
-        stats_.predecode_invalidations += st.acc[kAccPreInval];
         for (int i = 0; i < kNumOwners; ++i)
             stats_.instr_by_owner[i] += st.acc[kAccOwner0 + i];
         stats_.threaded_instructions += total;

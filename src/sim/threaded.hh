@@ -1,6 +1,6 @@
 /**
  * @file
- * Threaded-code dispatcher, the Machine's only fast path: blocks from
+ * Threaded-code dispatcher, the Machine's fast tier: blocks from
  * the block cache (sim/superblock.hh) are lowered, once, to
  * computed-goto threaded code over pre-resolved operand closures, then
  * executed as an indirect-goto chain — no per-instruction decode, one
@@ -49,11 +49,13 @@
  *     then stop);
  *   - fault/timer/max-cycle worst-case-bound refusal before dispatch;
  *   - the profiler, metrics, and per-step trace categories force the
- *     oracle (Machine::run does not dispatch with them attached);
+ *     oracle (Machine::run picks the oracle tier with them attached);
  *     other trace events are the Machine's pre-step events, so under
  *     a trace engine chains end before owner changes and checkpoint
  *     probes (ChainLimits::owner, ckpt_commit/ckpt_restore).
  *
+ * A store's one invalidation duty here is the page-generation bump:
+ * Machine::run builds only the block cache for a run that dispatches.
  * The tier requires the GNU computed-goto extension; without it the
  * Machine runs the oracle (available()). Simulated results are
  * bit-identical either way — the differential fuzz twins and the
@@ -69,7 +71,6 @@
 #include "sim/config.hh"
 #include "sim/cpu.hh"
 #include "sim/memory.hh"
-#include "sim/predecode.hh"
 #include "sim/stats.hh"
 #include "sim/superblock.hh"
 
@@ -99,10 +100,6 @@ class ThreadedEngine
      *  generations, image load, power cycle) drops it for free. */
     ThreadedEngine(Cpu &cpu, Memory &memory, Bus &bus, Stats &stats,
                    const MachineConfig &config, SuperblockEngine &sb);
-
-    /** Predecode cache for the store-invalidation duties of the fast
-     *  write path; nullptr detaches. Not owned. */
-    void setPredecode(PredecodeCache *cache) { predecode_ = cache; }
 
     /** Cycle boundaries a chain must respect (Machine's per-step
      *  run-loop checks, precomputed once per chain). */
@@ -171,8 +168,6 @@ class ThreadedEngine
     Stats &stats_;
     const MachineConfig &config_;
     SuperblockEngine &sb_;
-
-    PredecodeCache *predecode_ = nullptr;
 
     /** Kernel label table, fetched once from the dispatch function. */
     const void *const *labels_ = nullptr;

@@ -5,9 +5,10 @@
  * cycle/stall counts, per-region access counts, interrupt and reboot
  * cycles — must be bit-identical with threaded dispatch on or off (the
  * single-step oracle is the reference). The host-side threaded_*,
- * superblock_*, and predecode hit/miss counters are the only
- * permitted divergence. Every twin also checks that its fast side
- * really ran: more than half its instructions must retire threaded.
+ * superblock_*, and predecode_* counters are the only permitted
+ * divergence (each run builds only its own tier's decode cache). Every
+ * twin also checks that its fast side really ran: more than half its
+ * instructions must retire threaded.
  * The harness twins add an observed side, the spec with its swap
  * timeline on the default tier: its timeline and trace event count
  * must equal the oracle's, and it must single-step fewer instructions
@@ -123,9 +124,9 @@ expectTimelineEqual(const harness::Metrics &observed,
 }
 
 /** Every simulated Stats field (host-side fast-path counters — the
- *  predecode hit/miss, superblock_*, and threaded_* families —
- *  excluded; the predecode *invalidation* count tracks the write
- *  stream, which is identical in both modes, so it is compared). */
+ *  predecode_*, superblock_*, and threaded_* families — excluded; the
+ *  write stream they once tracked is compared through the sram, fram
+ *  and mmio write counts). */
 void
 expectSimStatsEqual(const sim::Stats &a, const sim::Stats &b,
                     const std::string &ctx)
@@ -152,8 +153,6 @@ expectSimStatsEqual(const sim::Stats &a, const sim::Stats &b,
     EXPECT_EQ(a.interrupts, b.interrupts) << ctx;
     EXPECT_EQ(a.reboots, b.reboots) << ctx;
     EXPECT_EQ(a.recovery_cycles, b.recovery_cycles) << ctx;
-    EXPECT_EQ(a.predecode_invalidations, b.predecode_invalidations)
-        << ctx;
 }
 
 /** The host-side counters exist and are coherent, and the oracle twin
@@ -188,6 +187,39 @@ TEST(Threaded, CountersAccountForBlockCoverage)
     spec.workload = &crc;
     expectMostlyThreaded(harness::runOne(spec).stats, "default RunSpec");
     expectSimStatsEqual(on.stats(), off.stats(), "counters");
+}
+
+/** Each run builds only its own tier's decode cache: a plain run
+ *  dispatches threaded with no predecode cache at all (its bails
+ *  decode afresh), while a profile run and a metrics run take the
+ *  oracle tier with the predecode cache and build no block. */
+TEST(Threaded, EachTierOwnsOneDecodeCache)
+{
+    workloads::Workload crc = workloads::makeCrc();
+    harness::RunSpec plain;
+    plain.workload = &crc;
+    plain.system = harness::System::SwapRam;
+
+    const harness::Metrics fast = harness::runOne(plain);
+    ASSERT_TRUE(fast.done);
+    EXPECT_GT(fast.stats.threaded_instructions, 0u);
+    EXPECT_EQ(fast.stats.predecode_hits, 0u);
+    EXPECT_EQ(fast.stats.predecode_misses, 0u);
+    EXPECT_EQ(fast.stats.predecode_invalidations, 0u);
+
+    harness::RunSpec profiled = plain;
+    profiled.observe.profile = true;
+    harness::RunSpec measured = plain;
+    measured.observe.metrics = true;
+    for (const auto &[spec, name] :
+         {std::pair{profiled, "profile"}, std::pair{measured, "metrics"}}) {
+        const harness::Metrics m = harness::runOne(spec);
+        ASSERT_TRUE(m.done) << name;
+        EXPECT_GT(m.stats.predecode_hits, 0u) << name;
+        EXPECT_EQ(m.stats.superblock_blocks_built, 0u) << name;
+        EXPECT_EQ(m.stats.threaded_instructions, 0u) << name;
+        expectSimStatsEqual(fast.stats, m.stats, name);
+    }
 }
 
 /** A register-dependent store into MMIO space: the inline mapped-space
@@ -1033,8 +1065,7 @@ std::string
 maskHostCounters(const std::string &json_text)
 {
     static const char *kMasked[] = {
-        "\"predecode_hits\"",
-        "\"predecode_misses\"",
+        "\"predecode_",
         "\"superblock_",
         "\"threaded_",
     };

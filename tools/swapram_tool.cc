@@ -48,7 +48,8 @@
  *   --trace-limit N          stop streaming after N events
  *   --disasm                 annotate instruction events (text format)
  *   --ring-capacity N        trace ring-buffer size in events (default
- *                            65536). When a traced run drops events the
+ *                            65536; 0 keeps no ring, only the stream
+ *                            sink). When a traced run drops events the
  *                            tool warns on stderr; raise this to keep
  *                            the full history.
  *   --metrics                collect run metrics (address-space
@@ -97,12 +98,15 @@
  *                            runtime (cache systems only) and need an
  *                            SRAM stack — the default unified placement
  *                            auto-upgrades to standard.
- *   --ckpt-period N          periodic: misses between commits (64)
+ *   --ckpt-period N          periodic: misses between commits,
+ *                            1..65535 (64)
  *   --ckpt-threshold N       on-low-energy: commit below this MMIO
  *                            capacitor level, 0..0xFFFF (0x4000)
  *   --livelock-boots N       abort a run after N consecutive boots
- *                            without persistent-state progress
- *   --cap-capacity UJ        capacitor capacity in uJ (100)
+ *                            without persistent-state progress (0
+ *                            disables; default off, 8 for harvest
+ *                            faults)
+ *   --cap-capacity UJ        capacitor capacity in uJ, positive (100)
  *   --cap-power-on UJ        boot threshold in uJ (60)
  *   --cap-brown-out UJ       power-fail threshold in uJ (20)
  *   --cap-leak UW            parasitic leak in uW (10)
@@ -128,6 +132,7 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -174,7 +179,7 @@ struct Args {
     std::string trace_out;
     std::string trace_format;
     std::uint64_t trace_limit = 0;
-    std::size_t ring_capacity = 0; ///< 0 = engine default
+    std::optional<std::size_t> ring_capacity; ///< unset = engine default
     bool metrics = false;          ///< collect swapram-metrics/v1
     bool progress = false;         ///< live batch progress on stderr
     std::string flame_out;         ///< folded-stack output file
@@ -186,13 +191,14 @@ struct Args {
     bool placement_set = false; ///< explicit --placement given
     std::vector<std::string> harvest_traces; ///< --harvest-trace files
     std::string ckpt_schemes;     ///< --ckpt-scheme comma list
-    int ckpt_period = 0;          ///< --ckpt-period (0 = default 64)
-    std::uint32_t ckpt_threshold = 0; ///< --ckpt-threshold (0 = default)
-    std::uint32_t livelock_boots = 0; ///< --livelock-boots (0 = default)
-    double cap_capacity_uj = 0;   ///< --cap-capacity (0 = default 100)
-    double cap_power_on_uj = 0;   ///< --cap-power-on (0 = default 60)
-    double cap_brown_out_uj = 0;  ///< --cap-brown-out (0 = default 20)
-    double cap_leak_uw = -1;      ///< --cap-leak (<0 = default 10)
+    // Unset = the default; a given value is used as given.
+    std::optional<std::uint16_t> ckpt_period;    ///< --ckpt-period (64)
+    std::optional<std::uint16_t> ckpt_threshold; ///< --ckpt-threshold
+    std::optional<std::uint32_t> livelock_boots; ///< --livelock-boots
+    std::optional<double> cap_capacity_uj;  ///< --cap-capacity (100)
+    std::optional<double> cap_power_on_uj;  ///< --cap-power-on (60)
+    std::optional<double> cap_brown_out_uj; ///< --cap-brown-out (20)
+    std::optional<double> cap_leak_uw;      ///< --cap-leak (10)
     unsigned jobs = 0; ///< engine workers; 0 = hardware concurrency
     std::string systems; ///< sweep: comma list or "all"
     bool update_golden = false;
@@ -435,13 +441,16 @@ parseArgs(int argc, char **argv)
         } else if (a == "--ckpt-scheme") {
             args.ckpt_schemes = next();
         } else if (a == "--ckpt-period") {
-            args.ckpt_period = number<int>(a, next());
+            // The runtime counts misses down from it in a 16-bit word.
+            args.ckpt_period = number<std::uint16_t>(a, next(), 0, 1);
         } else if (a == "--ckpt-threshold") {
             args.ckpt_threshold = number<std::uint16_t>(a, next());
         } else if (a == "--livelock-boots") {
             args.livelock_boots = number<std::uint32_t>(a, next(), 10);
         } else if (a == "--cap-capacity") {
             args.cap_capacity_uj = quantity(a, next());
+            if (*args.cap_capacity_uj <= 0)
+                support::fatal(a, ": the capacity must be positive");
         } else if (a == "--cap-power-on") {
             args.cap_power_on_uj = quantity(a, next());
         } else if (a == "--cap-brown-out") {
@@ -836,14 +845,14 @@ sim::CapacitorModel
 capacitorFrom(const Args &args)
 {
     sim::CapacitorModel cap;
-    if (args.cap_capacity_uj > 0)
-        cap.capacity_pj = args.cap_capacity_uj * 1e6;
-    if (args.cap_power_on_uj > 0)
-        cap.power_on_pj = args.cap_power_on_uj * 1e6;
-    if (args.cap_brown_out_uj > 0)
-        cap.brown_out_pj = args.cap_brown_out_uj * 1e6;
-    if (args.cap_leak_uw >= 0)
-        cap.leak_watts = args.cap_leak_uw * 1e-6;
+    if (args.cap_capacity_uj)
+        cap.capacity_pj = *args.cap_capacity_uj * 1e6;
+    if (args.cap_power_on_uj)
+        cap.power_on_pj = *args.cap_power_on_uj * 1e6;
+    if (args.cap_brown_out_uj)
+        cap.brown_out_pj = *args.cap_brown_out_uj * 1e6;
+    if (args.cap_leak_uw)
+        cap.leak_watts = *args.cap_leak_uw * 1e-6;
     return cap;
 }
 
@@ -856,11 +865,9 @@ applyCkptScheme(harness::RunSpec &spec, ckpt::Scheme scheme,
     for (ckpt::Options *o : {&spec.swap.ckpt, &spec.block.ckpt}) {
         o->scheme = scheme;
         if (args.ckpt_period)
-            o->period = args.ckpt_period;
-        if (args.ckpt_threshold) {
-            o->low_threshold =
-                static_cast<std::uint16_t>(args.ckpt_threshold);
-        }
+            o->period = *args.ckpt_period;
+        if (args.ckpt_threshold)
+            o->low_threshold = *args.ckpt_threshold;
     }
 }
 
@@ -944,7 +951,7 @@ cmdRunMany(const Args &args)
             args.system != harness::System::Baseline;
         spec.observe.metrics = args.metrics;
         if (args.ring_capacity)
-            spec.observe.ring_capacity = args.ring_capacity;
+            spec.observe.ring_capacity = *args.ring_capacity;
         specs.push_back(spec);
     }
     harness::Engine engine(args.jobs);
@@ -1112,7 +1119,7 @@ cmdRun(const Args &args_in)
     harness::RunSpec spec = specFromArgs(args, &scratch);
     spec.include_lib = false; // already appended for workloads
     applyCkptScheme(spec, run_scheme, args);
-    spec.intermittent.livelock_boots = args.livelock_boots;
+    spec.intermittent.livelock_boots = args.livelock_boots.value_or(0);
     if (!args.harvest_traces.empty()) {
         // run/profile/trace take a single harvest trace (the faults
         // subcommand sweeps all of them).
@@ -1138,7 +1145,7 @@ cmdRun(const Args &args_in)
     obs.disasm = args.disasm;
     obs.metrics = args.metrics;
     if (args.ring_capacity)
-        obs.ring_capacity = args.ring_capacity;
+        obs.ring_capacity = *args.ring_capacity;
     if (args.command == "profile" || args.json ||
         !args.flame_out.empty())
         obs.profile = true;
@@ -1375,8 +1382,7 @@ cmdFaults(const Args &args_in)
             // otherwise burn the whole cycle budget before reporting;
             // arm the watchdog by default there.
             base.intermittent.livelock_boots =
-                args.livelock_boots ? args.livelock_boots
-                                    : (harvest ? 8 : 0);
+                args.livelock_boots.value_or(harvest ? 8 : 0);
             if (harvest) {
                 for (std::size_t ti = 0; ti < traces.size(); ++ti) {
                     Cell cell;
