@@ -34,7 +34,7 @@ struct Analysis {
 };
 
 Analysis
-analyze(const isa::Instr &in, std::uint32_t sram_size)
+analyze(const isa::Instr &in, std::uint16_t pc, std::uint32_t sram_size)
 {
     Analysis a;
     auto static_ok = [sram_size](const Operand &op) {
@@ -53,7 +53,10 @@ analyze(const isa::Instr &in, std::uint32_t sram_size)
     };
     switch (isa::opFormat(in.op)) {
       case isa::OpFormat::Jump:
-        a.terminator = true;
+        // A forward conditional jump is a side exit: the block goes on
+        // along its fall-through path (loop exits and skipped
+        // statements). JMP and backward jumps, mostly taken, end it.
+        a.terminator = in.op == Op::Jmp || in.jump_target <= pc;
         return a;
       case isa::OpFormat::DoubleOperand: {
         if (!static_ok(in.src) || !static_ok(in.dst)) {
@@ -272,7 +275,8 @@ SuperblockEngine::build(std::uint16_t pc)
             b->scan_end = end;
             isa::Instr instr = isa::decodeWords(
                 w0, ext_src, ext_dst, static_cast<std::uint16_t>(cur));
-            Analysis a = analyze(instr, config_.sram_size);
+            Analysis a = analyze(instr, static_cast<std::uint16_t>(cur),
+                                 config_.sram_size);
             if (!a.include)
                 break; // statically MMIO/unmapped operand
 

@@ -5,8 +5,11 @@
  *
  * A block is built by scanning forward from a word-aligned PC,
  * decoding speculatively until a terminator:
- *   - control flow (any jump, CALL, RETI, or a register destination of
- *     PC), which may leave the block;
+ *   - control flow that may leave the block: JMP, a backward
+ *     conditional jump, CALL, RETI, or a register destination of PC.
+ *     A forward conditional jump does not end the block: it is a side
+ *     exit, and the block goes on along its fall-through path, so a
+ *     copy loop's `TST/JZ/MOV/INCD/DECD/JMP` iteration is one block;
  *   - a statically MMIO-or-unmapped operand (Symbolic/Absolute into
  *     device space) — such instructions always run on the oracle;
  *   - a fetch that would leave the block's memory region (or a word

@@ -100,6 +100,28 @@ struct TDelta {
 static_assert(kNumAcc * sizeof(std::uint32_t) == 64,
               "a block's static totals fill one cache line");
 
+/** Static totals in AccIdx order: a block's, or the part of one that
+ *  did not run. */
+using Totals = std::array<std::uint32_t, kNumAcc>;
+
+/** Add one op's static delta to @p tot (the fetch count to the region
+ *  the block fetches from). */
+inline void
+addDelta(Totals &tot, const TDelta &dl, bool fram_code)
+{
+    tot[kAccBase] += dl.d_base;
+    tot[kAccStall] += dl.d_stall;
+    tot[fram_code ? kAccFramFetch : kAccSramFetch] += dl.d_fetch;
+    tot[kAccCode] += dl.d_code;
+    tot[kAccData] += dl.d_data;
+    tot[kAccSramRead] += dl.d_sram_r;
+    tot[kAccSramWrite] += dl.d_sram_w;
+    tot[kAccFramRead] += dl.d_fram_r;
+    tot[kAccFramWrite] += dl.d_fram_w;
+    tot[kAccHits] += dl.d_hits;
+    tot[kAccMisses] += dl.d_misses;
+}
+
 /** Chain-key bit of a block in the recovery range; the low byte is
  *  the block's CodeOwner. */
 constexpr std::uint16_t kKeyRecovery = 0x100;
@@ -161,8 +183,12 @@ class ThreadedCode
     /** Static block totals, indexed by AccIdx (the fetch count is
      *  already in the fram/sram slot matching fetch_region): one
      *  cache line. */
-    alignas(64) std::array<std::uint32_t, kNumAcc> tot{};
+    alignas(64) Totals tot{};
     std::vector<TDelta> deltas;
+    /** Per side exit (a conditional jump inside the block, indexed by
+     *  its op's b field): the static totals of the ops after it, which
+     *  a taken exit subtracts. */
+    std::vector<Totals> exits;
     /** The block's decoded instructions (generic kernel). */
     const SuperblockEngine::BlockInstr *instrs = nullptr;
     bool fram_code = false;
@@ -179,15 +205,22 @@ enum KernelId : int {
     kNMBase = 24,   ///< imm/reg src -> static mem dst
     kDRBase = 36,   ///< dynamic mem src -> reg dst
     kNDBase = 48,   ///< imm/reg src -> dynamic Indexed dst
-    kRrc = 60,
+    kMMBase = 60,   ///< mem src -> mem dst (static or register-based)
+    kRrc = 72,
     kRra,
     kSwpb,
     kSxt,
     kPush,
     kCallImm,
+    kM1Base,        ///< single-operand op on a memory operand, indexed
+                    ///< by (op - Op::Rrc)
+    kNop = kM1Base + 6, ///< MOV of a register/immediate to CG2
+    kReti,
     kJmp,
     kJcc,
     kJSigned,
+    kJccExit,     ///< kJcc inside a block: taken is a side exit
+    kJSignedExit, ///< kJSigned inside a block: taken is a side exit
     kGeneric,
     kBlockEnd,
     kNumKernels,
@@ -196,6 +229,9 @@ enum KernelId : int {
 #define SWAPRAM_FMT1_OPS(X)                                              \
     X(Mov) X(Add) X(Addc) X(Subc) X(Sub) X(Cmp) X(Dadd) X(Bit) X(Bic)    \
     X(Bis) X(Xor) X(And)
+
+/** The Format II ops with a memory-operand kernel, in Op order. */
+#define SWAPRAM_FMT2_OPS(X) X(Rrc) X(Swpb) X(Rra) X(Sxt) X(Push) X(Call)
 
 /** Shared chain state + accumulators for one runChain invocation. */
 struct DCtx {
@@ -249,6 +285,9 @@ struct DCtx {
     // Per-instruction FRAM line-contention chain (dynamic paths),
     // seeded from each op's fetch stream.
     fram::LineChain chain;
+
+    /** Instructions the generic kernel executed this chain. */
+    std::uint64_t generic = 0;
 
     // Bail-out report: the op the dispatch stopped at, and why.
     TOp *bail_op = nullptr;
@@ -761,6 +800,121 @@ kernCallImm(DCtx *st, TOp *op)
     return st->smc ? 2 : 0;
 }
 
+/** Base cell of a static memory operand in the memory-operand kernels
+ *  (kMM, kM1), whose addresses are base cell + offset: always 0, so
+ *  the offset is the address. Never written. */
+std::uint16_t g_static_base = 0;
+
+/** Memory src -> memory dst (each static or register-based): both
+ *  addresses pre-checked before anything is committed, then fully
+ *  dynamic accounting for the source read, the destination read and
+ *  the store, in the oracle's order. The destination offset already
+ *  includes the source's post-increment when both use one register
+ *  (lowering folds it in), as ExecCore resolves the destination after
+ *  the source. */
+template <Op OP>
+SWAPRAM_INLINE int
+kernMM(DCtx *st, TOp *op)
+{
+    std::uint16_t *regs = st->regs;
+    const std::uint16_t saddr =
+        static_cast<std::uint16_t>(cellLoad(op->sp, 0xFFFF) + op->a);
+    const std::uint16_t daddr =
+        static_cast<std::uint16_t>(cellLoad(op->dp, 0xFFFF) + op->b);
+    if (!mappedAddr(st, saddr) || !mappedAddr(st, daddr))
+        return 1;
+    tFetch(st, op);
+    st->chain = {op->chain, op->lastline};
+    regs[0] = op->next_pc;
+    regs[op->ra] = static_cast<std::uint16_t>(regs[op->ra] + op->inc);
+    const bool byte = op->byte != 0;
+    std::uint32_t src = dynLoad(st, saddr, byte);
+    std::uint32_t dst = 0;
+    if constexpr (OP != Op::Mov)
+        dst = dynLoad(st, daddr, byte);
+    AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
+    if constexpr (fmt1Writes<OP>())
+        dynStore(st, daddr, o.r, byte);
+    if constexpr (fmt1Flags<OP>())
+        setF(regs, o.n, o.z, o.c, o.v);
+    if constexpr (fmt1Writes<OP>()) {
+        if (st->smc)
+            return 2;
+    }
+    return 0;
+}
+
+/** A single-operand op on a memory operand (static or register-based):
+ *  RRC/RRA/SWPB/SXT rewrite it in place; PUSH and CALL read it and
+ *  write the stack slot (dp = SP's cell, b = the slot's offset from SP
+ *  before the operand's post-increment). Every address is pre-checked
+ *  before anything is committed. */
+template <Op OP>
+SWAPRAM_INLINE int
+kernM1(DCtx *st, TOp *op)
+{
+    namespace sr = isa::sr;
+    constexpr bool kStack = OP == Op::Push || OP == Op::Call;
+    std::uint16_t *regs = st->regs;
+    const std::uint16_t addr =
+        static_cast<std::uint16_t>(cellLoad(op->sp, 0xFFFF) + op->a);
+    std::uint16_t slot = 0;
+    if constexpr (kStack)
+        slot = static_cast<std::uint16_t>(cellLoad(op->dp, 0xFFFF) + op->b);
+    if (!mappedAddr(st, addr) || (kStack && !mappedAddr(st, slot)))
+        return 1;
+    tFetch(st, op);
+    st->chain = {op->chain, op->lastline};
+    regs[0] = op->next_pc;
+    regs[op->ra] = static_cast<std::uint16_t>(regs[op->ra] + op->inc);
+    const bool byte = op->byte != 0;
+    if constexpr (OP == Op::Push) {
+        std::uint32_t v = dynLoad(st, addr, byte);
+        regs[1] = slot;
+        dynStore(st, slot, v, byte);
+    } else if constexpr (OP == Op::Call) {
+        std::uint32_t target = dynLoad(st, addr, false);
+        regs[1] = slot;
+        dynStore(st, slot, op->next_pc, false);
+        regs[0] = static_cast<std::uint16_t>(target);
+    } else if constexpr (OP == Op::Swpb) {
+        std::uint32_t v = dynLoad(st, addr, false);
+        dynStore(st, addr, ((v >> 8) | (v << 8)) & 0xFFFF, false);
+    } else if constexpr (OP == Op::Sxt) {
+        std::uint32_t v = dynLoad(st, addr, false);
+        std::uint32_t r = (v & 0x80) ? (v | 0xFF00) : (v & 0xFF);
+        dynStore(st, addr, r, false);
+        setF(regs, (r & 0x8000) != 0, r == 0, r != 0, false);
+    } else { // Rrc, Rra
+        std::uint32_t v = dynLoad(st, addr, byte);
+        std::uint32_t r;
+        if constexpr (OP == Op::Rrc)
+            r = ((v >> 1) | ((regs[2] & sr::kC) ? op->msb : 0)) & op->mask;
+        else
+            r = ((v >> 1) | (v & op->msb)) & op->mask;
+        dynStore(st, addr, r, byte);
+        setF(regs, (r & op->msb) != 0, r == 0, (v & 1) != 0, false);
+    }
+    return st->smc ? 2 : 0;
+}
+
+/** RETI: pops SR, then PC, off a pre-checked stack. Terminator. */
+SWAPRAM_INLINE int
+kernReti(DCtx *st, TOp *op)
+{
+    std::uint16_t *regs = st->regs;
+    const std::uint16_t sp = regs[1];
+    const auto sp2 = static_cast<std::uint16_t>(sp + 2);
+    if (!mappedAddr(st, sp) || !mappedAddr(st, sp2))
+        return 1;
+    tFetch(st, op);
+    st->chain = {op->chain, op->lastline};
+    regs[2] = static_cast<std::uint16_t>(dynLoad(st, sp, false));
+    regs[0] = static_cast<std::uint16_t>(dynLoad(st, sp2, false));
+    regs[1] = static_cast<std::uint16_t>(sp + 4);
+    return 0;
+}
+
 /** Everything else: the shared ExecCore over the direct-memory shim,
  *  behind the dynamic-operand guard. */
 SWAPRAM_INLINE int
@@ -771,6 +925,7 @@ kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
         !SuperblockEngine::dynOperandsMapped(bi->instr, *st->regs_arr,
                                              st->sram_size))
         return 1;
+    ++st->generic;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
     st->regs[0] = op->next_pc;
@@ -795,6 +950,20 @@ enterBlock(DCtx *st, ThreadedCode &tc)
     st->smc = false;
     st->cur_tc = &tc;
     return tc.ops.data();
+}
+
+/** True when a checkpoint probe PC (0: none) lies in the block's code
+ *  [@p start, @p end) — past its first instruction when the chain
+ *  starts there, as the caller's pre-step reports that entry. A block
+ *  may run through a forward side exit's fall-through into a probe,
+ *  so its start alone does not decide. */
+SWAPRAM_INLINE bool
+probeIn(std::uint16_t commit, std::uint16_t restore, std::uint16_t start,
+        std::uint32_t end, bool first)
+{
+    const std::uint32_t from = start + (first ? 2u : 0u);
+    return (commit >= from && commit < end) ||
+           (restore >= from && restore < end);
 }
 
 /**
@@ -826,7 +995,8 @@ chainStep(DCtx *st)
         st->now0 + st->acc[kAccBase] + st->acc[kAccStall];
     if (tc && now + tc->worst < st->deadline &&
         ((tc->key ^ st->key) & st->key_mask) == 0 &&
-        (kFirst || (pc != st->ckpt_commit && pc != st->ckpt_restore)))
+        !probeIn(st->ckpt_commit, st->ckpt_restore, tc->start, tc->end,
+                 kFirst))
         return enterBlock(st, *tc);
     return static_cast<TOp *>(st->eng->advanceChain(st));
 }
@@ -872,9 +1042,16 @@ dispatchRun(DCtx *st, TOp *op)
 #define X(N) &&L_nd_##N,
         SWAPRAM_FMT1_OPS(X)
 #undef X
+#define X(N) &&L_mm_##N,
+        SWAPRAM_FMT1_OPS(X)
+#undef X
         &&L_rrc,     &&L_rra, &&L_swpb, &&L_sxt,     &&L_push,
-        &&L_callimm, &&L_jmp, &&L_jcc,  &&L_jsigned, &&L_generic,
-        &&L_end,
+        &&L_callimm,
+#define X(N) &&L_m1_##N,
+        SWAPRAM_FMT2_OPS(X)
+#undef X
+        &&L_nop,     &&L_reti, &&L_jmp, &&L_jcc,  &&L_jsigned,
+        &&L_jcc_x,   &&L_jsigned_x,     &&L_generic, &&L_end,
     };
     if (!st)
         return kLabels;
@@ -924,6 +1101,16 @@ dispatchRun(DCtx *st, TOp *op)
     SWAPRAM_NEXT;
     SWAPRAM_FMT1_OPS(X)
 #undef X
+#define X(N)                                                             \
+    L_mm_##N : SWAPRAM_RUN(kernMM<Op::N>(st, op));                       \
+    SWAPRAM_NEXT;
+    SWAPRAM_FMT1_OPS(X)
+#undef X
+#define X(N)                                                             \
+    L_m1_##N : SWAPRAM_RUN(kernM1<Op::N>(st, op));                       \
+    SWAPRAM_NEXT;
+    SWAPRAM_FMT2_OPS(X)
+#undef X
 
 L_rrc:
     SWAPRAM_RUN(kernRot<true>(st, op));
@@ -953,6 +1140,13 @@ L_push:
 L_callimm:
     SWAPRAM_RUN(kernCallImm(st, op));
     SWAPRAM_NEXT;
+L_nop:
+    tFetch(st, op);
+    st->regs[0] = op->next_pc;
+    SWAPRAM_NEXT;
+L_reti:
+    SWAPRAM_RUN(kernReti(st, op));
+    SWAPRAM_NEXT;
 L_jmp:
     tFetch(st, op);
     st->regs[0] = op->a;
@@ -972,6 +1166,26 @@ L_jsigned : {
     st->regs[0] = ((n == v) == (op->ra != 0)) ? op->a : op->next_pc;
     SWAPRAM_NEXT;
 }
+L_jcc_x:
+    tFetch(st, op);
+    if (((st->regs[2] & op->mask) != 0) != (op->ra != 0)) {
+        st->regs[0] = op->next_pc;
+        SWAPRAM_NEXT;
+    }
+    st->regs[0] = op->a;
+    goto L_side_exit;
+L_jsigned_x : {
+    namespace sr = isa::sr;
+    tFetch(st, op);
+    bool n = (st->regs[2] & sr::kN) != 0;
+    bool v = (st->regs[2] & sr::kV) != 0;
+    if ((n == v) != (op->ra != 0)) {
+        st->regs[0] = op->next_pc;
+        SWAPRAM_NEXT;
+    }
+    st->regs[0] = op->a;
+    goto L_side_exit;
+}
 L_generic:
     SWAPRAM_RUN(kernGeneric(st, op, core));
     SWAPRAM_NEXT;
@@ -984,6 +1198,13 @@ L_bail_smc:
     st->bail_op = op;
     st->bail_kind = 2;
     return kLabels;
+L_side_exit : {
+    // A taken side exit leaves the block early: take back the static
+    // totals of the ops after it, then step on as at the block end.
+    const auto &suffix = st->cur_tc->exits[op->b];
+    for (int i = 0; i < kNumAcc; ++i)
+        st->acc[i] -= suffix[i];
+}
 L_end:
     // Block completed: step to the next one in line — the dispatch
     // function itself is entered once per chain, not once per block.
@@ -1038,6 +1259,36 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
 
     auto regCell = [regs](isa::Reg r) {
         return reinterpret_cast<std::uint8_t *>(regs + isa::regIndex(r));
+    };
+    // A memory operand of the kMM/kM1 kernels as base cell + offset: a
+    // register's cell, or g_static_base for a Symbolic/Absolute
+    // address. @Rn+ records its register and step in ra/inc. False
+    // for non-memory operands and for a PC base, whose register value
+    // inside a block is the instruction's own address, not the next
+    // one that ExecCore sees.
+    auto memOperand = [&](const Operand &op, bool byte, TOp &t,
+                          std::uint8_t *&base, std::uint16_t &offset) {
+        switch (op.mode) {
+          case Mode::Symbolic:
+          case Mode::Absolute:
+            base = reinterpret_cast<std::uint8_t *>(&g_static_base);
+            offset = op.value;
+            return true;
+          case Mode::Indexed:
+          case Mode::Indirect:
+          case Mode::IndirectInc:
+            if (op.reg == isa::Reg::PC)
+                return false;
+            base = regCell(op.reg);
+            offset = op.mode == Mode::Indexed ? op.value : 0;
+            if (op.mode == Mode::IndirectInc) {
+                t.ra = isa::regIndex(op.reg);
+                t.inc = byte ? 1 : 2;
+            }
+            return true;
+          default:
+            return false;
+        }
     };
     // The contention a static-address data access owes: the chain
     // before it is the op's own fetch stream, whose addresses are fixed.
@@ -1158,6 +1409,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
 
         // Kernel selection.
         int kid = kGeneric;
+        std::uint8_t *sbase = nullptr;
         const Op o = in.op;
         switch (isa::opFormat(o)) {
           case isa::OpFormat::Jump: {
@@ -1179,6 +1431,10 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
                   default: kid = kGeneric; break;
                 }
             }
+            // Before the block's last op, a conditional jump is a side
+            // exit (sim/superblock.hh).
+            if (i + 1 < n && kid != kJmp)
+                kid = kid == kJSigned ? kJSignedExit : kJccExit;
             break;
           }
           case isa::OpFormat::DoubleOperand: {
@@ -1224,7 +1480,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
             } else if ((s.mode == Mode::Indexed ||
                         s.mode == Mode::Indirect ||
                         s.mode == Mode::IndirectInc) &&
-                       dst_reg) {
+                       s.reg != isa::Reg::PC && dst_reg) {
                 kid = kDRBase + op_off;
                 t.ra = isa::regIndex(s.reg);
                 t.a = s.mode == Mode::Indexed ? s.value : 0;
@@ -1236,6 +1492,18 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
                 kid = kNDBase + op_off;
                 t.rd = isa::regIndex(d.reg);
                 t.b = d.value;
+            } else if (src_nonmem && o == Op::Mov &&
+                       d.mode == Mode::Register && d.reg == isa::Reg::CG2) {
+                kid = kNop; // the write to the constant generator is lost
+            } else if (memOperand(d, in.byte, t, t.dp, t.b) &&
+                       memOperand(s, in.byte, t, sbase, t.a)) {
+                kid = kMMBase + op_off;
+                t.sp = sbase;
+                // ExecCore resolves the destination after the source's
+                // post-increment: fold it into the destination offset.
+                if (d.mode == Mode::Indexed && t.inc &&
+                    isa::regIndex(d.reg) == t.ra)
+                    t.b = static_cast<std::uint16_t>(t.b + t.inc);
             }
             break;
           }
@@ -1243,6 +1511,24 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
             const Operand &d = in.dst;
             const bool d_reg = d.mode == Mode::Register &&
                                d.reg != isa::Reg::CG2;
+            if (o == Op::Reti) {
+                kid = kReti;
+                break;
+            }
+            if (memOperand(d, in.byte, t, sbase, t.a)) {
+                kid = kM1Base + (static_cast<int>(o) -
+                                 static_cast<int>(Op::Rrc));
+                t.sp = sbase;
+                if (o == Op::Push || o == Op::Call) {
+                    // The slot is SP - 2 after the operand's own
+                    // post-increment of SP, if any.
+                    t.dp = regCell(isa::Reg::SP);
+                    t.b = static_cast<std::uint16_t>(
+                        (t.ra == isa::regIndex(isa::Reg::SP) ? t.inc : 0) -
+                        2);
+                }
+                break;
+            }
             switch (o) {
               case Op::Rrc:
                 if (d_reg) {
@@ -1286,7 +1572,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
                 }
                 break;
               default:
-                break; // RETI and memory-destination forms: generic
+                break;
             }
             break;
           }
@@ -1306,23 +1592,29 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         const bool may_probe =
             t.probe != 0 || (kid >= kDRBase && kid < kDRBase + 12) ||
             (kid >= kNDBase && kid < kNDBase + 12 && o != Op::Mov) ||
+            (kid >= kMMBase && kid < kMMBase + 12) ||
+            (kid >= kM1Base && kid < kM1Base + 6) || kid == kReti ||
             kid == kGeneric;
         fold_clean = !may_probe;
 
-        tc->tot[kAccBase] += dl.d_base;
-        tc->tot[kAccStall] += dl.d_stall;
-        tc->tot[fram_code ? kAccFramFetch : kAccSramFetch] += dl.d_fetch;
-        tc->tot[kAccCode] += dl.d_code;
-        tc->tot[kAccData] += dl.d_data;
-        tc->tot[kAccSramRead] += dl.d_sram_r;
-        tc->tot[kAccSramWrite] += dl.d_sram_w;
-        tc->tot[kAccFramRead] += dl.d_fram_r;
-        tc->tot[kAccFramWrite] += dl.d_fram_w;
-        tc->tot[kAccHits] += dl.d_hits;
-        tc->tot[kAccMisses] += dl.d_misses;
+        addDelta(tc->tot, dl, fram_code);
     }
     tc->tot[kAccOwner0 + block.owner] = static_cast<std::uint32_t>(n);
     tc->ops[n].h = labels_[kBlockEnd];
+
+    // Each side exit's suffix: the totals of the ops after it.
+    Totals suffix{};
+    for (std::size_t i = n; i-- > 0;) {
+        const void *h = tc->ops[i].h;
+        if (h == labels_[kJccExit] || h == labels_[kJSignedExit]) {
+            Totals sx = suffix;
+            sx[kAccOwner0 + block.owner] =
+                static_cast<std::uint32_t>(n - 1 - i);
+            tc->ops[i].b = static_cast<std::uint16_t>(tc->exits.size());
+            tc->exits.push_back(sx);
+        }
+        addDelta(suffix, tc->deltas[i], fram_code);
+    }
 
     block.threaded = std::move(tc);
     ++stats_.threaded_blocks_lowered;
@@ -1383,8 +1675,8 @@ ThreadedEngine::advanceChain(void *p)
     // are events the oracle's pre-step emits: chains stop before them.
     if (limits.owner != ChainLimits::kAnyOwner &&
         (block->owner != limits.owner ||
-         (!first &&
-          (pc == limits.ckpt_commit || pc == limits.ckpt_restore))))
+         probeIn(limits.ckpt_commit, limits.ckpt_restore, pc,
+                 block->end_addr, first)))
         return nullptr;
 
     if (!block->threaded)
@@ -1439,24 +1731,13 @@ ThreadedEngine::runChain(const ChainLimits &limits)
             static_cast<std::size_t>(st.bail_op - tc.ops.data());
         const std::size_t executed = st.bail_kind == 2 ? idx + 1 : idx;
         if (executed < n) {
-            for (std::size_t i = executed; i < n; ++i) {
-                const TDelta &t = tc.deltas[i];
-                st.acc[kAccBase] -= t.d_base;
-                st.acc[kAccStall] -= t.d_stall;
-                if (tc.fram_code)
-                    st.acc[kAccFramFetch] -= t.d_fetch;
-                else
-                    st.acc[kAccSramFetch] -= t.d_fetch;
-                st.acc[kAccCode] -= t.d_code;
-                st.acc[kAccData] -= t.d_data;
-                st.acc[kAccSramRead] -= t.d_sram_r;
-                st.acc[kAccSramWrite] -= t.d_sram_w;
-                st.acc[kAccFramRead] -= t.d_fram_r;
-                st.acc[kAccFramWrite] -= t.d_fram_w;
-                st.acc[kAccHits] -= t.d_hits;
-                st.acc[kAccMisses] -= t.d_misses;
-            }
-            st.acc[kAccOwner0 + tc.owner] -= n - executed;
+            Totals suffix{};
+            for (std::size_t i = executed; i < n; ++i)
+                addDelta(suffix, tc.deltas[i], tc.fram_code);
+            suffix[kAccOwner0 + tc.owner] =
+                static_cast<std::uint32_t>(n - executed);
+            for (int i = 0; i < kNumAcc; ++i)
+                st.acc[i] -= suffix[i];
         }
         if (st.bail_kind == 1)
             ++stats_.threaded_bail_operand;
@@ -1477,6 +1758,7 @@ ThreadedEngine::runChain(const ChainLimits &limits)
     for (int i = 0; i < kNumOwners; ++i)
         total += st.acc[kAccOwner0 + i];
     stats_.threaded_dispatches += st.dispatches;
+    stats_.threaded_generic_executions += st.generic;
     if (total) {
         stats_.instructions += total;
         stats_.base_cycles += st.acc[kAccBase];

@@ -145,4 +145,23 @@ TEST_P(RandomDifferential, MachineMatchesAstInterpreter)
 INSTANTIATE_TEST_SUITE_P(RandomPrograms, RandomDifferential,
                          ::testing::Range(100u, 140u));
 
+/** Version-3 programs (memory-to-memory statements) against the AST
+ *  interpreter. */
+class MemToMemDifferential
+    : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(MemToMemDifferential, MachineMatchesAstInterpreter)
+{
+    test::FuzzOptions opts;
+    opts.version = 3;
+    auto w = test::randomProgram(GetParam(), opts);
+    compareRuns(harness::startupSource(0xFF80) + w.source,
+                w.name.c_str());
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomPrograms, MemToMemDifferential,
+                         ::testing::Range(300u, 324u));
+
 } // namespace

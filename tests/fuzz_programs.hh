@@ -9,7 +9,11 @@
  * the legacy biased Rng::below and the original op palette); version 2
  * widens the palette with byte-sized (.B) ALU ops and can emit
  * interrupt-driven configurations whose tick count is deterministic
- * across execution systems and power failures.
+ * across execution systems and power failures; version 3 adds
+ * memory-to-memory statements (register-based to Indexed, absolute to
+ * absolute, byte and same-register forms, single-operand ops on
+ * memory) over a scratch array of its own. Versions 1 and 2 emit
+ * exactly what they did before version 3 existed.
  */
 
 #ifndef SWAPRAM_TESTS_FUZZ_PROGRAMS_HH
@@ -24,9 +28,77 @@ namespace swapram::test {
 
 /** Generator configuration (see file header for the version story). */
 struct FuzzOptions {
-    int version = 1;            ///< 1 = historical, 2 = extended
-    bool allow_interrupts = false; ///< v2 only: maybe emit a tick ISR
+    int version = 1; ///< 1 = historical, 2 = extended, 3 = + mem-to-mem
+    bool allow_interrupts = false; ///< v2+: maybe emit a tick ISR
 };
+
+/** Emit one version-3 memory-to-memory statement over fz_marr (eight
+ *  words) and function @p func_id's global cell. R14 and R15 are
+ *  scratch indices, dead after the statement; R12 takes a word of the
+ *  array back, so the statement feeds the checksum. */
+inline void
+emitMemCase(std::ostringstream &os, support::Rng &rng, int func_id)
+{
+    static const char *const kOps[] = {"MOV", "ADD", "ADDC", "SUB",
+                                       "SUBC", "XOR", "AND", "BIS",
+                                       "BIC", "CMP", "DADD"};
+    const char *op = kOps[rng.below(11)];
+    os << "        MOV R12, R14\n"
+          "        AND #6, R14\n"
+          "        MOV R13, R15\n"
+          "        AND #6, R15\n";
+    switch (rng.below(6)) {
+      case 0: // Indexed -> Indexed
+        os << "        " << op << " fz_marr(R14), fz_marr+8(R15)\n";
+        break;
+      case 1: // @Rn+ -> Indexed off the same register (the copy loops)
+        os << "        ADD #fz_marr, R14\n"
+           << "        " << (rng.below(2) ? "MOV" : op)
+           << " @R14+, 0(R14)\n";
+        break;
+      case 2: // @Rn / @Rn+ -> Indexed off another register
+        os << "        ADD #fz_marr, R14\n"
+           << "        " << op
+           << (rng.below(2) ? " @R14, fz_marr(R15)\n"
+                            : " @R14+, fz_marr+8(R15)\n");
+        break;
+      case 3: // byte forms, odd addresses included
+        if (rng.below(2)) {
+            os << "        ADD #fz_marr+1, R14\n"
+               << "        " << op << ".B @R14+, 1(R14)\n";
+        } else {
+            os << "        " << op
+               << ".B fz_marr+3(R15), fz_marr+9(R14)\n";
+        }
+        break;
+      case 4: // absolute -> absolute
+        if (rng.below(2)) {
+            os << "        " << op << " &fz_marr+" << 2 * rng.below(8)
+               << ", &fz_g" << func_id << "\n";
+        } else {
+            os << "        " << op << ".B &fz_g" << func_id
+               << ", &fz_marr+" << rng.below(16) << "\n";
+        }
+        break;
+      default: // single-operand ops on memory
+        switch (rng.below(5)) {
+          case 0: os << "        RRA fz_marr(R14)\n"; break;
+          case 1: os << "        SWPB &fz_marr+" << 2 * rng.below(8)
+                     << "\n";
+            break;
+          case 2: os << "        RRC.B fz_marr+1(R15)\n"; break;
+          case 3: os << "        ADD #fz_marr, R14\n"
+                        "        SXT @R14+\n";
+            break;
+          default: os << "        PUSH fz_marr(R14)\n"
+                         "        POP R15\n"
+                         "        ADD R15, R13\n";
+            break;
+        }
+        break;
+    }
+    os << "        ADD &fz_marr+" << 2 * rng.below(8) << ", R12\n";
+}
 
 /** Emit ALU case @p pick, mutating R12/R13 or state. Cases 0-11 are
  *  the version-1 palette (their Rng consumption is pinned); 12-15 are
@@ -135,14 +207,17 @@ inline workloads::Workload
 randomProgram(std::uint32_t seed, const FuzzOptions &opts)
 {
     const bool v2 = opts.version >= 2;
+    const bool v3 = opts.version >= 3;
     // Version 1 pins the legacy biased below() so historical fuzz
     // seeds keep producing byte-identical programs.
-    support::Rng rng(v2 ? seed ^ 0xF22Du : seed,
+    support::Rng rng(v3 ? seed ^ 0x3A3Bu : v2 ? seed ^ 0xF22Du : seed,
                      v2 ? support::Rng::kUniformBelow
                         : support::Rng::kLegacyBelow);
     int label_seq = 0;
     const int nfuncs = 3 + static_cast<int>(rng.below(6)); // 3..8
-    const int alu_cases = v2 ? 16 : 12;
+    // Version 3's memory statement is case 16, drawn as often as the
+    // other sixteen together.
+    const int alu_cases = v3 ? 32 : v2 ? 16 : 12;
 
     bool interrupts = v2 && opts.allow_interrupts && rng.below(10) < 4;
     const int isr_ticks = interrupts ? 2 + static_cast<int>(rng.below(6))
@@ -173,9 +248,13 @@ randomProgram(std::uint32_t seed, const FuzzOptions &opts)
         os << "        MOV #" << loop_iters << ", R10\n";
         os << "fz_l" << f << ":\n";
         int body = 2 + rng.below(6);
-        for (int i = 0; i < body; ++i)
-            emitAluCase(os, static_cast<int>(rng.below(alu_cases)),
-                        rng, f, label_seq);
+        for (int i = 0; i < body; ++i) {
+            const int pick = static_cast<int>(rng.below(alu_cases));
+            if (pick >= 16)
+                emitMemCase(os, rng, f);
+            else
+                emitAluCase(os, pick, rng, f, label_seq);
+        }
         // Random calls to later functions (guaranteed acyclic).
         for (int c = 0; c < 2; ++c) {
             if (f + 1 < nfuncs && rng.below(10) < 6) {
@@ -247,6 +326,12 @@ randomProgram(std::uint32_t seed, const FuzzOptions &opts)
         for (int i = 0; i < 8; ++i)
             os << (i ? ", " : " ") << static_cast<int>(rng.byte());
         os << "\n        .align 2\n";
+    }
+    if (v3) {
+        os << "fz_marr: .word";
+        for (int i = 0; i < 8; ++i)
+            os << (i ? ", " : " ") << rng.word();
+        os << "\n";
     }
     os << "fz_sum:  .word 0\n"
           "fz_reps: .word 0\n";

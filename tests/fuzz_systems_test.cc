@@ -59,9 +59,9 @@ expectTierStatsEqual(const harness::Metrics &a,
  *  threaded-code dispatch and the always-decode single-step oracle
  *  (predecode off too). */
 void
-fuzzSystemsSeed(std::uint32_t seed)
+fuzzSystemsSeed(std::uint32_t seed, const test::FuzzOptions &opts = {})
 {
-    auto w = test::randomProgram(seed);
+    auto w = test::randomProgram(seed, opts);
     support::Rng rng(seed ^ 0xDECAF);
 
     // All six runs per seed (baseline oracle + 3 SwapRAM geometries +
@@ -178,6 +178,39 @@ TEST(FuzzSystemsExtended, ThreadedTierWideSeedShard)
             << "set SWAPRAM_FUZZ_EXTENDED=1 for the wide tier sweep";
     for (std::uint32_t seed = 400; seed < 440; ++seed)
         fuzzSystemsSeed(seed);
+}
+
+/** Version-3 programs: memory-to-memory statements on every system,
+ *  threaded against the oracle. A few seeds run with the tier-1
+ *  suite; the wide shard runs with the extended ones. */
+test::FuzzOptions
+memToMem()
+{
+    test::FuzzOptions opts;
+    opts.version = 3;
+    return opts;
+}
+
+class FuzzMemToMem : public ::testing::TestWithParam<std::uint32_t>
+{
+};
+
+TEST_P(FuzzMemToMem, CachingSystemsMatchBaseline)
+{
+    fuzzSystemsSeed(GetParam(), memToMem());
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomPrograms, FuzzMemToMem,
+                         ::testing::Range(1u, 9u));
+
+TEST(FuzzSystemsExtended, MemoryToMemorySeedShard)
+{
+    const char *flag = std::getenv("SWAPRAM_FUZZ_EXTENDED");
+    if (!flag || flag[0] == '\0' || flag[0] == '0')
+        GTEST_SKIP()
+            << "set SWAPRAM_FUZZ_EXTENDED=1 for the memory-form sweep";
+    for (std::uint32_t seed = 500; seed < 540; ++seed)
+        fuzzSystemsSeed(seed, memToMem());
 }
 
 } // namespace

@@ -39,6 +39,7 @@
 #include "sim/harvest.hh"
 #include "sim/superblock.hh"
 #include "support/platform.hh"
+#include "support/strings.hh"
 #include "testutil.hh"
 #include "trace/trace.hh"
 #include "workloads/workload.hh"
@@ -1036,6 +1037,11 @@ TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
         EXPECT_EQ(on.energy_pj, off.energy_pj) << key;
         expectSimStatsEqual(on.stats, off.stats, key);
         expectMostlyThreaded(on.stats, key);
+        // Kernel coverage: fewer than 0.5% of the threaded
+        // instructions fall back to the generic kernel.
+        EXPECT_LT(200 * on.stats.threaded_generic_executions,
+                  on.stats.threaded_instructions)
+            << key;
         EXPECT_EQ(obs.checksum, off.checksum) << key;
         EXPECT_EQ(obs.energy_pj, off.energy_pj) << key;
         expectSimStatsEqual(obs.stats, off.stats, key + " observed");
@@ -1114,6 +1120,329 @@ TEST(Threaded, RunReportByteIdenticalWithHostCountersMasked)
         << "host counters should differ across tiers";
     EXPECT_EQ(maskHostCounters(on_text), maskHostCounters(off_text));
     expectCopyLoopThreaded(outcomes[0].metrics.stats, "report");
+}
+
+/** A kernel twin's program: @p body after the standard startup, then
+ *  the halt, then @p data in the data section. */
+std::string
+kernelSource(const std::string &body, const std::string &data)
+{
+    return "        .text\n"
+           "__start:\n"
+           "        MOV #0x3000, SP\n" +
+           body +
+           "        MOV.B #0, &__DONE\n"
+           "__halt: JMP __halt\n"
+           "        .data\n"
+           "        .align 2\n" +
+           data;
+}
+
+/** Memory-operand kernel twin: @p source on the threaded tier and on
+ *  the oracle must leave the same registers, memory (every byte
+ *  outside the MMIO window), console and simulated Stats; the fast
+ *  side must retire most instructions threaded and none on the
+ *  generic kernel, so the specialized kernels are what ran. */
+test::MiniRun
+expectKernelTwin(const std::string &source, const std::string &ctx,
+                 masm::LayoutSpec layout = {})
+{
+    test::MiniRun on = test::runSource(source, withThreaded(true), layout);
+    test::MiniRun off =
+        test::runSource(source, withThreaded(false), layout);
+    EXPECT_TRUE(on.result.done) << ctx;
+    EXPECT_TRUE(off.result.done) << ctx;
+    for (int r = 1; r < 16; ++r) {
+        const Reg reg = isa::regFromIndex(static_cast<std::uint8_t>(r));
+        EXPECT_EQ(on.reg(reg), off.reg(reg)) << ctx << " R" << r;
+    }
+    int mismatches = 0;
+    for (std::uint32_t a = 0; a < 0x10000 && mismatches < 8; ++a) {
+        if (a >= platform::kMmioBase && a < platform::kMmioEnd)
+            continue;
+        const auto addr = static_cast<std::uint16_t>(a);
+        if (on.machine->peek8(addr) != off.machine->peek8(addr)) {
+            ++mismatches;
+            ADD_FAILURE() << ctx << ": memory differs at "
+                          << support::hex16(addr);
+        }
+    }
+    EXPECT_EQ(on.machine->mmio().console(), off.machine->mmio().console())
+        << ctx;
+    expectSimStatsEqual(on.stats(), off.stats(), ctx);
+    expectMostlyThreaded(on.stats(), ctx);
+    EXPECT_EQ(on.stats().threaded_generic_executions, 0u) << ctx;
+    return on;
+}
+
+/** Ten words 0x1111, 0x2222, ... to copy around. */
+const char kCopyWords[] =
+    "src:    .word 0x1111, 0x2222, 0x3333, 0x4444, 0x5555\n"
+    "        .word 0x6666, 0x7777, 0x8888, 0x9999, 0xAAAA\n"
+    "dst:    .word 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0\n";
+
+/** The copy loops' store with one register on both sides: ExecCore
+ *  resolves the destination after the source's post-increment, so
+ *  each pass copies a word one slot up and the first word smears over
+ *  the buffer. Ignoring the increment would copy each word onto
+ *  itself. */
+TEST(Threaded, SameRegisterPostIncrementMatchesOracle)
+{
+    test::MiniRun on = expectKernelTwin(
+        kernelSource("        MOV #src, R12\n"
+                     "        MOV #8, R10\n"
+                     "sloop:  MOV @R12+, 0(R12)\n"
+                     "        DEC R10\n"
+                     "        JNZ sloop\n"
+                     "        MOV #dst, R13\n"
+                     "        MOV #4, R10\n"
+                     "aloop:  ADD @R13+, 0(R13)\n"
+                     "        DEC R10\n"
+                     "        JNZ aloop\n",
+                     kCopyWords),
+        "same register");
+    const std::uint16_t src = on.assembled.symbol("src");
+    EXPECT_EQ(on.machine->peek16(src + 16), 0x1111);
+}
+
+/** Byte copies through @Rn+ walk odd addresses on both sides. */
+TEST(Threaded, ByteCopyMatchesOracle)
+{
+    expectKernelTwin(kernelSource("        MOV #src+1, R13\n"
+                                  "        MOV #dst+3, R12\n"
+                                  "        MOV #11, R10\n"
+                                  "bloop:  MOV.B @R13+, 0(R12)\n"
+                                  "        INC R12\n"
+                                  "        DEC R10\n"
+                                  "        JNZ bloop\n"
+                                  "        MOV #src, R13\n"
+                                  "        MOV.B @R13+, 1(R13)\n"
+                                  "        XOR.B @R13+, -1(R13)\n",
+                                  kCopyWords),
+                     "byte copy");
+}
+
+/** Every Format I op with a memory source and a register-based
+ *  destination: read-modify-write, flag-only (CMP, BIT), carry in
+ *  (ADDC, SUBC, DADD) and byte forms, with @Rn+, @Rn and Indexed
+ *  sources. */
+TEST(Threaded, MemoryToMemoryAluMatchesOracle)
+{
+    expectKernelTwin(kernelSource("        MOV #src, R13\n"
+                                  "        MOV #dst, R12\n"
+                                  "        MOV #4, R10\n"
+                                  "rloop:  ADD @R13+, 0(R12)\n"
+                                  "        ADDC 2(R13), 2(R12)\n"
+                                  "        XOR @R13, 4(R12)\n"
+                                  "        CMP @R13, 0(R12)\n"
+                                  "        SUBC.B 1(R13), 1(R12)\n"
+                                  "        BIC 0(R13), 6(R12)\n"
+                                  "        BIS.B @R13, 3(R12)\n"
+                                  "        DADD @R13, 8(R12)\n"
+                                  "        AND 2(R13), 10(R12)\n"
+                                  "        BIT @R13, 12(R12)\n"
+                                  "        SUB @R13+, 14(R12)\n"
+                                  "        SUB -4(R13), 16(R12)\n"
+                                  "        DEC R10\n"
+                                  "        JNZ rloop\n",
+                                  kCopyWords),
+                     "mem to mem alu");
+}
+
+/** Static and register-based operands mixed on either side, and
+ *  static to static (ADD/ADDC &a, &b, the runtime's 32-bit counters). */
+TEST(Threaded, StaticMemoryOperandsMatchOracle)
+{
+    expectKernelTwin(kernelSource("        MOV #src, R13\n"
+                                  "        MOV #dst, R12\n"
+                                  "        MOV #5, R10\n"
+                                  "tloop:  MOV 4(R13), &dst+20\n"
+                                  "        ADD &src+6, 2(R12)\n"
+                                  "        ADD &src, &dst\n"
+                                  "        ADDC &src+2, &dst+2\n"
+                                  "        MOV.B &src+3, &dst+5\n"
+                                  "        XOR @R13+, &dst+8\n"
+                                  "        CMP &dst, &src\n"
+                                  "        NOP\n"
+                                  "        DEC R10\n"
+                                  "        JNZ tloop\n",
+                                  kCopyWords),
+                     "static operands");
+}
+
+/** A register-based store into MMIO: the destination pre-check bails
+ *  before the source's post-increment commits, and the oracle then
+ *  writes the console once per byte. */
+TEST(Threaded, MemoryToMmioBailsAndMatchesOracle)
+{
+    test::MiniRun on = expectKernelTwin(
+        kernelSource("        MOV #text, R13\n"
+                     "        MOV #0x0100, R12\n" // console register
+                     "        MOV #5, R10\n"
+                     "mloop:  MOV.B @R13+, 0(R12)\n"
+                     "        DEC R10\n"
+                     "        JNZ mloop\n",
+                     "text:   .byte 72, 69, 76, 76, 79\n"),
+        "mmio destination");
+    EXPECT_EQ(on.machine->mmio().console(), "HELLO");
+    EXPECT_GT(on.stats().threaded_bail_operand, 0u);
+}
+
+/** A register-based copy onto the next instruction of its own block:
+ *  the store commits, then the chain must stop instead of running the
+ *  stale lowered ADD #1. */
+TEST(Threaded, MemoryToMemoryStoreIntoOwnBlockMatchesOracle)
+{
+    test::MiniRun on = expectKernelTwin(
+        kernelSource("        MOV #0, R11\n"
+                     "        MOV #3, R10\n"
+                     "        MOV #ptmpl, R13\n"
+                     "        MOV #ppatch, R12\n"
+                     "ploop:  MOV @R13, 0(R12)\n"
+                     "ppatch: ADD #1, R11\n"
+                     "        DEC R10\n"
+                     "        JNZ ploop\n"
+                     "        JMP pdone\n"
+                     "ptmpl:  ADD #2, R11\n"
+                     "pdone:\n",
+                     ""),
+        "smc copy");
+    EXPECT_EQ(on.reg(Reg::R11), 6) << "stale lowered kernel executed";
+    EXPECT_GT(on.stats().threaded_bail_smc, 0u);
+}
+
+/** ADD &a, &b onto the immediate of the next instruction in its own
+ *  block: every pass must add the freshly patched immediate. */
+TEST(Threaded, StaticToStaticStoreIntoOwnBlockMatchesOracle)
+{
+    test::MiniRun on = expectKernelTwin(
+        kernelSource("        MOV #0, R12\n"
+                     "        MOV #5, R10\n"
+                     "qloop:  ADD &delta, &qimm+2\n"
+                     "qimm:   ADD #100, R12\n"
+                     "        DEC R10\n"
+                     "        JNZ qloop\n",
+                     "delta:  .word 3\n"),
+        "smc static");
+    // 103 + 106 + 109 + 112 + 115.
+    EXPECT_EQ(on.reg(Reg::R12), 545) << "stale lowered kernel executed";
+    EXPECT_GT(on.stats().threaded_bail_smc, 0u);
+}
+
+/** FRAM to FRAM copies from FRAM code: the fetch stream, the source
+ *  read and the store form one contention chain, with source and
+ *  destination on one 8-byte line and on different lines. */
+TEST(Threaded, FramToFramCopyMatchesOracle)
+{
+    masm::LayoutSpec layout;
+    layout.data_base = 0x9000;
+    test::MiniRun on = expectKernelTwin(
+        kernelSource("        MOV #src, R13\n"
+                     "        MOV #src+2, R12\n"
+                     "        MOV #3, R10\n"
+                     "floop:  MOV @R13+, 0(R12)\n"
+                     "        INCD R12\n"
+                     "        DEC R10\n"
+                     "        JNZ floop\n"
+                     "        MOV #src, R13\n"
+                     "        MOV #dst, R12\n"
+                     "        MOV #10, R10\n"
+                     "gloop:  MOV @R13+, 0(R12)\n"
+                     "        ADD @R13, 2(R12)\n"
+                     "        INCD R12\n"
+                     "        DEC R10\n"
+                     "        JNZ gloop\n",
+                     kCopyWords),
+        "fram to fram", layout);
+    EXPECT_GT(on.stats().fram.write, 20u);
+    EXPECT_GT(on.stats().stall_cycles, 0u);
+}
+
+/** CALL &abs, SwapRAM's redirect call, with SP two bytes above the
+ *  SRAM base: the return address lands on the lowest SRAM word, which
+ *  the stack-slot pre-check must accept. The other call and push
+ *  forms take their operand from registers, with and without
+ *  post-increment (of SP too). */
+TEST(Threaded, CallAndPushOnMemoryOperandsMatchOracle)
+{
+    masm::LayoutSpec layout;
+    layout.data_base = 0x2400;
+    test::MiniRun on = expectKernelTwin(
+        kernelSource("        MOV #0x2002, SP\n"
+                     "        MOV #4, R10\n"
+                     "cloop:  CALL &fptr\n"
+                     "        DEC R10\n"
+                     "        JNZ cloop\n"
+                     "        MOV #0x3000, SP\n"
+                     "        MOV #2, R10\n"
+                     "dloop:  MOV #fptr, R5\n"
+                     "        CALL @R5\n"
+                     "        CALL 0(R5)\n"
+                     "        PUSH &fptr\n"
+                     "        CALL @SP+\n"
+                     "        PUSH @R5+\n"
+                     "        PUSH.B -1(R5)\n"
+                     "        PUSH 0(SP)\n"
+                     "        PUSH @SP+\n"
+                     "        ADD #6, SP\n"
+                     "        SUB #2, R5\n"
+                     "        CALL @R5+\n"
+                     "        DEC R10\n"
+                     "        JNZ dloop\n"
+                     "        JMP cdone\n"
+                     "cfunc:  ADD #5, R12\n"
+                     "        RET\n"
+                     "cdone:\n",
+                     "fptr:   .word cfunc\n"),
+        "call and push", layout);
+    EXPECT_EQ(on.reg(Reg::R12), 60); // twelve calls
+}
+
+/** RRC/RRA/SWPB/SXT rewriting a memory operand in place, byte and
+ *  word, through static, Indexed, @Rn and @Rn+ operands. */
+TEST(Threaded, SingleOperandMemoryFormsMatchOracle)
+{
+    expectKernelTwin(kernelSource("        MOV #src, R13\n"
+                                  "        MOV #4, R10\n"
+                                  "uloop:  RRC &src\n"
+                                  "        RRA 2(R13)\n"
+                                  "        RRC.B 5(R13)\n"
+                                  "        RRA.B @R13\n"
+                                  "        SWPB 6(R13)\n"
+                                  "        SXT &src+8\n"
+                                  "        SXT @R13\n"
+                                  "        SWPB @R13+\n"
+                                  "        RRC @R13+\n"
+                                  "        RRA.B @R13+\n"
+                                  "        INC R13\n"
+                                  "        DEC R10\n"
+                                  "        JNZ uloop\n",
+                                  kCopyWords),
+                     "single operand memory");
+}
+
+/** MOV @PC, Rn reads the word after the instruction: inside a block
+ *  the PC register still holds the instruction's own address, so a
+ *  PC-based operand must not take a register-based kernel. */
+TEST(Threaded, IndirectPcSourceMatchesOracle)
+{
+    const std::string source =
+        kernelSource("        MOV #3, R10\n"
+                     "iloop:  .word 0x4025\n" // MOV @PC, R5
+                     "        MOV #0x1234, R6\n"
+                     "        ADD R5, R7\n"
+                     "        DEC R10\n"
+                     "        JNZ iloop\n",
+                     "");
+    test::MiniRun on = test::runSource(source, withThreaded(true));
+    test::MiniRun off = test::runSource(source, withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    EXPECT_EQ(off.reg(Reg::R5), 0x4036); // MOV #imm, R6
+    EXPECT_EQ(on.reg(Reg::R5), off.reg(Reg::R5));
+    EXPECT_EQ(on.reg(Reg::R7), off.reg(Reg::R7));
+    expectSimStatsEqual(on.stats(), off.stats(), "mov @pc");
+    expectMostlyThreaded(on.stats(), "mov @pc");
 }
 
 } // namespace

@@ -124,6 +124,7 @@
  *                            tree's tests/golden/expectations.json)
  */
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -588,6 +589,54 @@ resolveWorkloads(const std::string &arg)
     if (out.empty())
         support::fatal("no workloads selected");
     return out;
+}
+
+/**
+ * --blacklist must name functions the run has: each name must be a
+ * .func of a selected program (the input file, or each --workload with
+ * the helper library; sweep without --workload takes every built-in
+ * one) or of the startup stub. A typo would otherwise leave the
+ * function it meant cacheable, with nothing to say so. A source that
+ * does not parse is left to the command, which reports its line.
+ */
+void
+checkBlacklist(const Args &args)
+{
+    if (args.swap.blacklist.empty())
+        return;
+    std::vector<std::string> sources = {harness::startupSource(0x3000)};
+    if (!args.file.empty()) {
+        const workloads::Workload *wl = nullptr;
+        sources.push_back(loadSource(args, &wl));
+    } else {
+        std::vector<const workloads::Workload *> wls;
+        if (args.workload.empty()) {
+            for (const workloads::Workload &w : workloads::all())
+                wls.push_back(&w);
+            for (const workloads::Workload &w : workloads::capacity())
+                wls.push_back(&w);
+        } else {
+            wls = resolveWorkloads(args.workload);
+        }
+        for (const workloads::Workload *w : wls)
+            sources.push_back(w->source);
+        sources.push_back(workloads::libSource());
+    }
+    std::vector<std::string> funcs;
+    try {
+        for (const std::string &source : sources)
+            for (const masm::Statement &st : masm::parse(source).stmts)
+                if (st.kind == masm::Statement::Kind::Directive &&
+                    st.directive == masm::Directive::Func)
+                    funcs.push_back(st.name);
+    } catch (const support::FatalError &) {
+        return;
+    }
+    for (const std::string &name : args.swap.blacklist) {
+        if (std::find(funcs.begin(), funcs.end(), name) == funcs.end())
+            support::fatal("--blacklist: no function '", name,
+                           "' in the selected programs");
+    }
 }
 
 /** Resolve --systems as a comma list or "all" (the default). */
@@ -1871,6 +1920,7 @@ main(int argc, char **argv)
 {
     try {
         Args args = parseArgs(argc, argv);
+        checkBlacklist(args);
         if (args.command == "assemble" || args.command == "transform" ||
             args.command == "disasm")
             return cmdOnInput(args);
