@@ -333,19 +333,24 @@ SuperblockEngine::stamp(Block &b)
 }
 
 bool
+SuperblockEngine::bytesMatch(const Block &b) const
+{
+    // Load, power cycle, owner or recovery ranges: what build() would
+    // make may differ even where every byte is the same.
+    return b.global_gen == gens_.globalGen() &&
+           std::memcmp(b.bytes.data(), memory_.bytes() + b.start_pc,
+                       b.scan_end - b.start_pc) == 0;
+}
+
+bool
 SuperblockEngine::revalidate(Block &b)
 {
     if (current(b))
         return true;
-    // Load, power cycle, owner or recovery ranges: what build() would
-    // make may differ even where every byte is the same.
-    if (b.global_gen != gens_.globalGen())
-        return false;
     // A store landed on a page the scan read (often data beside the
     // code, or a copy-in of the same function): keep the block if what
     // it read is unchanged.
-    if (std::memcmp(b.bytes.data(), memory_.bytes() + b.start_pc,
-                    b.scan_end - b.start_pc) != 0)
+    if (!bytesMatch(b))
         return false;
     stamp(b);
     return true;
@@ -356,17 +361,26 @@ SuperblockEngine::lookup(std::uint16_t pc)
 {
     if (pc & 1)
         return nullptr; // the oracle owns the odd-PC fatal
-    std::unique_ptr<Block> &slot = blocks_[pc >> 1];
-    if (slot) {
-        if (revalidate(*slot))
-            return slot->instrs.empty() ? nullptr : slot.get();
+    Slot &slot = blocks_[pc >> 1];
+    if (slot.cur) {
+        if (revalidate(*slot.cur))
+            return slot.cur->instrs.empty() ? nullptr : slot.cur.get();
         ++stats_.superblock_invalidations;
+        if (slot.prev && bytesMatch(*slot.prev)) {
+            // The code the last rebuild replaced is back: revive it.
+            // Links to it were recorded under an epoch the store that
+            // replaced it has since advanced, so none is followed.
+            std::swap(slot.cur, slot.prev);
+            stamp(*slot.cur);
+            return slot.cur->instrs.empty() ? nullptr : slot.cur.get();
+        }
+        slot.prev = std::move(slot.cur);
     }
-    slot = build(pc);
-    if (slot->instrs.empty())
+    slot.cur = build(pc);
+    if (slot.cur->instrs.empty())
         return nullptr;
     ++stats_.superblock_blocks_built;
-    return slot.get();
+    return slot.cur.get();
 }
 
 } // namespace swapram::sim

@@ -38,7 +38,11 @@
  * their code marks are still set). A block whose pages were written
  * is revalidated by its bytes: if everything build() read still reads
  * the same, it is re-stamped and kept together with its lowered code,
- * else rebuilt. build() reads past the block's last instruction when
+ * else rebuilt. The slot keeps the block a rebuild replaced: when the
+ * bytes it read come back (SwapRAM under capacity pressure copies a
+ * function back to the address it was evicted from), that block and
+ * its lowered code are re-stamped instead of built again. build()
+ * reads past the block's last instruction when
  * the scan stopped at an undecodable word or a static-MMIO operand, so
  * the snapshot covers that "scan end" too. Bulk changes behind the bus
  * (image load, power cycle, owner or recovery ranges) bump a global
@@ -203,7 +207,7 @@ class SuperblockEngine
     {
         if (pc & 1)
             return nullptr;
-        Block *b = blocks_[pc >> 1].get();
+        Block *b = blocks_[pc >> 1].cur.get();
         return b && current(*b) ? b : nullptr;
     }
 
@@ -264,6 +268,9 @@ class SuperblockEngine
     /** True when @p b still decodes as built (re-stamped when only
      *  its pages' generations moved). */
     bool revalidate(Block &b);
+    /** True when no bulk change happened since @p b was stamped and
+     *  everything its build read still reads the same. */
+    bool bytesMatch(const Block &b) const;
 
     Memory &memory_;
     Bus &bus_;
@@ -276,8 +283,14 @@ class SuperblockEngine
     std::uint16_t recovery_base_ = 0;
     std::uint32_t recovery_end_ = 0; ///< 0 = no recovery range
 
+    /** One block-table entry: the block lookups see, and the one its
+     *  last rebuild replaced (null when none), kept to be revived. */
+    struct Slot {
+        std::unique_ptr<Block> cur;
+        std::unique_ptr<Block> prev;
+    };
     /** Direct-mapped block table, one slot per word-aligned PC. */
-    std::vector<std::unique_ptr<Block>> blocks_;
+    std::vector<Slot> blocks_;
 };
 
 } // namespace swapram::sim

@@ -410,6 +410,48 @@ TEST(Threaded, RewrittenScanEndWordRebuildsTheBlock)
     EXPECT_EQ(rig.stats.superblock_invalidations, 2u);
 }
 
+constexpr std::uint16_t kXorR4R12 = 0xE40C; ///< XOR R4, R12
+
+/** A slot keeps the block its last rebuild replaced: code copied back
+ *  to the address it was evicted from (SwapRAM under capacity
+ *  pressure) revives that block instead of building it again, and a
+ *  third content drops it. */
+TEST(Threaded, RecopiedCodeRevivesTheReplacedBlock)
+{
+    EngineRig rig;
+    constexpr std::uint16_t kAt = 0x8600;
+    auto copyIn = [&](std::uint16_t w) {
+        rig.machine.bus().write16(kAt, w);
+        rig.machine.bus().write16(kAt + 2, w);
+    };
+    copyIn(kAddR4R12);
+    const sim::SuperblockEngine::Block *a = rig.sb.lookup(kAt);
+    ASSERT_NE(a, nullptr);
+    EXPECT_EQ(rig.stats.superblock_blocks_built, 1u);
+    copyIn(kXorR4R12);
+    const sim::SuperblockEngine::Block *b = rig.sb.lookup(kAt);
+    EXPECT_NE(b, a);
+    EXPECT_EQ(b->instrs[0].instr.op, isa::Op::Xor);
+    EXPECT_EQ(rig.stats.superblock_blocks_built, 2u);
+    copyIn(kAddR4R12);
+    EXPECT_EQ(rig.sb.lookup(kAt), a);
+    copyIn(kXorR4R12);
+    EXPECT_EQ(rig.sb.lookup(kAt), b);
+    EXPECT_EQ(rig.stats.superblock_blocks_built, 2u);
+    EXPECT_EQ(rig.stats.superblock_invalidations, 3u);
+    // A third content replaces b and drops a: a's bytes come back to a
+    // fresh build.
+    copyIn(kAddR4R12 + 1); // ADD R4, R13
+    rig.sb.lookup(kAt);
+    copyIn(kAddR4R12);
+    EXPECT_EQ(rig.sb.lookup(kAt)->instrs[0].instr.op, isa::Op::Add);
+    EXPECT_EQ(rig.stats.superblock_blocks_built, 4u);
+    // An image load revives nothing, whatever the bytes.
+    rig.sb.invalidateAll();
+    EXPECT_EQ(rig.sb.lookup(kAt)->instrs.size(), 2u);
+    EXPECT_EQ(rig.stats.superblock_blocks_built, 5u);
+}
+
 /** Deferred accounting: a chain enters each block's base and stall
  *  cycles at once and folds its other static totals, times the entry
  *  count, at chain end. A long loop of fast steps that ends in a
