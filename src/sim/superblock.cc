@@ -361,26 +361,30 @@ SuperblockEngine::lookup(std::uint16_t pc)
 {
     if (pc & 1)
         return nullptr; // the oracle owns the odd-PC fatal
-    Slot &slot = blocks_[pc >> 1];
-    if (slot.cur) {
-        if (revalidate(*slot.cur))
-            return slot.cur->instrs.empty() ? nullptr : slot.cur.get();
+    std::unique_ptr<Block> &slot = blocks_[pc >> 1];
+    std::unique_ptr<Block> stale;
+    if (slot) {
+        if (revalidate(*slot))
+            return slot->instrs.empty() ? nullptr : slot.get();
         ++stats_.superblock_invalidations;
-        if (slot.prev && bytesMatch(*slot.prev)) {
+        std::unique_ptr<Block> prev = std::move(slot->replaced);
+        if (prev && bytesMatch(*prev)) {
             // The code the last rebuild replaced is back: revive it.
             // Links to it were recorded under an epoch the store that
             // replaced it has since advanced, so none is followed.
-            std::swap(slot.cur, slot.prev);
-            stamp(*slot.cur);
-            return slot.cur->instrs.empty() ? nullptr : slot.cur.get();
+            prev->replaced = std::move(slot);
+            slot = std::move(prev);
+            stamp(*slot);
+            return slot->instrs.empty() ? nullptr : slot.get();
         }
-        slot.prev = std::move(slot.cur);
+        stale = std::move(slot);
     }
-    slot.cur = build(pc);
-    if (slot.cur->instrs.empty())
+    slot = build(pc);
+    slot->replaced = std::move(stale);
+    if (slot->instrs.empty())
         return nullptr;
     ++stats_.superblock_blocks_built;
-    return slot.cur.get();
+    return slot.get();
 }
 
 } // namespace swapram::sim

@@ -147,6 +147,9 @@ class SuperblockEngine
          *  the scan. */
         std::uint32_t scan_end = 0;
         std::array<std::uint8_t, kMaxScanBytes> bytes{}; ///< as read
+        /** The block this one's build replaced in its slot (null when
+         *  none), kept to be revived when its bytes come back. */
+        std::unique_ptr<Block> replaced;
     };
 
     SuperblockEngine(Memory &memory, Bus &bus, Stats &stats,
@@ -207,7 +210,7 @@ class SuperblockEngine
     {
         if (pc & 1)
             return nullptr;
-        Block *b = blocks_[pc >> 1].cur.get();
+        Block *b = blocks_[pc >> 1].get();
         return b && current(*b) ? b : nullptr;
     }
 
@@ -283,14 +286,8 @@ class SuperblockEngine
     std::uint16_t recovery_base_ = 0;
     std::uint32_t recovery_end_ = 0; ///< 0 = no recovery range
 
-    /** One block-table entry: the block lookups see, and the one its
-     *  last rebuild replaced (null when none), kept to be revived. */
-    struct Slot {
-        std::unique_ptr<Block> cur;
-        std::unique_ptr<Block> prev;
-    };
     /** Direct-mapped block table, one slot per word-aligned PC. */
-    std::vector<Slot> blocks_;
+    std::vector<std::unique_ptr<Block>> blocks_;
 };
 
 } // namespace swapram::sim
