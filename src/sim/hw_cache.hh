@@ -29,10 +29,12 @@ class HwCache
      * Look up the line containing @p addr, filling it on a miss.
      * @return true on hit.
      *
-     * Inline: this sits on the per-access hot path of both the bus and
-     * the threaded fast path.
+     * Always inlined: this sits on the per-access hot path of both the
+     * bus and the threaded fast path, where GCC's size budget would
+     * otherwise leave it a call (one that spills the dispatch loop's
+     * registers at every fetch probe).
      */
-    bool
+    inline __attribute__((always_inline)) bool
     access(std::uint16_t addr)
     {
         std::uint32_t line = addr >> kLineShift;

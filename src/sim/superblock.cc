@@ -237,9 +237,11 @@ SuperblockEngine::build(std::uint16_t pc)
     if (b->fetch_region == RegionKind::Sram ||
         b->fetch_region == RegionKind::Fram) {
         const bool block_in_recovery = inRecovery(pc);
+        // Scanned here, then copied to the block in one allocation.
+        std::array<BlockInstr, kMaxBlockInstrs> scanned;
+        std::size_t n = 0;
         std::uint32_t cur = pc;
-        while (b->instrs.size() < kMaxBlockInstrs &&
-               cur - pc < kMaxBlockBytes) {
+        while (n < kMaxBlockInstrs && cur - pc < kMaxBlockBytes) {
             if (inRecovery(static_cast<std::uint16_t>(cur)) !=
                     block_in_recovery ||
                 ownerOf(cur) != b->owner)
@@ -280,7 +282,7 @@ SuperblockEngine::build(std::uint16_t pc)
             if (!a.include)
                 break; // statically MMIO/unmapped operand
 
-            BlockInstr bi;
+            BlockInstr &bi = scanned[n++];
             bi.instr = instr;
             bi.pc = static_cast<std::uint16_t>(cur);
             bi.next_pc = static_cast<std::uint16_t>(end);
@@ -303,12 +305,12 @@ SuperblockEngine::build(std::uint16_t pc)
                 b->writes_sr = true;
             worst += bi.base_cycles +
                      stall_max * ((fram_code ? n_words : 0) + a.max_data);
-            b->instrs.push_back(bi);
             b->end_addr = end;
             if (a.terminator || end >= 0x10000)
                 break;
             cur = end;
         }
+        b->instrs.assign(scanned.begin(), scanned.begin() + n);
     }
 
     b->worst_case_cycles = worst;
