@@ -1433,8 +1433,10 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
             }
             // Before the block's last op, a conditional jump is a side
             // exit (sim/superblock.hh).
-            if (i + 1 < n && kid != kJmp)
-                kid = kid == kJSigned ? kJSignedExit : kJccExit;
+            if (i + 1 < n && kid == kJcc)
+                kid = kJccExit;
+            else if (i + 1 < n && kid == kJSigned)
+                kid = kJSignedExit;
             break;
           }
           case isa::OpFormat::DoubleOperand: {
@@ -1480,7 +1482,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
             } else if ((s.mode == Mode::Indexed ||
                         s.mode == Mode::Indirect ||
                         s.mode == Mode::IndirectInc) &&
-                       s.reg != isa::Reg::PC && dst_reg) {
+                       s.reg != isa::Reg::PC && dst_reg) { // as memOperand
                 kid = kDRBase + op_off;
                 t.ra = isa::regIndex(s.reg);
                 t.a = s.mode == Mode::Indexed ? s.value : 0;

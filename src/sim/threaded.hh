@@ -42,7 +42,10 @@
  * the execution; the other static totals are applied at chain end,
  * times each block's execution count. Each op also carries its own
  * static delta so the rare bail-outs can walk the unexecuted suffix
- * and subtract it back. Every case the chain cannot prove identical
+ * and subtract it back. A forward conditional jump inside a block is
+ * a side exit: taken, it subtracts the static totals of the ops after
+ * it, precomputed per exit at lowering, and steps on as at the block
+ * end. Every case the chain cannot prove identical
  * to the oracle is a guard back to it:
  *   - dyn-operand MMIO/unmapped pre-check (nothing committed);
  *   - own-block SMC via the shared page-generation table (committed,
