@@ -38,7 +38,7 @@
  * their code marks are still set). A block whose pages were written
  * is revalidated by its bytes: if everything build() read still reads
  * the same, it is re-stamped and kept together with its lowered code,
- * else rebuilt. The slot keeps the block a rebuild replaced: when the
+ * else rebuilt. A rebuilt block keeps the block it replaced: when the
  * bytes it read come back (SwapRAM under capacity pressure copies a
  * function back to the address it was evicted from), that block and
  * its lowered code are re-stamped instead of built again. build()

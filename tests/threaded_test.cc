@@ -412,7 +412,7 @@ TEST(Threaded, RewrittenScanEndWordRebuildsTheBlock)
 
 constexpr std::uint16_t kXorR4R12 = 0xE40C; ///< XOR R4, R12
 
-/** A slot keeps the block its last rebuild replaced: code copied back
+/** A rebuilt block keeps the block it replaced: code copied back
  *  to the address it was evicted from (SwapRAM under capacity
  *  pressure) revives that block instead of building it again, and a
  *  third content drops it. */
