@@ -59,9 +59,8 @@ Machine::buildTier(bool fast)
     } else if (!threaded_) {
         superblock_ = std::make_unique<SuperblockEngine>(
             memory_, bus_, stats_, config_);
-        superblock_->setClassifier([this](std::uint16_t pc) {
-            return static_cast<std::uint8_t>(classifyPc(pc));
-        });
+        superblock_->setClassifier(
+            [this](std::uint16_t pc) { return ownerRun(pc); });
         superblock_->setRecoveryRange(recovery_base_, recovery_end_);
         threaded_ = std::make_unique<ThreadedEngine>(
             cpu_, memory_, bus_, stats_, config_, *superblock_);
@@ -212,6 +211,23 @@ Machine::classifyPc(std::uint16_t pc) const
     return regionOf(pc, config_.sramEnd()) == RegionKind::Sram
                ? CodeOwner::AppSram
                : CodeOwner::AppFram;
+}
+
+SuperblockEngine::OwnerRun
+Machine::ownerRun(std::uint16_t pc) const
+{
+    std::uint32_t end = 0x10000;
+    auto edge = [pc, &end](std::uint32_t at) {
+        if (at > pc)
+            end = std::min(end, at);
+    };
+    edge(platform::kSramBase);
+    edge(config_.sramEnd());
+    for (const OwnerRange &r : owner_ranges_) {
+        edge(r.base);
+        edge(r.end);
+    }
+    return {static_cast<std::uint8_t>(classifyPc(pc)), end};
 }
 
 void

@@ -188,6 +188,9 @@ class Machine
 
   private:
     CodeOwner classifyPc(std::uint16_t pc) const;
+    /** classifyPc(@p pc), and the first address above @p pc where the
+     *  owner may change: an owner range's edge, or SRAM's. */
+    SuperblockEngine::OwnerRun ownerRun(std::uint16_t pc) const;
 
     /** Boot-progress watermark for the livelock watchdog: the failure
      *  PC folded into an FNV-1a hash of the persistent (FRAM) state. */

@@ -40,7 +40,7 @@ class PageGenTable
   public:
     /** Page granularity: 64-byte pages, 1024 of them. Small enough
      *  that data writes rarely alias code pages, large enough that a
-     *  block (≤ kMaxBlockBytes) spans at most three. */
+     *  block's segment (≤ kMaxScanBytes) spans at most three. */
     static constexpr unsigned kPageShift = 6;
     static constexpr std::uint32_t kPages = 0x10000u >> kPageShift;
 

@@ -1,5 +1,6 @@
 #include "sim/superblock.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "isa/cycles.hh"
@@ -108,6 +109,21 @@ analyze(const isa::Instr &in, std::uint16_t pc, std::uint32_t sram_size)
     return a;
 }
 
+/** The target of a transfer that is fixed at build time — JMP,
+ *  `MOV #imm, PC` (BR) or `CALL #imm` — or -1. */
+std::int32_t
+staticTarget(const isa::Instr &in)
+{
+    if (in.op == Op::Jmp)
+        return in.jump_target;
+    if (in.op == Op::Mov && !in.byte && in.src.mode == Mode::Immediate &&
+        in.dst.mode == Mode::Register && in.dst.reg == isa::Reg::PC)
+        return in.src.value;
+    if (in.op == Op::Call && in.dst.mode == Mode::Immediate)
+        return in.dst.value;
+    return -1;
+}
+
 } // namespace
 
 /** MachineConfig's sram_size shapes the mapped window
@@ -208,8 +224,38 @@ SuperblockEngine::SuperblockEngine(Memory &memory, Bus &bus,
                                    Stats &stats,
                                    const MachineConfig &config)
     : memory_(memory), bus_(bus), stats_(stats), config_(config),
-      blocks_(kSlots)
+      blocks_(new Block *[kSlots]())
 {
+    scan_.reserve(kMaxBlockInstrs);
+}
+
+SuperblockEngine::~SuperblockEngine()
+{
+    for (std::uint16_t slot : filled_)
+        delete blocks_[slot];
+}
+
+std::uint32_t
+SuperblockEngine::runEnd(const Block &b, std::uint32_t at,
+                         bool in_recovery) const
+{
+    const auto pc = static_cast<std::uint16_t>(at);
+    if (inRecovery(pc) != in_recovery)
+        return at;
+    const OwnerRun run = classify_ ? classify_(pc) : OwnerRun{};
+    if (run.owner != b.owner)
+        return at;
+    std::uint32_t end = run.end;
+    if (recovery_end_) {
+        end = std::min(end, in_recovery          ? recovery_end_
+                            : at < recovery_base_ ? recovery_base_
+                                                  : 0x10000u);
+    }
+    // Every segment but the one being scanned (the last).
+    for (std::uint8_t i = 0; i + 1 < b.n_segs; ++i)
+        if (b.segs[i].start >= at)
+            end = std::min<std::uint32_t>(end, b.segs[i].start);
+    return end;
 }
 
 std::unique_ptr<SuperblockEngine::Block>
@@ -217,14 +263,10 @@ SuperblockEngine::build(std::uint16_t pc)
 {
     auto b = std::make_unique<Block>();
     b->start_pc = pc;
-    b->end_addr = pc;
-    b->scan_end = pc;
+    b->n_segs = 1;
+    b->segs[0] = {pc, pc, pc};
     b->fetch_region = regionOf(pc, config_.sramEnd());
-    auto ownerOf = [this](std::uint32_t addr) -> std::uint8_t {
-        return classify_ ? classify_(static_cast<std::uint16_t>(addr))
-                         : 0;
-    };
-    b->owner = ownerOf(pc);
+    b->owner = classify_ ? classify_(pc).owner : 0;
 
     // The most any one FRAM access can stall: a contending miss.
     const std::uint32_t stall_max = fram::accessStall(
@@ -237,34 +279,49 @@ SuperblockEngine::build(std::uint16_t pc)
     if (b->fetch_region == RegionKind::Sram ||
         b->fetch_region == RegionKind::Fram) {
         const bool block_in_recovery = inRecovery(pc);
-        // Scanned here, then copied to the block in one allocation.
-        std::array<BlockInstr, kMaxBlockInstrs> scanned;
-        std::size_t n = 0;
+        const std::uint32_t region_end =
+            fram_code ? 0x10000u : config_.sramEnd();
+        // A followed transfer's target lies in the region, outside
+        // every segment scanned so far.
+        auto followable = [&](std::int32_t target) {
+            if (target < 0 || (target & 1) ||
+                regionOf(static_cast<std::uint16_t>(target),
+                         config_.sramEnd()) != b->fetch_region)
+                return false;
+            for (std::uint8_t i = 0; i < b->n_segs; ++i) {
+                const Segment &sg = b->segs[i];
+                if (static_cast<std::uint32_t>(target) >= sg.start &&
+                    static_cast<std::uint32_t>(target) < sg.scan_end)
+                    return false;
+            }
+            return true;
+        };
+        // Scanned into scan_, then copied to the block in one
+        // allocation.
+        scan_.clear();
+        std::uint32_t used = 0; ///< bytes the earlier segments read
         std::uint32_t cur = pc;
-        while (n < kMaxBlockInstrs && cur - pc < kMaxBlockBytes) {
-            if (inRecovery(static_cast<std::uint16_t>(cur)) !=
-                    block_in_recovery ||
-                ownerOf(cur) != b->owner)
-                break; // recovery or owner attribution boundary
+        // Where the current segment's owner and recovery run ends (or
+        // an earlier segment starts); recomputed when cur reaches it.
+        std::uint32_t stop = cur;
+        while (scan_.size() < kMaxBlockInstrs) {
+            Segment &seg = b->segs[b->n_segs - 1];
+            if (used + (cur - seg.start) >= kMaxBlockBytes)
+                break;
+            if (cur >= stop && (stop = runEnd(*b, cur, block_in_recovery)) <=
+                                   cur)
+                break; // recovery or owner boundary, or an earlier segment
             std::uint16_t w0 =
                 memory_.read16(static_cast<std::uint16_t>(cur));
-            b->scan_end = cur + 2;
+            seg.scan_end = cur + 2;
             if (!isa::validLeadingWord(w0))
                 break; // garbage: only the oracle may diagnose it
             isa::Shape shape = isa::decodeShape(w0);
             int n_words = 1 + shape.totalExt();
             std::uint32_t end = cur + 2 * static_cast<std::uint32_t>(
                                           n_words);
-            if (end > 0x10000)
-                break; // instruction would wrap the address space
-            bool crosses = false;
-            for (int w = 0; w < n_words; ++w) {
-                if (regionOf(static_cast<std::uint16_t>(cur + 2 * w),
-                             config_.sramEnd()) != b->fetch_region)
-                    crosses = true;
-            }
-            if (crosses)
-                break; // region-crossing fetch
+            if (end > region_end)
+                break; // region-crossing fetch, or a PC wrap
             std::uint16_t ext_src =
                 shape.src_ext
                     ? memory_.read16(static_cast<std::uint16_t>(cur + 2))
@@ -274,7 +331,7 @@ SuperblockEngine::build(std::uint16_t pc)
                     ? memory_.read16(static_cast<std::uint16_t>(
                           cur + 2 + (shape.src_ext ? 2 : 0)))
                     : 0;
-            b->scan_end = end;
+            seg.scan_end = end;
             isa::Instr instr = isa::decodeWords(
                 w0, ext_src, ext_dst, static_cast<std::uint16_t>(cur));
             Analysis a = analyze(instr, static_cast<std::uint16_t>(cur),
@@ -282,7 +339,7 @@ SuperblockEngine::build(std::uint16_t pc)
             if (!a.include)
                 break; // statically MMIO/unmapped operand
 
-            BlockInstr &bi = scanned[n++];
+            BlockInstr &bi = scan_.emplace_back();
             bi.instr = instr;
             bi.pc = static_cast<std::uint16_t>(cur);
             bi.next_pc = static_cast<std::uint16_t>(end);
@@ -305,16 +362,43 @@ SuperblockEngine::build(std::uint16_t pc)
                 b->writes_sr = true;
             worst += bi.base_cycles +
                      stall_max * ((fram_code ? n_words : 0) + a.max_data);
-            b->end_addr = end;
-            if (a.terminator || end >= 0x10000)
-                break;
+            seg.end = end;
             cur = end;
+            if (!a.terminator) {
+                if (end >= 0x10000)
+                    break;
+                continue;
+            }
+            // A transfer whose target is fixed: the trace goes on
+            // there, in a new segment unless it is the next address.
+            const std::int32_t target = staticTarget(instr);
+            if (!followable(target))
+                break;
+            if (static_cast<std::uint32_t>(target) != end) {
+                if (b->n_segs == kMaxSegments)
+                    break;
+                used += seg.scan_end - seg.start;
+                cur = static_cast<std::uint32_t>(target);
+                b->segs[b->n_segs++] = {static_cast<std::uint16_t>(cur),
+                                        cur, cur};
+                stop = cur;
+            }
         }
-        b->instrs.assign(scanned.begin(), scanned.begin() + n);
+        // A segment opened at a target where no instruction may start
+        // read nothing: drop it.
+        const Segment &last = b->segs[b->n_segs - 1];
+        if (b->n_segs > 1 && last.scan_end == last.start)
+            --b->n_segs;
+        b->instrs.assign(scan_.begin(), scan_.end());
     }
 
     b->worst_case_cycles = worst;
-    std::memcpy(b->bytes.data(), memory_.bytes() + pc, b->scan_end - pc);
+    std::uint8_t *snap = b->bytes.data();
+    for (std::uint8_t i = 0; i < b->n_segs; ++i) {
+        const Segment &sg = b->segs[i];
+        std::memcpy(snap, memory_.bytes() + sg.start, sg.scan_end - sg.start);
+        snap += sg.scan_end - sg.start;
+    }
     stamp(*b);
     return b;
 }
@@ -323,14 +407,29 @@ void
 SuperblockEngine::stamp(Block &b)
 {
     b.global_gen = gens_.globalGen();
-    b.first_page = PageGenTable::pageOf(b.start_pc);
-    b.last_page = PageGenTable::pageOf(static_cast<std::uint16_t>(
-        b.scan_end > b.start_pc ? b.scan_end - 1 : b.start_pc));
-    b.page_gens = {gens_.pageGen(b.first_page), gens_.pageGen(midPage(b)),
-                   gens_.pageGen(b.last_page)};
-    gens_.markCode(b.first_page);
-    gens_.markCode(midPage(b));
-    gens_.markCode(b.last_page);
+    b.n_pages = 0;
+    auto add = [&b](std::uint16_t page) {
+        for (std::uint8_t i = 0; i < b.n_pages; ++i)
+            if (b.pages[i] == page)
+                return;
+        b.pages[b.n_pages++] = page;
+    };
+    // A tombstone read nothing, but is stamped at its start.
+    add(PageGenTable::pageOf(b.start_pc));
+    for (std::uint8_t i = 0; i < b.n_segs; ++i) {
+        const Segment &sg = b.segs[i];
+        if (sg.scan_end == sg.start)
+            continue;
+        const std::uint16_t last = PageGenTable::pageOf(
+            static_cast<std::uint16_t>(sg.scan_end - 1));
+        for (std::uint16_t p = PageGenTable::pageOf(sg.start); p <= last;
+             ++p)
+            add(p);
+    }
+    for (std::uint8_t i = 0; i < b.n_pages; ++i) {
+        b.page_gens[i] = gens_.pageGen(b.pages[i]);
+        gens_.markCode(b.pages[i]);
+    }
     b.epoch = gens_.codeEpoch();
 }
 
@@ -339,9 +438,17 @@ SuperblockEngine::bytesMatch(const Block &b) const
 {
     // Load, power cycle, owner or recovery ranges: what build() would
     // make may differ even where every byte is the same.
-    return b.global_gen == gens_.globalGen() &&
-           std::memcmp(b.bytes.data(), memory_.bytes() + b.start_pc,
-                       b.scan_end - b.start_pc) == 0;
+    if (b.global_gen != gens_.globalGen())
+        return false;
+    const std::uint8_t *snap = b.bytes.data();
+    for (std::uint8_t i = 0; i < b.n_segs; ++i) {
+        const Segment &sg = b.segs[i];
+        const std::uint32_t len = sg.scan_end - sg.start;
+        if (std::memcmp(snap, memory_.bytes() + sg.start, len) != 0)
+            return false;
+        snap += len;
+    }
+    return true;
 }
 
 bool
@@ -363,30 +470,33 @@ SuperblockEngine::lookup(std::uint16_t pc)
 {
     if (pc & 1)
         return nullptr; // the oracle owns the odd-PC fatal
-    std::unique_ptr<Block> &slot = blocks_[pc >> 1];
+    Block *&slot = blocks_[pc >> 1];
     std::unique_ptr<Block> stale;
     if (slot) {
         if (revalidate(*slot))
-            return slot->instrs.empty() ? nullptr : slot.get();
+            return slot->instrs.empty() ? nullptr : slot;
         ++stats_.superblock_invalidations;
         std::unique_ptr<Block> prev = std::move(slot->replaced);
         if (prev && bytesMatch(*prev)) {
             // The code the last rebuild replaced is back: revive it.
             // Links to it were recorded under an epoch the store that
             // replaced it has since advanced, so none is followed.
-            prev->replaced = std::move(slot);
-            slot = std::move(prev);
+            prev->replaced.reset(slot);
+            slot = prev.release();
             stamp(*slot);
-            return slot->instrs.empty() ? nullptr : slot.get();
+            return slot->instrs.empty() ? nullptr : slot;
         }
-        stale = std::move(slot);
+        stale.reset(slot);
+    } else {
+        filled_.push_back(static_cast<std::uint16_t>(pc >> 1));
     }
-    slot = build(pc);
-    slot->replaced = std::move(stale);
+    std::unique_ptr<Block> fresh = build(pc);
+    fresh->replaced = std::move(stale);
+    slot = fresh.release();
     if (slot->instrs.empty())
         return nullptr;
     ++stats_.superblock_blocks_built;
-    return slot.get();
+    return slot;
 }
 
 } // namespace swapram::sim

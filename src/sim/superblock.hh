@@ -19,6 +19,19 @@
  *     every owner change at a block start);
  *   - the size caps (kMaxBlockInstrs / kMaxBlockBytes).
  *
+ * A block is a trace: when its terminator is a transfer whose target
+ * is fixed at build time (JMP, `MOV #imm, PC`, `CALL #imm`), the scan
+ * goes on at the target, which opens a new segment. The transfer
+ * stays an ordinary op that sets PC (and pushes, for CALL), so a
+ * trace runs as one dispatch across it. A target is followed only
+ * when it is word-aligned, in the block's fetch region, of the same
+ * owner and recovery side, neither the trace's start nor inside a
+ * segment already scanned (loops are not unrolled: a self-loop still
+ * ends its block), and the segment, instruction and byte caps leave
+ * room (kMaxSegments; the byte cap counts every segment). A segment
+ * also stops where a segment scanned before it starts, so segments
+ * never overlap.
+ *
  * Each instruction carries its build-time analysis: code-space fetch
  * words, the FRAM line-contention flags of its fetch
  * stream (static, because fetch addresses are), and whether any
@@ -29,25 +42,26 @@
  *
  * It is a fast-tier run's one decode cache (no predecode cache
  * exists then). Every store bumps per-page write generations
- * (PageGenTable) which blocks validate at lookup.
+ * (PageGenTable) which blocks validate at lookup; a block records the
+ * generation of every page any of its segments read.
  * A block first compares the code-write epoch it recorded when it was
  * stamped: while no store has reached a page any stamped block spans,
  * the epoch holds and the block is current without reading a page
  * generation. Otherwise its generations decide, and a block that
  * passes them records the new epoch (no store reached its pages, so
  * their code marks are still set). A block whose pages were written
- * is revalidated by its bytes: if everything build() read still reads
- * the same, it is re-stamped and kept together with its lowered code,
- * else rebuilt. A rebuilt block keeps the block it replaced: when the
- * bytes it read come back (SwapRAM under capacity pressure copies a
- * function back to the address it was evicted from), that block and
- * its lowered code are re-stamped instead of built again. build()
- * reads past the block's last instruction when
- * the scan stopped at an undecodable word or a static-MMIO operand, so
- * the snapshot covers that "scan end" too. Bulk changes behind the bus
- * (image load, power cycle, owner or recovery ranges) bump a global
- * generation (and the epoch) that rebuilds every block, whatever its
- * bytes.
+ * is revalidated by its bytes: if everything build() read, in every
+ * segment, still reads the same, it is re-stamped and kept together
+ * with its lowered code, else rebuilt. A rebuilt block keeps the block
+ * it replaced: when the bytes it read come back (SwapRAM under
+ * capacity pressure copies a function back to the address it was
+ * evicted from), that block and its lowered code are re-stamped
+ * instead of built again. build() reads past a segment's last
+ * instruction when the scan stopped at an undecodable word or a
+ * static-MMIO operand, so the snapshot covers that "scan end" too.
+ * Bulk changes behind the bus (image load, power cycle, owner or
+ * recovery ranges) bump a global generation (and the epoch) that
+ * rebuilds every block, whatever its bytes.
  */
 
 #ifndef SWAPRAM_SIM_SUPERBLOCK_HH
@@ -79,15 +93,20 @@ class SuperblockEngine
 {
   public:
     static constexpr std::uint32_t kMaxBlockInstrs = 32;
+    /** Code bytes before a block's last instruction, over all its
+     *  segments. */
     static constexpr std::uint32_t kMaxBlockBytes = 120;
     /** Most bytes one build reads: an instruction (at most 6 bytes)
      *  may start 2 bytes short of kMaxBlockBytes. */
     static constexpr std::uint32_t kMaxScanBytes = kMaxBlockBytes + 4;
-    /** kMaxScanBytes bytes span at most this many gen pages. */
+    /** Most contiguous code ranges one trace joins. */
+    static constexpr std::uint32_t kMaxSegments = 4;
+    /** Most gen pages a build reads: a segment of L bytes spans at
+     *  most (L - 1) / 64 + 2 pages, and the segments' lengths add up
+     *  to at most kMaxScanBytes. */
     static constexpr std::uint32_t kMaxBlockPages =
-        kMaxScanBytes / (1u << PageGenTable::kPageShift) + 2;
-    static_assert(kMaxBlockPages == 3,
-                  "the snapshot keeps a first, middle and last page");
+        kMaxScanBytes / (1u << PageGenTable::kPageShift) +
+        2 * kMaxSegments;
 
     /** Per-instruction flags. */
     enum : std::uint8_t {
@@ -117,6 +136,16 @@ class SuperblockEngine
         std::uint32_t last_fetch_line = 0;
     };
 
+    /** One contiguous code range of a trace. */
+    struct Segment {
+        std::uint16_t start = 0;
+        std::uint32_t end = 0; ///< one past its last code byte
+        /** One past the last byte build() read: end, or past the
+         *  undecodable word or static-MMIO instruction that stopped
+         *  the scan. */
+        std::uint32_t scan_end = 0;
+    };
+
     /** A built block (instrs empty = tombstone: PC known unblockable,
      *  revalidated like any block). The fields peek() reads on its
      *  fast path lead the first cache line. */
@@ -126,39 +155,60 @@ class SuperblockEngine
         /** Lazily lowered threaded code (null until the threaded tier
          *  first dispatches this block; dropped with the block). */
         std::shared_ptr<ThreadedCode> threaded;
-        // Generation snapshot of [start_pc, scan_end): the global
-        // generation, then the first, middle and last page's (a
-        // shorter span repeats its last page).
+        // Generation snapshot of every page the segments' scans read
+        // (each page once), and the global generation.
         std::uint64_t global_gen = 0;
+        std::uint8_t n_pages = 0;
+        std::array<std::uint16_t, kMaxBlockPages> pages{};
         std::array<std::uint64_t, kMaxBlockPages> page_gens{};
         std::uint16_t start_pc = 0;
-        std::uint16_t first_page = 0;
-        std::uint16_t last_page = 0;
         std::uint8_t owner = 0; ///< CodeOwner of every instruction
         bool writes_sr = false;
         /** Upper bound on total cycles one execution can cost. */
         std::uint32_t worst_case_cycles = 0;
-        std::uint32_t end_addr = 0; ///< one past the last code byte
 
         RegionKind fetch_region = RegionKind::Fram;
         std::vector<BlockInstr> instrs;
-        /** One past the last byte build() read: end_addr, or past the
-         *  undecodable word or static-MMIO instruction that stopped
-         *  the scan. */
-        std::uint32_t scan_end = 0;
-        std::array<std::uint8_t, kMaxScanBytes> bytes{}; ///< as read
+        /** The trace's segments in execution order; the first starts
+         *  at start_pc. */
+        std::uint8_t n_segs = 0;
+        std::array<Segment, kMaxSegments> segs{};
+        /** The segments' scanned bytes as read, back to back. */
+        std::array<std::uint8_t, kMaxScanBytes> bytes{};
         /** The block this one's build replaced in its slot (null when
          *  none), kept to be revived when its bytes come back. */
         std::unique_ptr<Block> replaced;
     };
 
+    /** True when [@p addr, @p addr + @p n) overlaps the code of one of
+     *  the @p n_segs segments at @p segs (the SMC check). */
+    static bool
+    overlapsCode(const Segment *segs, std::uint8_t n_segs,
+                 std::uint32_t addr, unsigned n)
+    {
+        for (std::uint8_t i = 0; i < n_segs; ++i)
+            if (addr < segs[i].end && addr + n > segs[i].start)
+                return true;
+        return false;
+    }
+
+    /** Owner classification of an address: its CodeOwner, and the end
+     *  of the run of addresses from it that classify the same way. */
+    struct OwnerRun {
+        std::uint8_t owner = 0;
+        std::uint32_t end = 0x10000;
+    };
+
     SuperblockEngine(Memory &memory, Bus &bus, Stats &stats,
                      const MachineConfig &config);
+    ~SuperblockEngine();
+    SuperblockEngine(const SuperblockEngine &) = delete;
+    SuperblockEngine &operator=(const SuperblockEngine &) = delete;
 
-    /** Owner classification (Machine::classifyPc): blocks end at
-     *  owner boundaries and pre-attribute instr_by_owner. Build-time
-     *  only. */
-    void setClassifier(std::function<std::uint8_t(std::uint16_t)> fn)
+    /** Owner classification (Machine::ownerRun): blocks end at owner
+     *  boundaries and pre-attribute instr_by_owner. Build-time only,
+     *  asked once per segment (and again where a run ends). */
+    void setClassifier(std::function<OwnerRun(std::uint16_t)> fn)
     {
         classify_ = std::move(fn);
     }
@@ -210,7 +260,7 @@ class SuperblockEngine
     {
         if (pc & 1)
             return nullptr;
-        Block *b = blocks_[pc >> 1].get();
+        Block *b = blocks_[pc >> 1];
         return b && current(*b) ? b : nullptr;
     }
 
@@ -233,27 +283,24 @@ class SuperblockEngine
 
   private:
     std::unique_ptr<Block> build(std::uint16_t pc);
+    /** The end of the run from @p at where @p b's current segment may
+     *  go on: the same owner and recovery side as @p b, and short of
+     *  every segment that starts at or above @p at; @p at itself when
+     *  no instruction of @p b may start there. */
+    std::uint32_t runEnd(const Block &b, std::uint32_t at,
+                         bool in_recovery) const;
     /** Record the current generations and code epoch of @p b's
      *  pages, and mark them as code. */
     void stamp(Block &b);
-    /** The page between @p b's first and last (its last page when
-     *  it spans fewer than three). */
-    static std::uint16_t
-    midPage(const Block &b)
-    {
-        return b.first_page == b.last_page
-                   ? b.last_page
-                   : static_cast<std::uint16_t>(b.first_page + 1);
-    }
     /** True when no store or bulk change reached @p b's pages since
-     *  it was stamped (one branch: the compares are or-ed). */
+     *  it was stamped. */
     bool
     gensMatch(const Block &b) const
     {
-        return ((b.global_gen ^ gens_.globalGen()) |
-                (b.page_gens[0] ^ gens_.pageGen(b.first_page)) |
-                (b.page_gens[1] ^ gens_.pageGen(midPage(b))) |
-                (b.page_gens[2] ^ gens_.pageGen(b.last_page))) == 0;
+        std::uint64_t diff = b.global_gen ^ gens_.globalGen();
+        for (std::uint8_t i = 0; i < b.n_pages; ++i)
+            diff |= b.page_gens[i] ^ gens_.pageGen(b.pages[i]);
+        return diff == 0;
     }
     /** True when no store or bulk change reached @p b's pages since
      *  it was stamped: its epoch is current, or its generations match
@@ -281,13 +328,20 @@ class SuperblockEngine
     const MachineConfig &config_;
 
     PageGenTable gens_;
-    std::function<std::uint8_t(std::uint16_t)> classify_;
+    std::function<OwnerRun(std::uint16_t)> classify_;
 
     std::uint16_t recovery_base_ = 0;
     std::uint32_t recovery_end_ = 0; ///< 0 = no recovery range
 
-    /** Direct-mapped block table, one slot per word-aligned PC. */
-    std::vector<std::unique_ptr<Block>> blocks_;
+    /** build()'s scratch list of decoded instructions. */
+    std::vector<BlockInstr> scan_;
+
+    /** Direct-mapped block table, one slot per word-aligned PC; a
+     *  slot owns its block. */
+    std::unique_ptr<Block *[]> blocks_;
+    /** The slots ever filled (a filled slot stays filled): the only
+     *  ones teardown visits. */
+    std::vector<std::uint16_t> filled_;
 };
 
 } // namespace swapram::sim

@@ -9,6 +9,7 @@
 
 #if SWAPRAM_THREADED_AVAILABLE
 
+#include <algorithm>
 #include <cstring>
 
 namespace swapram::sim {
@@ -168,10 +169,7 @@ class ThreadedCode
 
     std::array<Link, 2> links{};
     std::vector<TOp> ops;
-    /** The block's code bytes [start, end) (its SMC window) and
-     *  worst-case cycles, copied from the Block. */
-    std::uint16_t start = 0;
-    std::uint32_t end = 0;
+    /** The worst-case cycles, copied from the Block. */
     std::uint32_t worst = 0;
     /** kKeyRecovery when the block lies in the recovery range, | owner;
      *  fixed at lowering (range changes rebuild every block). */
@@ -180,15 +178,30 @@ class ThreadedCode
      *  block on the chain's touched list. */
     std::uint64_t execs = 0;
     ThreadedCode *next_touched = nullptr;
+    /** The window [lo, hi) that bounds the trace's segments, then the
+     *  segments themselves, copied from the Block: its SMC window, and
+     *  where checkpoint probes are looked for. */
+    std::uint16_t lo = 0;
+    std::uint32_t hi = 0;
+    std::uint8_t n_segs = 0;
+    std::array<SuperblockEngine::Segment, SuperblockEngine::kMaxSegments>
+        segs{};
     /** Static block totals, indexed by AccIdx (the fetch count is
      *  already in the fram/sram slot matching fetch_region): one
      *  cache line. */
     alignas(64) Totals tot{};
     std::vector<TDelta> deltas;
-    /** Per side exit (a conditional jump inside the block, indexed by
-     *  its op's b field): the static totals of the ops after it, which
-     *  a taken exit subtracts. */
-    std::vector<Totals> exits;
+    /** A side exit (a conditional jump inside the block, indexed by
+     *  its op's b field): the static totals of the ops after it, and
+     *  how often the running chain took it. Taking it takes back the
+     *  base and stall totals at once (chain deadlines need them
+     *  exact); the chain-end fold takes back the rest, times the
+     *  count. */
+    struct Exit {
+        Totals suffix{};
+        std::uint64_t taken = 0;
+    };
+    std::vector<Exit> exits;
     /** The block's decoded instructions (generic kernel). */
     const SuperblockEngine::BlockInstr *instrs = nullptr;
     bool fram_code = false;
@@ -255,7 +268,8 @@ struct DCtx {
     std::uint32_t code_end = 0;
     bool hw_on = true;
 
-    // Per-block self-modification window.
+    // Per-block self-modification window: bounds every segment of
+    // the running trace (a hit is checked against the segments).
     std::uint16_t blk_start = 0;
     std::uint32_t blk_end = 0;
     bool smc = false;
@@ -506,13 +520,16 @@ dynLoad(DCtx *st, std::uint16_t addr, bool byte)
 }
 
 /** Store-side invalidation duty of this tier: the page-generation
- *  bump, plus own-block SMC detection. */
+ *  bump, plus own-block SMC detection (the bounding window first, then
+ *  the trace's segments). */
 inline void
 dynNoteStore(DCtx *st, std::uint16_t addr, unsigned nbytes)
 {
     st->gens->noteWrite(addr, nbytes);
     std::uint32_t lo = addr;
-    if (lo < st->blk_end && lo + nbytes > st->blk_start)
+    if (lo < st->blk_end && lo + nbytes > st->blk_start &&
+        SuperblockEngine::overlapsCode(st->cur_tc->segs.data(),
+                                       st->cur_tc->n_segs, lo, nbytes))
         st->smc = true;
 }
 
@@ -945,25 +962,34 @@ enterBlock(DCtx *st, ThreadedCode &tc)
         tc.next_touched = st->touched;
         st->touched = &tc;
     }
-    st->blk_start = tc.start;
-    st->blk_end = tc.end;
+    st->blk_start = tc.lo;
+    st->blk_end = tc.hi;
     st->smc = false;
     st->cur_tc = &tc;
     return tc.ops.data();
 }
 
-/** True when a checkpoint probe PC (0: none) lies in the block's code
- *  [@p start, @p end) — past its first instruction when the chain
- *  starts there, as the caller's pre-step reports that entry. A block
- *  may run through a forward side exit's fall-through into a probe,
- *  so its start alone does not decide. */
+/** True when a checkpoint probe PC (0: none) lies in the code of one
+ *  of a trace's @p n segments — past its first instruction when the
+ *  chain starts there, as the caller's pre-step reports that entry. A
+ *  block may run through a forward side exit's fall-through or a
+ *  followed transfer into a probe, so its start alone does not
+ *  decide. */
 SWAPRAM_INLINE bool
-probeIn(std::uint16_t commit, std::uint16_t restore, std::uint16_t start,
-        std::uint32_t end, bool first)
+probeIn(std::uint16_t commit, std::uint16_t restore,
+        const SuperblockEngine::Segment *segs, std::uint8_t n, bool first)
 {
-    const std::uint32_t from = start + (first ? 2u : 0u);
-    return (commit >= from && commit < end) ||
-           (restore >= from && restore < end);
+    if ((commit | restore) == 0)
+        return false;
+    for (std::uint8_t i = 0; i < n; ++i) {
+        const std::uint32_t from =
+            segs[i].start + (first && i == 0 ? 2u : 0u);
+        const std::uint32_t end = segs[i].end;
+        if ((commit >= from && commit < end) ||
+            (restore >= from && restore < end))
+            return true;
+    }
+    return false;
 }
 
 /**
@@ -972,8 +998,9 @@ probeIn(std::uint16_t commit, std::uint16_t restore, std::uint16_t start,
  * through the finished block's links when one is current, else by
  * peeking the block table (and links what it finds), and enters it
  * when its worst case ends below the chain's deadline, its key
- * matches the chain's, and (past the first block) it does not start
- * at a checkpoint probe. Anything else goes to
+ * matches the chain's, and no checkpoint probe lies in its segments'
+ * code (past its first instruction, for the chain's first block).
+ * Anything else goes to
  * ThreadedEngine::advanceChain, which re-derives the verdict. Returns
  * the op array to run, or nullptr when the chain ends.
  */
@@ -995,14 +1022,15 @@ chainStep(DCtx *st)
         st->now0 + st->acc[kAccBase] + st->acc[kAccStall];
     if (tc && now + tc->worst < st->deadline &&
         ((tc->key ^ st->key) & st->key_mask) == 0 &&
-        !probeIn(st->ckpt_commit, st->ckpt_restore, tc->start, tc->end,
-                 kFirst))
+        !probeIn(st->ckpt_commit, st->ckpt_restore, tc->segs.data(),
+                 tc->n_segs, kFirst))
         return enterBlock(st, *tc);
     return static_cast<TOp *>(st->eng->advanceChain(st));
 }
 
 /** Apply every touched block's static totals other than base and
- *  stall, times its entries, and empty the touched list. */
+ *  stall, times its entries, less those of its taken side exits'
+ *  suffixes, times their counts, and empty the touched list. */
 void
 foldTouched(DCtx &st)
 {
@@ -1010,6 +1038,13 @@ foldTouched(DCtx &st)
         const std::uint64_t e = tc->execs;
         for (int i = kAccStall + 1; i < kNumAcc; ++i)
             st.acc[i] += e * tc->tot[i];
+        for (ThreadedCode::Exit &x : tc->exits) {
+            if (!x.taken)
+                continue;
+            for (int i = kAccStall + 1; i < kNumAcc; ++i)
+                st.acc[i] -= x.taken * x.suffix[i];
+            x.taken = 0;
+        }
         st.dispatches += e;
         tc->execs = 0;
     }
@@ -1199,11 +1234,13 @@ L_bail_smc:
     st->bail_kind = 2;
     return kLabels;
 L_side_exit : {
-    // A taken side exit leaves the block early: take back the static
-    // totals of the ops after it, then step on as at the block end.
-    const auto &suffix = st->cur_tc->exits[op->b];
-    for (int i = 0; i < kNumAcc; ++i)
-        st->acc[i] -= suffix[i];
+    // A taken side exit leaves the block early: take back the base and
+    // stall totals of the ops after it (the fold takes back the rest),
+    // then step on as at the block end.
+    ThreadedCode::Exit &x = st->cur_tc->exits[op->b];
+    st->acc[kAccBase] -= x.suffix[kAccBase];
+    st->acc[kAccStall] -= x.suffix[kAccStall];
+    ++x.taken;
 }
 L_end:
     // Block completed: step to the next one in line — the dispatch
@@ -1243,8 +1280,14 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     std::uint16_t *regs = cpu_.regs().data();
     std::uint8_t *bytes = memory_.bytes();
     tc->instrs = block.instrs.data();
-    tc->start = block.start_pc;
-    tc->end = block.end_addr;
+    tc->n_segs = block.n_segs;
+    tc->segs = block.segs;
+    tc->lo = block.start_pc;
+    tc->hi = block.start_pc;
+    for (std::uint8_t i = 0; i < block.n_segs; ++i) {
+        tc->lo = std::min(tc->lo, block.segs[i].start);
+        tc->hi = std::max(tc->hi, block.segs[i].end);
+    }
     tc->worst = block.worst_case_cycles;
     tc->fram_code = fram_code;
     tc->owner = block.owner;
@@ -1336,8 +1379,8 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         } else {
             ++dl.d_sram_w;
         }
-        if (static_cast<std::uint32_t>(addr) < block.end_addr &&
-            static_cast<std::uint32_t>(addr) + nbytes > block.start_pc)
+        if (SuperblockEngine::overlapsCode(block.segs.data(), block.n_segs,
+                                           addr, nbytes))
             t.smc = 1;
     };
 
@@ -1613,7 +1656,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
             sx[kAccOwner0 + block.owner] =
                 static_cast<std::uint32_t>(n - 1 - i);
             tc->ops[i].b = static_cast<std::uint16_t>(tc->exits.size());
-            tc->exits.push_back(sx);
+            tc->exits.push_back({sx, 0});
         }
         addDelta(suffix, tc->deltas[i], fram_code);
     }
@@ -1677,8 +1720,8 @@ ThreadedEngine::advanceChain(void *p)
     // are events the oracle's pre-step emits: chains stop before them.
     if (limits.owner != ChainLimits::kAnyOwner &&
         (block->owner != limits.owner ||
-         probeIn(limits.ckpt_commit, limits.ckpt_restore, pc,
-                 block->end_addr, first)))
+         probeIn(limits.ckpt_commit, limits.ckpt_restore,
+                 block->segs.data(), block->n_segs, first)))
         return nullptr;
 
     if (!block->threaded)

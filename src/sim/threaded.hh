@@ -43,13 +43,19 @@
  * times each block's execution count. Each op also carries its own
  * static delta so the rare bail-outs can walk the unexecuted suffix
  * and subtract it back. A forward conditional jump inside a block is
- * a side exit: taken, it subtracts the static totals of the ops after
- * it, precomputed per exit at lowering, and steps on as at the block
- * end. Every case the chain cannot prove identical
- * to the oracle is a guard back to it:
+ * a side exit: taken, it subtracts the base and stall totals of the
+ * ops after it, precomputed per exit at lowering, counts itself for
+ * the chain-end fold to take back the rest, and steps on as at the
+ * block end. A block is a trace whose segments follow JMP, BR #imm
+ * and CALL #imm (sim/superblock.hh): those transfers run as ordinary
+ * ops, and a chain step happens only where the next PC is decided at
+ * run time or the trace had to stop. Every case the chain cannot
+ * prove identical to the oracle is a guard back to it:
  *   - dyn-operand MMIO/unmapped pre-check (nothing committed);
- *   - own-block SMC via the shared page-generation table (committed,
- *     then stop);
+ *   - a store into the code of any of the block's segments (static
+ *     addresses checked at lowering, dynamic ones against the window
+ *     bounding the segments, then each segment; committed, then
+ *     stop);
  *   - fault/timer/max-cycle worst-case-bound refusal before dispatch;
  *   - the profiler, metrics, and per-step trace categories force the
  *     oracle (Machine::run picks the oracle tier with them attached);
@@ -121,9 +127,9 @@ class ThreadedEngine
         /** Every block must belong to this code owner (kAnyOwner:
          *  chains may cross owner changes). */
         std::uint8_t owner = kAnyOwner;
-        /** With an owner set, chains also stop before a block
-         *  starting at either PC (0 = none; no block starts at 0,
-         *  which is device space). */
+        /** With an owner set, chains also stop before a block whose
+         *  code, in any segment, holds either PC (0 = none; no block
+         *  holds 0, which is device space). */
         std::uint16_t ckpt_commit = 0;
         std::uint16_t ckpt_restore = 0;
     };

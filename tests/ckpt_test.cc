@@ -134,8 +134,9 @@ TEST(FaultPlan, RandomZeroGapStillAdvancesEveryBoot)
     for (std::uint64_t cycle = 0; cycle < 1000 && failures < 50;
          ++cycle) {
         if (fi.shouldFail(cycle)) {
-            if (prev != UINT64_MAX)
+            if (prev != UINT64_MAX) {
                 EXPECT_GT(cycle, prev);
+            }
             prev = cycle;
             ++failures;
         }

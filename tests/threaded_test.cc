@@ -20,8 +20,10 @@
  * owner changes, checkpoint probes and power cycles,
  * fault/timer/cycle-budget boundaries, recovery-range crossings,
  * mid-eviction and data-pool swap windows under capacity pressure,
- * harvest brown-outs landing mid-chain, and the full golden
- * workload×system×sram_size matrix.
+ * harvest brown-outs landing mid-chain, traces joined across static
+ * jumps (stores into a later segment, a segment on another page, a
+ * patched branch immediate, owner and probe stops, the stack at the
+ * SRAM base), and the full golden workload×system×sram_size matrix.
  * Long loops ending in a bail pin the chain's deferred accounting.
  */
 
@@ -38,6 +40,7 @@
 #include "sim/fault.hh"
 #include "sim/harvest.hh"
 #include "sim/superblock.hh"
+#include "support/logging.hh"
 #include "support/platform.hh"
 #include "support/strings.hh"
 #include "testutil.hh"
@@ -695,14 +698,18 @@ TEST(Threaded, PowerCycleRebuildsBlocksWithEqualBytes)
 /** A loop whose third block patches the immediate of its second, the
  *  first block's linked successor: the store lands outside the block
  *  that holds the link, and must still retire the link (through the
- *  code epoch), or the first block follows it into stale code. */
+ *  code epoch), or the first block follows it into stale code. The
+ *  jumps are indirect (`MOV Rn, PC`), so the blocks stay apart and
+ *  linked instead of joining one trace. */
 const char kPatchedLinkTargetBody[] =
+    "        MOV #ktgt, R9\n"
+    "        MOV #kpatch, R8\n"
     "        MOV #0, R12\n"
     "        MOV #50, R10\n"
     "kloop:  ADD #1, R13\n"
-    "        JMP ktgt\n"
+    "        MOV R9, PC\n"
     "ktgt:   ADD #100, R12\n"
-    "        JMP kpatch\n"
+    "        MOV R8, PC\n"
     "kpatch: ADD #1, &ktgt+2\n"
     "        DEC R10\n"
     "        JNZ kloop\n";
@@ -1485,6 +1492,464 @@ TEST(Threaded, IndirectPcSourceMatchesOracle)
     EXPECT_EQ(on.reg(Reg::R7), off.reg(Reg::R7));
     expectSimStatsEqual(on.stats(), off.stats(), "mov @pc");
     expectMostlyThreaded(on.stats(), "mov @pc");
+}
+
+// ---- Traces: blocks joined across JMP, BR #imm and CALL #imm --------
+
+/** Four blocks joined by JMPs form one trace: each pass of the loop is
+ *  one dispatch, with the JMPs run as ordinary ops inside it (as four
+ *  blocks a pass would take four). */
+const char kJoinedLoopBody[] =
+    "        MOV #200, R10\n"
+    "jl0:    ADD #1, R12\n"
+    "        JMP jl2\n"
+    "jl1:    XOR R12, R13\n"
+    "        JMP jl3\n"
+    "jl2:    ADD R12, R14\n"
+    "        JMP jl1\n"
+    "jl3:    RRA R13\n"
+    "        DEC R10\n"
+    "        JNZ jl0\n";
+
+TEST(Threaded, JoinedBlocksRunOneDispatchPerPass)
+{
+    test::MiniRun on = test::runBody(kJoinedLoopBody, withThreaded(true));
+    test::MiniRun off = test::runBody(kJoinedLoopBody, withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    for (Reg r : {Reg::R12, Reg::R13, Reg::R14})
+        EXPECT_EQ(on.reg(r), off.reg(r));
+    expectSimStatsEqual(on.stats(), off.stats(), "joined loop");
+    expectMostlyThreaded(on.stats(), "joined loop");
+    EXPECT_GE(on.stats().threaded_dispatches, 200u);
+    EXPECT_LE(on.stats().threaded_dispatches, 202u);
+}
+
+/** A store inside a trace into the code of one of its later segments:
+ *  the static SMC check covers every segment, so the store bails (and
+ *  the next pass rebuilds), or the stale immediate is added. */
+const char kSmcLaterSegmentBody[] =
+    "        MOV #0, R12\n"
+    "        MOV #50, R10\n"
+    "        JMP sloop\n"
+    "stgt:   ADD #100, R12\n"
+    "        DEC R10\n"
+    "        JNZ sloop\n"
+    "        JMP sdone\n"
+    "sloop:  ADD #1, &stgt+2\n"
+    "        JMP stgt\n"
+    "sdone:\n";
+
+TEST(Threaded, StoreIntoLaterSegmentBailsAsSmc)
+{
+    test::MiniRun on = test::runBody(kSmcLaterSegmentBody,
+                                     withThreaded(true));
+    test::MiniRun off = test::runBody(kSmcLaterSegmentBody,
+                                      withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    // 101 + 102 + ... + 150.
+    EXPECT_EQ(on.reg(Reg::R12), 6275) << "stale lowered kernel executed";
+    EXPECT_EQ(off.reg(Reg::R12), 6275);
+    expectSimStatsEqual(on.stats(), off.stats(), "smc later segment");
+    expectMostlyThreaded(on.stats(), "smc later segment");
+    EXPECT_GE(on.stats().threaded_bail_smc, 50u);
+}
+
+/** The same patch from a block outside the trace: the store moves the
+ *  generation of a page the trace's later segment lies on, so the
+ *  trace is rebuilt by its bytes on every pass. Its JMP joins two
+ *  segments, so a pass is two dispatches (three as plain blocks). */
+const char kStoreIntoLaterSegmentBody[] =
+    "        MOV #ejmp, R9\n"
+    "        MOV #0, R12\n"
+    "        MOV #50, R10\n"
+    "eloop:  ADD #1, &etgt+2\n"
+    "        MOV R9, PC\n"
+    "ejmp:   JMP etgt\n"
+    "        ADD #5, R15\n"
+    "etgt:   ADD #100, R12\n"
+    "        DEC R10\n"
+    "        JNZ eloop\n";
+
+TEST(Threaded, StoreIntoLaterSegmentRebuildsTheTrace)
+{
+    test::MiniRun on = test::runBody(kStoreIntoLaterSegmentBody,
+                                     withThreaded(true));
+    test::MiniRun off = test::runBody(kStoreIntoLaterSegmentBody,
+                                      withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    EXPECT_EQ(on.reg(Reg::R12), 6275) << "stale lowered kernel executed";
+    EXPECT_EQ(off.reg(Reg::R12), 6275);
+    expectSimStatsEqual(on.stats(), off.stats(), "store into segment");
+    expectMostlyThreaded(on.stats(), "store into segment");
+    EXPECT_GE(on.stats().superblock_invalidations, 49u);
+    EXPECT_LE(on.stats().threaded_dispatches, 2u * 50 + 2);
+}
+
+/** The later segment lies on another gen page than the trace's start,
+ *  and a block outside the trace rewrites it: the trace must have
+ *  stamped that page too, or the store never moves the trace's epoch
+ *  and the stale immediate keeps being added. */
+const char kFarSegmentBody[] =
+    "        MOV #fjmp, R9\n"
+    "        MOV #0, R12\n"
+    "        MOV #50, R10\n"
+    "floop:  ADD #1, &ftgt+2\n"
+    "        MOV R9, PC\n"
+    "fjmp:   JMP ftgt\n"
+    "        .space 128\n"
+    "ftgt:   ADD #100, R12\n"
+    "        DEC R10\n"
+    "        JNZ floop\n";
+
+TEST(Threaded, RewrittenSegmentOnAnotherPageRebuildsTheTrace)
+{
+    test::MiniRun on = test::runBody(kFarSegmentBody, withThreaded(true));
+    test::MiniRun off = test::runBody(kFarSegmentBody, withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    ASSERT_NE(on.assembled.symbol("fjmp") >> sim::PageGenTable::kPageShift,
+              on.assembled.symbol("ftgt") >> sim::PageGenTable::kPageShift);
+    EXPECT_EQ(on.reg(Reg::R12), 6275) << "stale lowered kernel executed";
+    EXPECT_EQ(off.reg(Reg::R12), 6275);
+    expectSimStatsEqual(on.stats(), off.stats(), "far segment");
+    expectMostlyThreaded(on.stats(), "far segment");
+    EXPECT_GE(on.stats().superblock_invalidations, 49u);
+    EXPECT_LE(on.stats().threaded_dispatches, 2u * 50 + 2);
+}
+
+/** The block cache chains its blocks with BR #imm and patches the
+ *  immediate when a successor moves. Here a block outside the trace
+ *  flips a BR between two targets on every pass: the trace that
+ *  follows the BR is rebuilt (or revived, the flip's other content
+ *  being the block its last rebuild replaced) and must take the new
+ *  target. */
+const char kPatchedBranchBody[] =
+    "        MOV #bbr, R9\n"
+    "        MOV #0, R12\n"
+    "        MOV #40, R10\n"
+    "bloop:  MOV #pa, &bbr+2\n"
+    "        BIT #1, R10\n"
+    "        JZ bgo\n"
+    "        MOV #pb, &bbr+2\n"
+    "bgo:    MOV R9, PC\n"
+    "bbr:    BR #pa\n"
+    "        ADD #5, R15\n"
+    "pa:     ADD #1, R12\n"
+    "        JMP bnext\n"
+    "pb:     ADD #100, R12\n"
+    "bnext:  DEC R10\n"
+    "        JNZ bloop\n";
+
+TEST(Threaded, PatchedBranchImmediateRetargetsTheTrace)
+{
+    test::MiniRun on = test::runBody(kPatchedBranchBody, withThreaded(true));
+    test::MiniRun off = test::runBody(kPatchedBranchBody,
+                                      withThreaded(false));
+    ASSERT_TRUE(on.result.done);
+    ASSERT_TRUE(off.result.done);
+    EXPECT_EQ(on.reg(Reg::R12), 20 * 100 + 20 * 1);
+    EXPECT_EQ(off.reg(Reg::R12), 20 * 100 + 20 * 1);
+    expectSimStatsEqual(on.stats(), off.stats(), "patched branch");
+    expectMostlyThreaded(on.stats(), "patched branch");
+    EXPECT_GE(on.stats().superblock_invalidations, 39u);
+    // bloop, bgo on even passes, then one trace through the BR (as
+    // plain blocks the BR, pa and bnext would add a dispatch each).
+    EXPECT_LE(on.stats().threaded_dispatches, 40u * 5 / 2 + 2);
+}
+
+/** A JMP into another owner's range ends the trace: a block keeps one
+ *  owner, whose instructions it pre-attributes. With no trace engine
+ *  the chain itself may cross the owner change, so only the trace's
+ *  stop keeps instr_by_owner equal to the oracle's. */
+const char *kOwnerJumpProgram = R"(
+        .text
+__start:
+        MOV #0x3000, SP
+        MOV #60, R10
+wloop:  ADD #1, R12
+        JMP wmid
+        ADD #5, R15
+wmid:   XOR R12, R13
+        JMP hfunc
+wback:  DEC R10
+        JNZ wloop
+        MOV.B #0, &__DONE
+__halt: JMP __halt
+hfunc:  ADD #2, R14
+        JMP wback
+hend:
+)";
+
+TEST(Threaded, JumpIntoAnotherOwnerEndsTheTrace)
+{
+    auto run = [](bool threaded) {
+        auto assembled =
+            masm::assemble(masm::parse(kOwnerJumpProgram), {});
+        sim::Machine machine(withThreaded(threaded));
+        machine.load(assembled.image, 0x3000);
+        machine.addOwnerRange(assembled.symbol("hfunc"),
+                              assembled.symbol("hend"),
+                              sim::CodeOwner::Handler);
+        EXPECT_TRUE(machine.run().done);
+        return std::make_pair(machine.stats(),
+                              machine.cpu().reg(Reg::R14));
+    };
+    auto [on, on_r14] = run(true);
+    auto [off, off_r14] = run(false);
+    EXPECT_EQ(on_r14, off_r14);
+    EXPECT_EQ(off.instr_by_owner[static_cast<int>(sim::CodeOwner::Handler)],
+              2u * 60);
+    expectSimStatsEqual(on, off, "owner jump");
+    expectMostlyThreaded(on, "owner jump");
+    // wloop..wmid as one trace, then hfunc and wback.
+    EXPECT_LE(on.threaded_dispatches, 3u * 60 + 2);
+}
+
+/** A CALL #imm whose target is a checkpoint probe: the trace joins the
+ *  probed routine as its second segment. Unobserved, a pass is two
+ *  dispatches; under a trace engine the chain must stop before the
+ *  probe (no block may run into it past its first instruction), so the
+ *  probe events land on the oracle's cycles. */
+const char *kProbeSegmentProgram = R"(
+        .text
+__start:
+        MOV #0x3000, SP
+        MOV #60, R10
+ploop:  ADD #1, R12
+        CALL #pfunc
+        DEC R10
+        JNZ ploop
+        MOV.B #0, &__DONE
+__halt: JMP __halt
+pfunc:  ADD #3, R15
+        RET
+)";
+
+TEST(Threaded, ProbeInLaterSegmentStopsTracedChains)
+{
+    auto run = [](bool threaded, bool traced) {
+        auto assembled =
+            masm::assemble(masm::parse(kProbeSegmentProgram), {});
+        sim::Machine machine(withThreaded(threaded));
+        machine.load(assembled.image, 0x3000);
+        machine.setCkptProbe(assembled.symbol("pfunc"), 0);
+        trace::TraceEngine engine(trace::kCatSwap | trace::kCatPower);
+        if (traced)
+            machine.setTraceEngine(&engine);
+        EXPECT_TRUE(machine.run().done);
+        return OwnerLinkRun{machine.stats(), engine.ring(),
+                            machine.cpu().reg(Reg::R14)};
+    };
+    OwnerLinkRun plain = run(true, false);
+    OwnerLinkRun on = run(true, true);
+    OwnerLinkRun off = run(false, true);
+    expectSimStatsEqual(plain.stats, off.stats, "probe segment plain");
+    expectMostlyThreaded(plain.stats, "probe segment plain");
+    EXPECT_LE(plain.stats.threaded_dispatches, 2u * 60 + 2);
+    expectSimStatsEqual(on.stats, off.stats, "probe segment traced");
+    expectMostlyThreaded(on.stats, "probe segment traced");
+    ASSERT_GE(off.events.size(), 60u); // a probe event per pass
+    ASSERT_EQ(on.events.size(), off.events.size());
+    for (std::size_t i = 0; i < on.events.size(); ++i) {
+        EXPECT_EQ(on.events[i].cycle, off.events[i].cycle) << i;
+        EXPECT_EQ(on.events[i].kind, off.events[i].kind) << i;
+        EXPECT_EQ(on.events[i].addr, off.events[i].addr) << i;
+    }
+}
+
+/** Code in SRAM whose trace runs through a segment it patches once per
+ *  boot: a power cycle re-copies the unpatched bytes behind the bus,
+ *  so the trace that read the patched ones must not survive it. */
+const char *kSramTraceProgram = R"(
+        .text
+__start:
+        MOV #0x3000, SP
+        MOV #0, R12
+        MOV #200, R10
+tloop:  JMP timm
+        ADD #9, R15
+timm:   ADD #5, R12
+        CMP #200, R10
+        JNE tskip
+        MOV #7, &timm+2
+tskip:  DEC R10
+        JNZ tloop
+        MOV.B #0, &__DONE
+__halt: JMP __halt
+)";
+
+TEST(Threaded, PowerCycleRebuildsTracesOverRecopiedCode)
+{
+    auto run = [](bool threaded) {
+        masm::LayoutSpec layout;
+        layout.text_base = platform::kSramBase;
+        layout.data_base = 0x9000;
+        auto assembled =
+            masm::assemble(masm::parse(kSramTraceProgram), layout);
+        sim::Machine machine(withThreaded(threaded));
+        machine.load(assembled.image, 0x3000);
+        sim::FaultInjector injector(sim::FaultPlan::periodic(900, 5));
+        machine.setFaultInjector(&injector);
+        EXPECT_TRUE(machine.run().done);
+        return std::make_pair(machine.stats(),
+                              machine.cpu().reg(Reg::R12));
+    };
+    auto [on, on_r12] = run(true);
+    auto [off, off_r12] = run(false);
+    EXPECT_EQ(on.reboots, 5u);
+    EXPECT_EQ(off_r12, 5 + 7 * 199);
+    EXPECT_EQ(on_r12, off_r12) << "patched trace survived a power cycle";
+    expectSimStatsEqual(on, off, "sram trace power cycles");
+    expectMostlyThreaded(on, "sram trace power cycles");
+    // A pass is the trace through timm plus tskip's block: 3.5
+    // instructions a dispatch (as plain blocks, 2.3).
+    EXPECT_LT(3 * on.threaded_dispatches, on.threaded_instructions);
+}
+
+/** A run that ends in an unmapped access: where it stops and what it
+ *  counted up to the fatal. */
+struct FatalRun {
+    std::string error;
+    sim::Stats stats;
+    std::uint16_t r12 = 0;
+};
+
+FatalRun
+runToFatal(const std::string &body, bool threaded)
+{
+    FatalRun r;
+    auto assembled = masm::assemble(masm::parse(test::wrapBody(body)), {});
+    sim::Machine machine(withThreaded(threaded));
+    machine.load(assembled.image, 0x3000);
+    try {
+        machine.run();
+    } catch (const support::FatalError &e) {
+        r.error = e.what();
+    }
+    r.stats = machine.stats();
+    r.r12 = machine.cpu().reg(Reg::R12);
+    return r;
+}
+
+/** CALL #imm with SP two bytes above the SRAM base: its push lands on
+ *  the first SRAM word, so the trace through the callee runs threaded.
+ *  A PUSH in a later segment then needs the word below SRAM: the chain
+ *  bails with the push uncommitted, and the oracle reports the fault
+ *  after exactly the same work. */
+const char kLowStackBody[] =
+    "        MOV #0x2002, SP\n"
+    "        MOV #4, R10\n"
+    "lsloop: CALL #lsfunc\n"
+    "        DEC R10\n"
+    "        JNZ lsloop\n"
+    "        ADD #1, R13\n"
+    "        JMP lslast\n"
+    "        ADD #9, R15\n"
+    "lslast: PUSH R12\n"
+    "        JMP lslast\n"
+    "lsfunc: ADD #1, R12\n"
+    "        RET\n";
+
+TEST(Threaded, CallWithStackAtSramBaseMatchesOracle)
+{
+    FatalRun on = runToFatal(kLowStackBody, true);
+    FatalRun off = runToFatal(kLowStackBody, false);
+    EXPECT_NE(off.error.find("unmapped"), std::string::npos) << off.error;
+    EXPECT_EQ(on.error, off.error);
+    EXPECT_EQ(on.r12, 4);
+    EXPECT_EQ(off.r12, 4);
+    expectSimStatsEqual(on.stats, off.stats, "low stack");
+    expectMostlyThreaded(on.stats, "low stack");
+    EXPECT_GE(on.stats.threaded_bail_operand, 1u);
+    // Per pass the CALL's trace through lsfunc, then DEC/JNZ.
+    EXPECT_LE(on.stats.threaded_dispatches, 2u * 4 + 2);
+}
+
+/** A loop that is one three-segment trace, under timer interrupts and
+ *  power failures: the trace's worst-case bound covers every segment,
+ *  so a fire or failure cycle that falls inside it hands the trace to
+ *  the oracle and lands on the same cycle. */
+const char *kTracedTimerProgram = R"(
+        .text
+__start:
+        MOV #0x3000, SP
+        MOV #tick_isr, &0xFFF0
+        EINT
+        MOV #400, R10
+fg_loop:
+        MOV #13, R12
+        JMP fg_b
+        ADD #9, R15
+fg_b:   ADD #29, R12
+        JMP fg_c
+        ADD #9, R15
+fg_c:   XOR R12, &fg_acc
+        DEC R10
+        JNZ fg_loop
+        DINT
+        MOV &tick_count, R12
+        MOV.B #0, &__DONE
+__halt: JMP __halt
+
+        .func tick_isr
+        ADD #1, &tick_count
+        RETI
+        .endfunc
+
+        .data
+        .align 2
+tick_count: .word 0
+fg_acc:     .word 0
+)";
+
+TEST(Threaded, TimerAndFaultBoundariesInsideTracesMatch)
+{
+    for (std::uint64_t period : {97ull, 500ull, 1024ull}) {
+        sim::MachineConfig on_cfg = withThreaded(true);
+        sim::MachineConfig off_cfg = withThreaded(false);
+        on_cfg.timer_period_cycles = period;
+        off_cfg.timer_period_cycles = period;
+        test::MiniRun on = test::runSource(kTracedTimerProgram, on_cfg);
+        test::MiniRun off = test::runSource(kTracedTimerProgram, off_cfg);
+        ASSERT_TRUE(on.result.done);
+        ASSERT_TRUE(off.result.done);
+        std::string ctx = "traced timer period " + std::to_string(period);
+        EXPECT_GT(on.stats().interrupts, 0u) << ctx;
+        EXPECT_EQ(on.reg(Reg::R12), off.reg(Reg::R12)) << ctx;
+        expectSimStatsEqual(on.stats(), off.stats(), ctx);
+        expectMostlyThreaded(on.stats(), ctx);
+        EXPECT_GT(on.stats().threaded_bail_boundary, 0u) << ctx;
+        // One dispatch a pass, plus the ISR's (three as plain blocks).
+        EXPECT_LT(on.stats().threaded_dispatches,
+                  400u + 2 * on.stats().interrupts + 4)
+            << ctx;
+    }
+
+    auto faulted = [](bool threaded) {
+        masm::LayoutSpec layout;
+        layout.data_base = 0x9000;
+        auto assembled =
+            masm::assemble(masm::parse(kTracedTimerProgram), layout);
+        sim::Machine machine(withThreaded(threaded));
+        machine.load(assembled.image, 0x3000);
+        sim::FaultInjector injector(sim::FaultPlan::periodic(1300, 5));
+        machine.setFaultInjector(&injector);
+        EXPECT_TRUE(machine.run().done);
+        return std::make_pair(machine.stats(),
+                              machine.peek16(assembled.symbol("fg_acc")));
+    };
+    auto [on, on_acc] = faulted(true);
+    auto [off, off_acc] = faulted(false);
+    EXPECT_EQ(on.reboots, 5u);
+    EXPECT_EQ(on_acc, off_acc);
+    expectSimStatsEqual(on, off, "traced faults");
+    expectMostlyThreaded(on, "traced faults");
+    EXPECT_GT(on.threaded_bail_boundary, 0u);
+    // Seven instructions a pass in one dispatch (as plain blocks, 2.3).
+    EXPECT_LT(4 * on.threaded_dispatches, on.threaded_instructions);
 }
 
 } // namespace

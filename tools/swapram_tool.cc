@@ -379,7 +379,13 @@ parseArgs(int argc, char **argv)
         } else if (a == "--no-evict") {
             args.swap.evict = false;
         } else if (a == "--data-pool") {
-            args.swap.data_pool_bytes = number<std::uint16_t>(a, next());
+            // 0 would read as "the workload's own pool" downstream, so
+            // only a size the runtime can carve is accepted.
+            const auto pool = number<std::uint16_t>(a, next());
+            if (pool < 32 || (pool & (pool - 1)) != 0)
+                support::fatal(a, ": ", pool,
+                               " is not a power of two >= 32");
+            args.swap.data_pool_bytes = pool;
         } else if (a == "--capacity") {
             args.capacity = true;
         } else if (a == "--policy") {
