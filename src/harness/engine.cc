@@ -95,44 +95,34 @@ Engine::defaultJobs()
 
 Engine::Engine(unsigned jobs) : jobs_(jobs ? jobs : defaultJobs()) {}
 
-std::vector<RunOutcome>
-Engine::runAll(const std::vector<RunSpec> &specs,
-               const ProgressFn &progress) const
+void
+Engine::forEach(std::size_t n,
+                const std::function<void(std::size_t)> &fn) const
 {
-    std::vector<RunOutcome> results(specs.size());
-    if (specs.empty())
-        return results;
-
-    ProgressReporter reporter(progress, specs.size());
-
     unsigned workers = jobs_;
-    if (workers > specs.size())
-        workers = static_cast<unsigned>(specs.size());
+    if (workers > n)
+        workers = static_cast<unsigned>(n);
 
     // Single-job batches run inline: no threads, trivially ordered,
     // and debuggable — the deterministic reference the parallel path
     // is tested against.
     if (workers <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i) {
-            results[i] = runCaptured(specs[i]);
-            reporter.report(i, results[i]);
-        }
-        return results;
+        for (std::size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
     }
 
     warmSharedState();
 
     // Work-stealing by atomic ticket: completion order is arbitrary,
-    // but each worker writes only results[i] for its own tickets, so
-    // the outcome vector is in submission order by construction.
+    // but each index goes to exactly one call.
     std::atomic<std::size_t> next{0};
     auto worker = [&]() {
         for (;;) {
             std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-            if (i >= specs.size())
+            if (i >= n)
                 return;
-            results[i] = runCaptured(specs[i]);
-            reporter.report(i, results[i]);
+            fn(i);
         }
     };
     std::vector<std::thread> pool;
@@ -141,6 +131,20 @@ Engine::runAll(const std::vector<RunSpec> &specs,
         pool.emplace_back(worker);
     for (std::thread &t : pool)
         t.join();
+}
+
+std::vector<RunOutcome>
+Engine::runAll(const std::vector<RunSpec> &specs,
+               const ProgressFn &progress) const
+{
+    // Each call writes only results[i] for its own index, so the
+    // outcome vector is in submission order by construction.
+    std::vector<RunOutcome> results(specs.size());
+    ProgressReporter reporter(progress, specs.size());
+    forEach(specs.size(), [&](std::size_t i) {
+        results[i] = runCaptured(specs[i]);
+        reporter.report(i, results[i]);
+    });
     return results;
 }
 

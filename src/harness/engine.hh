@@ -87,6 +87,15 @@ class Engine
     runAll(const std::vector<RunSpec> &specs,
            const ProgressFn &progress = {}) const;
 
+    /**
+     * Call @p fn(i) once for every i in [0, @p n) on the engine's
+     * workers (inline, in order, with one job). Calls run
+     * concurrently, so @p fn must be safe to call from several
+     * threads at once, and must not throw.
+     */
+    void forEach(std::size_t n,
+                 const std::function<void(std::size_t)> &fn) const;
+
     /** runAll(), but rethrow the first captured error (by submission
      *  order, so failures are deterministic too). */
     std::vector<Metrics> runAllOrThrow(const std::vector<RunSpec> &specs) const;

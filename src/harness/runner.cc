@@ -264,12 +264,31 @@ verifySwapInvariants(const sim::Machine &machine,
     }
 }
 
-/** runOne proper. @p stub receives the startup source prepended to
- *  the workload, so runOne can place an error's line number. */
-Metrics
-runWithStub(const RunSpec &spec, std::string &stub)
+/** What the build half of a run hands the simulation half. */
+struct Built {
+    bool built = false; ///< false: the placement left no room (m says why)
+    PlacementPlan plan;
+    std::uint32_t sram_end = 0;
+    std::uint16_t stack_top = 0;
+    cache::Options swap; ///< as placed (cache bounds, data pool)
+    bb::Options block;   ///< as placed
+    masm::AssembleResult assembled;
+    std::uint16_t handler_base = 0, handler_end = 0;
+    std::uint16_t memcpy_base = 0, memcpy_end = 0;
+    std::uint16_t recover_base = 0, recover_end = 0;
+    std::uint16_t datapool_base = 0, datapool_end = 0;
+    std::uint16_t ckpt_base = 0, ckpt_end = 0;
+    cache::FuncIds swap_funcs; ///< kept for post-run invariant checks
+};
+
+/** The build half of runOne: place, splice, build under the selected
+ *  system. Static sizes and a placement DNF land in @p m. @p stub
+ *  receives the startup source prepended to the workload, so the
+ *  caller can place an error's line number. */
+Built
+buildWithStub(const RunSpec &spec, std::string &stub, Metrics &m)
 {
-    Metrics m;
+    Built b;
 
     // SRAM past kFramBase would overlap FRAM, and past 0xE000 the fast
     // path's mapped-space check would wrap onto device space.
@@ -278,7 +297,8 @@ runWithStub(const RunSpec &spec, std::string &stub)
                        plat::kSramMaxSize, " bytes below FRAM");
     }
 
-    PlacementPlan plan = makePlacement(spec.placement);
+    b.plan = makePlacement(spec.placement);
+    PlacementPlan &plan = b.plan;
 
     // Crash consistency: the cache runtimes' startup stub calls their
     // generated recovery routine before main (harmless on the first
@@ -330,14 +350,15 @@ runWithStub(const RunSpec &spec, std::string &stub)
 
     // For the Split placement, size the data region first with a
     // baseline assembly, then carve the cache from the SRAM left over.
-    cache::Options swap = spec.swap;
-    bb::Options block = spec.block;
-    std::uint16_t stack_top = plan.stack_top;
+    cache::Options &swap = b.swap = spec.swap;
+    bb::Options &block = b.block = spec.block;
+    std::uint16_t &stack_top = b.stack_top = plan.stack_top;
 
     // Capacity sweeps (ISSUE 7): re-anchor default cache bounds to the
     // selected SRAM size, and let workloads that use the data-swap API
     // supply their preferred pool size when the spec does not override.
-    const std::uint32_t sram_end = plat::kSramBase + spec.sram_size;
+    const std::uint32_t sram_end = b.sram_end =
+        plat::kSramBase + spec.sram_size;
     if (spec.sram_size != plat::kSramSize) {
         if (swap.cache_end == plat::kSramEnd)
             swap.cache_end = static_cast<std::uint16_t>(sram_end);
@@ -387,7 +408,7 @@ runWithStub(const RunSpec &spec, std::string &stub)
             if (base + 64 > end) {
                 m.fits = false;
                 m.fit_note = "data+stack leave no SRAM for the cache";
-                return m;
+                return b;
             }
             swap.cache_base = static_cast<std::uint16_t>(base);
             swap.cache_end = static_cast<std::uint16_t>(end);
@@ -399,7 +420,7 @@ runWithStub(const RunSpec &spec, std::string &stub)
             if (top >= sram_end) {
                 m.fits = false;
                 m.fit_note = "data+stack exceed SRAM";
-                return m;
+                return b;
             }
             stack_top = static_cast<std::uint16_t>(top);
             swap.cache_base = stack_top;
@@ -431,59 +452,80 @@ runWithStub(const RunSpec &spec, std::string &stub)
     }
 
     // Build under the selected system.
-    masm::AssembleResult assembled;
-    std::uint16_t handler_base = 0, handler_end = 0;
-    std::uint16_t memcpy_base = 0, memcpy_end = 0;
-    std::uint16_t recover_base = 0, recover_end = 0;
-    std::uint16_t datapool_base = 0, datapool_end = 0;
-    std::uint16_t ckpt_base = 0, ckpt_end = 0;
-    cache::FuncIds swap_funcs; // kept for post-run invariant checks
     switch (spec.system) {
       case System::Baseline: {
-        assembled = masm::assemble(std::move(program), plan.layout);
-        m.app_text_bytes = assembled.image.text.size;
+        b.assembled = masm::assemble(std::move(program), plan.layout);
+        m.app_text_bytes = b.assembled.image.text.size;
         break;
       }
       case System::SwapRam: {
         cache::BuildInfo info = cache::build(program, plan.layout, swap);
-        assembled = std::move(info.assembled);
+        b.assembled = std::move(info.assembled);
         m.app_text_bytes = info.app_text_bytes;
         m.runtime_bytes = info.runtime_text_bytes;
         m.metadata_bytes = info.metadata_bytes;
         m.handler_bytes = info.handler_bytes;
         m.n_funcs = info.funcs.count();
         m.reloc_count = info.reloc_count;
-        handler_base = info.handler_addr;
-        handler_end = info.handler_end;
-        memcpy_base = info.memcpy_addr;
-        memcpy_end = info.memcpy_end;
-        recover_base = info.recover_addr;
-        recover_end = info.recover_end;
-        datapool_base = info.datapool_addr;
-        datapool_end = info.datapool_end;
-        ckpt_base = info.ckpt_addr;
-        ckpt_end = info.ckpt_end;
-        swap_funcs = info.funcs;
+        b.handler_base = info.handler_addr;
+        b.handler_end = info.handler_end;
+        b.memcpy_base = info.memcpy_addr;
+        b.memcpy_end = info.memcpy_end;
+        b.recover_base = info.recover_addr;
+        b.recover_end = info.recover_end;
+        b.datapool_base = info.datapool_addr;
+        b.datapool_end = info.datapool_end;
+        b.ckpt_base = info.ckpt_addr;
+        b.ckpt_end = info.ckpt_end;
+        b.swap_funcs = std::move(info.funcs);
         break;
       }
       case System::BlockCache: {
         bb::BuildInfo info = bb::build(program, plan.layout, block);
-        assembled = std::move(info.assembled);
+        b.assembled = std::move(info.assembled);
         m.app_text_bytes = info.app_text_bytes;
         m.runtime_bytes = info.runtime_bytes;
         m.metadata_bytes = info.metadata_bytes;
         m.n_funcs = info.n_blocks;
-        handler_base = info.runtime_addr;
-        handler_end = info.runtime_end;
-        memcpy_base = info.memcpy_addr;
-        memcpy_end = info.memcpy_end;
-        recover_base = info.recover_addr;
-        recover_end = info.recover_end;
-        ckpt_base = info.ckpt_addr;
-        ckpt_end = info.ckpt_end;
+        b.handler_base = info.runtime_addr;
+        b.handler_end = info.runtime_end;
+        b.memcpy_base = info.memcpy_addr;
+        b.memcpy_end = info.memcpy_end;
+        b.recover_base = info.recover_addr;
+        b.recover_end = info.recover_end;
+        b.ckpt_base = info.ckpt_addr;
+        b.ckpt_end = info.ckpt_end;
         break;
       }
     }
+    b.built = true;
+    return b;
+}
+
+/** runOne proper. @p stub receives the startup source prepended to
+ *  the workload, so runOne can place an error's line number. */
+Metrics
+runWithStub(const RunSpec &spec, std::string &stub)
+{
+    Metrics m;
+    Built b = buildWithStub(spec, stub, m);
+    if (!b.built)
+        return m;
+    const PlacementPlan &plan = b.plan;
+    const std::uint32_t sram_end = b.sram_end;
+    const std::uint16_t stack_top = b.stack_top;
+    const cache::Options &swap = b.swap;
+    const bb::Options &block = b.block;
+    const masm::AssembleResult &assembled = b.assembled;
+    const std::uint16_t handler_base = b.handler_base,
+                        handler_end = b.handler_end;
+    const std::uint16_t memcpy_base = b.memcpy_base,
+                        memcpy_end = b.memcpy_end;
+    const std::uint16_t recover_base = b.recover_base,
+                        recover_end = b.recover_end;
+    const std::uint16_t datapool_base = b.datapool_base,
+                        datapool_end = b.datapool_end;
+    const std::uint16_t ckpt_base = b.ckpt_base, ckpt_end = b.ckpt_end;
 
     const masm::Image &image = assembled.image;
     m.text_bytes = image.text.size;
@@ -753,7 +795,7 @@ runWithStub(const RunSpec &spec, std::string &stub)
         // runs exist precisely to demonstrate the inconsistent state).
         if (result.done &&
             (!spec.intermittent.enabled() || swap.boot_recovery)) {
-            verifySwapInvariants(machine, assembled, swap_funcs, swap);
+            verifySwapInvariants(machine, assembled, b.swap_funcs, swap);
         }
     }
 
@@ -767,20 +809,17 @@ runWithStub(const RunSpec &spec, std::string &stub)
     return m;
 }
 
-} // namespace
-
-Metrics
-runOne(const RunSpec &spec)
+/** @p fn(stub) for @p spec, its errors' line numbers placed in the
+ *  piece of the source that holds them. */
+template <typename Fn>
+auto
+withSourceLines(const RunSpec &spec, Fn fn)
 {
     if (!spec.workload)
         support::fatal("runOne: no workload");
     std::string stub;
-    const std::uint64_t parsed_before = masm::statementsParsed();
     try {
-        Metrics m = runWithStub(spec, stub);
-        m.host_statements_parsed =
-            masm::statementsParsed() - parsed_before;
-        return m;
+        return fn(stub);
     } catch (const support::FatalError &e) {
         // Assemble errors count lines from the top of the stub (the
         // spliced pieces keep that numbering); say which piece of the
@@ -792,6 +831,29 @@ runOne(const RunSpec &spec)
                        {spec.workload->name, spec.workload->source},
                        {"<lib>", lib}}));
     }
+}
+
+} // namespace
+
+masm::AssembleResult
+buildOne(const RunSpec &spec)
+{
+    return withSourceLines(spec, [&](std::string &stub) {
+        Metrics m;
+        return buildWithStub(spec, stub, m).assembled;
+    });
+}
+
+Metrics
+runOne(const RunSpec &spec)
+{
+    const std::uint64_t parsed_before = masm::statementsParsed();
+    return withSourceLines(spec, [&](std::string &stub) {
+        Metrics m = runWithStub(spec, stub);
+        m.host_statements_parsed =
+            masm::statementsParsed() - parsed_before;
+        return m;
+    });
 }
 
 IntermittentCheck

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "blockcache/options.hh"
+#include "masm/assembler.hh"
 #include "metrics/run_metrics.hh"
 #include "harness/placement.hh"
 #include "sim/config.hh"
@@ -253,6 +254,14 @@ masm::Program spliceSource(const std::string &stub,
 
 /** Run one experiment. */
 Metrics runOne(const RunSpec &spec);
+
+/**
+ * The program runOne(@p spec) loads, as assembled, without running it:
+ * the same placement, splice and build. Empty (no chunks) when the
+ * placement leaves no room to build. Errors name the piece of the
+ * source and its line, as runOne's do.
+ */
+masm::AssembleResult buildOne(const RunSpec &spec);
 
 /** One intermittent run checked against its uninterrupted twin. */
 struct IntermittentCheck {
