@@ -12,12 +12,12 @@
 namespace swapram::bb {
 
 BuildInfo
-build(const masm::Program &app, const masm::LayoutSpec &layout,
+build(masm::Program &&app, const masm::LayoutSpec &layout,
       const Options &options)
 {
     BuildInfo info;
 
-    TransformResult transformed = transform(app, options);
+    TransformResult transformed = transform(std::move(app), options);
     info.n_blocks = static_cast<int>(transformed.blocks.size());
     info.n_stubs = static_cast<int>(transformed.stub_target.size());
 
@@ -40,10 +40,9 @@ build(const masm::Program &app, const masm::LayoutSpec &layout,
         sections = ckpt::measureSections(probe.image, options.ckpt);
     }
 
-    masm::Program runtime = masm::parse(
-        generateRuntimeAsm(transformed, options, sections));
     masm::Program final_program = std::move(transformed.program);
-    final_program.append(std::move(runtime));
+    masm::parseAppend(generateRuntimeAsm(transformed, options, sections),
+                      final_program);
 
     info.assembled = masm::assemble(std::move(final_program), layout);
 
@@ -93,6 +92,13 @@ build(const masm::Program &app, const masm::LayoutSpec &layout,
     info.app_text_bytes = info.assembled.image.text.size -
                           info.runtime_bytes - stub_bytes;
     return info;
+}
+
+BuildInfo
+build(const masm::Program &app, const masm::LayoutSpec &layout,
+      const Options &options)
+{
+    return build(masm::Program(app), layout, options);
 }
 
 } // namespace swapram::bb

@@ -42,7 +42,13 @@ struct BuildInfo {
     std::uint16_t ckpt_addr = 0, ckpt_end = 0;
 };
 
-/** Build a block-cache-enabled binary from an application program. */
+/** Build a block-cache-enabled binary from an application program.
+ *  The program is consumed: its statements move through the pass into
+ *  BuildInfo::assembled.relaxed. */
+BuildInfo build(masm::Program &&app, const masm::LayoutSpec &layout,
+                const Options &options);
+
+/** build() on a copy of @p app. */
 BuildInfo build(const masm::Program &app, const masm::LayoutSpec &layout,
                 const Options &options);
 

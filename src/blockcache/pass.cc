@@ -1,6 +1,7 @@
 #include "blockcache/pass.hh"
 
 #include <unordered_map>
+#include <utility>
 
 #include "blockcache/blocks.hh"
 #include "masm/assembler.hh"
@@ -20,23 +21,34 @@ namespace {
 
 /** A block during formation: statement indices plus the terminator. */
 struct FormBlock {
-    std::vector<std::string> labels; ///< original labels at block start
+    std::vector<masm::Symbol> labels; ///< original labels at block start
     std::vector<size_t> body;        ///< indices of plain statements
     Cfi term;                        ///< None kind == fallthrough
     size_t term_stmt = SIZE_MAX;
 };
 
 struct FuncBlocks {
-    std::string name;
+    masm::Symbol name;
     size_t func_stmt = 0;
     size_t endfunc_stmt = 0;
     std::vector<FormBlock> blocks;
 };
 
+/** Statements the terminator of @p kind becomes. */
+std::size_t
+terminatorLength(CfiKind kind)
+{
+    switch (kind) {
+      case CfiKind::CondJump: return 4;
+      case CfiKind::Call: return 2;
+      default: return 1;
+    }
+}
+
 } // namespace
 
 TransformResult
-transform(const Program &program, const Options &options)
+transform(Program &&program, const Options &options)
 {
     const std::uint16_t slot = options.slot_bytes;
     if (slot < 16)
@@ -78,7 +90,7 @@ transform(const Program &program, const Options &options)
             }
             if (cur.body.empty() && consumesFlags(boundary->instr))
                 fatal("block cache: cannot split flag-dependent "
-                      "sequence in ", fb.name);
+                      "sequence in ", fb.name.str());
             close(Cfi{}, SIZE_MAX);
             for (size_t idx : carry) {
                 cur.body.push_back(idx);
@@ -103,7 +115,7 @@ transform(const Program &program, const Options &options)
                     if (cur_size + cost + 4 > slot) {
                         if (!cur_used)
                             fatal("block cache: slot too small for one "
-                                  "instruction in ", fb.name);
+                                  "instruction in ", fb.name.str());
                         split_before(s);
                     }
                     cur.body.push_back(i);
@@ -113,7 +125,7 @@ transform(const Program &program, const Options &options)
                     if (cur_size + cost > slot) {
                         if (!cur_used)
                             fatal("block cache: slot too small for CFI in ",
-                                  fb.name);
+                                  fb.name.str());
                         split_before(s);
                     }
                     cur_used = true;
@@ -122,8 +134,9 @@ transform(const Program &program, const Options &options)
                 break;
               }
               case Statement::Kind::Directive:
-                fatal("block cache: directive inside .func ", fb.name,
-                      " (line ", s.line, ") is unsupported");
+                fatal("block cache: directive inside .func ",
+                      fb.name.str(), " (line ", s.line,
+                      ") is unsupported");
             }
         }
         // Verify the size invariant held through carried splits, and
@@ -137,39 +150,44 @@ transform(const Program &program, const Options &options)
             if (blk.term_stmt != SIZE_MAX)
                 total += atom_cost(blk.term_stmt) - 4;
             if (total > slot)
-                fatal("block cache: block exceeds slot in ", fb.name);
+                fatal("block cache: block exceeds slot in ",
+                      fb.name.str());
             size_t first = blk.body.empty() ? blk.term_stmt
                                             : blk.body.front();
             if (first != SIZE_MAX &&
                 consumesFlags(program.stmts[first].instr)) {
-                fatal("block cache: block in ", fb.name, " (line ",
+                fatal("block cache: block in ", fb.name.str(), " (line ",
                       program.stmts[first].line,
                       ") begins with a flag-consuming instruction; "
                       "flags do not survive block boundaries");
             }
         }
         if (cur_used || !cur.labels.empty())
-            fatal("block cache: function ", fb.name,
+            fatal("block cache: function ", fb.name.str(),
                   " falls off its end without a terminator");
         if (fb.blocks.empty())
-            fatal("block cache: empty function ", fb.name);
+            fatal("block cache: empty function ", fb.name.str());
         funcs.push_back(std::move(fb));
     }
 
     // Assign global block ids and map labels (and function names) to
-    // the block that starts with them.
-    std::unordered_map<std::string, int> label_block;
-    std::vector<std::pair<int, int>> gid_to_fj; // gid -> (func, j)
+    // the block that starts with them. Count the statements the
+    // transformed program will hold on the way.
+    std::unordered_map<std::uint32_t, int> label_block;
+    std::size_t out_size = program.stmts.size();
     {
         int gid = 0;
-        for (size_t f = 0; f < funcs.size(); ++f) {
-            for (size_t j = 0; j < funcs[f].blocks.size(); ++j) {
+        for (const FuncBlocks &fb : funcs) {
+            out_size -= fb.endfunc_stmt - fb.func_stmt + 1;
+            out_size += 2; // .func, .endfunc
+            for (std::size_t j = 0; j < fb.blocks.size(); ++j) {
+                const FormBlock &blk = fb.blocks[j];
                 if (j == 0)
-                    label_block[funcs[f].name] = gid;
-                for (const std::string &l : funcs[f].blocks[j].labels)
-                    label_block[l] = gid;
-                gid_to_fj.push_back(
-                    {static_cast<int>(f), static_cast<int>(j)});
+                    label_block[fb.name.id()] = gid;
+                for (masm::Symbol l : blk.labels)
+                    label_block[l.id()] = gid;
+                out_size += 1 + blk.labels.size() + blk.body.size() +
+                            terminatorLength(blk.term.kind);
                 ++gid;
             }
         }
@@ -178,15 +196,20 @@ transform(const Program &program, const Options &options)
     auto block_of = [&](const Expr &target, int line) {
         if (!target.isSymbol())
             fatal("block cache: non-symbol branch target at line ", line);
-        auto it = label_block.find(target.symbol());
+        auto it = label_block.find(target.symbolId().id());
         if (it == label_block.end())
             fatal("block cache: branch target '", target.symbol(),
                   "' is not a block (line ", line, ")");
         return it->second;
     };
 
-    // ---- Pass 2: emit ----
+    // ---- Pass 2: emit, moving each kept statement ----
     TransformResult out;
+    std::vector<Statement> &emit = out.program.stmts;
+    // Spare capacity the caller left (room for the runtime) carries
+    // over to the transformed program.
+    emit.reserve(out_size + program.stmts.capacity() - program.stmts.size());
+    const masm::Symbol bb_ret("__bb_ret");
     auto stub = [&](int target_gid) {
         out.stub_target.push_back(target_gid);
         return static_cast<int>(out.stub_target.size()) - 1;
@@ -196,17 +219,16 @@ transform(const Program &program, const Options &options)
         return Statement::makeInstr(
             masm::callImm(Expr::sym("__bb_e" + std::to_string(k))), line);
     };
-    auto absolutized = [&](const Statement &s) {
-        Statement copy = s;
+    auto absolutized = [&](Statement &&s) {
         auto fix = [](std::optional<AsmOperand> &op) {
             if (op && op->kind == OperKind::SymbolicMem) {
                 op->kind = OperKind::Absolute;
                 op->reg = isa::Reg::SR;
             }
         };
-        fix(copy.instr.src);
-        fix(copy.instr.dst);
-        return copy;
+        fix(s.instr.src);
+        fix(s.instr.dst);
+        return std::move(s);
     };
 
     int skip_counter = 0;
@@ -214,21 +236,21 @@ transform(const Program &program, const Options &options)
     size_t i = 0;
     int gid_base = 0;
     while (i < program.stmts.size()) {
-        const Statement &s = program.stmts[i];
+        Statement &s = program.stmts[i];
         if (next_func < funcs.size() && i == funcs[next_func].func_stmt) {
             const FuncBlocks &fb = funcs[next_func];
-            out.program.stmts.push_back(s); // the .func directive
+            emit.push_back(std::move(s)); // the .func directive
             const int nblocks = static_cast<int>(fb.blocks.size());
             for (int j = 0; j < nblocks; ++j) {
                 const FormBlock &blk = fb.blocks[j];
                 int gid = gid_base + j;
                 std::string blabel = "__bbk_" + std::to_string(gid);
-                out.program.stmts.push_back(Statement::makeLabel(blabel));
-                for (const std::string &l : blk.labels)
-                    out.program.stmts.push_back(Statement::makeLabel(l));
+                emit.push_back(Statement::makeLabel(blabel));
+                for (masm::Symbol l : blk.labels)
+                    emit.push_back(Statement::makeLabel(l));
                 for (size_t bi : blk.body)
-                    out.program.stmts.push_back(
-                        absolutized(program.stmts[bi]));
+                    emit.push_back(
+                        absolutized(std::move(program.stmts[bi])));
 
                 const int line =
                     blk.term_stmt == SIZE_MAX
@@ -237,16 +259,15 @@ transform(const Program &program, const Options &options)
                 auto require_next = [&]() {
                     if (j + 1 >= nblocks)
                         fatal("block cache: no successor block in ",
-                              fb.name);
+                              fb.name.str());
                     return gid + 1;
                 };
                 switch (blk.term.kind) {
                   case CfiKind::None: // fallthrough
-                    out.program.stmts.push_back(
-                        call_stub_stmt(require_next(), line));
+                    emit.push_back(call_stub_stmt(require_next(), line));
                     break;
                   case CfiKind::Jump:
-                    out.program.stmts.push_back(call_stub_stmt(
+                    emit.push_back(call_stub_stmt(
                         block_of(*blk.term.target, line), line));
                     break;
                   case CfiKind::CondJump: {
@@ -254,28 +275,22 @@ transform(const Program &program, const Options &options)
                     int taken = block_of(*blk.term.target, line);
                     int fall = require_next();
                     if (auto inv = invertCond(blk.term.op)) {
-                        std::string skip =
-                            "__bbs_" + std::to_string(skip_counter++);
-                        out.program.stmts.push_back(Statement::makeInstr(
+                        const masm::Symbol skip(
+                            "__bbs_" + std::to_string(skip_counter++));
+                        emit.push_back(Statement::makeInstr(
                             masm::jump(*inv, Expr::sym(skip)), line));
-                        out.program.stmts.push_back(
-                            call_stub_stmt(taken, line));
-                        out.program.stmts.push_back(
-                            Statement::makeLabel(skip));
-                        out.program.stmts.push_back(
-                            call_stub_stmt(fall, line));
+                        emit.push_back(call_stub_stmt(taken, line));
+                        emit.push_back(Statement::makeLabel(skip));
+                        emit.push_back(call_stub_stmt(fall, line));
                     } else { // JN
-                        std::string take =
-                            "__bbs_" + std::to_string(skip_counter++);
-                        out.program.stmts.push_back(Statement::makeInstr(
+                        const masm::Symbol take(
+                            "__bbs_" + std::to_string(skip_counter++));
+                        emit.push_back(Statement::makeInstr(
                             masm::jump(isa::Op::Jn, Expr::sym(take)),
                             line));
-                        out.program.stmts.push_back(
-                            call_stub_stmt(fall, line));
-                        out.program.stmts.push_back(
-                            Statement::makeLabel(take));
-                        out.program.stmts.push_back(
-                            call_stub_stmt(taken, line));
+                        emit.push_back(call_stub_stmt(fall, line));
+                        emit.push_back(Statement::makeLabel(take));
+                        emit.push_back(call_stub_stmt(taken, line));
                     }
                     break;
                   }
@@ -288,35 +303,31 @@ transform(const Program &program, const Options &options)
                     // the runtime. Cost parity with the internal form
                     // holds (CALL 4 + stub CALL 4 = PUSH 4 + CALL 4).
                     if (blk.term.target->isSymbol() &&
-                        !label_block.count(blk.term.target->symbol())) {
-                        out.program.stmts.push_back(
-                            absolutized(program.stmts[blk.term_stmt]));
-                        out.program.stmts.push_back(
-                            call_stub_stmt(require_next(), line));
+                        !label_block.count(
+                            blk.term.target->symbolId().id())) {
+                        emit.push_back(absolutized(
+                            std::move(program.stmts[blk.term_stmt])));
+                        emit.push_back(call_stub_stmt(require_next(), line));
                         break;
                     }
                     ++out.call_sites;
                     int vret_gid = require_next();
-                    out.program.stmts.push_back(Statement::makeInstr(
-                        [&] {
-                            masm::AsmInstr push;
-                            push.op = isa::Op::Push;
-                            push.dst = AsmOperand::imm(Expr::sym(
-                                "__bbk_" + std::to_string(vret_gid)));
-                            return push;
-                        }(),
-                        line));
-                    out.program.stmts.push_back(call_stub_stmt(
+                    masm::AsmInstr push;
+                    push.op = isa::Op::Push;
+                    push.dst = AsmOperand::imm(
+                        Expr::sym("__bbk_" + std::to_string(vret_gid)));
+                    emit.push_back(Statement::makeInstr(std::move(push), line));
+                    emit.push_back(call_stub_stmt(
                         block_of(*blk.term.target, line), line));
                     break;
                   }
                   case CfiKind::Ret:
                     ++out.ret_sites;
-                    out.program.stmts.push_back(Statement::makeInstr(
-                        masm::brImm(Expr::sym("__bb_ret")), line));
+                    emit.push_back(Statement::makeInstr(
+                        masm::brImm(Expr::sym(bb_ret)), line));
                     break;
                   case CfiKind::Unsupported:
-                    fatal("block cache: unsupported CFI in ", fb.name);
+                    fatal("block cache: unsupported CFI in ", fb.name.str());
                 }
 
                 BlockInfo info;
@@ -325,21 +336,27 @@ transform(const Program &program, const Options &options)
                     j + 1 < nblocks
                         ? "__bbk_" + std::to_string(gid + 1) + " - " +
                               blabel
-                        : "__end_" + fb.name + " - " + blabel;
+                        : "__end_" + fb.name.str() + " - " + blabel;
                 out.blocks.push_back(std::move(info));
             }
             gid_base += nblocks;
-            out.program.stmts.push_back(
-                program.stmts[fb.endfunc_stmt]); // .endfunc
+            emit.push_back(
+                std::move(program.stmts[fb.endfunc_stmt])); // .endfunc
             i = fb.endfunc_stmt + 1;
             ++next_func;
             continue;
         }
-        out.program.stmts.push_back(s);
+        emit.push_back(std::move(s));
         ++i;
     }
 
     return out;
+}
+
+TransformResult
+transform(const Program &program, const Options &options)
+{
+    return transform(Program(program), options);
 }
 
 } // namespace swapram::bb

@@ -48,7 +48,12 @@ struct TransformResult {
     int ret_sites = 0;
 };
 
-/** Run the transformation over every .func in @p program. */
+/** Run the transformation over every .func in @p program. The
+ *  program is consumed: its statements move into the result, and its
+ *  spare capacity carries over to TransformResult::program. */
+TransformResult transform(masm::Program &&program, const Options &options);
+
+/** transform() on a copy of @p program. */
 TransformResult transform(const masm::Program &program,
                           const Options &options);
 

@@ -459,7 +459,8 @@ buildWithStub(const RunSpec &spec, std::string &stub, Metrics &m)
         break;
       }
       case System::SwapRam: {
-        cache::BuildInfo info = cache::build(program, plan.layout, swap);
+        cache::BuildInfo info =
+            cache::build(std::move(program), plan.layout, swap);
         b.assembled = std::move(info.assembled);
         m.app_text_bytes = info.app_text_bytes;
         m.runtime_bytes = info.runtime_text_bytes;
@@ -481,7 +482,8 @@ buildWithStub(const RunSpec &spec, std::string &stub, Metrics &m)
         break;
       }
       case System::BlockCache: {
-        bb::BuildInfo info = bb::build(program, plan.layout, block);
+        bb::BuildInfo info =
+            bb::build(std::move(program), plan.layout, block);
         b.assembled = std::move(info.assembled);
         m.app_text_bytes = info.app_text_bytes;
         m.runtime_bytes = info.runtime_bytes;

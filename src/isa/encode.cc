@@ -149,10 +149,11 @@ encodedSize(const Instr &instr)
     support::panic("encodedSize: bad format");
 }
 
-std::vector<std::uint16_t>
-encode(const Instr &instr, std::uint16_t addr)
+int
+encode(const Instr &instr, std::uint16_t addr,
+       std::uint16_t (&words)[kMaxInstrWords])
 {
-    std::vector<std::uint16_t> words;
+    int n = 0;
     const bool byte_op = instr.byte;
     if (byte_op && !supportsByte(instr.op))
         support::fatal("encode: ", opMnemonic(instr.op), " has no .B form");
@@ -169,8 +170,8 @@ encode(const Instr &instr, std::uint16_t addr)
         std::uint16_t w = 0x2000;
         w |= static_cast<std::uint16_t>(jumpCondition(instr.op)) << 10;
         w |= static_cast<std::uint16_t>(offset_words) & 0x3FF;
-        words.push_back(w);
-        return words;
+        words[n++] = w;
+        return n;
       }
       case OpFormat::SingleOperand: {
         std::uint16_t sub =
@@ -178,8 +179,8 @@ encode(const Instr &instr, std::uint16_t addr)
         std::uint16_t w = 0x1000 | (sub << 7) |
                           (byte_op ? 0x0040 : 0);
         if (instr.op == Op::Reti) {
-            words.push_back(w);
-            return words;
+            words[n++] = w;
+            return n;
         }
         if (instr.dst.mode == Mode::Immediate && instr.op != Op::Push &&
             instr.op != Op::Call) {
@@ -188,15 +189,15 @@ encode(const Instr &instr, std::uint16_t addr)
         SrcFields f = encodeSrc(instr.dst, byte_op);
         w |= static_cast<std::uint16_t>(f.as) << 4;
         w |= f.reg;
-        words.push_back(w);
+        words[n++] = w;
         if (f.has_ext) {
             std::uint16_t ext_addr = static_cast<std::uint16_t>(addr + 2);
             std::uint16_t ext = f.symbolic
                 ? static_cast<std::uint16_t>(f.ext - ext_addr)
                 : f.ext;
-            words.push_back(ext);
+            words[n++] = ext;
         }
-        return words;
+        return n;
       }
       case OpFormat::DoubleOperand: {
         SrcFields s = encodeSrc(instr.src, byte_op);
@@ -209,22 +210,22 @@ encode(const Instr &instr, std::uint16_t addr)
         w |= byte_op ? 0x0040 : 0;
         w |= static_cast<std::uint16_t>(s.as) << 4;
         w |= d.reg;
-        words.push_back(w);
+        words[n++] = w;
         std::uint16_t next_ext_addr = static_cast<std::uint16_t>(addr + 2);
         if (s.has_ext) {
             std::uint16_t ext = s.symbolic
                 ? static_cast<std::uint16_t>(s.ext - next_ext_addr)
                 : s.ext;
-            words.push_back(ext);
+            words[n++] = ext;
             next_ext_addr = static_cast<std::uint16_t>(next_ext_addr + 2);
         }
         if (d.has_ext) {
             std::uint16_t ext = d.symbolic
                 ? static_cast<std::uint16_t>(d.ext - next_ext_addr)
                 : d.ext;
-            words.push_back(ext);
+            words[n++] = ext;
         }
-        return words;
+        return n;
       }
     }
     support::panic("encode: bad format");

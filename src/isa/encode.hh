@@ -7,7 +7,6 @@
 #define SWAPRAM_ISA_ENCODE_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "isa/instruction.hh"
 
@@ -20,11 +19,16 @@ namespace swapram::isa {
  */
 std::uint16_t encodedSize(const Instr &instr);
 
+/** Most words one instruction encodes to. */
+inline constexpr int kMaxInstrWords = 3;
+
 /**
  * Encode @p instr at byte address @p addr (needed for Symbolic operands
- * and jump offsets). fatal()s on malformed operands or out-of-range jumps.
+ * and jump offsets) into @p out; returns the number of words written
+ * (1..3). fatal()s on malformed operands or out-of-range jumps.
  */
-std::vector<std::uint16_t> encode(const Instr &instr, std::uint16_t addr);
+int encode(const Instr &instr, std::uint16_t addr,
+           std::uint16_t (&out)[kMaxInstrWords]);
 
 /** Whether @p value can be produced by the constant generator. */
 bool cgEligible(std::uint16_t value, bool byte_op);

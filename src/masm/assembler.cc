@@ -38,11 +38,72 @@ sectionOf(Directive d)
     }
 }
 
-/** Symbol environment: label addresses plus lazily evaluated .equ defs. */
-struct SymbolEnv {
-    std::unordered_map<std::string, std::uint16_t> addrs;
-    std::unordered_map<std::string, Expr> equs;
+/** What a symbol is during one relaxation round. */
+struct Def {
+    std::uint32_t round = 0;    ///< the round that defined it
+    std::uint16_t value = 0;    ///< its address (when expr is null)
+    const Expr *expr = nullptr; ///< its .equ definition
 };
+
+/**
+ * The symbols of one relaxation round, in a table indexed by symbol
+ * id: labels and predefined and built-in symbols by address, .equs by
+ * their (lazily evaluated) definition. One table per thread serves
+ * every assembly; an entry another round wrote reads as undefined.
+ */
+class SymbolEnv
+{
+  public:
+    /** Start a round with nothing defined, covering every symbol
+     *  interned so far. */
+    void
+    beginRound()
+    {
+        if (++round_ == 0) {
+            std::fill(defs_.begin(), defs_.end(), Def{});
+            round_ = 1;
+        }
+        if (defs_.size() < Symbol::bound())
+            defs_.resize(Symbol::bound());
+    }
+
+    /** The definition of @p s this round, or null. */
+    const Def *
+    find(Symbol s) const
+    {
+        if (s.id() >= defs_.size())
+            return nullptr;
+        const Def &d = defs_[s.id()];
+        return d.round == round_ ? &d : nullptr;
+    }
+
+    /** Define @p s as an address; false if it already was defined
+     *  this round (as anything). */
+    bool
+    defineAddr(Symbol s, std::uint16_t value)
+    {
+        Def &d = defs_[s.id()];
+        const bool fresh = d.round != round_;
+        d = {round_, value, nullptr};
+        return fresh;
+    }
+
+    /** Define @p s as @p expr unless an address already defines it:
+     *  addresses win, and a later .equ replaces an earlier one. */
+    void
+    defineEqu(Symbol s, const Expr &expr)
+    {
+        Def &d = defs_[s.id()];
+        if (d.round != round_ || d.expr)
+            d = {round_, 0, &expr};
+    }
+
+  private:
+    std::vector<Def> defs_;
+    std::uint32_t round_ = 0;
+};
+
+thread_local SymbolEnv t_env;
 
 std::int64_t
 evalExpr(const Expr &e, const SymbolEnv &env, int line, int depth = 0)
@@ -53,13 +114,12 @@ evalExpr(const Expr &e, const SymbolEnv &env, int line, int depth = 0)
       case Expr::Kind::Number:
         return e.number();
       case Expr::Kind::Symbol: {
-        auto it = env.addrs.find(e.symbol());
-        if (it != env.addrs.end())
-            return it->second;
-        auto eq = env.equs.find(e.symbol());
-        if (eq != env.equs.end())
-            return evalExpr(eq->second, env, line, depth + 1);
-        fatal("line ", line, ": undefined symbol '", e.symbol(), "'");
+        const Def *d = env.find(e.symbolId());
+        if (!d)
+            fatal("line ", line, ": undefined symbol '", e.symbol(), "'");
+        if (!d->expr)
+            return d->value;
+        return evalExpr(*d->expr, env, line, depth + 1);
       }
       case Expr::Kind::Neg:
         return -evalExpr(e.operand(), env, line, depth + 1);
@@ -96,22 +156,40 @@ toWord(std::int64_t v, int line)
 }
 
 /**
- * Lower one symbolic operand to a numeric isa::Operand. With @p env ==
- * nullptr, only sizes matter: values are placeholders but force_ext is
- * final (which is what makes sizes stable across passes).
+ * Extension bytes of one symbolic operand: what its encoding needs
+ * whatever its symbols resolve to. A literal value must fit in 16
+ * bits (checked here at line 0, as sizing sees no line).
  */
-isa::Operand
-lowerOperand(const AsmOperand &op, bool byte_op, const SymbolEnv *env,
-             int line)
+std::uint16_t
+operandExtBytes(const AsmOperand &op, bool byte_op)
 {
-    (void)byte_op; // CG eligibility is decided by the encoder
+    switch (op.kind) {
+      case OperKind::Register:
+      case OperKind::Indirect:
+      case OperKind::IndirectInc:
+        return 0;
+      case OperKind::Indexed:
+      case OperKind::SymbolicMem:
+      case OperKind::Absolute:
+        if (auto folded = op.expr.constantFold())
+            toWord(*folded, 0);
+        return 2;
+      case OperKind::Immediate:
+        // A symbolic immediate always takes an extension word, so its
+        // size does not depend on the resolved value.
+        if (auto folded = op.expr.constantFold())
+            return isa::cgEligible(toWord(*folded, 0), byte_op) ? 0 : 2;
+        return 2;
+    }
+    support::panic("operandExtBytes: bad kind");
+}
 
+/** Lower one symbolic operand to a numeric isa::Operand. */
+isa::Operand
+lowerOperand(const AsmOperand &op, const SymbolEnv &env, int line)
+{
     auto value = [&](const Expr &e) -> std::uint16_t {
-        if (!env) {
-            auto folded = e.constantFold();
-            return folded ? toWord(*folded, line) : 0;
-        }
-        return toWord(evalExpr(e, *env, line), line);
+        return toWord(evalExpr(e, env, line), line);
     };
     switch (op.kind) {
       case OperKind::Register:
@@ -126,40 +204,33 @@ lowerOperand(const AsmOperand &op, bool byte_op, const SymbolEnv *env,
         return isa::Operand::makeIndirect(op.reg, false);
       case OperKind::IndirectInc:
         return isa::Operand::makeIndirect(op.reg, true);
-      case OperKind::Immediate: {
-        auto folded = op.expr.constantFold();
-        if (folded) {
-            std::uint16_t v = toWord(*folded, line);
-            return isa::Operand::makeImm(v, false);
-        }
-        // Symbolic immediate: size must not depend on the resolved
-        // value, so always use an extension word.
-        std::uint16_t v = env ? toWord(evalExpr(op.expr, *env, line), line)
-                              : 0;
-        return isa::Operand::makeImm(v, true);
-      }
+      case OperKind::Immediate:
+        if (auto folded = op.expr.constantFold())
+            return isa::Operand::makeImm(toWord(*folded, line), false);
+        // Symbolic immediate: sized with an extension word (see
+        // operandExtBytes).
+        return isa::Operand::makeImm(value(op.expr), true);
     }
     support::panic("lowerOperand: bad kind");
 }
 
 isa::Instr
-lowerInstr(const AsmInstr &ai, const SymbolEnv *env, int line)
+lowerInstr(const AsmInstr &ai, const SymbolEnv &env, int line)
 {
     isa::Instr instr;
     instr.op = ai.op;
     instr.byte = ai.byte;
     switch (isa::opFormat(ai.op)) {
       case isa::OpFormat::Jump:
-        instr.jump_target =
-            env ? toWord(evalExpr(ai.jump_target, *env, line), line) : 0;
+        instr.jump_target = toWord(evalExpr(ai.jump_target, env, line), line);
         break;
       case isa::OpFormat::SingleOperand:
         if (ai.op != isa::Op::Reti)
-            instr.dst = lowerOperand(*ai.dst, ai.byte, env, line);
+            instr.dst = lowerOperand(*ai.dst, env, line);
         break;
       case isa::OpFormat::DoubleOperand:
-        instr.src = lowerOperand(*ai.src, ai.byte, env, line);
-        instr.dst = lowerOperand(*ai.dst, ai.byte, env, line);
+        instr.src = lowerOperand(*ai.src, env, line);
+        instr.dst = lowerOperand(*ai.dst, env, line);
         break;
     }
     return instr;
@@ -171,15 +242,35 @@ struct Placement {
     std::uint32_t offset = 0;
 };
 
+/** A symbol the walk defines, at a section offset (not yet based). */
+struct PlacedSymbol {
+    Symbol symbol;
+    Placement place;
+};
+
 struct WalkResult {
     std::vector<Placement> places;
     std::array<std::uint32_t, kNumSections> sizes{};
-    SymbolEnv env; // labels not yet rebased (offsets); see rebase step
-    // Labels are recorded as (section, offset) then rebased.
-    std::vector<std::pair<std::string, Placement>> labels;
-    std::vector<std::pair<std::string, Placement>> func_starts;
-    std::vector<std::pair<std::string, Placement>> func_ends;
+    /** Labels, .func names and `__end_` labels, in program order. */
+    std::vector<PlacedSymbol> labels;
+    /** Every .equ, in program order. */
+    std::vector<std::pair<Symbol, const Expr *>> equs;
+    std::vector<PlacedSymbol> func_starts;
+    std::vector<Placement> func_ends;
 };
+
+/** `__end_<name>` for the .func @p name, interned once per thread. */
+Symbol
+endSymbol(Symbol name)
+{
+    thread_local std::vector<Symbol> ends;
+    if (ends.size() <= name.id())
+        ends.resize(Symbol::bound());
+    Symbol &end = ends[name.id()];
+    if (end.empty())
+        end = Symbol("__end_" + name.str());
+    return end;
+}
 
 std::int64_t
 literalArg(const Statement &s, size_t index)
@@ -192,14 +283,17 @@ literalArg(const Statement &s, size_t index)
     return *v;
 }
 
-WalkResult
-walkAddresses(const Program &program)
+void
+walkAddresses(const Program &program, WalkResult &out)
 {
-    WalkResult out;
     out.places.resize(program.stmts.size());
+    out.labels.clear();
+    out.equs.clear();
+    out.func_starts.clear();
+    out.func_ends.clear();
     Section cur = Section::Text;
     std::array<std::uint32_t, kNumSections> off{};
-    std::string pending_func;
+    Symbol pending_func;
 
     auto align_to = [&](std::uint32_t a) {
         std::uint32_t &o = off[static_cast<int>(cur)];
@@ -276,7 +370,7 @@ walkAddresses(const Program &program)
                 break;
               case Directive::Equ:
                 out.places[i] = {cur, o};
-                out.env.equs[s.name] = s.args.at(0);
+                out.equs.emplace_back(s.name, &s.args.at(0));
                 break;
               case Directive::Func:
                 if (cur != Section::Text)
@@ -293,10 +387,9 @@ walkAddresses(const Program &program)
                 if (pending_func.empty())
                     fatal("line ", s.line, ": .endfunc without .func");
                 out.places[i] = {cur, o};
-                out.labels.push_back(
-                    {"__end_" + pending_func, {cur, o}});
-                out.func_ends.push_back({pending_func, {cur, o}});
-                pending_func.clear();
+                out.labels.push_back({endSymbol(pending_func), {cur, o}});
+                out.func_ends.push_back({cur, o});
+                pending_func = Symbol();
                 break;
               default:
                 support::panic("walkAddresses: unhandled directive");
@@ -306,13 +399,19 @@ walkAddresses(const Program &program)
         }
     }
     if (!pending_func.empty())
-        fatal("unterminated .func ", pending_func);
+        fatal("unterminated .func ", pending_func.str());
     out.sizes = off;
-    return out;
 }
 
 struct Bases {
     std::array<std::uint16_t, kNumSections> base{};
+
+    std::uint16_t
+    addr(const Placement &p) const
+    {
+        return static_cast<std::uint16_t>(
+            base[static_cast<int>(p.section)] + p.offset);
+    }
 };
 
 Bases
@@ -330,48 +429,74 @@ resolveBases(const WalkResult &walk, const LayoutSpec &layout)
     std::uint32_t data_end = b.base[2] + walk.sizes[2];
     b.base[3] = layout.bss_base.value_or(
         static_cast<std::uint16_t>(align2(data_end)));
-    std::uint32_t bss_end = b.base[3] + walk.sizes[3];
     for (int i = 0; i < kNumSections; ++i) {
         std::uint32_t end = b.base[i] + walk.sizes[i];
         if (end > 0x10000)
             fatal("section overflows the 16-bit address space");
     }
-    (void)bss_end;
     return b;
 }
 
-/** Build the final symbol environment with rebased label addresses. */
-SymbolEnv
-buildEnv(const WalkResult &walk, const Bases &bases,
-         const LayoutSpec &layout)
+/** The symbols every program sees, interned once. */
+struct Builtins {
+    Symbol console{"__CONSOLE"}, done{"__DONE"}, pin{"__PIN"},
+        cyclo{"__CYCLO"}, cychi{"__CYCHI"};
+    Symbol data_base{"__sect_data_base"}, data_size{"__sect_data_size"},
+        bss_base{"__sect_bss_base"}, bss_size{"__sect_bss_size"};
+    Symbol start{"__start"};
+};
+
+const Builtins &
+builtins()
 {
-    SymbolEnv env = walk.env;
+    static const Builtins b;
+    return b;
+}
+
+/** Every address-valued symbol before the labels, in definition
+ *  order (a later one redefines an earlier). */
+template <typename Fn>
+void
+forEachFixedSymbol(const WalkResult &walk, const Bases &bases,
+                   const std::vector<std::pair<Symbol, std::uint16_t>> &pre,
+                   Fn fn)
+{
     namespace plat = swapram::platform;
-    env.addrs["__CONSOLE"] = plat::kMmioConsole;
-    env.addrs["__DONE"] = plat::kMmioDone;
-    env.addrs["__PIN"] = plat::kMmioPin;
-    env.addrs["__CYCLO"] = plat::kMmioCycleLo;
-    env.addrs["__CYCHI"] = plat::kMmioCycleHi;
+    const Builtins &b = builtins();
+    fn(b.console, plat::kMmioConsole);
+    fn(b.done, plat::kMmioDone);
+    fn(b.pin, plat::kMmioPin);
+    fn(b.cyclo, plat::kMmioCycleLo);
+    fn(b.cychi, plat::kMmioCycleHi);
     // Linker-style section-boundary symbols (resolved per relaxation
     // pass, like labels): generated runtimes reference .data/.bss
     // without knowing the layout — e.g. the checkpoint machinery
     // snapshots the sections crt0 reinitialises on every boot.
-    env.addrs["__sect_data_base"] = bases.base[2];
-    env.addrs["__sect_data_size"] =
-        static_cast<std::uint16_t>(walk.sizes[2]);
-    env.addrs["__sect_bss_base"] = bases.base[3];
-    env.addrs["__sect_bss_size"] =
-        static_cast<std::uint16_t>(walk.sizes[3]);
-    for (const auto &[name, value] : layout.predefined)
-        env.addrs[name] = value;
-    for (const auto &[name, place] : walk.labels) {
-        std::uint16_t addr = static_cast<std::uint16_t>(
-            bases.base[static_cast<int>(place.section)] + place.offset);
-        auto [it, inserted] = env.addrs.insert({name, addr});
-        if (!inserted)
-            fatal("duplicate symbol '", name, "'");
+    fn(b.data_base, bases.base[2]);
+    fn(b.data_size, static_cast<std::uint16_t>(walk.sizes[2]));
+    fn(b.bss_base, bases.base[3]);
+    fn(b.bss_size, static_cast<std::uint16_t>(walk.sizes[3]));
+    for (const auto &[symbol, value] : pre)
+        fn(symbol, value);
+}
+
+/** Define this round's symbols in @p env: the fixed ones, then the
+ *  labels at their based addresses, then the .equs. */
+void
+defineSymbols(SymbolEnv &env, const WalkResult &walk, const Bases &bases,
+              const std::vector<std::pair<Symbol, std::uint16_t>> &pre)
+{
+    env.beginRound();
+    forEachFixedSymbol(walk, bases, pre,
+                       [&](Symbol s, std::uint16_t v) {
+                           env.defineAddr(s, v);
+                       });
+    for (const PlacedSymbol &l : walk.labels) {
+        if (!env.defineAddr(l.symbol, bases.addr(l.place)))
+            fatal("duplicate symbol '", l.symbol.str(), "'");
     }
-    return env;
+    for (const auto &[symbol, expr] : walk.equs)
+        env.defineEqu(symbol, *expr);
 }
 
 /** Jump-inversion for relaxation; JN has no inverse (handled apart). */
@@ -390,14 +515,140 @@ invertJump(isa::Op op)
     }
 }
 
+/** Statements that replace a relaxed jump @p op. */
+std::size_t
+relaxedLength(isa::Op op)
+{
+    if (op == isa::Op::Jmp)
+        return 1;
+    return invertJump(op) ? 3 : 5;
+}
+
+/**
+ * Replace every jump at @p sites (ascending statement indices) by its
+ * long form, in one pass that moves each statement once:
+ *   JMP t  ->  BR #t
+ *   Jcc t  ->  J!cc skip; BR #t; skip:
+ *   JN t   ->  JN take; JMP skip; take: BR #t; skip:
+ * Skip labels are `..rx<n>`, numbered from @p counter starting at the
+ * last site.
+ */
+void
+relaxJumps(std::vector<Statement> &stmts, const std::vector<size_t> &sites,
+           int &counter)
+{
+    std::size_t grow = 0;
+    for (size_t i : sites)
+        grow += relaxedLength(stmts[i].instr.op) - 1;
+    std::size_t src_end = stmts.size();
+    stmts.resize(src_end + grow);
+    auto dst = stmts.begin() + static_cast<std::ptrdiff_t>(stmts.size());
+    auto label = [&counter]() {
+        return Symbol("..rx" + std::to_string(counter++));
+    };
+    for (auto it = sites.rbegin(); it != sites.rend(); ++it) {
+        const size_t i = *it;
+        const auto after = stmts.begin() + static_cast<std::ptrdiff_t>(i + 1);
+        const auto end = stmts.begin() + static_cast<std::ptrdiff_t>(src_end);
+        // Until a site that grows, the statements stay where they are
+        // (a self-move would empty them).
+        dst = dst == end ? after : std::move_backward(after, end, dst);
+        const isa::Op op = stmts[i].instr.op;
+        const int line = stmts[i].line;
+        Expr target = std::move(stmts[i].instr.jump_target);
+        const std::size_t n = relaxedLength(op);
+        dst -= static_cast<std::ptrdiff_t>(n);
+        if (op == isa::Op::Jmp) {
+            dst[0] = Statement::makeInstr(brImm(std::move(target)), line);
+        } else if (auto inv = invertJump(op)) {
+            const Symbol skip = label();
+            dst[0] = Statement::makeInstr(jump(*inv, Expr::sym(skip)), line);
+            dst[1] = Statement::makeInstr(brImm(std::move(target)), line);
+            dst[2] = Statement::makeLabel(skip, line);
+        } else {
+            const Symbol take = label();
+            const Symbol skip = label();
+            dst[0] = Statement::makeInstr(jump(isa::Op::Jn, Expr::sym(take)),
+                                          line);
+            dst[1] = Statement::makeInstr(jump(isa::Op::Jmp,
+                                               Expr::sym(skip)),
+                                          line);
+            dst[2] = Statement::makeLabel(take, line);
+            dst[3] = Statement::makeInstr(brImm(std::move(target)), line);
+            dst[4] = Statement::makeLabel(skip, line);
+        }
+        src_end = i;
+    }
+}
+
 } // namespace
 
 std::uint16_t
 instrSize(const AsmInstr &instr)
 {
-    if (isa::opFormat(instr.op) == isa::OpFormat::Jump)
+    switch (isa::opFormat(instr.op)) {
+      case isa::OpFormat::Jump:
         return 2;
-    return isa::encodedSize(lowerInstr(instr, nullptr, 0));
+      case isa::OpFormat::SingleOperand:
+        if (instr.op == isa::Op::Reti)
+            return 2;
+        return 2 + operandExtBytes(*instr.dst, instr.byte);
+      case isa::OpFormat::DoubleOperand: {
+        // Source first: a bad literal is reported in operand order.
+        const std::uint16_t src = operandExtBytes(*instr.src, instr.byte);
+        return 2 + src + operandExtBytes(*instr.dst, instr.byte);
+      }
+    }
+    support::panic("instrSize: bad format");
+}
+
+SymbolTable::const_iterator
+SymbolTable::find(Symbol symbol) const
+{
+    if (symbol.empty() || slots_.empty())
+        return entries_.end();
+    const Slot &slot = slots_[slotOf(symbol.id())];
+    return slot.id ? entries_.begin() + slot.entry : entries_.end();
+}
+
+std::uint32_t
+SymbolTable::slotOf(std::uint32_t id) const
+{
+    const auto mask = static_cast<std::uint32_t>(slots_.size() - 1);
+    std::uint32_t i = (id * 0x9E3779B1u) & mask;
+    while (slots_[i].id && slots_[i].id != id)
+        i = (i + 1) & mask;
+    return i;
+}
+
+void
+SymbolTable::reserve(std::size_t n)
+{
+    entries_.reserve(n);
+    std::size_t capacity = 16;
+    while (capacity < 2 * n)
+        capacity *= 2;
+    if (capacity <= slots_.size())
+        return;
+    std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(capacity));
+    for (const Slot &s : old) {
+        if (s.id)
+            slots_[slotOf(s.id)] = s;
+    }
+}
+
+void
+SymbolTable::set(Symbol symbol, std::uint16_t value)
+{
+    if (2 * (entries_.size() + 1) > slots_.size())
+        reserve(2 * entries_.size() + 8);
+    Slot &slot = slots_[slotOf(symbol.id())];
+    if (slot.id) {
+        entries_[slot.entry].second = value;
+        return;
+    }
+    slot = {symbol.id(), static_cast<std::uint32_t>(entries_.size())};
+    entries_.emplace_back(symbol.str(), value);
 }
 
 std::uint16_t
@@ -458,144 +709,100 @@ FunctionIndex::label(std::uint16_t addr) const
 AssembleResult
 assemble(Program work, const LayoutSpec &layout)
 {
+    // Intern every symbol the rounds define before the first one
+    // sizes its table.
+    const Builtins &builtin = builtins();
+    std::vector<std::pair<Symbol, std::uint16_t>> predefined;
+    predefined.reserve(layout.predefined.size());
+    for (const auto &[name, value] : layout.predefined)
+        predefined.emplace_back(Symbol(name), value);
+
+    SymbolEnv &env = t_env;
+    WalkResult walk;
+    std::vector<size_t> to_relax;
     int relax_counter = 0;
 
     for (int iteration = 0;; ++iteration) {
         if (iteration > 64)
             fatal("jump relaxation did not converge");
 
-        WalkResult walk = walkAddresses(work);
-        Bases bases = resolveBases(walk, layout);
-        SymbolEnv env = buildEnv(walk, bases, layout);
+        walkAddresses(work, walk);
+        const Bases bases = resolveBases(walk, layout);
+        defineSymbols(env, walk, bases, predefined);
 
-        // Find every out-of-range jump, transform them all (from the
-        // back so indices stay valid), and retry.
-        std::vector<size_t> to_relax;
+        // Find every out-of-range jump, relax them all, and retry.
+        to_relax.clear();
         for (size_t i = 0; i < work.stmts.size(); ++i) {
-            Statement &s = work.stmts[i];
-            if (s.kind != Statement::Kind::Instr)
+            const Statement &s = work.stmts[i];
+            if (s.kind != Statement::Kind::Instr ||
+                isa::opFormat(s.instr.op) != isa::OpFormat::Jump)
                 continue;
-            if (isa::opFormat(s.instr.op) != isa::OpFormat::Jump)
-                continue;
-            std::uint16_t addr = static_cast<std::uint16_t>(
-                bases.base[static_cast<int>(walk.places[i].section)] +
-                walk.places[i].offset);
             std::uint16_t target = toWord(
                 evalExpr(s.instr.jump_target, env, s.line), s.line);
-            if (!isa::jumpInRange(addr, target))
+            if (!isa::jumpInRange(bases.addr(walk.places[i]), target))
                 to_relax.push_back(i);
         }
-        for (auto it = to_relax.rbegin(); it != to_relax.rend(); ++it) {
-            size_t i = *it;
-            Statement &s = work.stmts[i];
-            std::vector<Statement> repl;
-            Expr target_expr = s.instr.jump_target;
-            if (s.instr.op == isa::Op::Jmp) {
-                repl.push_back(Statement::makeInstr(
-                    brImm(target_expr), s.line));
-            } else if (auto inv = invertJump(s.instr.op)) {
-                std::string skip =
-                    "..rx" + std::to_string(relax_counter++);
-                repl.push_back(Statement::makeInstr(
-                    jump(*inv, Expr::sym(skip)), s.line));
-                repl.push_back(Statement::makeInstr(
-                    brImm(target_expr), s.line));
-                repl.push_back(Statement::makeLabel(skip, s.line));
-            } else {
-                // JN: take/skip ladder.
-                std::string take =
-                    "..rx" + std::to_string(relax_counter++);
-                std::string skip =
-                    "..rx" + std::to_string(relax_counter++);
-                repl.push_back(Statement::makeInstr(
-                    jump(isa::Op::Jn, Expr::sym(take)), s.line));
-                repl.push_back(Statement::makeInstr(
-                    jump(isa::Op::Jmp, Expr::sym(skip)), s.line));
-                repl.push_back(Statement::makeLabel(take, s.line));
-                repl.push_back(Statement::makeInstr(
-                    brImm(target_expr), s.line));
-                repl.push_back(Statement::makeLabel(skip, s.line));
-            }
-            work.stmts.erase(work.stmts.begin() + i);
-            work.stmts.insert(work.stmts.begin() + i, repl.begin(),
-                              repl.end());
-        }
-        if (!to_relax.empty())
+        if (!to_relax.empty()) {
+            relaxJumps(work.stmts, to_relax, relax_counter);
             continue;
+        }
 
-        // Stable: emit.
+        // Stable: emit straight into the section buffers.
         AssembleResult out;
         out.stmt_addr.resize(work.stmts.size());
-        std::array<std::vector<std::uint8_t>, kNumSections> buf;
-        for (int sec = 0; sec < kNumSections; ++sec)
+        std::array<std::vector<std::uint8_t>, kNumSections - 1> buf;
+        for (int sec = 0; sec < kNumSections - 1; ++sec)
             buf[sec].assign(walk.sizes[sec], 0);
 
         for (size_t i = 0; i < work.stmts.size(); ++i) {
             const Statement &s = work.stmts[i];
             const Placement &place = walk.places[i];
-            int sec = static_cast<int>(place.section);
-            std::uint16_t addr = static_cast<std::uint16_t>(
-                bases.base[sec] + place.offset);
+            const std::uint16_t addr = bases.addr(place);
             out.stmt_addr[i] = addr;
-            auto put_byte = [&](std::uint32_t off, std::uint8_t v) {
-                buf[sec].at(off) = v;
+            if (s.kind == Statement::Kind::Label)
+                continue;
+            // Only .text/.const/.data statements emit bytes (the walk
+            // rejects data in .bss).
+            std::uint8_t *at = nullptr;
+            if (place.section != Section::Bss)
+                at = buf[static_cast<int>(place.section)].data() +
+                     place.offset;
+            auto put_word = [&at](std::uint16_t v) {
+                *at++ = static_cast<std::uint8_t>(v & 0xFF);
+                *at++ = static_cast<std::uint8_t>(v >> 8);
             };
-            auto put_word = [&](std::uint32_t off, std::uint16_t v) {
-                buf[sec].at(off) = static_cast<std::uint8_t>(v & 0xFF);
-                buf[sec].at(off + 1) = static_cast<std::uint8_t>(v >> 8);
-            };
-            switch (s.kind) {
-              case Statement::Kind::Label:
+            if (s.kind == Statement::Kind::Instr) {
+                std::uint16_t words[isa::kMaxInstrWords];
+                const int n =
+                    isa::encode(lowerInstr(s.instr, env, s.line), addr, words);
+                for (int w = 0; w < n; ++w)
+                    put_word(words[w]);
+                continue;
+            }
+            switch (s.directive) {
+              case Directive::Word:
+                for (const Expr &arg : s.args)
+                    put_word(toWord(evalExpr(arg, env, s.line), s.line));
                 break;
-              case Statement::Kind::Instr: {
-                isa::Instr instr = lowerInstr(s.instr, &env, s.line);
-                auto words = isa::encode(instr, addr);
-                std::uint32_t off = place.offset;
-                for (std::uint16_t w : words) {
-                    put_word(off, w);
-                    off += 2;
+              case Directive::Byte:
+                for (const Expr &arg : s.args) {
+                    std::int64_t v = evalExpr(arg, env, s.line);
+                    if (v < -128 || v > 255) {
+                        fatal("line ", s.line, ": byte value ", v,
+                              " out of range");
+                    }
+                    *at++ = static_cast<std::uint8_t>(v & 0xFF);
                 }
                 break;
-              }
-              case Statement::Kind::Directive: {
-                switch (s.directive) {
-                  case Directive::Word: {
-                    std::uint32_t off = place.offset;
-                    for (const Expr &arg : s.args) {
-                        put_word(off,
-                                 toWord(evalExpr(arg, env, s.line),
-                                        s.line));
-                        off += 2;
-                    }
-                    break;
-                  }
-                  case Directive::Byte: {
-                    std::uint32_t off = place.offset;
-                    for (const Expr &arg : s.args) {
-                        std::int64_t v = evalExpr(arg, env, s.line);
-                        if (v < -128 || v > 255) {
-                            fatal("line ", s.line, ": byte value ", v,
-                                  " out of range");
-                        }
-                        put_byte(off++,
-                                 static_cast<std::uint8_t>(v & 0xFF));
-                    }
-                    break;
-                  }
-                  case Directive::Ascii:
-                  case Directive::Asciz: {
-                    std::uint32_t off = place.offset;
-                    for (char c : s.str)
-                        put_byte(off++, static_cast<std::uint8_t>(c));
-                    if (s.directive == Directive::Asciz)
-                        put_byte(off, 0);
-                    break;
-                  }
-                  default:
-                    break; // space/align are zero fill; others no bytes
-                }
+              case Directive::Ascii:
+              case Directive::Asciz:
+                for (char c : s.str)
+                    *at++ = static_cast<std::uint8_t>(c);
+                if (s.directive == Directive::Asciz)
+                    *at = 0;
                 break;
-              }
+              default:
+                break; // space/align are zero fill; others no bytes
             }
         }
 
@@ -603,28 +810,29 @@ assemble(Program work, const LayoutSpec &layout)
         out.image.cnst = {bases.base[1], walk.sizes[1]};
         out.image.data = {bases.base[2], walk.sizes[2]};
         out.image.bss = {bases.base[3], walk.sizes[3]};
-        for (int sec = 0; sec < 3; ++sec) {
+        for (int sec = 0; sec < kNumSections - 1; ++sec) {
             if (!buf[sec].empty())
                 out.image.chunks.push_back(
                     {bases.base[sec], std::move(buf[sec])});
         }
-        for (const auto &[name, value] : env.addrs)
-            out.symbols[name] = value;
+        out.symbols.reserve(9 + predefined.size() + walk.labels.size());
+        forEachFixedSymbol(walk, bases, predefined,
+                           [&](Symbol s, std::uint16_t v) {
+                               out.symbols.set(s, v);
+                           });
+        for (const PlacedSymbol &l : walk.labels)
+            out.symbols.set(l.symbol, bases.addr(l.place));
+        out.functions.reserve(walk.func_starts.size());
         for (size_t f = 0; f < walk.func_starts.size(); ++f) {
-            const auto &[name, start] = walk.func_starts[f];
-            const auto &[end_name, end] = walk.func_ends[f];
-            if (end_name != name)
-                support::panic("function bookkeeping out of order");
+            const PlacedSymbol &start = walk.func_starts[f];
             FunctionInfo info;
-            info.name = name;
-            info.addr = static_cast<std::uint16_t>(
-                bases.base[static_cast<int>(start.section)] +
-                start.offset);
-            info.size =
-                static_cast<std::uint16_t>(end.offset - start.offset);
+            info.name = start.symbol.str();
+            info.addr = bases.addr(start.place);
+            info.size = static_cast<std::uint16_t>(
+                walk.func_ends[f].offset - start.place.offset);
             out.functions.push_back(std::move(info));
         }
-        auto entry_it = out.symbols.find("__start");
+        auto entry_it = out.symbols.find(builtin.start);
         out.image.entry = entry_it != out.symbols.end()
                               ? entry_it->second
                               : bases.base[0];

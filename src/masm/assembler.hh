@@ -16,7 +16,9 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "masm/ast.hh"
@@ -65,10 +67,49 @@ struct FunctionInfo {
     std::uint16_t size = 0;
 };
 
+/**
+ * An assembled program's symbols and their addresses: labels, .func
+ * names and their `__end_` labels, predefined and built-in symbols
+ * (not .equs). Looked up by name or by Symbol; iterates as
+ * (name, address) pairs in no particular order.
+ */
+class SymbolTable
+{
+  public:
+    using value_type = std::pair<std::string_view, std::uint16_t>;
+    using const_iterator = std::vector<value_type>::const_iterator;
+
+    const_iterator find(std::string_view name) const
+    {
+        return find(Symbol::find(name));
+    }
+    const_iterator find(Symbol symbol) const;
+    const_iterator begin() const { return entries_.begin(); }
+    const_iterator end() const { return entries_.end(); }
+    std::size_t size() const { return entries_.size(); }
+    bool empty() const { return entries_.empty(); }
+
+    /** Room for @p n symbols without rehashing. */
+    void reserve(std::size_t n);
+    /** Define @p symbol as @p value, or redefine it. */
+    void set(Symbol symbol, std::uint16_t value);
+
+  private:
+    struct Slot {
+        std::uint32_t id = 0; ///< 0: empty
+        std::uint32_t entry = 0;
+    };
+
+    std::uint32_t slotOf(std::uint32_t id) const;
+
+    std::vector<value_type> entries_;
+    std::vector<Slot> slots_; ///< open addressing by symbol id
+};
+
 /** Full result of assembling a program. */
 struct AssembleResult {
     Image image;
-    std::unordered_map<std::string, std::uint16_t> symbols;
+    SymbolTable symbols;
     std::vector<FunctionInfo> functions;
     /** Post-relaxation program; stmt_addr is parallel to its stmts. */
     Program relaxed;
@@ -106,7 +147,9 @@ class FunctionIndex
 /**
  * Assemble @p program with section placement @p layout. The program is
  * consumed: it becomes AssembleResult::relaxed. Pass an rvalue to hand
- * it over; an lvalue argument is copied.
+ * it over; an lvalue argument is copied. Relaxation rewrites the
+ * statement vector in place, so spare capacity in it carries over to
+ * AssembleResult::relaxed.
  */
 AssembleResult assemble(Program program, const LayoutSpec &layout);
 

@@ -17,11 +17,11 @@ Expr::num(std::int64_t value)
 }
 
 Expr
-Expr::sym(std::string name)
+Expr::sym(Symbol symbol)
 {
     Expr e;
     e.kind_ = Kind::Symbol;
-    e.symbol_ = std::move(name);
+    e.symbol_ = symbol;
     return e;
 }
 
@@ -109,7 +109,7 @@ Expr::text() const
       case Kind::Number:
         return std::to_string(number_);
       case Kind::Symbol:
-        return symbol_;
+        return symbol_.str();
       case Kind::Neg:
         return "-(" + lhs_->text() + ")";
       default: {
@@ -172,11 +172,11 @@ AsmInstr::text() const
 }
 
 Statement
-Statement::makeLabel(std::string name_, int line_)
+Statement::makeLabel(Symbol name_, int line_)
 {
     Statement s;
     s.kind = Kind::Label;
-    s.label = std::move(name_);
+    s.label = name_;
     s.line = line_;
     return s;
 }
@@ -206,7 +206,7 @@ Statement::text() const
 {
     switch (kind) {
       case Kind::Label:
-        return label + ":";
+        return label.str() + ":";
       case Kind::Instr:
         return "        " + instr.text();
       case Kind::Directive: {
@@ -230,10 +230,10 @@ Statement::text() const
           case Directive::Align: return "        .align " + args_text();
           case Directive::Ascii: return "        .ascii \"" + str + "\"";
           case Directive::Asciz: return "        .asciz \"" + str + "\"";
-          case Directive::Global: return "        .global " + name;
+          case Directive::Global: return "        .global " + name.str();
           case Directive::Equ:
-            return "        .equ " + name + ", " + args_text();
-          case Directive::Func: return "        .func " + name;
+            return "        .equ " + name.str() + ", " + args_text();
+          case Directive::Func: return "        .func " + name.str();
           case Directive::EndFunc: return "        .endfunc";
         }
         support::panic("Statement::text: bad directive");
@@ -266,7 +266,7 @@ findFunctions(const Program &program)
     std::vector<FuncRange> funcs;
     bool open = false;
     size_t open_idx = 0;
-    std::string open_name;
+    Symbol open_name;
     for (size_t i = 0; i < program.stmts.size(); ++i) {
         const Statement &s = program.stmts[i];
         if (s.kind != Statement::Kind::Directive)
@@ -285,7 +285,7 @@ findFunctions(const Program &program)
         }
     }
     if (open)
-        support::fatal("unterminated .func ", open_name);
+        support::fatal("unterminated .func ", open_name.str());
     return funcs;
 }
 

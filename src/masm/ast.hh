@@ -15,11 +15,13 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "isa/instruction.hh"
 #include "isa/opcodes.hh"
 #include "isa/registers.hh"
+#include "masm/symbol.hh"
 
 namespace swapram::masm {
 
@@ -48,7 +50,8 @@ class Expr
     Expr() : kind_(Kind::Number), number_(0) {}
 
     static Expr num(std::int64_t value);
-    static Expr sym(std::string name);
+    static Expr sym(Symbol symbol);
+    static Expr sym(std::string_view name) { return sym(Symbol(name)); }
     static Expr binary(Kind kind, Expr lhs, Expr rhs);
     static Expr add(Expr lhs, Expr rhs);
     static Expr sub(Expr lhs, Expr rhs);
@@ -57,7 +60,10 @@ class Expr
 
     Kind kind() const { return kind_; }
     std::int64_t number() const { return number_; }
-    const std::string &symbol() const { return symbol_; }
+    /** The referenced name (Symbol kind). */
+    const std::string &symbol() const { return symbol_.str(); }
+    /** The referenced symbol (Symbol kind). */
+    Symbol symbolId() const { return symbol_; }
     const Expr &lhs() const { return *lhs_; }
     const Expr &rhs() const { return *rhs_; }
     const Expr &operand() const { return *lhs_; }
@@ -79,8 +85,8 @@ class Expr
 
   private:
     Kind kind_;
+    Symbol symbol_;
     std::int64_t number_ = 0;
-    std::string symbol_;
     std::shared_ptr<const Expr> lhs_;
     std::shared_ptr<const Expr> rhs_;
 };
@@ -167,18 +173,23 @@ struct Statement {
     int line = 0; ///< 1-based source line, 0 for synthesized statements
 
     // Label
-    std::string label;
+    Symbol label;
 
     // Instr
     AsmInstr instr;
 
     // Directive
     Directive directive = Directive::Text;
-    std::string name;       ///< .func/.equ/.global name
+    Symbol name;            ///< .func/.equ/.global name
     std::vector<Expr> args; ///< .word/.byte/.space/.align/.equ args
     std::string str;        ///< .ascii/.asciz payload
 
-    static Statement makeLabel(std::string name_, int line_ = 0);
+    static Statement makeLabel(Symbol name_, int line_ = 0);
+    static Statement
+    makeLabel(std::string_view name_, int line_ = 0)
+    {
+        return makeLabel(Symbol(name_), line_);
+    }
     static Statement makeInstr(AsmInstr instr_, int line_ = 0);
     static Statement makeDirective(Directive d, int line_ = 0);
 
@@ -199,7 +210,7 @@ struct Program {
 
 /** Statement-index extent of one .func/.endfunc region. */
 struct FuncRange {
-    std::string name;
+    Symbol name;
     size_t func_stmt;    ///< index of the .func directive
     size_t endfunc_stmt; ///< index of the matching .endfunc
 };

@@ -78,7 +78,7 @@ parsePrimary(Cursor &cur)
     }
     if (t.kind == TokKind::Ident) {
         cur.next();
-        return Expr::sym(std::string(t.text));
+        return Expr::sym(t.text);
     }
     if (t.isPunct("(")) {
         cur.next();
@@ -414,14 +414,14 @@ parseDirective(Cursor &cur, std::string_view name, Program &out)
         const Token &t = cur.next();
         if (t.kind != TokKind::Ident)
             cur.fail("expected name");
-        stmt.name = t.text;
+        stmt.name = Symbol(t.text);
         break;
       }
       case Directive::Equ: {
         const Token &t = cur.next();
         if (t.kind != TokKind::Ident)
             cur.fail("expected name");
-        stmt.name = t.text;
+        stmt.name = Symbol(t.text);
         cur.expectPunct(",");
         stmt.args.push_back(parseExpr(cur));
         break;
@@ -555,16 +555,16 @@ thread_local std::uint64_t t_statements_parsed = 0;
 
 } // namespace
 
-Program
-parse(const std::string &source)
+void
+parseAppend(const std::string &source, Program &program)
 {
-    Program program;
     // At most a statement per line plus one per label (each label
-    // ends in ':'): one allocation, no regrowth moves.
+    // ends in ':'): at most one allocation, no regrowth moves.
     size_t bound = 1;
     for (char c : source)
         bound += c == '\n' || c == ':';
-    program.stmts.reserve(bound);
+    const size_t before = program.stmts.size();
+    program.stmts.reserve(before + bound);
     Lexer lexer;
     std::string_view rest = source;
     int line = 0;
@@ -580,7 +580,7 @@ parse(const std::string &source)
         while (cur.peek().kind == TokKind::Ident &&
                cur.peek().text[0] != '.' && cur.peekNext().isPunct(":")) {
             newStatement(program, Statement::Kind::Label, line).label =
-                cur.next().text;
+                Symbol(cur.next().text);
             cur.next(); // ':'
         }
         if (cur.atEnd())
@@ -593,7 +593,14 @@ parse(const std::string &source)
         else
             parseInstruction(cur, head.text, program);
     }
-    t_statements_parsed += program.stmts.size();
+    t_statements_parsed += program.stmts.size() - before;
+}
+
+Program
+parse(const std::string &source)
+{
+    Program program;
+    parseAppend(source, program);
     return program;
 }
 

@@ -26,6 +26,11 @@ namespace swapram::masm {
 /** Parse @p source into a Program. fatal()s with line diagnostics. */
 Program parse(const std::string &source);
 
+/** Parse @p source onto the end of @p program, its lines numbered from
+ *  1 as parse() numbers them. Grows the statement vector at most once.
+ *  On a parse error @p program keeps the statements before it. */
+void parseAppend(const std::string &source, Program &program);
+
 /** Statements parse() has produced on the calling thread so far: a
  *  host-side work counter (take differences around a span of work). */
 std::uint64_t statementsParsed();

@@ -121,7 +121,7 @@ reimportFunction(
     // Pass 2: emit statements.
     Program out;
     Statement func = Statement::makeDirective(Directive::Func);
-    func.name = info.name;
+    func.name = Symbol(info.name);
     out.stmts.push_back(std::move(func));
     for (const auto &[iaddr, instr] : instrs) {
         if (targets.count(iaddr))

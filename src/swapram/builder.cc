@@ -10,15 +10,15 @@
 namespace swapram::cache {
 
 BuildInfo
-build(const masm::Program &app, const masm::LayoutSpec &layout,
+build(masm::Program &&app, const masm::LayoutSpec &layout,
       const Options &options)
 {
     BuildInfo info;
     info.funcs = collectFunctions(app, options);
 
-    // 1. Call-site instrumentation (Figure 3).
-    masm::Program instrumented =
-        instrumentCalls(app, info.funcs, options, &info.pass_stats);
+    // 1. Call-site instrumentation (Figure 3), in place.
+    masm::Program instrumented = instrumentCalls(
+        std::move(app), info.funcs, options, &info.pass_stats);
 
     // 2. Intermediate assembly: performs jump relaxation and fixes
     //    function sizes/addresses (the paper's "intermediate binary").
@@ -52,11 +52,12 @@ build(const masm::Program &app, const masm::LayoutSpec &layout,
     if (options.ckpt.enabled())
         sections = ckpt::measureSections(inter.image, options.ckpt);
 
-    // 4. Generate and append the runtime + metadata tables.
-    masm::Program runtime = masm::parse(
-        generateRuntimeAsm(info.funcs, relocs, options, sections));
+    // 4. Generate the runtime + metadata tables and parse them onto
+    //    the end of the relocated program.
     masm::Program final_program = std::move(relocs.program);
-    final_program.append(std::move(runtime));
+    masm::parseAppend(
+        generateRuntimeAsm(info.funcs, relocs, options, sections),
+        final_program);
 
     // 5. Final assembly.
     info.assembled = masm::assemble(std::move(final_program), layout);
@@ -136,6 +137,13 @@ build(const masm::Program &app, const masm::LayoutSpec &layout,
                                2 * (4 + ckspec.payloadBytes());
     }
     return info;
+}
+
+BuildInfo
+build(const masm::Program &app, const masm::LayoutSpec &layout,
+      const Options &options)
+{
+    return build(masm::Program(app), layout, options);
 }
 
 } // namespace swapram::cache

@@ -57,7 +57,14 @@ struct PassStats {
     int data_swap_calls_retargeted = 0;
 };
 
-/** Apply the instrumentation; returns the transformed program. */
+/** Apply the instrumentation; returns the transformed program. The
+ *  program is rewritten in place: its statements move, none is copied,
+ *  and its spare capacity carries over. */
+masm::Program instrumentCalls(masm::Program &&program, const FuncIds &funcs,
+                              const Options &options,
+                              PassStats *stats = nullptr);
+
+/** instrumentCalls() on a copy of @p program. */
 masm::Program instrumentCalls(const masm::Program &program,
                               const FuncIds &funcs, const Options &options,
                               PassStats *stats = nullptr);

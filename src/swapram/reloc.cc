@@ -15,14 +15,13 @@ namespace {
 
 /** Evaluate an expression against the resolved symbol table. */
 std::optional<std::int64_t>
-evalWith(const Expr &e,
-         const std::unordered_map<std::string, std::uint16_t> &symbols)
+evalWith(const Expr &e, const masm::SymbolTable &symbols)
 {
     switch (e.kind()) {
       case Expr::Kind::Number:
         return e.number();
       case Expr::Kind::Symbol: {
-        auto it = symbols.find(e.symbol());
+        auto it = symbols.find(e.symbolId());
         if (it == symbols.end())
             return std::nullopt;
         return it->second;
@@ -77,12 +76,14 @@ relocateBranches(masm::AssembleResult &inter, const FuncIds &funcs)
 
     // Walk functions in id order so entries group contiguously.
     auto ranges = masm::findFunctions(out.program);
+    const masm::Symbol rval("__swp_rval");
     for (int id = 0; id < funcs.count(); ++id) {
         out.func_first[id] = static_cast<int>(out.entries.size());
         const std::string &name = funcs.names[id];
+        const masm::Symbol symbol = masm::Symbol::find(name);
         const masm::FuncRange *range = nullptr;
         for (const auto &r : ranges) {
-            if (r.name == name) {
+            if (r.name == symbol) {
                 range = &r;
                 break;
             }
@@ -107,8 +108,8 @@ relocateBranches(masm::AssembleResult &inter, const FuncIds &funcs)
             out.entries.push_back(
                 {id, static_cast<std::uint16_t>(t - fbegin),
                  static_cast<std::uint16_t>(t)});
-            s.instr.src = AsmOperand::abs(Expr::add(
-                Expr::sym("__swp_rval"), Expr::num(2 * k)));
+            s.instr.src = AsmOperand::abs(
+                Expr::add(Expr::sym(rval), Expr::num(2 * k)));
         }
     }
     out.func_first[funcs.count()] = static_cast<int>(out.entries.size());

@@ -84,14 +84,13 @@ struct State {
 
 /** Evaluate a symbolic expression against the resolved symbol table. */
 std::int64_t
-evalExpr(const Expr &e,
-         const std::unordered_map<std::string, std::uint16_t> &symbols)
+evalExpr(const Expr &e, const masm::SymbolTable &symbols)
 {
     switch (e.kind()) {
       case Expr::Kind::Number:
         return e.number();
       case Expr::Kind::Symbol: {
-        auto it = symbols.find(e.symbol());
+        auto it = symbols.find(e.symbolId());
         if (it == symbols.end())
             fatal("interp: undefined symbol ", e.symbol());
         return it->second;

@@ -24,7 +24,9 @@ using isa::Reg;
 std::vector<std::uint16_t>
 enc(const Instr &instr, std::uint16_t addr = 0x8000)
 {
-    return isa::encode(instr, addr);
+    std::uint16_t words[isa::kMaxInstrWords];
+    const int n = isa::encode(instr, addr, words);
+    return {words, words + n};
 }
 
 Instr
@@ -274,7 +276,7 @@ TEST(Encode, RoundTripProperty)
         auto words = enc(instr, 0x8000);
         ASSERT_LE(words.size(), 3u);
         auto dec = isa::decodeAt(words.data(), 0x8000);
-        auto words2 = isa::encode(dec.instr, 0x8000);
+        auto words2 = enc(dec.instr, 0x8000);
         ASSERT_EQ(words, words2)
             << "instr " << isa::disasm(instr) << " redecoded as "
             << isa::disasm(dec.instr);

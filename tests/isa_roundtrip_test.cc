@@ -52,7 +52,9 @@ reassemble(const std::string &text)
 void
 expectRoundTrip(const Instr &instr)
 {
-    std::vector<std::uint16_t> direct = isa::encode(instr, kAddr);
+    std::uint16_t words[isa::kMaxInstrWords];
+    const int n = isa::encode(instr, kAddr, words);
+    std::vector<std::uint16_t> direct(words, words + n);
     std::string text = isa::disasm(instr);
     std::vector<std::uint16_t> rebuilt = reassemble(text);
     EXPECT_EQ(direct, rebuilt) << "round trip of '" << text << "'";

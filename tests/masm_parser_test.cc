@@ -134,10 +134,10 @@ TEST(Parser, Directives)
         }
         if (s.directive == Directive::Func) {
             ++funcs;
-            EXPECT_EQ(s.name, "foo");
+            EXPECT_EQ(s.name.str(), "foo");
         }
         if (s.directive == Directive::Equ) {
-            EXPECT_EQ(s.name, "K");
+            EXPECT_EQ(s.name.str(), "K");
             EXPECT_EQ(s.args[0].constantFold(), 20);
         }
     }
@@ -146,15 +146,15 @@ TEST(Parser, Directives)
 
     auto funcs_found = masm::findFunctions(p);
     ASSERT_EQ(funcs_found.size(), 1u);
-    EXPECT_EQ(funcs_found[0].name, "foo");
+    EXPECT_EQ(funcs_found[0].name.str(), "foo");
 }
 
 TEST(Parser, MultipleLabels)
 {
     auto p = parse("a: b:   NOP\n");
     ASSERT_GE(p.stmts.size(), 3u);
-    EXPECT_EQ(p.stmts[0].label, "a");
-    EXPECT_EQ(p.stmts[1].label, "b");
+    EXPECT_EQ(p.stmts[0].label.str(), "a");
+    EXPECT_EQ(p.stmts[1].label.str(), "b");
     EXPECT_EQ(p.stmts[2].kind, Statement::Kind::Instr);
 }
 

@@ -634,7 +634,7 @@ checkBlacklist(const Args &args)
             for (const masm::Statement &st : masm::parse(source).stmts)
                 if (st.kind == masm::Statement::Kind::Directive &&
                     st.directive == masm::Directive::Func)
-                    funcs.push_back(st.name);
+                    funcs.push_back(st.name.str());
     } catch (const support::FatalError &) {
         return;
     }
