@@ -1,6 +1,5 @@
 #include "blockcache/pass.hh"
 
-#include <unordered_map>
 #include <utility>
 
 #include "blockcache/blocks.hh"
@@ -33,6 +32,32 @@ struct FuncBlocks {
     size_t endfunc_stmt = 0;
     std::vector<FormBlock> blocks;
 };
+
+/** `<prefix><n>` symbols, each interned once per thread. */
+class NumberedSymbols
+{
+  public:
+    explicit NumberedSymbols(const char *prefix) : prefix_(prefix) {}
+
+    masm::Symbol
+    operator()(int n)
+    {
+        if (static_cast<std::size_t>(n) >= names_.size())
+            names_.resize(static_cast<std::size_t>(n) + 1);
+        masm::Symbol &name = names_[static_cast<std::size_t>(n)];
+        if (name.empty())
+            name = masm::Symbol(prefix_ + std::to_string(n));
+        return name;
+    }
+
+  private:
+    std::string prefix_;
+    std::vector<masm::Symbol> names_;
+};
+
+thread_local NumberedSymbols t_block_label("__bbk_");
+thread_local NumberedSymbols t_stub_entry("__bb_e");
+thread_local NumberedSymbols t_skip_label("__bbs_");
 
 /** Statements the terminator of @p kind becomes. */
 std::size_t
@@ -173,7 +198,11 @@ transform(Program &&program, const Options &options)
     // Assign global block ids and map labels (and function names) to
     // the block that starts with them. Count the statements the
     // transformed program will hold on the way.
-    std::unordered_map<std::uint32_t, int> label_block;
+    // Indexed by symbol id; -1: not a block's label.
+    std::vector<int> label_block(masm::Symbol::bound(), -1);
+    auto block_at = [&label_block](masm::Symbol s) {
+        return s.id() < label_block.size() ? label_block[s.id()] : -1;
+    };
     std::size_t out_size = program.stmts.size();
     {
         int gid = 0;
@@ -196,11 +225,11 @@ transform(Program &&program, const Options &options)
     auto block_of = [&](const Expr &target, int line) {
         if (!target.isSymbol())
             fatal("block cache: non-symbol branch target at line ", line);
-        auto it = label_block.find(target.symbolId().id());
-        if (it == label_block.end())
+        const int gid = block_at(target.symbolId());
+        if (gid < 0)
             fatal("block cache: branch target '", target.symbol(),
                   "' is not a block (line ", line, ")");
-        return it->second;
+        return gid;
     };
 
     // ---- Pass 2: emit, moving each kept statement ----
@@ -217,7 +246,7 @@ transform(Program &&program, const Options &options)
     auto call_stub_stmt = [&](int target_gid, int line) {
         int k = stub(target_gid);
         return Statement::makeInstr(
-            masm::callImm(Expr::sym("__bb_e" + std::to_string(k))), line);
+            masm::callImm(Expr::sym(t_stub_entry(k))), line);
     };
     auto absolutized = [&](Statement &&s) {
         auto fix = [](std::optional<AsmOperand> &op) {
@@ -244,7 +273,7 @@ transform(Program &&program, const Options &options)
             for (int j = 0; j < nblocks; ++j) {
                 const FormBlock &blk = fb.blocks[j];
                 int gid = gid_base + j;
-                std::string blabel = "__bbk_" + std::to_string(gid);
+                const masm::Symbol blabel = t_block_label(gid);
                 emit.push_back(Statement::makeLabel(blabel));
                 for (masm::Symbol l : blk.labels)
                     emit.push_back(Statement::makeLabel(l));
@@ -275,16 +304,16 @@ transform(Program &&program, const Options &options)
                     int taken = block_of(*blk.term.target, line);
                     int fall = require_next();
                     if (auto inv = invertCond(blk.term.op)) {
-                        const masm::Symbol skip(
-                            "__bbs_" + std::to_string(skip_counter++));
+                        const masm::Symbol skip =
+                            t_skip_label(skip_counter++);
                         emit.push_back(Statement::makeInstr(
                             masm::jump(*inv, Expr::sym(skip)), line));
                         emit.push_back(call_stub_stmt(taken, line));
                         emit.push_back(Statement::makeLabel(skip));
                         emit.push_back(call_stub_stmt(fall, line));
                     } else { // JN
-                        const masm::Symbol take(
-                            "__bbs_" + std::to_string(skip_counter++));
+                        const masm::Symbol take =
+                            t_skip_label(skip_counter++);
                         emit.push_back(Statement::makeInstr(
                             masm::jump(isa::Op::Jn, Expr::sym(take)),
                             line));
@@ -303,8 +332,7 @@ transform(Program &&program, const Options &options)
                     // the runtime. Cost parity with the internal form
                     // holds (CALL 4 + stub CALL 4 = PUSH 4 + CALL 4).
                     if (blk.term.target->isSymbol() &&
-                        !label_block.count(
-                            blk.term.target->symbolId().id())) {
+                        block_at(blk.term.target->symbolId()) < 0) {
                         emit.push_back(absolutized(
                             std::move(program.stmts[blk.term_stmt])));
                         emit.push_back(call_stub_stmt(require_next(), line));
@@ -315,7 +343,7 @@ transform(Program &&program, const Options &options)
                     masm::AsmInstr push;
                     push.op = isa::Op::Push;
                     push.dst = AsmOperand::imm(
-                        Expr::sym("__bbk_" + std::to_string(vret_gid)));
+                        Expr::sym(t_block_label(vret_gid)));
                     emit.push_back(Statement::makeInstr(std::move(push), line));
                     emit.push_back(call_stub_stmt(
                         block_of(*blk.term.target, line), line));
@@ -331,12 +359,11 @@ transform(Program &&program, const Options &options)
                 }
 
                 BlockInfo info;
-                info.label = blabel;
+                info.label = blabel.str();
                 info.size_expr =
                     j + 1 < nblocks
-                        ? "__bbk_" + std::to_string(gid + 1) + " - " +
-                              blabel
-                        : "__end_" + fb.name.str() + " - " + blabel;
+                        ? t_block_label(gid + 1).str() + " - " + info.label
+                        : "__end_" + fb.name.str() + " - " + info.label;
                 out.blocks.push_back(std::move(info));
             }
             gid_base += nblocks;

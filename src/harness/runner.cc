@@ -71,9 +71,15 @@ spliceSource(const std::string &stub, const workloads::Workload &workload,
     }
     const masm::Program *lib =
         include_lib ? &libParse().program : nullptr;
-    masm::Program program = masm::parse(stub);
-    program.stmts.reserve(program.stmts.size() + source->stmts.size() +
-                          (lib ? lib->stmts.size() : 0));
+    // Room past the spliced statements for what a build adds in
+    // place: call-site instrumentation, relaxed jumps, and the runtime
+    // parsed onto the end (at most about 1000 statements for the
+    // built-in workloads), so the statement vector is allocated once.
+    constexpr std::size_t kBuildHeadroom = 1024;
+    masm::Program program;
+    program.stmts.reserve(source->stmts.size() +
+                          (lib ? lib->stmts.size() : 0) + kBuildHeadroom);
+    masm::parseAppend(stub, program);
     const int source_offset = newlines(stub);
     appendShifted(program, *source, source_offset);
     if (lib)

@@ -246,7 +246,9 @@ std::string startupSource(std::uint16_t stack_top, int repeats = 1,
  * parse made once per process; both are copied in behind the stub,
  * their lines moved down by the '\n's before them, so the result
  * equals masm::parse(stub + source + lib) statement for statement. A
- * parse error in the source names the workload and its own line.
+ * parse error in the source names the workload and its own line. The
+ * statement vector has room for what a SwapRAM or block-cache build
+ * adds, so building the moved program does not regrow it.
  */
 masm::Program spliceSource(const std::string &stub,
                            const workloads::Workload &workload,

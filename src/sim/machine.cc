@@ -62,6 +62,8 @@ Machine::buildTier(bool fast)
         superblock_->setClassifier(
             [this](std::uint16_t pc) { return ownerRun(pc); });
         superblock_->setRecoveryRange(recovery_base_, recovery_end_);
+        superblock_->setProbeEntries(ckpt_commit_entry_,
+                                     ckpt_restore_entry_);
         threaded_ = std::make_unique<ThreadedEngine>(
             cpu_, memory_, bus_, stats_, config_, *superblock_);
     }

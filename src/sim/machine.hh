@@ -134,6 +134,8 @@ class Machine
     {
         ckpt_commit_entry_ = commit_entry;
         ckpt_restore_entry_ = restore_entry;
+        if (superblock_)
+            superblock_->setProbeEntries(commit_entry, restore_entry);
     }
 
     /** Exclude FRAM [base, end) from the livelock boot watermark.

@@ -282,11 +282,14 @@ SuperblockEngine::build(std::uint16_t pc)
         const std::uint32_t region_end =
             fram_code ? 0x10000u : config_.sramEnd();
         // A followed transfer's target lies in the region, outside
-        // every segment scanned so far.
+        // every segment scanned so far, and is no probe entry.
         auto followable = [&](std::int32_t target) {
             if (target < 0 || (target & 1) ||
                 regionOf(static_cast<std::uint16_t>(target),
                          config_.sramEnd()) != b->fetch_region)
+                return false;
+            if ((probe_commit_ && target == probe_commit_) ||
+                (probe_restore_ && target == probe_restore_))
                 return false;
             for (std::uint8_t i = 0; i < b->n_segs; ++i) {
                 const Segment &sg = b->segs[i];

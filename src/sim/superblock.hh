@@ -25,8 +25,8 @@
  * stays an ordinary op that sets PC (and pushes, for CALL), so a
  * trace runs as one dispatch across it. A target is followed only
  * when it is word-aligned, in the block's fetch region, of the same
- * owner and recovery side, neither the trace's start nor inside a
- * segment already scanned (loops are not unrolled: a self-loop still
+ * owner and recovery side, not a checkpoint probe entry, neither the
+ * trace's start nor inside a segment already scanned (loops are not unrolled: a self-loop still
  * ends its block), and the segment, instruction and byte caps leave
  * room (kMaxSegments; the byte cap counts every segment). A segment
  * also stops where a segment scanned before it starts, so segments
@@ -222,6 +222,18 @@ class SuperblockEngine
         invalidateAll();
     }
 
+    /** Checkpoint probe entries (0: none). A trace does not follow a
+     *  static transfer to one: the probe then starts a block, where a
+     *  traced chain stops before it, instead of sitting in a later
+     *  segment and sending the whole trace to the oracle. */
+    void
+    setProbeEntries(std::uint16_t commit, std::uint16_t restore)
+    {
+        probe_commit_ = commit;
+        probe_restore_ = restore;
+        invalidateAll();
+    }
+
     /** True when @p pc lies in the recovery range (false if none). */
     bool
     inRecovery(std::uint16_t pc) const
@@ -332,6 +344,8 @@ class SuperblockEngine
 
     std::uint16_t recovery_base_ = 0;
     std::uint32_t recovery_end_ = 0; ///< 0 = no recovery range
+    std::uint16_t probe_commit_ = 0;  ///< see setProbeEntries
+    std::uint16_t probe_restore_ = 0;
 
     /** build()'s scratch list of decoded instructions. */
     std::vector<BlockInstr> scan_;
