@@ -25,8 +25,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,31 +32,24 @@
 #include "harness/engine.hh"
 #include "harness/runner.hh"
 #include "masm/assembler.hh"
+#include "recording.hh"
 #include "workloads/workload.hh"
 
 namespace {
 
 using namespace swapram;
+using test::fnv1a;
+using test::expectSameLines;
+using test::readFile;
 using harness::Placement;
 using harness::RunSpec;
 using harness::System;
-
-/** FNV-1a, 64-bit, over @p bytes. */
-std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &bytes)
-{
-    for (unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
 
 /** One recording line for the image @p r. */
 std::string
 digestLine(const std::string &name, const masm::AssembleResult &r)
 {
-    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::uint64_t hash = test::kFnvBasis;
     std::size_t bytes = 0;
     for (const masm::Chunk &c : r.image.chunks) {
         hash = fnv1a(hash, "chunk " + std::to_string(c.base) + '\n');
@@ -184,38 +175,6 @@ recordedCells(const workloads::Workload &relax)
     return cells;
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-/** First line where @p got and @p want part, for the failure text. */
-void
-expectSameLines(const std::string &got, const std::string &want)
-{
-    if (got == want)
-        return;
-    std::istringstream g(got), w(want);
-    std::string gl, wl;
-    for (int line = 1;; ++line) {
-        bool more_g = static_cast<bool>(std::getline(g, gl));
-        bool more_w = static_cast<bool>(std::getline(w, wl));
-        if (!more_g && !more_w)
-            break;
-        if (!more_g || !more_w || gl != wl) {
-            ADD_FAILURE() << "image differs from the recording at line "
-                          << line << ":\n  recorded: " << wl
-                          << "\n  built:    " << gl;
-            return;
-        }
-    }
-    ADD_FAILURE() << "images differ from the recording";
-}
-
 TEST(ImageDigests, MatchTheRecording)
 {
     const workloads::Workload relax = relaxationWorkload();
@@ -239,7 +198,7 @@ TEST(ImageDigests, MatchTheRecording)
     const std::string recorded = readFile(SWAPRAM_IMAGE_DIGESTS_FILE);
     ASSERT_FALSE(recorded.empty())
         << "missing recording " << SWAPRAM_IMAGE_DIGESTS_FILE;
-    expectSameLines(dump, recorded);
+    expectSameLines(dump, recorded, "the image");
 }
 
 } // namespace

@@ -22,8 +22,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -35,6 +33,7 @@
 #include "harness/placement.hh"
 #include "harness/runner.hh"
 #include "masm/assembler.hh"
+#include "recording.hh"
 #include "masm/parser.hh"
 #include "support/logging.hh"
 #include "swapram/pass.hh"
@@ -45,6 +44,9 @@
 namespace {
 
 using namespace swapram;
+using test::fnv1a;
+using test::expectSameLines;
+using test::readFile;
 namespace plat = swapram::platform;
 
 /** One named source text. */
@@ -289,23 +291,12 @@ malformedSources()
     return sources;
 }
 
-/** FNV-1a, 64-bit. */
-std::uint64_t
-fnv1a(std::uint64_t hash, const std::string &bytes)
-{
-    for (unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 0x100000001b3ull;
-    }
-    return hash;
-}
-
 /** One recording line for the parse of @p text. */
 std::string
 digestLine(const std::string &name, const std::string &text)
 {
     masm::Program program = masm::parse(text);
-    std::uint64_t hash = 0xcbf29ce484222325ull;
+    std::uint64_t hash = test::kFnvBasis;
     for (const masm::Statement &s : program.stmts)
         hash = fnv1a(hash, std::to_string(s.line) + '\t' + s.text() + '\n');
     char hex[17];
@@ -330,38 +321,6 @@ errorLine(const std::string &text)
     return "error " + shown + " => (parsed)\n";
 }
 
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path);
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
-}
-
-/** First line where @p got and @p want part, for the failure text. */
-void
-expectSameLines(const std::string &got, const std::string &want)
-{
-    if (got == want)
-        return;
-    std::istringstream g(got), w(want);
-    std::string gl, wl;
-    for (int line = 1;; ++line) {
-        bool more_g = static_cast<bool>(std::getline(g, gl));
-        bool more_w = static_cast<bool>(std::getline(w, wl));
-        if (!more_g && !more_w)
-            break;
-        if (!more_g || !more_w || gl != wl) {
-            ADD_FAILURE() << "parse differs from the recording at line "
-                          << line << ":\n  recorded: " << wl
-                          << "\n  parsed:   " << gl;
-            return;
-        }
-    }
-    ADD_FAILURE() << "parse differs from the recording";
-}
-
 TEST(ParseDigests, MatchTheRecording)
 {
     const std::vector<Source> sources = recordedSources();
@@ -375,7 +334,7 @@ TEST(ParseDigests, MatchTheRecording)
     const std::string recorded = readFile(SWAPRAM_PARSE_DIGESTS_FILE);
     ASSERT_FALSE(recorded.empty())
         << "missing recording " << SWAPRAM_PARSE_DIGESTS_FILE;
-    expectSameLines(dump, recorded);
+    expectSameLines(dump, recorded, "the parse");
 }
 
 TEST(ParseDigests, StatementsParsedCountsEveryStatement)
