@@ -21,8 +21,8 @@ namespace {
 /** A block during formation: statement indices plus the terminator. */
 struct FormBlock {
     std::vector<masm::Symbol> labels; ///< original labels at block start
-    std::vector<size_t> body;        ///< indices of plain statements
-    Cfi term;                        ///< None kind == fallthrough
+    std::vector<size_t> body;         ///< indices of plain statements
+    Cfi term;                         ///< None kind == fallthrough
     size_t term_stmt = SIZE_MAX;
 };
 

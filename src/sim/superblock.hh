@@ -344,8 +344,6 @@ class SuperblockEngine
 
     std::uint16_t recovery_base_ = 0;
     std::uint32_t recovery_end_ = 0; ///< 0 = no recovery range
-    std::uint16_t probe_commit_ = 0;  ///< see setProbeEntries
-    std::uint16_t probe_restore_ = 0;
 
     /** build()'s scratch list of decoded instructions. */
     std::vector<BlockInstr> scan_;
@@ -356,6 +354,9 @@ class SuperblockEngine
     /** The slots ever filled (a filled slot stays filled): the only
      *  ones teardown visits. */
     std::vector<std::uint16_t> filled_;
+
+    std::uint16_t probe_commit_ = 0; ///< see setProbeEntries
+    std::uint16_t probe_restore_ = 0;
 };
 
 } // namespace swapram::sim
