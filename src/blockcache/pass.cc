@@ -203,6 +203,11 @@ transform(Program &&program, const Options &options)
     auto block_at = [&label_block](masm::Symbol s) {
         return s.id() < label_block.size() ? label_block[s.id()] : -1;
     };
+    auto mark = [&label_block](masm::Symbol s, int gid) {
+        if (s.id() >= label_block.size())
+            label_block.resize(s.id() + 1, -1);
+        label_block[s.id()] = gid;
+    };
     std::size_t out_size = program.stmts.size();
     {
         int gid = 0;
@@ -212,9 +217,9 @@ transform(Program &&program, const Options &options)
             for (std::size_t j = 0; j < fb.blocks.size(); ++j) {
                 const FormBlock &blk = fb.blocks[j];
                 if (j == 0)
-                    label_block[fb.name.id()] = gid;
+                    mark(fb.name, gid);
                 for (masm::Symbol l : blk.labels)
-                    label_block[l.id()] = gid;
+                    mark(l, gid);
                 out_size += 1 + blk.labels.size() + blk.body.size() +
                             terminatorLength(blk.term.kind);
                 ++gid;

@@ -60,7 +60,7 @@ appendShifted(masm::Program &out, const masm::Program &piece, int offset)
 
 masm::Program
 spliceSource(const std::string &stub, const workloads::Workload &workload,
-             bool include_lib)
+             bool include_lib, std::size_t headroom)
 {
     std::shared_ptr<const masm::Program> source;
     try {
@@ -71,14 +71,9 @@ spliceSource(const std::string &stub, const workloads::Workload &workload,
     }
     const masm::Program *lib =
         include_lib ? &libParse().program : nullptr;
-    // Room past the spliced statements for what a build adds in
-    // place: call-site instrumentation, relaxed jumps, and the runtime
-    // parsed onto the end (at most about 1000 statements for the
-    // built-in workloads), so the statement vector is allocated once.
-    constexpr std::size_t kBuildHeadroom = 1024;
     masm::Program program;
     program.stmts.reserve(source->stmts.size() +
-                          (lib ? lib->stmts.size() : 0) + kBuildHeadroom);
+                          (lib ? lib->stmts.size() : 0) + headroom);
     masm::parseAppend(stub, program);
     const int source_offset = newlines(stub);
     appendShifted(program, *source, source_offset);
@@ -350,9 +345,19 @@ buildWithStub(const RunSpec &spec, std::string &stub, Metrics &m)
                                                     spec.sram_size);
     }
 
+    // A cache build grows the spliced program in place: call-site
+    // instrumentation and relaxed jumps, then the runtime parsed onto
+    // the end (the block cache's transform carries the spare room
+    // over). Over the sweep and capacity cells and every placement the
+    // built-in workloads add at most 518 statements under SwapRAM
+    // (aes) and 598 after the block-cache transform (fft), so this
+    // room allocates the statement vector once. A baseline build adds
+    // none but relaxed jumps.
+    constexpr std::size_t kCacheBuildHeadroom = 768;
     stub = startupSource(plan.stack_top, spec.main_repeats, recover);
-    masm::Program program =
-        spliceSource(stub, *spec.workload, spec.include_lib);
+    masm::Program program = spliceSource(
+        stub, *spec.workload, spec.include_lib,
+        spec.system == System::Baseline ? 0 : kCacheBuildHeadroom);
 
     // For the Split placement, size the data region first with a
     // baseline assembly, then carve the cache from the SRAM left over.
@@ -519,23 +524,7 @@ runWithStub(const RunSpec &spec, std::string &stub)
     Built b = buildWithStub(spec, stub, m);
     if (!b.built)
         return m;
-    const PlacementPlan &plan = b.plan;
-    const std::uint32_t sram_end = b.sram_end;
-    const std::uint16_t stack_top = b.stack_top;
-    const cache::Options &swap = b.swap;
-    const bb::Options &block = b.block;
-    const masm::AssembleResult &assembled = b.assembled;
-    const std::uint16_t handler_base = b.handler_base,
-                        handler_end = b.handler_end;
-    const std::uint16_t memcpy_base = b.memcpy_base,
-                        memcpy_end = b.memcpy_end;
-    const std::uint16_t recover_base = b.recover_base,
-                        recover_end = b.recover_end;
-    const std::uint16_t datapool_base = b.datapool_base,
-                        datapool_end = b.datapool_end;
-    const std::uint16_t ckpt_base = b.ckpt_base, ckpt_end = b.ckpt_end;
-
-    const masm::Image &image = assembled.image;
+    const masm::Image &image = b.assembled.image;
     m.text_bytes = image.text.size;
     m.const_bytes = image.cnst.size;
     m.data_bytes = image.data.size;
@@ -545,23 +534,23 @@ runWithStub(const RunSpec &spec, std::string &stub)
 
     // Fit checks (the paper's DNF criterion).
     std::string note;
-    checkSection("text", image.text, sram_end, note);
-    checkSection("const", image.cnst, sram_end, note);
-    checkSection("data", image.data, sram_end, note);
-    checkSection("bss", image.bss, sram_end, note);
+    checkSection("text", image.text, b.sram_end, note);
+    checkSection("const", image.cnst, b.sram_end, note);
+    checkSection("data", image.data, b.sram_end, note);
+    checkSection("bss", image.bss, b.sram_end, note);
     // Stack headroom.
-    if (plan.stack_in_sram && spec.placement != Placement::Split) {
+    if (b.plan.stack_in_sram && spec.placement != Placement::Split) {
         std::uint32_t data_top = std::max(image.data.end(),
                                           image.bss.end());
-        std::uint32_t limit = stack_top - spec.workload->stack_bytes;
-        if (inSram(image.data.base, sram_end) && data_top > limit)
+        std::uint32_t limit = b.stack_top - spec.workload->stack_bytes;
+        if (inSram(image.data.base, b.sram_end) && data_top > limit)
             note += "no room for stack in SRAM; ";
-    } else if (!plan.stack_in_sram) {
+    } else if (!b.plan.stack_in_sram) {
         std::uint32_t data_top = std::max(image.data.end(),
                                           image.bss.end());
-        if (!inSram(image.data.base, sram_end) &&
+        if (!inSram(image.data.base, b.sram_end) &&
             data_top > static_cast<std::uint32_t>(
-                           stack_top - spec.workload->stack_bytes)) {
+                           b.stack_top - spec.workload->stack_bytes)) {
             note += "no room for stack in FRAM; ";
         }
     }
@@ -583,32 +572,32 @@ runWithStub(const RunSpec &spec, std::string &stub)
     if (spec.intermittent.livelock_boots)
         config.livelock_boots = spec.intermittent.livelock_boots;
     sim::Machine machine(config);
-    machine.load(image, stack_top);
-    if (handler_end > handler_base) {
-        machine.addOwnerRange(handler_base, handler_end,
+    machine.load(image, b.stack_top);
+    if (b.handler_end > b.handler_base) {
+        machine.addOwnerRange(b.handler_base, b.handler_end,
                               sim::CodeOwner::Handler);
     }
-    if (memcpy_end > memcpy_base) {
-        machine.addOwnerRange(memcpy_base, memcpy_end,
+    if (b.memcpy_end > b.memcpy_base) {
+        machine.addOwnerRange(b.memcpy_base, b.memcpy_end,
                               sim::CodeOwner::Memcpy);
     }
-    if (datapool_end > datapool_base) {
+    if (b.datapool_end > b.datapool_base) {
         // __swp_din/__swp_dout count as runtime overhead, like the
         // miss handler they parallel (their copies still run under the
         // Memcpy owner).
-        machine.addOwnerRange(datapool_base, datapool_end,
+        machine.addOwnerRange(b.datapool_base, b.datapool_end,
                               sim::CodeOwner::Handler);
     }
-    if (recover_end > recover_base)
-        machine.setRecoveryRange(recover_base, recover_end);
-    if (ckpt_end > ckpt_base) {
+    if (b.recover_end > b.recover_base)
+        machine.setRecoveryRange(b.recover_base, b.recover_end);
+    if (b.ckpt_end > b.ckpt_base) {
         // The checkpoint routines are runtime overhead like the miss
         // handler; probe their entry points for the trace stream.
-        machine.addOwnerRange(ckpt_base, ckpt_end,
+        machine.addOwnerRange(b.ckpt_base, b.ckpt_end,
                               sim::CodeOwner::Handler);
         auto entry = [&](const char *name) -> std::uint16_t {
-            auto it = assembled.symbols.find(name);
-            return it == assembled.symbols.end() ? 0 : it->second;
+            auto it = b.assembled.symbols.find(name);
+            return it == b.assembled.symbols.end() ? 0 : it->second;
         };
         machine.setCkptProbe(entry("__ckpt_commit"),
                              entry("__ckpt_restore"));
@@ -621,8 +610,8 @@ runWithStub(const RunSpec &spec, std::string &stub)
         // sealed buffer payloads still hash, so committing *new*
         // state resets the streak.
         auto skipCell = [&](const char *name, std::uint16_t bytes) {
-            auto it = assembled.symbols.find(name);
-            if (it != assembled.symbols.end())
+            auto it = b.assembled.symbols.find(name);
+            if (it != b.assembled.symbols.end())
                 machine.addWatermarkSkip(it->second,
                                          it->second + bytes);
         };
@@ -665,10 +654,10 @@ runWithStub(const RunSpec &spec, std::string &stub)
         engine = std::make_unique<trace::TraceEngine>(
             obs.categories, obs.ring_capacity);
         index = std::make_unique<masm::FunctionIndex>(
-            assembled.functions);
+            b.assembled.functions);
         if (obs.profile) {
             profiler = std::make_unique<trace::FunctionProfiler>();
-            for (const masm::FunctionInfo &f : assembled.functions)
+            for (const masm::FunctionInfo &f : b.assembled.functions)
                 profiler->addFunction(f.name, f.addr, f.size);
             profiler->seal();
             machine.setProfiler(profiler.get());
@@ -717,13 +706,13 @@ runWithStub(const RunSpec &spec, std::string &stub)
             // derived events follow their triggers in the output.
             bool is_block = spec.system == System::BlockCache;
             timeline = std::make_unique<trace::SwapTimeline>(
-                is_block ? block.cache_base : swap.cache_base,
-                is_block ? block.cache_end : swap.cache_end);
-            for (const masm::FunctionInfo &f : assembled.functions)
+                is_block ? b.block.cache_base : b.swap.cache_base,
+                is_block ? b.block.cache_end : b.swap.cache_end);
+            for (const masm::FunctionInfo &f : b.assembled.functions)
                 timeline->addFunction(f.name, f.addr, f.size);
-            if (!is_block && swap.data_pool_bytes) {
-                timeline->setDataPool(swap.poolBase(), datapool_base,
-                                      datapool_end);
+            if (!is_block && b.swap.data_pool_bytes) {
+                timeline->setDataPool(b.swap.poolBase(), b.datapool_base,
+                                      b.datapool_end);
             }
             timeline->setEngine(engine.get());
             if (profiler)
@@ -778,13 +767,13 @@ runWithStub(const RunSpec &spec, std::string &stub)
         m.harvested_pj = injector.harvestedPj(cycles);
         m.wall_seconds = injector.wallSeconds(cycles);
     }
-    if (auto it = assembled.symbols.find("bench_result");
-        it != assembled.symbols.end()) {
+    if (auto it = b.assembled.symbols.find("bench_result");
+        it != b.assembled.symbols.end()) {
         m.checksum = machine.peek16(it->second);
     }
     auto counter = [&](const char *name) -> std::uint16_t {
-        auto it = assembled.symbols.find(name);
-        return it == assembled.symbols.end()
+        auto it = b.assembled.symbols.find(name);
+        return it == b.assembled.symbols.end()
                    ? 0
                    : machine.peek16(it->second);
     };
@@ -802,8 +791,8 @@ runWithStub(const RunSpec &spec, std::string &stub)
         // recovery repaired any power failures (no-recovery intermittent
         // runs exist precisely to demonstrate the inconsistent state).
         if (result.done &&
-            (!spec.intermittent.enabled() || swap.boot_recovery)) {
-            verifySwapInvariants(machine, assembled, b.swap_funcs, swap);
+            (!spec.intermittent.enabled() || b.swap.boot_recovery)) {
+            verifySwapInvariants(machine, b.assembled, b.swap_funcs, b.swap);
         }
     }
 

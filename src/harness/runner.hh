@@ -16,6 +16,7 @@
 #ifndef SWAPRAM_HARNESS_RUNNER_HH
 #define SWAPRAM_HARNESS_RUNNER_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -247,12 +248,13 @@ std::string startupSource(std::uint16_t stack_top, int repeats = 1,
  * their lines moved down by the '\n's before them, so the result
  * equals masm::parse(stub + source + lib) statement for statement. A
  * parse error in the source names the workload and its own line. The
- * statement vector has room for what a SwapRAM or block-cache build
- * adds, so building the moved program does not regrow it.
+ * statement vector has room for @p headroom more statements, so a
+ * build that adds no more than that to the moved program does not
+ * regrow it.
  */
 masm::Program spliceSource(const std::string &stub,
                            const workloads::Workload &workload,
-                           bool include_lib);
+                           bool include_lib, std::size_t headroom = 0);
 
 /** Run one experiment. */
 Metrics runOne(const RunSpec &spec);

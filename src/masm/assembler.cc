@@ -82,7 +82,7 @@ class SymbolEnv
     bool
     defineAddr(Symbol s, std::uint16_t value)
     {
-        Def &d = defs_[s.id()];
+        Def &d = slot(s);
         const bool fresh = d.round != round_;
         d = {round_, value, nullptr};
         return fresh;
@@ -93,12 +93,23 @@ class SymbolEnv
     void
     defineEqu(Symbol s, const Expr &expr)
     {
-        Def &d = defs_[s.id()];
+        Def &d = slot(s);
         if (d.round != round_ || d.expr)
             d = {round_, 0, &expr};
     }
 
   private:
+    /** The entry of @p s. beginRound() sized the table for every
+     *  symbol this thread has seen; grow it anyway rather than write
+     *  past its end. */
+    Def &
+    slot(Symbol s)
+    {
+        if (s.id() >= defs_.size())
+            defs_.resize(std::max<std::size_t>(Symbol::bound(), s.id() + 1));
+        return defs_[s.id()];
+    }
+
     std::vector<Def> defs_;
     std::uint32_t round_ = 0;
 };
@@ -265,7 +276,7 @@ endSymbol(Symbol name)
 {
     thread_local std::vector<Symbol> ends;
     if (ends.size() <= name.id())
-        ends.resize(Symbol::bound());
+        ends.resize(std::max<std::size_t>(Symbol::bound(), name.id() + 1));
     Symbol &end = ends[name.id()];
     if (end.empty())
         end = Symbol("__end_" + name.str());

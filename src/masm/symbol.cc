@@ -97,6 +97,10 @@ class Interner
             chunks_[c].store(chunk, std::memory_order_release);
         }
         chunk->names[id & (kChunkSize - 1)] = std::string(name);
+        // Raise the bound before the id can be found: a reader that
+        // acquires the slot below then sees bound() > id, so a table it
+        // sized with bound() covers the id.
+        next_.store(id + 1, std::memory_order_release);
 
         // Keep the load at most one half: past it, publish a table of
         // twice the size. Readers still probing the old one find
@@ -112,7 +116,6 @@ class Interner
         } else {
             place(*t, hash, id);
         }
-        next_.store(id + 1, std::memory_order_release);
         return id;
     }
 

@@ -38,7 +38,8 @@ class Symbol
     static Symbol find(std::string_view name);
 
     /** One past the largest id interned so far: the size of a table
-     *  indexed by id that covers every symbol this thread has seen. */
+     *  indexed by id that covers every symbol this thread has seen
+     *  (a new id's bound is raised before the id can be found). */
     static std::uint32_t bound();
 
     std::uint32_t id() const { return id_; }
