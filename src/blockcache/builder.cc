@@ -12,7 +12,7 @@
 namespace swapram::bb {
 
 BuildInfo
-build(masm::Program &&app, const masm::LayoutSpec &layout,
+build(masm::Program app, const masm::LayoutSpec &layout,
       const Options &options)
 {
     BuildInfo info;
@@ -92,13 +92,6 @@ build(masm::Program &&app, const masm::LayoutSpec &layout,
     info.app_text_bytes = info.assembled.image.text.size -
                           info.runtime_bytes - stub_bytes;
     return info;
-}
-
-BuildInfo
-build(const masm::Program &app, const masm::LayoutSpec &layout,
-      const Options &options)
-{
-    return build(masm::Program(app), layout, options);
 }
 
 } // namespace swapram::bb

@@ -43,13 +43,10 @@ struct BuildInfo {
 };
 
 /** Build a block-cache-enabled binary from an application program.
- *  The program is consumed: its statements move through the pass into
+ *  The program is taken by value (move it in; an lvalue is copied):
+ *  its statements move through the pass into
  *  BuildInfo::assembled.relaxed. */
-BuildInfo build(masm::Program &&app, const masm::LayoutSpec &layout,
-                const Options &options);
-
-/** build() on a copy of @p app. */
-BuildInfo build(const masm::Program &app, const masm::LayoutSpec &layout,
+BuildInfo build(masm::Program app, const masm::LayoutSpec &layout,
                 const Options &options);
 
 } // namespace swapram::bb

@@ -73,7 +73,7 @@ terminatorLength(CfiKind kind)
 } // namespace
 
 TransformResult
-transform(Program &&program, const Options &options)
+transform(Program program, const Options &options)
 {
     const std::uint16_t slot = options.slot_bytes;
     if (slot < 16)
@@ -383,12 +383,6 @@ transform(Program &&program, const Options &options)
     }
 
     return out;
-}
-
-TransformResult
-transform(const Program &program, const Options &options)
-{
-    return transform(Program(program), options);
 }
 
 } // namespace swapram::bb

@@ -49,13 +49,10 @@ struct TransformResult {
 };
 
 /** Run the transformation over every .func in @p program. The
- *  program is consumed: its statements move into the result, and its
- *  spare capacity carries over to TransformResult::program. */
-TransformResult transform(masm::Program &&program, const Options &options);
-
-/** transform() on a copy of @p program. */
-TransformResult transform(const masm::Program &program,
-                          const Options &options);
+ *  program is taken by value (move it in; an lvalue is copied): its
+ *  statements move into the result, and its spare capacity carries
+ *  over to TransformResult::program. */
+TransformResult transform(masm::Program program, const Options &options);
 
 } // namespace swapram::bb
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Reporting: fixed-width text tables, percent deltas, and geometric
- * means shared by the bench binaries (the way the paper reports
- * Table 2 and Figures 7-10) — plus RunReport, the machine-readable
+ * means (the way the paper reports Table 2 and Figures 7-10; see
+ * harness/paper.hh) — plus RunReport, the machine-readable
  * record of one experiment (JSON schema "swapram-run-report/v1")
  * consumed by swapram_tool's --json mode and the CI smoke check.
  */

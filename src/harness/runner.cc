@@ -298,6 +298,17 @@ buildWithStub(const RunSpec &spec, std::string &stub, Metrics &m)
                        plat::kSramMaxSize, " bytes below FRAM");
     }
 
+    // The cache runtimes copy code from FRAM into an SRAM region that
+    // code placed in SRAM would overlap.
+    if (spec.system != System::Baseline &&
+        (spec.placement == Placement::SramCode ||
+         spec.placement == Placement::SramAll)) {
+        support::fatal("placement '", placementName(spec.placement),
+                       "' puts the code in SRAM, where system '",
+                       systemName(spec.system),
+                       "' caches it; use unified, standard or split");
+    }
+
     b.plan = makePlacement(spec.placement);
     PlacementPlan &plan = b.plan;
 

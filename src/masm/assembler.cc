@@ -169,10 +169,10 @@ toWord(std::int64_t v, int line)
 /**
  * Extension bytes of one symbolic operand: what its encoding needs
  * whatever its symbols resolve to. A literal value must fit in 16
- * bits (checked here at line 0, as sizing sees no line).
+ * bits; one that does not is reported at @p line.
  */
 std::uint16_t
-operandExtBytes(const AsmOperand &op, bool byte_op)
+operandExtBytes(const AsmOperand &op, bool byte_op, int line)
 {
     switch (op.kind) {
       case OperKind::Register:
@@ -183,13 +183,13 @@ operandExtBytes(const AsmOperand &op, bool byte_op)
       case OperKind::SymbolicMem:
       case OperKind::Absolute:
         if (auto folded = op.expr.constantFold())
-            toWord(*folded, 0);
+            toWord(*folded, line);
         return 2;
       case OperKind::Immediate:
         // A symbolic immediate always takes an extension word, so its
         // size does not depend on the resolved value.
         if (auto folded = op.expr.constantFold())
-            return isa::cgEligible(toWord(*folded, 0), byte_op) ? 0 : 2;
+            return isa::cgEligible(toWord(*folded, line), byte_op) ? 0 : 2;
         return 2;
     }
     support::panic("operandExtBytes: bad kind");
@@ -325,7 +325,7 @@ walkAddresses(const Program &program, WalkResult &out)
             if (o & 1)
                 fatal("line ", s.line, ": instruction at odd offset");
             out.places[i] = {cur, o};
-            o += instrSize(s.instr);
+            o += instrSize(s.instr, s.line);
             break;
           }
           case Statement::Kind::Directive: {
@@ -491,10 +491,28 @@ forEachFixedSymbol(const WalkResult &walk, const Bases &bases,
         fn(symbol, value);
 }
 
+/** The line of the statement that defines the walk's label @p k:
+ *  each label, .func and .endfunc defines one, in program order. */
+int
+labelLine(const Program &program, std::size_t k)
+{
+    for (const Statement &s : program.stmts) {
+        const bool defines =
+            s.kind == Statement::Kind::Label ||
+            (s.kind == Statement::Kind::Directive &&
+             (s.directive == Directive::Func ||
+              s.directive == Directive::EndFunc));
+        if (defines && k-- == 0)
+            return s.line;
+    }
+    support::panic("labelLine: no statement defines the label");
+}
+
 /** Define this round's symbols in @p env: the fixed ones, then the
- *  labels at their based addresses, then the .equs. */
+ *  labels of @p program at their based addresses, then the .equs. */
 void
-defineSymbols(SymbolEnv &env, const WalkResult &walk, const Bases &bases,
+defineSymbols(SymbolEnv &env, const Program &program,
+              const WalkResult &walk, const Bases &bases,
               const std::vector<std::pair<Symbol, std::uint16_t>> &pre)
 {
     env.beginRound();
@@ -502,9 +520,12 @@ defineSymbols(SymbolEnv &env, const WalkResult &walk, const Bases &bases,
                        [&](Symbol s, std::uint16_t v) {
                            env.defineAddr(s, v);
                        });
-    for (const PlacedSymbol &l : walk.labels) {
-        if (!env.defineAddr(l.symbol, bases.addr(l.place)))
-            fatal("duplicate symbol '", l.symbol.str(), "'");
+    for (std::size_t k = 0; k < walk.labels.size(); ++k) {
+        const PlacedSymbol &l = walk.labels[k];
+        if (!env.defineAddr(l.symbol, bases.addr(l.place))) {
+            fatal("line ", labelLine(program, k), ": duplicate symbol '",
+                  l.symbol.str(), "'");
+        }
     }
     for (const auto &[symbol, expr] : walk.equs)
         env.defineEqu(symbol, *expr);
@@ -595,7 +616,7 @@ relaxJumps(std::vector<Statement> &stmts, const std::vector<size_t> &sites,
 } // namespace
 
 std::uint16_t
-instrSize(const AsmInstr &instr)
+instrSize(const AsmInstr &instr, int line)
 {
     switch (isa::opFormat(instr.op)) {
       case isa::OpFormat::Jump:
@@ -603,11 +624,12 @@ instrSize(const AsmInstr &instr)
       case isa::OpFormat::SingleOperand:
         if (instr.op == isa::Op::Reti)
             return 2;
-        return 2 + operandExtBytes(*instr.dst, instr.byte);
+        return 2 + operandExtBytes(*instr.dst, instr.byte, line);
       case isa::OpFormat::DoubleOperand: {
         // Source first: a bad literal is reported in operand order.
-        const std::uint16_t src = operandExtBytes(*instr.src, instr.byte);
-        return 2 + src + operandExtBytes(*instr.dst, instr.byte);
+        const std::uint16_t src =
+            operandExtBytes(*instr.src, instr.byte, line);
+        return 2 + src + operandExtBytes(*instr.dst, instr.byte, line);
       }
     }
     support::panic("instrSize: bad format");
@@ -739,7 +761,7 @@ assemble(Program work, const LayoutSpec &layout)
 
         walkAddresses(work, walk);
         const Bases bases = resolveBases(walk, layout);
-        defineSymbols(env, walk, bases, predefined);
+        defineSymbols(env, work, walk, bases, predefined);
 
         // Find every out-of-range jump, relax them all, and retry.
         to_relax.clear();

@@ -156,8 +156,9 @@ AssembleResult assemble(Program program, const LayoutSpec &layout);
 /**
  * Encoded size in bytes of one symbolic instruction (stable across
  * passes; symbolic immediates are always sized with an extension word).
+ * A literal operand that does not fit in 16 bits fails, naming @p line.
  */
-std::uint16_t instrSize(const AsmInstr &instr);
+std::uint16_t instrSize(const AsmInstr &instr, int line = 0);
 
 } // namespace swapram::masm
 

@@ -10,7 +10,7 @@
 namespace swapram::cache {
 
 BuildInfo
-build(masm::Program &&app, const masm::LayoutSpec &layout,
+build(masm::Program app, const masm::LayoutSpec &layout,
       const Options &options)
 {
     BuildInfo info;
@@ -137,13 +137,6 @@ build(masm::Program &&app, const masm::LayoutSpec &layout,
                                2 * (4 + ckspec.payloadBytes());
     }
     return info;
-}
-
-BuildInfo
-build(const masm::Program &app, const masm::LayoutSpec &layout,
-      const Options &options)
-{
-    return build(masm::Program(app), layout, options);
 }
 
 } // namespace swapram::cache

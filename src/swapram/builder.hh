@@ -59,15 +59,11 @@ struct BuildInfo {
  * Build a SwapRAM-enabled binary from an application program.
  * @p layout must be the placement the final image will be loaded with
  * (the intermediate sizing pass uses the same one). The program is
- * consumed: its statements move through the passes into
- * BuildInfo::assembled.relaxed, and spare capacity in its statement
- * vector takes the runtime without regrowth.
+ * taken by value (move it in; an lvalue is copied): its statements
+ * move through the passes into BuildInfo::assembled.relaxed, and spare
+ * capacity in its statement vector takes the runtime without regrowth.
  */
-BuildInfo build(masm::Program &&app, const masm::LayoutSpec &layout,
-                const Options &options);
-
-/** build() on a copy of @p app. */
-BuildInfo build(const masm::Program &app, const masm::LayoutSpec &layout,
+BuildInfo build(masm::Program app, const masm::LayoutSpec &layout,
                 const Options &options);
 
 } // namespace swapram::cache

@@ -23,7 +23,8 @@ enum class Policy : std::uint8_t {
      *  proof-of-concept design). */
     CircularQueue,
     /** Stack: most-recently-cached replacement (the counterproductive
-     *  alternative §3.4 discusses; kept for the ablation bench). */
+     *  alternative §3.4 discusses; kept for the paper's replacement
+     *  ablation). */
     Stack,
 };
 

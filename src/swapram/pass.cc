@@ -70,7 +70,7 @@ passSymbols()
 } // namespace
 
 Program
-instrumentCalls(Program &&program, const FuncIds &funcs,
+instrumentCalls(Program program, const FuncIds &funcs,
                 const Options &options, PassStats *stats)
 {
     const PassSymbols &sym = passSymbols();
@@ -161,14 +161,7 @@ instrumentCalls(Program &&program, const FuncIds &funcs,
 
     if (stats)
         *stats = local;
-    return std::move(program);
-}
-
-Program
-instrumentCalls(const Program &program, const FuncIds &funcs,
-                const Options &options, PassStats *stats)
-{
-    return instrumentCalls(Program(program), funcs, options, stats);
+    return program;
 }
 
 } // namespace swapram::cache

@@ -58,15 +58,11 @@ struct PassStats {
 };
 
 /** Apply the instrumentation; returns the transformed program. The
- *  program is rewritten in place: its statements move, none is copied,
- *  and its spare capacity carries over. */
-masm::Program instrumentCalls(masm::Program &&program, const FuncIds &funcs,
+ *  program is taken by value (move it in; an lvalue is copied) and
+ *  rewritten in place: its statements move, none is copied, and its
+ *  spare capacity carries over. */
+masm::Program instrumentCalls(masm::Program program, const FuncIds &funcs,
                               const Options &options,
-                              PassStats *stats = nullptr);
-
-/** instrumentCalls() on a copy of @p program. */
-masm::Program instrumentCalls(const masm::Program &program,
-                              const FuncIds &funcs, const Options &options,
                               PassStats *stats = nullptr);
 
 } // namespace swapram::cache

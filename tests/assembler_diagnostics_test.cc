@@ -4,12 +4,12 @@
  *
  * Each case is a source whose assembly fails. The expected messages
  * were recorded from the string-keyed assembler that interned symbols
- * replaced; they must not change. Each source is checked twice: from
- * masm::assemble, where lines count from the top of the source, and
- * as a workload through harness::runOne, where the message names the
- * workload and the line within it. Two recorded quirks stand: a
- * duplicate symbol names no line, and a literal operand that does not
- * fit in 16 bits is reported at line 0 (operand sizing sees no line).
+ * replaced; they must not change, except that a duplicate symbol and a
+ * literal operand that does not fit in 16 bits now name the line of
+ * the offending statement (they named none, or line 0). Each source is
+ * checked twice: from masm::assemble, where lines count from the top
+ * of the source, and as a workload through harness::runOne, where the
+ * message names the workload and the line within it.
  */
 
 #include <gtest/gtest.h>
@@ -73,18 +73,18 @@ cases()
          "fatal: line 6: undefined symbol 'gone'",
          "fatal: undefined_in_equ:6: undefined symbol 'gone'"},
         {"duplicate_label", withMain("twice:\n        NOP\ntwice:\n"),
-         "fatal: duplicate symbol 'twice'",
-         "fatal: duplicate symbol 'twice'"},
+         "fatal: line 7: duplicate symbol 'twice'",
+         "fatal: duplicate_label:7: duplicate symbol 'twice'"},
         {"duplicate_func",
          withMain("main:\n        NOP\n"),
-         "fatal: duplicate symbol 'main'",
-         "fatal: duplicate symbol 'main'"},
+         "fatal: line 5: duplicate symbol 'main'",
+         "fatal: duplicate_func:5: duplicate symbol 'main'"},
         {"duplicate_builtin", withMain("__DONE:\n        NOP\n"),
-         "fatal: duplicate symbol '__DONE'",
-         "fatal: duplicate symbol '__DONE'"},
+         "fatal: line 5: duplicate symbol '__DONE'",
+         "fatal: duplicate_builtin:5: duplicate symbol '__DONE'"},
         {"duplicate_end", withMain("__end_main:\n        NOP\n"),
-         "fatal: duplicate symbol '__end_main'",
-         "fatal: duplicate symbol '__end_main'"},
+         "fatal: line 5: duplicate symbol '__end_main'",
+         "fatal: duplicate_end:5: duplicate symbol '__end_main'"},
         {"equ_cycle",
          withMain("        .equ a, b\n        .equ b, a\n"
                   "        MOV #a, R4\n"),
@@ -107,11 +107,11 @@ cases()
          "fatal: line 6: value -40000 does not fit in 16 bits",
          "fatal: word_too_small:6: value -40000 does not fit in 16 bits"},
         {"immediate_too_big", withMain("        MOV #70000, R4\n"),
-         "fatal: line 0: value 70000 does not fit in 16 bits",
-         "fatal: line 0: value 70000 does not fit in 16 bits"},
+         "fatal: line 5: value 70000 does not fit in 16 bits",
+         "fatal: immediate_too_big:5: value 70000 does not fit in 16 bits"},
         {"absolute_too_big", withMain("        MOV &0x12345, R4\n"),
-         "fatal: line 0: value 74565 does not fit in 16 bits",
-         "fatal: line 0: value 74565 does not fit in 16 bits"},
+         "fatal: line 5: value 74565 does not fit in 16 bits",
+         "fatal: absolute_too_big:5: value 74565 does not fit in 16 bits"},
         {"symbolic_immediate_too_big",
          withMain("        .equ big, 0x10000\n        MOV #big, R4\n"),
          "fatal: line 6: value 65536 does not fit in 16 bits",

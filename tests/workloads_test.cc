@@ -13,6 +13,7 @@
 
 #include "harness/runner.hh"
 #include "masm/parser.hh"
+#include "support/logging.hh"
 #include "workloads/workload.hh"
 
 namespace swapram::workloads {
@@ -205,6 +206,27 @@ TEST(Workloads, ArithKernelRunsEverywhere)
         ASSERT_TRUE(m.done);
         EXPECT_EQ(m.checksum, w.expected)
             << harness::placementName(placement);
+    }
+}
+
+TEST(Workloads, CacheSystemsRefuseCodeInSram)
+{
+    // The cache runtimes copy code into SRAM; code placed there already
+    // is refused, naming the placement and the system.
+    for (auto system : {System::SwapRam, System::BlockCache}) {
+        for (auto placement : {Placement::SramCode, Placement::SramAll}) {
+            std::string what = "(ran)";
+            try {
+                harness::run(*workloads::find("crc"), system, placement);
+            } catch (const support::FatalError &e) {
+                what = e.what();
+            }
+            EXPECT_EQ(what, "fatal: placement '" +
+                                harness::placementName(placement) +
+                                "' puts the code in SRAM, where system '" +
+                                harness::systemName(system) +
+                                "' caches it; use unified, standard or split");
+        }
     }
 }
 

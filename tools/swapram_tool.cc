@@ -11,6 +11,7 @@
  *   swapram_tool heatmap   <file.s|--workload name> [options]
  *   swapram_tool faults    <file.s|--workload name> [options]
  *   swapram_tool sweep     [--workload LIST] [--systems LIST] [options]
+ *   swapram_tool paper     [--jobs N] [--json] [--progress]
  *   swapram_tool disasm    <file.s|--workload name> --func NAME
  *
  * Common options:
@@ -111,6 +112,13 @@
  *   --cap-brown-out UJ       power-fail threshold in uJ (20)
  *   --cap-leak UW            parasitic leak in uW (10)
  *
+ * Paper (paper): every table of the paper's evaluation (Tables 1-2,
+ * Figures 1 and 7-10, the ablations) from one run of their distinct
+ * cells; --json prints the swapram-paper/v1 document the tables are
+ * rendered from (pinned as tests/golden/paper.json). It takes no
+ * other option, and fails if a cell that fits misses its golden
+ * checksum.
+ *
  * Sweep options (sweep):
  *   --systems LIST           comma list of baseline,swapram,block or
  *                            "all" (the default)
@@ -142,6 +150,7 @@
 #include "blockcache/builder.hh"
 #include "ckpt/options.hh"
 #include "harness/engine.hh"
+#include "harness/paper.hh"
 #include "sim/harvest.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
@@ -212,7 +221,7 @@ usage()
     std::fprintf(
         stderr,
         "usage: swapram_tool <assemble|transform|run|profile|trace|"
-        "heatmap|faults|sweep|disasm>\n"
+        "heatmap|faults|sweep|paper|disasm>\n"
         "                    <file.s | --workload NAME[,NAME...|all]> "
         "[options]\n"
         "         --jobs N   --systems LIST   --update-golden\n"
@@ -314,12 +323,16 @@ parseArgs(int argc, char **argv)
         usage();
     Args args;
     args.command = argv[1];
-    // sweep defaults to the full workload × system matrix, so it is
-    // the one command that needs no input argument.
-    if (argc < 3 && args.command != "sweep")
+    // sweep defaults to the full workload × system matrix, and paper
+    // runs a fixed set, so they need no input argument.
+    if (argc < 3 && args.command != "sweep" && args.command != "paper")
         usage();
     for (int i = 2; i < argc; ++i) {
         std::string a = argv[i];
+        // Nothing may change the pinned document.
+        if (args.command == "paper" && a != "--jobs" && a != "--json" &&
+            a != "--progress")
+            usage();
         auto next = [&]() -> std::string {
             if (i + 1 >= argc)
                 usage();
@@ -944,7 +957,7 @@ fixPlacementForCkpt(Args &args, const char *what)
         return;
     if (args.placement_set) {
         support::fatal("checkpointing requires the stack in SRAM; use "
-                       "--placement standard|sram-all|split");
+                       "--placement standard|split");
     }
     args.placement = harness::Placement::Standard;
     std::fprintf(stderr,
@@ -1137,6 +1150,20 @@ cmdSweep(const Args &args)
                      cells.size());
     }
     return all_ok ? 0 : 1;
+}
+
+/** The paper's tables, as text or as their JSON document. */
+int
+cmdPaper(const Args &args)
+{
+    const support::json::Value doc = harness::paperDocument(
+        harness::Engine(args.jobs), makeProgress(args.progress, "paper"));
+    std::printf("%s", args.json ? (doc.dump(2) + "\n").c_str()
+                                : harness::paperText(doc).c_str());
+    const support::json::Array &failures = doc["failures"].asArray();
+    for (const support::json::Value &key : failures)
+        std::fprintf(stderr, "paper: %s failed\n", key.dump().c_str());
+    return failures.empty() ? 0 : 1;
 }
 
 /** Shared driver for run / profile / trace. */
@@ -1939,6 +1966,8 @@ main(int argc, char **argv)
             return cmdFaults(args);
         if (args.command == "sweep")
             return cmdSweep(args);
+        if (args.command == "paper")
+            return cmdPaper(args);
         usage();
     } catch (const std::exception &e) {
         std::fprintf(stderr, "%s\n", e.what());
