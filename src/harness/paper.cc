@@ -109,7 +109,8 @@ nvm(const Value &cell)
 
 /** The cells one row reads, in the order its Line lists their runs. */
 using Runs = std::vector<const Value *>;
-/** A column's number in one row; none when a cell it reads did not fit. */
+/** A column's number in one row; none (printed "DNF") when a cell it
+ *  reads did not fit. */
 using Measure = std::function<std::optional<double>(const Runs &)>;
 using Format = std::function<std::string(double)>;
 
@@ -163,7 +164,6 @@ struct Column {
     /** The summary row's cell: empty, or the column's geometric or
      *  arithmetic mean, formatted. */
     enum Summary { None, GeoMean, Mean } summary = None;
-    std::string missing = "DNF"; ///< printed when the measure has none
 };
 
 /** One row: its leading cells and the runs its columns read. */
@@ -214,7 +214,7 @@ compute(const Spec &spec, Plan &plan, const std::vector<Value> &cells)
         for (std::size_t k = 0; k < spec.columns.size(); ++k) {
             const Column &col = spec.columns[k];
             const std::optional<double> v = col.measure(runs);
-            row.push_back(v ? col.format(*v) : col.missing);
+            row.push_back(v ? col.format(*v) : "DNF");
             if (v)
                 numbers[k].push_back(*v);
         }
@@ -358,7 +358,7 @@ table2(const std::string &name, const std::string &what)
             {"Benchmark"},
             {{"Baseline", counter(0, name), kCommas},
              {"Block-based", counter(2, name), kCommas},
-             {"", ratio(2, 0, name), kDelta, Column::GeoMean, ""},
+             {"", ratio(2, 0, name), kDelta, Column::GeoMean},
              {"SwapRAM", counter(1, name), kCommas},
              {"", ratio(1, 0, name), kDelta, Column::GeoMean}},
             systems(),
@@ -413,32 +413,29 @@ Spec
 figure8(System system)
 {
     const bool swap = system == System::SwapRam;
-    Spec spec{swap ? "fig8_swapram" : "fig8_block",
-              std::string("Figure 8, ") + (swap ? "SwapRAM" : "block cache") +
-                  ": dynamic instruction breakdown, % of the baseline "
-                  "instruction count",
-              {"Benchmark"},
-              {},
-              systems()};
-    // Each owner's instructions (all of them last) as a % of the
-    // baseline's; a DNF row shows "DNF" once.
-    for (const auto &[header, owner] :
-         {std::pair{"app-FRAM %", "app-fram"}, {"app-SRAM %", "app-sram"},
-          {"handler %", "handler"}, {"memcpy %", "memcpy"}, {"total %", ""}}) {
-        spec.columns.push_back(
-            {header,
-             [i = swap ? 1u : 2u, owner = std::string(owner)](const Runs &r)
-                 -> std::optional<double> {
-                 if (!flag(*r[i], "fits"))
-                     return {};
-                 const double part =
-                     owner.empty() ? count(*r[i], "instructions")
-                                   : count((*r[i])["instr_by_owner"], owner);
-                 return 100.0 * part / count(*r[0], "instructions");
-             },
-             decimals(1), Column::None, spec.columns.empty() ? "DNF" : ""});
-    }
-    return spec;
+    // Instructions of one owner ("" for all of them) in the cache run,
+    // as a % of the baseline run's instructions.
+    auto share = [i = swap ? 1u : 2u](std::string owner) -> Measure {
+        return [=](const Runs &r) -> std::optional<double> {
+            if (!flag(*r[i], "fits"))
+                return {};
+            const double part =
+                owner.empty() ? count(*r[i], "instructions")
+                              : count((*r[i])["instr_by_owner"], owner);
+            return 100.0 * part / count(*r[0], "instructions");
+        };
+    };
+    return {swap ? "fig8_swapram" : "fig8_block",
+            std::string("Figure 8, ") + (swap ? "SwapRAM" : "block cache") +
+                ": dynamic instruction breakdown, % of the baseline "
+                "instruction count",
+            {"Benchmark"},
+            {{"app-FRAM %", share("app-fram"), decimals(1)},
+             {"app-SRAM %", share("app-sram"), decimals(1)},
+             {"handler %", share("handler"), decimals(1)},
+             {"memcpy %", share("memcpy"), decimals(1)},
+             {"total %", share(""), decimals(1)}},
+            systems()};
 }
 
 Spec
@@ -469,12 +466,11 @@ figure10(std::uint32_t clock_hz)
             {{"standard cyc", counter(0, "total_cycles"), kCommas},
              {"SR split cyc", counter(1, "total_cycles"), kCommas},
              {"SR speedup", ratio(0, 1, "total_cycles"), kTimes,
-              Column::GeoMean, "-"},
+              Column::GeoMean},
              {"SR energy", ratio(1, 0, "energy_pj"), kDelta,
-              Column::GeoMean, "-"},
+              Column::GeoMean},
              {"BB split cyc", counter(2, "total_cycles"), kCommas},
-             {"BB speedup", ratio(0, 2, "total_cycles"), kTimes,
-              Column::None, "-"}},
+             {"BB speedup", ratio(0, 2, "total_cycles"), kTimes}},
             systems(clock_hz, {"crc", "aes", "bitcount", "rsa"},
                     Placement::Standard, Placement::Split),
             "Geo. mean"};
