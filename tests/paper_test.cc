@@ -38,7 +38,8 @@ tableOf(const std::string &id)
             return t;
     }
     ADD_FAILURE() << "no table " << id;
-    return document()["no such table"];
+    static const Value none;
+    return none;
 }
 
 /** Column @p col of the row of table @p id that starts with @p first,
