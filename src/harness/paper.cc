@@ -53,7 +53,7 @@ cellJson(const RunSpec &spec, const RunOutcome &outcome)
         return cell;
     }
     const Metrics &m = outcome.metrics;
-    const sim::Stats &s = m.stats;
+    const sim::SimStats &s = m.stats;
     // The static sizes are kept for a DNF too.
     cell.insert({{"fits", m.fits}, {"text_bytes", m.text_bytes},
                  {"const_bytes", m.const_bytes}, {"data_bytes", m.data_bytes},
@@ -556,12 +556,11 @@ ablationFreeze()
              {{"freeze after 4 aborts"}, {frozen}}}};
 }
 
-} // namespace
-
-Value
-paperDocument(const Engine &engine, const ProgressFn &progress)
+/** Every table of the document, in document order. */
+std::vector<Spec>
+tableSpecs()
 {
-    const std::vector<Spec> specs = {
+    return {
         table1(),
         figure1(kMHz24),
         figure1(kMHz8),
@@ -579,6 +578,12 @@ paperDocument(const Engine &engine, const ProgressFn &progress)
         ablationBlacklist(),
         ablationFreeze(),
     };
+}
+
+/** The distinct cells @p specs read. */
+Plan
+planOf(const std::vector<Spec> &specs)
+{
     Plan plan;
     for (const Spec &spec : specs) {
         for (const Line &line : spec.lines) {
@@ -586,6 +591,22 @@ paperDocument(const Engine &engine, const ProgressFn &progress)
                 plan.need(run);
         }
     }
+    return plan;
+}
+
+} // namespace
+
+std::vector<RunSpec>
+paperSpecs()
+{
+    return planOf(tableSpecs()).specs;
+}
+
+Value
+paperDocument(const Engine &engine, const ProgressFn &progress)
+{
+    const std::vector<Spec> specs = tableSpecs();
+    Plan plan = planOf(specs);
     std::vector<RunOutcome> outcomes = engine.runAll(plan.specs, progress);
     std::vector<Value> cells;
     json::Array failures;

@@ -18,18 +18,23 @@
 #define SWAPRAM_HARNESS_PAPER_HH
 
 #include <string>
+#include <vector>
 
 #include "harness/engine.hh"
 #include "support/json.hh"
 
 namespace swapram::harness {
 
+/** The distinct cells the document's tables read, in the order the
+ *  tables first ask for them: paperDocument() runs each once. */
+std::vector<RunSpec> paperSpecs();
+
 /**
- * Run every cell once on @p engine and build the document. Its
- * "failures" lists the key of each cell that threw, or that fitted and
- * did not finish with its workload's golden checksum. It holds no host
- * timing and no job count, so its bytes are the same at any engine
- * size.
+ * Run every paperSpecs() cell once on @p engine and build the
+ * document. Its "failures" lists the key of each cell that threw, or
+ * that fitted and did not finish with its workload's golden checksum.
+ * It holds no host timing and no job count, so its bytes are the same
+ * at any engine size.
  */
 support::json::Value paperDocument(const Engine &engine,
                                    const ProgressFn &progress = {});

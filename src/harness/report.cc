@@ -126,7 +126,7 @@ accessJson(const sim::AccessCounts &a)
 }
 
 json::Value
-statsJson(const sim::Stats &s)
+statsJson(const sim::SimStats &s)
 {
     json::Object owners;
     for (int i = 0; i < sim::kNumOwners; ++i) {
@@ -150,6 +150,13 @@ statsJson(const sim::Stats &s)
         {"interrupts", s.interrupts},
         {"reboots", s.reboots},
         {"recovery_cycles", s.recovery_cycles},
+    };
+}
+
+json::Value
+hostJson(const sim::TierCounters &s)
+{
+    return json::Object{
         {"predecode_hits", s.predecode_hits},
         {"predecode_misses", s.predecode_misses},
         {"predecode_invalidations", s.predecode_invalidations},
@@ -356,6 +363,7 @@ RunReport::json() const
         return root;
     }
     root.emplace("stats", statsJson(m.stats));
+    root.emplace("host", hostJson(m.stats));
     root.emplace("energy_pj", m.energy_pj);
     root.emplace("seconds", m.seconds);
     if (m.harvested_pj || m.wall_seconds) {

@@ -3,7 +3,7 @@
  * Reporting: fixed-width text tables, percent deltas, and geometric
  * means (the way the paper reports Table 2 and Figures 7-10; see
  * harness/paper.hh) — plus RunReport, the machine-readable
- * record of one experiment (JSON schema "swapram-run-report/v1")
+ * record of one experiment (JSON schema "swapram-run-report/v2")
  * consumed by swapram_tool's --json mode and the CI smoke check.
  */
 
@@ -68,7 +68,7 @@ support::json::Value metricsJson(const metrics::RunMetrics &rm);
  */
 struct RunReport {
     /** Schema identifier emitted as the "schema" key. */
-    static constexpr const char *kSchema = "swapram-run-report/v1";
+    static constexpr const char *kSchema = "swapram-run-report/v2";
 
     std::string workload;
     std::string system;    ///< systemName()

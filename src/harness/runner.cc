@@ -855,13 +855,8 @@ buildOne(const RunSpec &spec)
 Metrics
 runOne(const RunSpec &spec)
 {
-    const std::uint64_t parsed_before = masm::statementsParsed();
-    return withSourceLines(spec, [&](std::string &stub) {
-        Metrics m = runWithStub(spec, stub);
-        m.host_statements_parsed =
-            masm::statementsParsed() - parsed_before;
-        return m;
-    });
+    return withSourceLines(
+        spec, [&](std::string &stub) { return runWithStub(spec, stub); });
 }
 
 IntermittentCheck

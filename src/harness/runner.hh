@@ -220,12 +220,6 @@ struct Metrics {
     std::uint16_t rt_ckpt_commits = 0;  ///< checkpoints sealed
     std::uint16_t rt_ckpt_restores = 0; ///< boots resumed from one
 
-    /** Statements masm::parse produced during this run (host-side,
-     *  like the Stats fast-path counters). A workload source parsed by
-     *  an earlier run is not parsed again, so the count depends on run
-     *  order: no report carries it. */
-    std::uint64_t host_statements_parsed = 0;
-
     std::uint32_t
     totalNvmBytes() const
     {

@@ -550,9 +550,6 @@ parseInstruction(Cursor &cur, std::string_view raw, Program &out)
     }
 }
 
-/** Running total behind statementsParsed(). */
-thread_local std::uint64_t t_statements_parsed = 0;
-
 } // namespace
 
 void
@@ -593,7 +590,6 @@ parseAppend(const std::string &source, Program &program)
         else
             parseInstruction(cur, head.text, program);
     }
-    t_statements_parsed += program.stmts.size() - before;
 }
 
 Program
@@ -602,12 +598,6 @@ parse(const std::string &source)
     Program program;
     parseAppend(source, program);
     return program;
-}
-
-std::uint64_t
-statementsParsed()
-{
-    return t_statements_parsed;
 }
 
 std::shared_ptr<const Program>

@@ -12,7 +12,6 @@
 #ifndef SWAPRAM_MASM_PARSER_HH
 #define SWAPRAM_MASM_PARSER_HH
 
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -30,10 +29,6 @@ Program parse(const std::string &source);
  *  1 as parse() numbers them. Grows the statement vector at most once.
  *  On a parse error @p program keeps the statements before it. */
 void parseAppend(const std::string &source, Program &program);
-
-/** Statements parse() has produced on the calling thread so far: a
- *  host-side work counter (take differences around a span of work). */
-std::uint64_t statementsParsed();
 
 /**
  * The parse of one source text, kept for reuse. Holders share it

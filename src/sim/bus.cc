@@ -65,14 +65,12 @@ Bus::account(std::uint16_t addr, RegionKind region, AccessKind kind)
         // read cache's tag state.
         bool hit = false;
         if (kind != AccessKind::Write) {
-            if (config_.hw_cache_enabled) {
-                hit = hw_cache_.access(addr);
-                if (trace_ && trace_->wants(trace::kCatHwCache)) {
-                    trace_->emit({now(),
-                                  hit ? trace::EventKind::HwCacheHit
-                                      : trace::EventKind::HwCacheMiss,
-                                  0, addr, 0, 0});
-                }
+            hit = hw_cache_.access(addr);
+            if (trace_ && trace_->wants(trace::kCatHwCache)) {
+                trace_->emit({now(),
+                              hit ? trace::EventKind::HwCacheHit
+                                  : trace::EventKind::HwCacheMiss,
+                              0, addr, 0, 0});
             }
             if (hit)
                 ++stats_.fram_cache_hits;

@@ -1,7 +1,7 @@
 /**
  * @file
  * Machine configuration: clock frequency (which sets the FRAM wait
- * states), hardware cache enable, host tiers, and run limits.
+ * states), host tiers, and run limits.
  */
 
 #ifndef SWAPRAM_SIM_CONFIG_HH
@@ -17,10 +17,6 @@ namespace swapram::sim {
 struct MachineConfig {
     /** CPU clock (MCLK). The paper evaluates 8 MHz and 24 MHz. */
     std::uint32_t clock_hz = 24'000'000;
-
-    /** Model the 2-way/4-line hardware read cache (always present on
-     *  the real device; disable only for experiments). */
-    bool hw_cache_enabled = true;
 
     /** Abort the run after this many total cycles. */
     std::uint64_t max_cycles = 4'000'000'000ull;

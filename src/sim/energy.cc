@@ -19,7 +19,7 @@ EnergyModel::corePjPerCycle(std::uint32_t clock_hz) const
 }
 
 double
-EnergyModel::totalPj(const Stats &stats, std::uint32_t clock_hz) const
+EnergyModel::totalPj(const SimStats &stats, std::uint32_t clock_hz) const
 {
     double core = corePjPerCycle(clock_hz) *
                   static_cast<double>(stats.totalCycles());

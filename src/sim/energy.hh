@@ -36,11 +36,11 @@ struct EnergyModel {
     double corePjPerCycle(std::uint32_t clock_hz) const;
 
     /** Total energy of a run, in picojoules. */
-    double totalPj(const Stats &stats, std::uint32_t clock_hz) const;
+    double totalPj(const SimStats &stats, std::uint32_t clock_hz) const;
 
     /** Run time in seconds at @p clock_hz. */
     static double
-    seconds(const Stats &stats, std::uint32_t clock_hz)
+    seconds(const SimStats &stats, std::uint32_t clock_hz)
     {
         return static_cast<double>(stats.totalCycles()) / clock_hz;
     }

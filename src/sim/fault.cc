@@ -44,7 +44,7 @@ FaultInjector::FaultInjector(const FaultPlan &plan)
 }
 
 void
-FaultInjector::bindEnergy(const Stats *stats, const EnergyModel &model,
+FaultInjector::bindEnergy(const SimStats *stats, const EnergyModel &model,
                           std::uint32_t clock_hz)
 {
     if (plan_.kind != FaultPlan::Kind::Trace)

@@ -122,7 +122,7 @@ class FaultInjector
      * @p stats must outlive the injector and belong to the machine
      * whose run loop calls shouldFail().
      */
-    void bindEnergy(const Stats *stats, const EnergyModel &model,
+    void bindEnergy(const SimStats *stats, const EnergyModel &model,
                     std::uint32_t clock_hz);
 
     /**
@@ -179,7 +179,7 @@ class FaultInjector
     std::uint64_t failures_ = 0;
 
     // Trace-plan state (see bindEnergy).
-    const Stats *stats_ = nullptr;
+    const SimStats *stats_ = nullptr;
     EnergyModel energy_;
     std::uint32_t clock_hz_ = 0;
     double worst_pj_per_cycle_ = 0;

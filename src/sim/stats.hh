@@ -4,7 +4,8 @@
  * cycle counts, per-region access counts, hardware-cache behaviour, and
  * the classifications the paper's evaluation is built on (code vs data
  * space accesses for Table 1; instruction attribution by code owner for
- * Figure 8; FRAM accesses and unstalled cycles for Table 2).
+ * Figure 8; FRAM accesses and unstalled cycles for Table 2), kept
+ * apart from the host-side counters of the tier that ran the program.
  */
 
 #ifndef SWAPRAM_SIM_STATS_HH
@@ -12,6 +13,7 @@
 
 #include <array>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 
 namespace swapram::sim {
@@ -35,10 +37,15 @@ struct AccessCounts {
     std::uint64_t write = 0;
 
     std::uint64_t total() const { return fetch + read + write; }
+    bool operator==(const AccessCounts &) const = default;
 };
 
-/** All counters for one run. */
-struct Stats {
+/**
+ * What the modelled hardware did in one run: every counter the paper's
+ * numbers are computed from. The host tier that ran the program never
+ * moves any of them, so tier twins compare the whole struct with ==.
+ */
+struct SimStats {
     std::uint64_t instructions = 0;
     /** Unstalled CPU cycles (Table 2's "CPU Cycles"). */
     std::uint64_t base_cycles = 0;
@@ -64,28 +71,32 @@ struct Stats {
     /** Cycles spent inside the registered boot-recovery routine. */
     std::uint64_t recovery_cycles = 0;
 
-    /**
-     * Predecode cache behaviour (host-side only: these never feed
-     * back into simulated timing, which must be identical with the
-     * cache disabled). Only oracle-tier runs have the cache; there
-     * invalidations count every bus write.
-     */
+    std::uint64_t totalCycles() const { return base_cycles + stall_cycles; }
+    std::uint64_t framAccesses() const { return fram.total(); }
+    bool operator==(const SimStats &) const = default;
+};
+
+/** Every counter on one line (also gtest's printer for SimStats). */
+std::ostream &operator<<(std::ostream &os, const SimStats &s);
+
+/**
+ * Host-side counters of the decode caches and the threaded tier. They
+ * never feed back into simulated timing, and they differ by tier by
+ * design, so no twin compares them.
+ */
+struct TierCounters {
+    /** Predecode cache. Only oracle-tier runs have the cache; there
+     *  invalidations count every bus write. */
     std::uint64_t predecode_hits = 0;
     std::uint64_t predecode_misses = 0;
     std::uint64_t predecode_invalidations = 0;
 
-    /**
-     * Block cache behaviour (host-side only, like the predecode
-     * counters: block coverage never feeds back into simulated timing,
-     * which must be identical with the fast path disabled).
-     */
+    /** Block cache. */
     std::uint64_t superblock_blocks_built = 0; ///< non-empty builds
     /** Cached block found stale (write generations moved) and rebuilt. */
     std::uint64_t superblock_invalidations = 0;
 
-    /**
-     * Threaded dispatcher behaviour (host-side only, same contract).
-     */
+    /** Threaded dispatcher. */
     std::uint64_t threaded_blocks_lowered = 0; ///< blocks lowered
     std::uint64_t threaded_dispatches = 0;     ///< blocks executed
     std::uint64_t threaded_instructions = 0;   ///< retired threaded
@@ -109,9 +120,15 @@ struct Stats {
     std::uint64_t superblock_bail_operand = 0;  ///< perfbench reads it
     std::uint64_t superblock_bail_smc = 0;      ///< perfbench reads it
     std::uint64_t superblock_bail_boundary = 0; ///< perfbench reads it
+};
 
-    std::uint64_t totalCycles() const { return base_cycles + stall_cycles; }
-    std::uint64_t framAccesses() const { return fram.total(); }
+/**
+ * All counters the Machine keeps for one run. Not comparable: a twin
+ * compares simulated(), so the host counters cannot slip into it.
+ */
+struct Stats : SimStats, TierCounters {
+    bool operator==(const Stats &) const = delete;
+    const SimStats &simulated() const { return *this; }
 };
 
 } // namespace swapram::sim

@@ -95,7 +95,7 @@ struct TDelta {
     std::uint8_t d_base = 0, d_fetch = 0, d_code = 0, d_data = 0;
     std::uint8_t d_sram_r = 0, d_sram_w = 0;
     std::uint8_t d_fram_r = 0, d_fram_w = 0;
-    std::uint8_t d_hits = 0, d_misses = 0;
+    std::uint8_t d_hits = 0;
 };
 
 static_assert(kNumAcc * sizeof(std::uint32_t) == 64,
@@ -120,7 +120,6 @@ addDelta(Totals &tot, const TDelta &dl, bool fram_code)
     tot[kAccFramRead] += dl.d_fram_r;
     tot[kAccFramWrite] += dl.d_fram_w;
     tot[kAccHits] += dl.d_hits;
-    tot[kAccMisses] += dl.d_misses;
 }
 
 /** Chain-key bit of a block in the recovery range; the low byte is
@@ -266,7 +265,6 @@ struct DCtx {
     std::uint32_t sram_size = 0;
     std::uint16_t code_base = 0;
     std::uint32_t code_end = 0;
-    bool hw_on = true;
 
     // Per-block self-modification window: bounds every segment of
     // the running trace (a hit is checked against the segments).
@@ -476,7 +474,7 @@ dynFramRead(DCtx *st, std::uint16_t addr)
 {
     std::uint32_t contention =
         st->chain.next(addr) ? fram::kContentionStall : 0;
-    bool hit = st->hw_on && st->hw->access(addr);
+    bool hit = st->hw->access(addr);
     ++st->acc[hit ? kAccHits : kAccMisses];
     st->acc[kAccStall] += fram::accessStall(hit, st->ws, contention);
 }
@@ -1272,7 +1270,6 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
 {
     auto tc = std::make_shared<ThreadedCode>();
     const bool fram_code = block.fetch_region == RegionKind::Fram;
-    const bool hw_on = config_.hw_cache_enabled;
     const std::uint32_t ws = config_.effectiveWaitStates();
     constexpr std::uint32_t cstall = fram::kContentionStall;
     const std::uint16_t code_base = bus_.codeBase();
@@ -1339,25 +1336,20 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         fram::LineChain chain{t.chain, t.lastline};
         return chain.next(addr) ? cstall : 0u;
     };
-    // Fold one static-address data read into op statics. With the
-    // hardware cache on, only the hit/miss outcome stays a runtime
-    // probe; both outcomes' stalls are precomputed.
+    // Fold one static-address data read into op statics. Only the
+    // hardware cache's hit/miss outcome stays a runtime probe; both
+    // outcomes' stalls are precomputed.
     auto staticRead = [&](std::uint16_t addr, TOp &t, TDelta &dl) {
         ++(fram::inCode(addr, code_base, code_end) ? dl.d_code
                                                    : dl.d_data);
         if (addr >= platform::kFramBase) {
             ++dl.d_fram_r;
             std::uint32_t cont = staticContention(addr, t);
-            if (hw_on) {
-                t.probe = 1;
-                t.d0_hit = static_cast<std::uint16_t>(
-                    fram::accessStall(true, ws, cont));
-                t.d0_miss = static_cast<std::uint16_t>(
-                    fram::accessStall(false, ws, cont));
-            } else {
-                ++dl.d_misses;
-                dl.d_stall += fram::accessStall(false, ws, cont);
-            }
+            t.probe = 1;
+            t.d0_hit = static_cast<std::uint16_t>(
+                fram::accessStall(true, ws, cont));
+            t.d0_miss = static_cast<std::uint16_t>(
+                fram::accessStall(false, ws, cont));
         } else {
             ++dl.d_sram_r;
         }
@@ -1410,42 +1402,35 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         if (fram_code) {
             t.chain = bi.n_words;
             t.lastline = static_cast<std::uint16_t>(bi.last_fetch_line);
-            if (hw_on) {
-                int runs = 0;
-                for (int w = 0; w < bi.n_words; ++w) {
-                    if (w == 0 || bi.fetch_contends[w]) {
-                        std::uint16_t wa = static_cast<std::uint16_t>(
-                            bi.pc + 2 * w);
-                        if (runs == 0)
-                            t.fa0 = wa;
-                        else
-                            t.fa1 = wa;
-                        ++runs;
-                    }
+            int runs = 0;
+            for (int w = 0; w < bi.n_words; ++w) {
+                if (w == 0 || bi.fetch_contends[w]) {
+                    std::uint16_t wa = static_cast<std::uint16_t>(
+                        bi.pc + 2 * w);
+                    if (runs == 0)
+                        t.fa0 = wa;
+                    else
+                        t.fa1 = wa;
+                    ++runs;
                 }
-                // A leading run never contends.
-                std::uint32_t lead = 0;
-                if (runs > 0 && fold_clean &&
-                    fram::lineOf(bi.pc) == fold_line) {
-                    // The surviving probe (if any) is the old second
-                    // run — a contending line change, not a leading
-                    // run — so it keeps run-1 stall contributions.
-                    t.fa0 = t.fa1;
-                    lead = cstall;
-                    --runs;
-                }
-                t.fc0 = static_cast<std::uint16_t>(
-                    fram::accessStall(true, ws, lead));
-                t.fm0 = static_cast<std::uint16_t>(
-                    fram::accessStall(false, ws, lead));
-                t.runs = static_cast<std::uint8_t>(runs);
-                dl.d_hits = static_cast<std::uint8_t>(bi.n_words - runs);
-            } else {
-                for (int w = 0; w < bi.n_words; ++w)
-                    dl.d_stall += fram::accessStall(
-                        false, ws, bi.fetch_contends[w] ? cstall : 0);
-                dl.d_misses = bi.n_words;
             }
+            // A leading run never contends.
+            std::uint32_t lead = 0;
+            if (runs > 0 && fold_clean &&
+                fram::lineOf(bi.pc) == fold_line) {
+                // The surviving probe (if any) is the old second
+                // run — a contending line change, not a leading
+                // run — so it keeps run-1 stall contributions.
+                t.fa0 = t.fa1;
+                lead = cstall;
+                --runs;
+            }
+            t.fc0 = static_cast<std::uint16_t>(
+                fram::accessStall(true, ws, lead));
+            t.fm0 = static_cast<std::uint16_t>(
+                fram::accessStall(false, ws, lead));
+            t.runs = static_cast<std::uint8_t>(runs);
+            dl.d_hits = static_cast<std::uint8_t>(bi.n_words - runs);
         }
         dl.d_code = bi.code_words;
         dl.d_data = static_cast<std::uint8_t>(bi.n_words - bi.code_words);
@@ -1743,7 +1728,6 @@ ThreadedEngine::runChain(const ChainLimits &limits)
     st.sram_size = config_.sram_size;
     st.code_base = bus_.codeBase();
     st.code_end = bus_.codeEnd();
-    st.hw_on = config_.hw_cache_enabled;
 
     st.eng = this;
     st.sb = &sb_;

@@ -42,13 +42,6 @@ struct Options {
     std::vector<std::string> blacklist;
 
     /**
-     * Rewrite PC-relative (symbolic) data operands to absolute mode in
-     * instrumented functions, which is required for the code to be
-     * runtime-relocatable. Disable only for experiments.
-     */
-    bool absolutize_data_refs = true;
-
-    /**
      * Thrash mitigation (the extension §5.4 proposes as future work):
      * after this many consecutive aborted caching attempts (a miss
      * that would have to evict an *active* function), the runtime
@@ -84,15 +77,6 @@ struct Options {
      * reproduces the pre-eviction runtime byte for byte.
      */
     bool evict = true;
-
-    /**
-     * Scan retries granted per miss once the first scan is blocked.
-     * Each retry bumps the candidate past the blocking function, so a
-     * budget of a few retries steps over every plausible cluster of
-     * active functions; the bound keeps the handler's worst case
-     * finite on pathological call stacks.
-     */
-    int evict_retries = 8;
 
     /**
      * Data-side SwapRAM pool in bytes (0 = off), carved from the top

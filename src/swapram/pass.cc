@@ -119,8 +119,9 @@ instrumentCalls(Program program, const FuncIds &funcs,
                 continue;
             }
         }
-        if (in_cacheable_func && options.absolutize_data_refs &&
-            s.kind == Statement::Kind::Instr) {
+        // PC-relative (symbolic) data operands become absolute: the
+        // instrumented code must be runtime-relocatable.
+        if (in_cacheable_func && s.kind == Statement::Kind::Instr) {
             auto absolutize = [&](std::optional<AsmOperand> &op) {
                 if (op && op->kind == OperKind::SymbolicMem) {
                     op->kind = OperKind::Absolute;

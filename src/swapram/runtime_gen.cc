@@ -11,6 +11,15 @@ namespace swapram::cache {
 
 namespace {
 
+/**
+ * Scan retries granted per miss once the first scan is blocked. Each
+ * retry bumps the candidate past the blocking function, so a budget of
+ * a few retries steps over every plausible cluster of active
+ * functions; the bound keeps the handler's worst case finite on
+ * pathological call stacks.
+ */
+constexpr int kEvictRetries = 8;
+
 /** Emit one .word table with a value per function. */
 void
 emitTable(std::ostringstream &os, const char *label, const FuncIds &funcs,
@@ -337,7 +346,7 @@ generateRuntimeAsm(const FuncIds &funcs, const RelocResult &relocs,
               "        MOV &__swp_retry, R12\n"
               "        TST R12\n"
               "        JNZ __swp_ev_dec\n"
-              "        MOV #" << (options.evict_retries + 1) << ", R12\n"
+              "        MOV #" << (kEvictRetries + 1) << ", R12\n"
               "__swp_ev_dec:\n"
               "        DEC R12\n"
               "        MOV R12, &__swp_retry\n"

@@ -9,8 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "harness/engine.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
@@ -132,45 +130,26 @@ TEST(Engine, ErrorsAreCapturedPerRunWithoutPoisoningTheBatch)
     EXPECT_THROW(Engine(4).runAllOrThrow(specs), support::FatalError);
 }
 
-/** Parse the library (once per process) before a test counts parsed
- *  statements per run. */
-void
-parseLibrary()
-{
-    harness::spliceSource(harness::startupSource(0x3000),
-                          workload("crc"), true);
-}
-
-/** A fresh Workload is parsed by its first run only. Later runs parse
- *  just their stub and the cache runtime, and report the same run.
- *  (The parse counter is in no report, so none needs masking.) */
+/** A Workload keeps the parse its first run made: later runs leave the
+ *  same Program in its memo and report the same run. */
 TEST(Engine, SecondRunReusesTheWorkloadParse)
 {
-    parseLibrary();
     for (System system :
          {System::Baseline, System::SwapRam, System::BlockCache}) {
         const workloads::Workload w = workloads::makeCrc();
         const RunSpec spec = harness::sweepSpec(w, system);
-        std::vector<RunOutcome> runs = Engine(1).runAll({spec, spec, spec});
+        std::vector<RunOutcome> runs = Engine(1).runAll({spec});
+        const std::shared_ptr<const masm::Program> kept =
+            w.parsed->get(w.source);
+        for (RunOutcome &o : Engine(1).runAll({spec, spec}))
+            runs.push_back(std::move(o));
         for (const RunOutcome &o : runs)
             ASSERT_TRUE(o.ok()) << o.error_text;
         const harness::Metrics &first = runs[0].metrics;
         const harness::Metrics &second = runs[1].metrics;
         const std::string name = harness::systemName(system);
 
-        EXPECT_EQ(first.host_statements_parsed -
-                      second.host_statements_parsed,
-                  masm::parse(w.source).stmts.size())
-            << name;
-        EXPECT_EQ(runs[2].metrics.host_statements_parsed,
-                  second.host_statements_parsed)
-            << name;
-        if (system == System::Baseline) {
-            EXPECT_EQ(second.host_statements_parsed,
-                      masm::parse(harness::startupSource(
-                                      0x3000, spec.main_repeats))
-                          .stmts.size());
-        }
+        EXPECT_EQ(w.parsed->get(w.source), kept) << name;
         EXPECT_EQ(harness::RunReport::make(spec, second).json().dump(2),
                   harness::RunReport::make(spec, first).json().dump(2))
             << name;
@@ -179,8 +158,9 @@ TEST(Engine, SecondRunReusesTheWorkloadParse)
     }
 }
 
-/** Eight runs race to parse one Workload nobody has parsed yet: one of
- *  them parses it, and the batch matches a serial one byte for byte. */
+/** Eight runs race to parse one Workload nobody has parsed yet, and the
+ *  batch matches a serial one byte for byte (the TSan leg runs this
+ *  for the first use of the shared parse). */
 TEST(Engine, SharedAstConcurrentFirstUse)
 {
     const workloads::Workload serial_w = workloads::makeCrc();
@@ -192,21 +172,7 @@ TEST(Engine, SharedAstConcurrentFirstUse)
     const workloads::Workload w = workloads::makeCrc();
     const std::vector<RunSpec> specs(
         8, harness::sweepSpec(w, System::SwapRam));
-    std::vector<RunOutcome> outcomes = Engine(4).runAll(specs);
-    EXPECT_EQ(serialize(specs, outcomes), want);
-
-    std::uint64_t least = outcomes[0].metrics.host_statements_parsed;
-    for (const RunOutcome &o : outcomes)
-        least = std::min(least, o.metrics.host_statements_parsed);
-    int parsers = 0;
-    for (const RunOutcome &o : outcomes) {
-        if (o.metrics.host_statements_parsed == least)
-            continue;
-        ++parsers;
-        EXPECT_EQ(o.metrics.host_statements_parsed - least,
-                  masm::parse(w.source).stmts.size());
-    }
-    EXPECT_EQ(parsers, 1);
+    EXPECT_EQ(serialize(specs, Engine(4).runAll(specs)), want);
 }
 
 TEST(Engine, JobCountDefaultsAndClamps)

@@ -40,19 +40,7 @@ expectTierStatsEqual(const harness::Metrics &a,
     EXPECT_EQ(a.checksum, b.checksum) << ctx;
     EXPECT_EQ(a.data_snapshot, b.data_snapshot) << ctx;
     EXPECT_EQ(a.console, b.console) << ctx;
-    EXPECT_EQ(a.stats.instructions, b.stats.instructions) << ctx;
-    EXPECT_EQ(a.stats.base_cycles, b.stats.base_cycles) << ctx;
-    EXPECT_EQ(a.stats.stall_cycles, b.stats.stall_cycles) << ctx;
-    EXPECT_EQ(a.stats.fram.total(), b.stats.fram.total()) << ctx;
-    EXPECT_EQ(a.stats.sram.total(), b.stats.sram.total()) << ctx;
-    EXPECT_EQ(a.stats.fram_cache_hits, b.stats.fram_cache_hits) << ctx;
-    EXPECT_EQ(a.stats.fram_cache_misses, b.stats.fram_cache_misses)
-        << ctx;
-    EXPECT_EQ(a.stats.code_space_accesses, b.stats.code_space_accesses)
-        << ctx;
-    EXPECT_EQ(a.stats.data_space_accesses, b.stats.data_space_accesses)
-        << ctx;
-    EXPECT_EQ(a.stats.interrupts, b.stats.interrupts) << ctx;
+    EXPECT_EQ(a.stats.simulated(), b.stats.simulated()) << ctx;
 }
 
 /** One fuzz seed across all systems/geometries, each run two ways:

@@ -4,8 +4,9 @@
  * tests/golden/paper.json byte for byte with no failed cell, and each
  * claim EXPERIMENTS.md makes from Table 1 through the ablations is an
  * assertion on the live document, the recorded deviations from the
- * paper included. Regenerate the recording only for a change meant to
- * move the paper's numbers:
+ * paper included. Paper.OracleTwinAgrees runs every cell again on the
+ * single-step oracle. Regenerate the recording only for a change meant
+ * to move the paper's numbers:
  *
  *     swapram_tool paper --json > tests/golden/paper.json
  */
@@ -67,6 +68,40 @@ TEST(Paper, MatchesTheRecording)
                           test::readFile(SWAPRAM_PAPER_FILE),
                           "the paper document");
     EXPECT_TRUE(document()["failures"].asArray().empty());
+}
+
+/** Every cell again on the single-step oracle: the simulated counters
+ *  and checksums agree, and the fast side really ran threaded. */
+TEST(Paper, OracleTwinAgrees)
+{
+    const std::vector<harness::RunSpec> fast = harness::paperSpecs();
+    ASSERT_EQ(fast.size(), 115u);
+    std::vector<harness::RunSpec> specs = fast;
+    for (harness::RunSpec spec : fast) {
+        spec.superblock = spec.threaded = false;
+        specs.push_back(spec);
+    }
+    const std::vector<harness::RunOutcome> outcomes =
+        harness::Engine(0).runAll(specs);
+    std::uint64_t instructions = 0, threaded = 0;
+    for (std::size_t i = 0; i < fast.size(); ++i) {
+        const std::string key = std::to_string(i) + " " +
+                                fast[i].workload->name + "/" +
+                                harness::systemName(fast[i].system);
+        ASSERT_TRUE(outcomes[i].ok()) << key << ": "
+                                      << outcomes[i].error_text;
+        const harness::RunOutcome &oracle = outcomes[fast.size() + i];
+        ASSERT_TRUE(oracle.ok()) << key << ": " << oracle.error_text;
+        const harness::Metrics &f = outcomes[i].metrics;
+        const harness::Metrics &o = oracle.metrics;
+        ASSERT_EQ(f.fits, o.fits) << key;
+        EXPECT_EQ(f.checksum, o.checksum) << key;
+        EXPECT_EQ(f.stats.simulated(), o.stats.simulated()) << key;
+        instructions += f.stats.instructions;
+        threaded += f.stats.threaded_instructions;
+    }
+    EXPECT_GT(100 * threaded, 99 * instructions)
+        << threaded << " of " << instructions << " ran threaded";
 }
 
 TEST(PaperClaims, Table1)

@@ -337,15 +337,6 @@ TEST(ParseDigests, MatchTheRecording)
     expectSameLines(dump, recorded, "the parse");
 }
 
-TEST(ParseDigests, StatementsParsedCountsEveryStatement)
-{
-    const std::uint64_t before = masm::statementsParsed();
-    masm::Program program = masm::parse(kEdgeSource);
-    EXPECT_EQ(masm::statementsParsed() - before, program.stmts.size());
-    EXPECT_THROW(masm::parse("        frob r4"), support::FatalError);
-    EXPECT_EQ(masm::statementsParsed() - before, program.stmts.size());
-}
-
 // Eight threads parse every source at once; each must reproduce the
 // recorded digests (the CI thread-sanitizer leg runs this).
 TEST(ParseDigests, ConcurrentParsesAgree)

@@ -70,9 +70,7 @@ TEST(Predecode, SelfModifyingCodeMatchesDisabledCacheOracle)
         test::runBody(kSelfModifyingBody, withPredecode(false));
     EXPECT_EQ(off.stats().predecode_hits, 0u);
     EXPECT_EQ(on.reg(Reg::R12), off.reg(Reg::R12));
-    EXPECT_EQ(on.stats().instructions, off.stats().instructions);
-    EXPECT_EQ(on.stats().base_cycles, off.stats().base_cycles);
-    EXPECT_EQ(on.stats().stall_cycles, off.stats().stall_cycles);
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated());
 }
 
 /** Same store-into-code hazard, but with the code resident in SRAM —
@@ -88,8 +86,7 @@ TEST(Predecode, SramResidentCodeIsInvalidatedToo)
     EXPECT_EQ(on.reg(Reg::R12), 4);
     EXPECT_EQ(off.reg(Reg::R12), 4);
     EXPECT_GT(on.stats().predecode_invalidations, 0u);
-    EXPECT_EQ(on.stats().base_cycles, off.stats().base_cycles);
-    EXPECT_EQ(on.stats().stall_cycles, off.stats().stall_cycles);
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated());
 }
 
 /** Two callees that thrash through a cache sized for only one of
@@ -174,9 +171,7 @@ TEST(Predecode, SwapRamCopyInOverExecutedSramMatchesOracle)
     EXPECT_EQ(off.stats.predecode_hits, 0u);
 
     EXPECT_EQ(on.checksum, off.checksum);
-    EXPECT_EQ(on.stats.instructions, off.stats.instructions);
-    EXPECT_EQ(on.stats.base_cycles, off.stats.base_cycles);
-    EXPECT_EQ(on.stats.stall_cycles, off.stats.stall_cycles);
+    EXPECT_EQ(on.stats.simulated(), off.stats.simulated());
     EXPECT_EQ(on.swap_summary.copy_ins, off.swap_summary.copy_ins);
     EXPECT_EQ(on.swap_summary.evictions, off.swap_summary.evictions);
 }
@@ -211,9 +206,7 @@ TEST(Predecode, FullMatrixMatchesDisabledCacheOracle)
         if (!on.fits)
             continue;
         EXPECT_EQ(on.checksum, off.checksum) << key;
-        EXPECT_EQ(on.stats.instructions, off.stats.instructions) << key;
-        EXPECT_EQ(on.stats.base_cycles, off.stats.base_cycles) << key;
-        EXPECT_EQ(on.stats.stall_cycles, off.stats.stall_cycles) << key;
+        EXPECT_EQ(on.stats.simulated(), off.stats.simulated()) << key;
         EXPECT_EQ(on.energy_pj, off.energy_pj) << key;
     }
 }

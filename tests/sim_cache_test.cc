@@ -149,19 +149,4 @@ TEST(Stalls, WaitStatesScaleMisses)
     EXPECT_GT(r24.stats().stall_cycles, r8.stats().stall_cycles);
 }
 
-TEST(Stalls, DisabledHwCacheStallsEveryAccess)
-{
-    sim::MachineConfig with_cache;
-    with_cache.clock_hz = 24'000'000;
-    sim::MachineConfig no_cache = with_cache;
-    no_cache.hw_cache_enabled = false;
-    std::string body = "        MOV #20, R5\n"
-                       "l:      DEC R5\n"
-                       "        JNE l\n";
-    auto r1 = test::runBody(body, with_cache);
-    auto r2 = test::runBody(body, no_cache);
-    EXPECT_GT(r2.stats().stall_cycles, r1.stats().stall_cycles);
-    EXPECT_EQ(r2.stats().fram_cache_hits, 0u);
-}
-
 } // namespace

@@ -30,7 +30,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -127,38 +126,6 @@ expectTimelineEqual(const harness::Metrics &observed,
     EXPECT_EQ(observed.trace_emitted, oracle.trace_emitted) << ctx;
 }
 
-/** Every simulated Stats field (host-side fast-path counters — the
- *  predecode_*, superblock_*, and threaded_* families — excluded; the
- *  write stream they once tracked is compared through the sram, fram
- *  and mmio write counts). */
-void
-expectSimStatsEqual(const sim::Stats &a, const sim::Stats &b,
-                    const std::string &ctx)
-{
-    EXPECT_EQ(a.instructions, b.instructions) << ctx;
-    EXPECT_EQ(a.base_cycles, b.base_cycles) << ctx;
-    EXPECT_EQ(a.stall_cycles, b.stall_cycles) << ctx;
-    EXPECT_EQ(a.sram.fetch, b.sram.fetch) << ctx;
-    EXPECT_EQ(a.sram.read, b.sram.read) << ctx;
-    EXPECT_EQ(a.sram.write, b.sram.write) << ctx;
-    EXPECT_EQ(a.fram.fetch, b.fram.fetch) << ctx;
-    EXPECT_EQ(a.fram.read, b.fram.read) << ctx;
-    EXPECT_EQ(a.fram.write, b.fram.write) << ctx;
-    EXPECT_EQ(a.mmio.fetch, b.mmio.fetch) << ctx;
-    EXPECT_EQ(a.mmio.read, b.mmio.read) << ctx;
-    EXPECT_EQ(a.mmio.write, b.mmio.write) << ctx;
-    EXPECT_EQ(a.fram_cache_hits, b.fram_cache_hits) << ctx;
-    EXPECT_EQ(a.fram_cache_misses, b.fram_cache_misses) << ctx;
-    EXPECT_EQ(a.code_space_accesses, b.code_space_accesses) << ctx;
-    EXPECT_EQ(a.data_space_accesses, b.data_space_accesses) << ctx;
-    for (int i = 0; i < sim::kNumOwners; ++i)
-        EXPECT_EQ(a.instr_by_owner[i], b.instr_by_owner[i])
-            << ctx << " owner " << i;
-    EXPECT_EQ(a.interrupts, b.interrupts) << ctx;
-    EXPECT_EQ(a.reboots, b.reboots) << ctx;
-    EXPECT_EQ(a.recovery_cycles, b.recovery_cycles) << ctx;
-}
-
 /** The host-side counters exist and are coherent, and the oracle twin
  *  builds no blocks at all. */
 TEST(Threaded, CountersAccountForBlockCoverage)
@@ -190,7 +157,7 @@ TEST(Threaded, CountersAccountForBlockCoverage)
     harness::RunSpec spec;
     spec.workload = &crc;
     expectMostlyThreaded(harness::runOne(spec).stats, "default RunSpec");
-    expectSimStatsEqual(on.stats(), off.stats(), "counters");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated()) << "counters";
 }
 
 /** Each run builds only its own tier's decode cache: a plain run
@@ -222,7 +189,7 @@ TEST(Threaded, EachTierOwnsOneDecodeCache)
         EXPECT_GT(m.stats.predecode_hits, 0u) << name;
         EXPECT_EQ(m.stats.superblock_blocks_built, 0u) << name;
         EXPECT_EQ(m.stats.threaded_instructions, 0u) << name;
-        expectSimStatsEqual(fast.stats, m.stats, name);
+        EXPECT_EQ(fast.stats.simulated(), m.stats.simulated()) << name;
     }
 }
 
@@ -245,7 +212,7 @@ TEST(Threaded, DynamicMmioOperandBailsToOracle)
     ASSERT_TRUE(on.result.done);
     EXPECT_EQ(on.machine->mmio().console(), "ABC");
     EXPECT_EQ(off.machine->mmio().console(), "ABC");
-    expectSimStatsEqual(on.stats(), off.stats(), "dyn-mmio");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated()) << "dyn-mmio";
     EXPECT_GT(on.stats().threaded_bail_operand, 0u);
     expectMostlyThreaded(on.stats(), "dyn-mmio");
 }
@@ -271,7 +238,7 @@ TEST(Threaded, SelfModifyingStoreInOwnBlockMatchesOracle)
     ASSERT_TRUE(off.result.done);
     EXPECT_EQ(on.reg(Reg::R12), 2) << "stale lowered kernel executed";
     EXPECT_EQ(off.reg(Reg::R12), 2);
-    expectSimStatsEqual(on.stats(), off.stats(), "smc");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated()) << "smc";
     EXPECT_GT(on.stats().threaded_bail_smc, 0u);
     expectMostlyThreaded(on.stats(), "smc");
 }
@@ -302,7 +269,8 @@ TEST(Threaded, StoreBesideCodeKeepsItsBlock)
               on.assembled.symbol("sloop") >> sim::PageGenTable::kPageShift);
     EXPECT_EQ(on.machine->peek16(count), 600);
     EXPECT_EQ(off.machine->peek16(count), 600);
-    expectSimStatsEqual(on.stats(), off.stats(), "store beside code");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "store beside code";
     expectMostlyThreaded(on.stats(), "store beside code");
     EXPECT_LT(on.stats().threaded_blocks_lowered, 10u);
     EXPECT_LT(on.stats().superblock_invalidations, 10u);
@@ -331,7 +299,8 @@ TEST(Threaded, ChangedBytesRebuildTheBlock)
     // 101 + 102 + ... + 150.
     EXPECT_EQ(on.reg(Reg::R12), 6275) << "stale lowered kernel executed";
     EXPECT_EQ(off.reg(Reg::R12), 6275);
-    expectSimStatsEqual(on.stats(), off.stats(), "patched immediate");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "patched immediate";
     expectMostlyThreaded(on.stats(), "patched immediate");
     EXPECT_GE(on.stats().superblock_invalidations, 49u);
 }
@@ -381,7 +350,8 @@ TEST(Threaded, RewrittenScanEndWordRebuildsTheBlock)
     ASSERT_TRUE(off.result.done);
     EXPECT_EQ(on.reg(Reg::R12), 6);
     EXPECT_EQ(off.reg(Reg::R12), 6);
-    expectSimStatsEqual(on.stats(), off.stats(), "patched scan end");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "patched scan end";
 
     // The stopping word opens the next gen page: the snapshot must
     // cover it, not only the block's own code.
@@ -484,7 +454,8 @@ TEST(Threaded, LoopEndingInMidBlockMmioBailMatchesOracle)
     EXPECT_EQ(on.machine->mmio().console(), "BD");
     EXPECT_EQ(off.machine->mmio().console(), "BD");
     EXPECT_EQ(on.reg(Reg::R12), off.reg(Reg::R12));
-    expectSimStatsEqual(on.stats(), off.stats(), "loop then mmio");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "loop then mmio";
     EXPECT_GT(on.stats().threaded_bail_operand, 0u);
     EXPECT_GE(on.stats().threaded_dispatches, 150u);
     expectMostlyThreaded(on.stats(), "loop then mmio");
@@ -521,7 +492,8 @@ TEST(Threaded, CycleBudgetInsideLongChainMatchesOracle)
     EXPECT_GE(on.stats().totalCycles(), budget);
     EXPECT_EQ(on.reg(Reg::R10), off.reg(Reg::R10));
     EXPECT_EQ(on.reg(Reg::R13), off.reg(Reg::R13));
-    expectSimStatsEqual(on.stats(), off.stats(), "cycle budget");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "cycle budget";
     EXPECT_GT(on.stats().threaded_bail_boundary, 0u);
     expectMostlyThreaded(on.stats(), "cycle budget");
 }
@@ -563,7 +535,8 @@ TEST(Threaded, RecoveryBoundaryInsideLoopMatchesOracle)
     ASSERT_TRUE(off.result.done);
     EXPECT_EQ(on.reg(Reg::R14), off.reg(Reg::R14));
     EXPECT_GT(off.stats().recovery_cycles, 0u);
-    expectSimStatsEqual(on.stats(), off.stats(), "recovery boundary");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "recovery boundary";
     expectMostlyThreaded(on.stats(), "recovery boundary");
 }
 
@@ -613,7 +586,7 @@ TEST(Threaded, TimerInterruptsLandOnSameCycle)
         std::string ctx = "timer period " + std::to_string(period);
         EXPECT_GT(on.stats().interrupts, 0u) << ctx;
         EXPECT_EQ(on.reg(Reg::R12), off.reg(Reg::R12)) << ctx;
-        expectSimStatsEqual(on.stats(), off.stats(), ctx);
+        EXPECT_EQ(on.stats().simulated(), off.stats().simulated()) << ctx;
         expectMostlyThreaded(on.stats(), ctx);
     }
 }
@@ -668,7 +641,7 @@ TEST(Threaded, InjectedFaultsLandOnSameCycle)
     FaultRun off = runFaulted(false);
     EXPECT_EQ(on.stats.reboots, 5u);
     expectMostlyThreaded(on.stats, "fault");
-    expectSimStatsEqual(on.stats, off.stats, "fault");
+    EXPECT_EQ(on.stats.simulated(), off.stats.simulated()) << "fault";
     EXPECT_EQ(on.acc, off.acc);
     EXPECT_EQ(on.mix, off.mix);
 }
@@ -691,7 +664,7 @@ TEST(Threaded, PowerCycleRebuildsBlocksWithEqualBytes)
     FaultRun on = runFaulted(true);
     FaultRun off = runFaulted(false);
     EXPECT_EQ(on.stats.reboots, 5u);
-    expectSimStatsEqual(on.stats, off.stats, "power cycles");
+    EXPECT_EQ(on.stats.simulated(), off.stats.simulated()) << "power cycles";
     EXPECT_GE(on.stats.superblock_invalidations, on.stats.reboots);
 }
 
@@ -725,7 +698,8 @@ TEST(Threaded, StoreIntoLinkedSuccessorRebuildsIt)
     // 100 + 101 + ... + 149.
     EXPECT_EQ(on.reg(Reg::R12), 6225) << "stale linked kernel executed";
     EXPECT_EQ(off.reg(Reg::R12), 6225);
-    expectSimStatsEqual(on.stats(), off.stats(), "patched link target");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "patched link target";
     expectMostlyThreaded(on.stats(), "patched link target");
     EXPECT_GE(on.stats().superblock_invalidations, 49u);
 }
@@ -786,7 +760,7 @@ TEST(Threaded, LinkedEntriesKeepOwnerAndProbeStops)
     OwnerLinkRun on = runOwnerLinks(true);
     OwnerLinkRun off = runOwnerLinks(false);
     EXPECT_EQ(on.r14, off.r14);
-    expectSimStatsEqual(on.stats, off.stats, "owner links");
+    EXPECT_EQ(on.stats.simulated(), off.stats.simulated()) << "owner links";
     expectMostlyThreaded(on.stats, "owner links");
     // Two owner changes and one probe per pass.
     ASSERT_GE(off.events.size(), 180u);
@@ -845,7 +819,7 @@ TEST(Threaded, PowerCycleRetiresLinksIntoRecopiedCode)
     EXPECT_EQ(on.reboots, 5u);
     EXPECT_EQ(off_r12, 5 + 7 * 199);
     EXPECT_EQ(on_r12, off_r12) << "patched block survived a power cycle";
-    expectSimStatsEqual(on, off, "sram patch power cycles");
+    EXPECT_EQ(on.simulated(), off.simulated()) << "sram patch power cycles";
     expectMostlyThreaded(on, "sram patch power cycles");
 }
 
@@ -879,7 +853,8 @@ TEST(Threaded, StoreBesideLinkedCodeKeepsBlocks)
               on.assembled.symbol("dloop") >> sim::PageGenTable::kPageShift);
     EXPECT_EQ(on.machine->peek16(count), 75);
     EXPECT_EQ(off.machine->peek16(count), 75);
-    expectSimStatsEqual(on.stats(), off.stats(), "store beside links");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "store beside links";
     expectMostlyThreaded(on.stats(), "store beside links");
     EXPECT_LT(on.stats().threaded_blocks_lowered, 10u);
     EXPECT_LT(on.stats().superblock_invalidations, 10u);
@@ -922,9 +897,10 @@ TEST(Threaded, EvictionAndDataSwapWindowsMatch)
         EXPECT_EQ(on.checksum, off.checksum) << key;
         EXPECT_EQ(on.data_snapshot, off.data_snapshot) << key;
         EXPECT_GT(off.swap_summary.copy_ins, 0u) << key;
-        expectSimStatsEqual(on.stats, off.stats, key);
+        EXPECT_EQ(on.stats.simulated(), off.stats.simulated()) << key;
         expectMostlyThreaded(on.stats, key);
-        expectSimStatsEqual(obs.stats, off.stats, key + " observed");
+        EXPECT_EQ(obs.stats.simulated(), off.stats.simulated())
+            << key + " observed";
         expectTimelineEqual(obs, off, key);
         expectCopyLoopThreaded(obs.stats, key);
     }
@@ -980,7 +956,7 @@ TEST(Threaded, HarvestBrownOutMidChainMatches)
     EXPECT_EQ(on.data_snapshot, off.data_snapshot);
     EXPECT_EQ(on.energy_pj, off.energy_pj);
     EXPECT_EQ(on.harvested_pj, off.harvested_pj);
-    expectSimStatsEqual(on.stats, off.stats, "harvest");
+    EXPECT_EQ(on.stats.simulated(), off.stats.simulated()) << "harvest";
     expectMostlyThreaded(on.stats, "harvest");
 }
 
@@ -1084,7 +1060,7 @@ TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
         EXPECT_EQ(on.data_snapshot, off.data_snapshot) << key;
         EXPECT_EQ(on.console, off.console) << key;
         EXPECT_EQ(on.energy_pj, off.energy_pj) << key;
-        expectSimStatsEqual(on.stats, off.stats, key);
+        EXPECT_EQ(on.stats.simulated(), off.stats.simulated()) << key;
         expectMostlyThreaded(on.stats, key);
         // Kernel coverage: fewer than 0.5% of the threaded
         // instructions fall back to the generic kernel.
@@ -1093,7 +1069,8 @@ TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
             << key;
         EXPECT_EQ(obs.checksum, off.checksum) << key;
         EXPECT_EQ(obs.energy_pj, off.energy_pj) << key;
-        expectSimStatsEqual(obs.stats, off.stats, key + " observed");
+        EXPECT_EQ(obs.stats.simulated(), off.stats.simulated())
+            << key + " observed";
         expectTimelineEqual(obs, off, key);
         // Baseline has no copy loop, and the timer-driven isr cell
         // single-steps around every tick, far more than its one short
@@ -1114,35 +1091,10 @@ TEST(Threaded, GoldenMatrixStatsEqualAcrossTiers)
     }
 }
 
-/** Drop the lines carrying host-side fast-path counters (the permitted
- *  tier divergence) from a dumped RunReport. */
-std::string
-maskHostCounters(const std::string &json_text)
-{
-    static const char *kMasked[] = {
-        "\"predecode_",
-        "\"superblock_",
-        "\"threaded_",
-    };
-    std::istringstream in(json_text);
-    std::string out, line;
-    while (std::getline(in, line)) {
-        bool masked = false;
-        for (const char *key : kMasked)
-            if (line.find(key) != std::string::npos)
-                masked = true;
-        if (!masked) {
-            out += line;
-            out += '\n';
-        }
-    }
-    return out;
-}
-
 /** The machine-readable RunReport must be byte-identical with the
- *  tier on vs off once the host-side counter lines are dropped —
- *  nothing else in the document (stats, profile-free metrics, swap
- *  summary, energy) may move. */
+ *  tier on vs off once the "host" object is erased — nothing else in
+ *  the document (stats, profile-free metrics, swap summary, energy)
+ *  may move. */
 TEST(Threaded, RunReportByteIdenticalWithHostCountersMasked)
 {
     workloads::Workload w = workloads::makeCrc();
@@ -1157,17 +1109,20 @@ TEST(Threaded, RunReportByteIdenticalWithHostCountersMasked)
     ASSERT_TRUE(outcomes[0].ok()) << outcomes[0].error_text;
     ASSERT_TRUE(outcomes[1].ok()) << outcomes[1].error_text;
 
-    std::string on_text =
+    support::json::Object on =
         harness::RunReport::make(on_spec, outcomes[0].metrics)
             .json()
-            .dump(2);
-    std::string off_text =
+            .asObject();
+    support::json::Object off =
         harness::RunReport::make(off_spec, outcomes[1].metrics)
             .json()
-            .dump(2);
-    EXPECT_NE(on_text, off_text)
+            .asObject();
+    EXPECT_NE(on.at("host").dump(), off.at("host").dump())
         << "host counters should differ across tiers";
-    EXPECT_EQ(maskHostCounters(on_text), maskHostCounters(off_text));
+    on.erase("host");
+    off.erase("host");
+    EXPECT_EQ(support::json::Value(on).dump(2),
+              support::json::Value(off).dump(2));
     expectCopyLoopThreaded(outcomes[0].metrics.stats, "report");
 }
 
@@ -1218,7 +1173,7 @@ expectKernelTwin(const std::string &source, const std::string &ctx,
     }
     EXPECT_EQ(on.machine->mmio().console(), off.machine->mmio().console())
         << ctx;
-    expectSimStatsEqual(on.stats(), off.stats(), ctx);
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated()) << ctx;
     expectMostlyThreaded(on.stats(), ctx);
     EXPECT_EQ(on.stats().threaded_generic_executions, 0u) << ctx;
     return on;
@@ -1490,7 +1445,7 @@ TEST(Threaded, IndirectPcSourceMatchesOracle)
     EXPECT_EQ(off.reg(Reg::R5), 0x4036); // MOV #imm, R6
     EXPECT_EQ(on.reg(Reg::R5), off.reg(Reg::R5));
     EXPECT_EQ(on.reg(Reg::R7), off.reg(Reg::R7));
-    expectSimStatsEqual(on.stats(), off.stats(), "mov @pc");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated()) << "mov @pc";
     expectMostlyThreaded(on.stats(), "mov @pc");
 }
 
@@ -1519,7 +1474,8 @@ TEST(Threaded, JoinedBlocksRunOneDispatchPerPass)
     ASSERT_TRUE(off.result.done);
     for (Reg r : {Reg::R12, Reg::R13, Reg::R14})
         EXPECT_EQ(on.reg(r), off.reg(r));
-    expectSimStatsEqual(on.stats(), off.stats(), "joined loop");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "joined loop";
     expectMostlyThreaded(on.stats(), "joined loop");
     EXPECT_GE(on.stats().threaded_dispatches, 200u);
     EXPECT_LE(on.stats().threaded_dispatches, 202u);
@@ -1551,7 +1507,8 @@ TEST(Threaded, StoreIntoLaterSegmentBailsAsSmc)
     // 101 + 102 + ... + 150.
     EXPECT_EQ(on.reg(Reg::R12), 6275) << "stale lowered kernel executed";
     EXPECT_EQ(off.reg(Reg::R12), 6275);
-    expectSimStatsEqual(on.stats(), off.stats(), "smc later segment");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "smc later segment";
     expectMostlyThreaded(on.stats(), "smc later segment");
     EXPECT_GE(on.stats().threaded_bail_smc, 50u);
 }
@@ -1582,7 +1539,8 @@ TEST(Threaded, StoreIntoLaterSegmentRebuildsTheTrace)
     ASSERT_TRUE(off.result.done);
     EXPECT_EQ(on.reg(Reg::R12), 6275) << "stale lowered kernel executed";
     EXPECT_EQ(off.reg(Reg::R12), 6275);
-    expectSimStatsEqual(on.stats(), off.stats(), "store into segment");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "store into segment";
     expectMostlyThreaded(on.stats(), "store into segment");
     EXPECT_GE(on.stats().superblock_invalidations, 49u);
     EXPECT_LE(on.stats().threaded_dispatches, 2u * 50 + 2);
@@ -1614,7 +1572,8 @@ TEST(Threaded, RewrittenSegmentOnAnotherPageRebuildsTheTrace)
               on.assembled.symbol("ftgt") >> sim::PageGenTable::kPageShift);
     EXPECT_EQ(on.reg(Reg::R12), 6275) << "stale lowered kernel executed";
     EXPECT_EQ(off.reg(Reg::R12), 6275);
-    expectSimStatsEqual(on.stats(), off.stats(), "far segment");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "far segment";
     expectMostlyThreaded(on.stats(), "far segment");
     EXPECT_GE(on.stats().superblock_invalidations, 49u);
     EXPECT_LE(on.stats().threaded_dispatches, 2u * 50 + 2);
@@ -1652,7 +1611,8 @@ TEST(Threaded, PatchedBranchImmediateRetargetsTheTrace)
     ASSERT_TRUE(off.result.done);
     EXPECT_EQ(on.reg(Reg::R12), 20 * 100 + 20 * 1);
     EXPECT_EQ(off.reg(Reg::R12), 20 * 100 + 20 * 1);
-    expectSimStatsEqual(on.stats(), off.stats(), "patched branch");
+    EXPECT_EQ(on.stats().simulated(), off.stats().simulated())
+        << "patched branch";
     expectMostlyThreaded(on.stats(), "patched branch");
     EXPECT_GE(on.stats().superblock_invalidations, 39u);
     // bloop, bgo on even passes, then one trace through the BR (as
@@ -1702,7 +1662,7 @@ TEST(Threaded, JumpIntoAnotherOwnerEndsTheTrace)
     EXPECT_EQ(on_r14, off_r14);
     EXPECT_EQ(off.instr_by_owner[static_cast<int>(sim::CodeOwner::Handler)],
               2u * 60);
-    expectSimStatsEqual(on, off, "owner jump");
+    EXPECT_EQ(on.simulated(), off.simulated()) << "owner jump";
     expectMostlyThreaded(on, "owner jump");
     // wloop..wmid as one trace, then hfunc and wback.
     EXPECT_LE(on.threaded_dispatches, 3u * 60 + 2);
@@ -1746,9 +1706,11 @@ TEST(Threaded, ProbeInLaterSegmentStopsTracedChains)
     OwnerLinkRun plain = run(true, false);
     OwnerLinkRun on = run(true, true);
     OwnerLinkRun off = run(false, true);
-    expectSimStatsEqual(plain.stats, off.stats, "probe segment plain");
+    EXPECT_EQ(plain.stats.simulated(), off.stats.simulated())
+        << "probe segment plain";
     expectMostlyThreaded(plain.stats, "probe segment plain");
-    expectSimStatsEqual(on.stats, off.stats, "probe segment traced");
+    EXPECT_EQ(on.stats.simulated(), off.stats.simulated())
+        << "probe segment traced";
     expectMostlyThreaded(on.stats, "probe segment traced");
     // A trace does not follow the CALL onto the probe entry, so the
     // probe starts pfunc's block: each pass is three dispatches
@@ -1810,7 +1772,7 @@ TEST(Threaded, PowerCycleRebuildsTracesOverRecopiedCode)
     EXPECT_EQ(on.reboots, 5u);
     EXPECT_EQ(off_r12, 5 + 7 * 199);
     EXPECT_EQ(on_r12, off_r12) << "patched trace survived a power cycle";
-    expectSimStatsEqual(on, off, "sram trace power cycles");
+    EXPECT_EQ(on.simulated(), off.simulated()) << "sram trace power cycles";
     expectMostlyThreaded(on, "sram trace power cycles");
     // A pass is the trace through timm plus tskip's block: 3.5
     // instructions a dispatch (as plain blocks, 2.3).
@@ -1869,7 +1831,7 @@ TEST(Threaded, CallWithStackAtSramBaseMatchesOracle)
     EXPECT_EQ(on.error, off.error);
     EXPECT_EQ(on.r12, 4);
     EXPECT_EQ(off.r12, 4);
-    expectSimStatsEqual(on.stats, off.stats, "low stack");
+    EXPECT_EQ(on.stats.simulated(), off.stats.simulated()) << "low stack";
     expectMostlyThreaded(on.stats, "low stack");
     EXPECT_GE(on.stats.threaded_bail_operand, 1u);
     // Per pass the CALL's trace through lsfunc, then DEC/JNZ.
@@ -1927,7 +1889,7 @@ TEST(Threaded, TimerAndFaultBoundariesInsideTracesMatch)
         std::string ctx = "traced timer period " + std::to_string(period);
         EXPECT_GT(on.stats().interrupts, 0u) << ctx;
         EXPECT_EQ(on.reg(Reg::R12), off.reg(Reg::R12)) << ctx;
-        expectSimStatsEqual(on.stats(), off.stats(), ctx);
+        EXPECT_EQ(on.stats().simulated(), off.stats().simulated()) << ctx;
         expectMostlyThreaded(on.stats(), ctx);
         EXPECT_GT(on.stats().threaded_bail_boundary, 0u) << ctx;
         // One dispatch a pass, plus the ISR's (three as plain blocks).
@@ -1953,7 +1915,7 @@ TEST(Threaded, TimerAndFaultBoundariesInsideTracesMatch)
     auto [off, off_acc] = faulted(false);
     EXPECT_EQ(on.reboots, 5u);
     EXPECT_EQ(on_acc, off_acc);
-    expectSimStatsEqual(on, off, "traced faults");
+    EXPECT_EQ(on.simulated(), off.simulated()) << "traced faults";
     expectMostlyThreaded(on, "traced faults");
     EXPECT_GT(on.threaded_bail_boundary, 0u);
     // Seven instructions a pass in one dispatch (as plain blocks, 2.3).

@@ -373,7 +373,7 @@ TEST(RunReport, JsonRoundTripsAndMatchesMetrics)
     auto report = harness::RunReport::make(spec, m);
 
     json::Value doc = json::parse(report.json().dump(2));
-    EXPECT_EQ(doc["schema"].asString(), "swapram-run-report/v1");
+    EXPECT_EQ(doc["schema"].asString(), "swapram-run-report/v2");
     EXPECT_EQ(doc["workload"].asString(), "crc");
     EXPECT_EQ(doc["system"].asString(), "swapram");
     EXPECT_TRUE(doc["fits"].asBool());
@@ -381,16 +381,17 @@ TEST(RunReport, JsonRoundTripsAndMatchesMetrics)
     EXPECT_EQ(doc["stats"]["total_cycles"].asInt(),
               static_cast<std::int64_t>(m.stats.totalCycles()));
     // superblock_dispatches has no writer, so the report leaves it out.
-    EXPECT_EQ(doc["stats"].asObject().count("superblock_dispatches"), 0u);
-    EXPECT_EQ(doc["stats"]["threaded_blocks_lowered"].asInt(),
+    EXPECT_EQ(doc["host"].asObject().count("superblock_dispatches"), 0u);
+    EXPECT_EQ(doc["stats"].asObject().count("threaded_instructions"), 0u);
+    EXPECT_EQ(doc["host"]["threaded_blocks_lowered"].asInt(),
               static_cast<std::int64_t>(m.stats.threaded_blocks_lowered));
-    EXPECT_EQ(doc["stats"]["threaded_bail_boundary"].asInt(),
+    EXPECT_EQ(doc["host"]["threaded_bail_boundary"].asInt(),
               static_cast<std::int64_t>(m.stats.threaded_bail_boundary));
-    EXPECT_EQ(doc["stats"]["threaded_dispatches"].asInt(),
+    EXPECT_EQ(doc["host"]["threaded_dispatches"].asInt(),
               static_cast<std::int64_t>(m.stats.threaded_dispatches));
-    EXPECT_EQ(doc["stats"]["threaded_instructions"].asInt(),
+    EXPECT_EQ(doc["host"]["threaded_instructions"].asInt(),
               static_cast<std::int64_t>(m.stats.threaded_instructions));
-    EXPECT_EQ(doc["stats"]["threaded_generic_executions"].asInt(),
+    EXPECT_EQ(doc["host"]["threaded_generic_executions"].asInt(),
               static_cast<std::int64_t>(
                   m.stats.threaded_generic_executions));
 

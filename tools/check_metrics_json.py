@@ -84,7 +84,7 @@ def check_metrics(m, stats=None, swap=None):
 
 
 def check_run_report(doc):
-    assert doc["schema"] == "swapram-run-report/v1", doc.get("schema")
+    assert doc["schema"] == "swapram-run-report/v2", doc.get("schema")
     assert doc["done"] and doc["fits"]
     check_metrics(doc["metrics"], stats=doc["stats"],
                   swap=doc.get("swap"))

@@ -40,7 +40,7 @@
  *   --listing                print the address-annotated listing
  *
  * Observability options (run/profile/trace):
- *   --json                   emit a swapram-run-report/v1 JSON document
+ *   --json                   emit a swapram-run-report/v2 JSON document
  *   --trace-categories LIST  comma list (instr,access,stall,hwcache,
  *                            interrupt,swap) or "all"
  *   --trace-out FILE         write the event stream to FILE
@@ -1275,7 +1275,7 @@ cmdRun(const Args &args_in)
         if (!rm.console.empty())
             std::printf("--- console ---\n%s\n--- end ---\n",
                         rm.console.c_str());
-        const sim::Stats &stats = rm.stats;
+        const sim::SimStats &stats = rm.stats;
         std::printf(
             "instructions  %llu\n",
             static_cast<unsigned long long>(stats.instructions));
