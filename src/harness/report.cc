@@ -551,7 +551,8 @@ RunReport::text(std::size_t profile_rows) const
                           support::fixed(r.energy_pj / 1e3, 1),
                           support::fixed(pct, 1)});
         }
-        out += "\n" + table.text();
+        out += '\n';
+        out += table.text();
         if (profile_rows && m.profile.size() > profile_rows) {
             out += support::cat("(", m.profile.size() - profile_rows,
                                 " more rows; use --json for all)\n");

@@ -9,21 +9,37 @@ std::string
 operandText(const Operand &op)
 {
     using support::hex16;
+    // Built by appending: GCC 12 warns (-Wrestrict) on
+    // "literal" + std::string&&, which inserts at the front.
+    std::string out;
     switch (op.mode) {
       case Mode::Register:
         return regName(op.reg);
       case Mode::Indexed:
-        return hex16(op.value) + "(" + regName(op.reg) + ")";
+        out = hex16(op.value);
+        out += '(';
+        out += regName(op.reg);
+        out += ')';
+        return out;
       case Mode::Symbolic:
         return hex16(op.value);
       case Mode::Absolute:
-        return "&" + hex16(op.value);
+        out = "&";
+        out += hex16(op.value);
+        return out;
       case Mode::Indirect:
-        return "@" + regName(op.reg);
+        out = "@";
+        out += regName(op.reg);
+        return out;
       case Mode::IndirectInc:
-        return "@" + regName(op.reg) + "+";
+        out = "@";
+        out += regName(op.reg);
+        out += '+';
+        return out;
       case Mode::Immediate:
-        return "#" + hex16(op.value);
+        out = "#";
+        out += hex16(op.value);
+        return out;
     }
     support::panic("operandText: bad mode");
 }

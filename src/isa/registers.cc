@@ -9,8 +9,11 @@ regName(Reg r)
       case Reg::PC: return "PC";
       case Reg::SP: return "SP";
       case Reg::SR: return "SR";
-      default:
-        return "R" + std::to_string(regIndex(r));
+      default: {
+        std::string name = "R"; // appended: see -Wrestrict in disasm.cc
+        name += std::to_string(regIndex(r));
+        return name;
+      }
     }
 }
 

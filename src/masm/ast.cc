@@ -110,8 +110,12 @@ Expr::text() const
         return std::to_string(number_);
       case Kind::Symbol:
         return symbol_.str();
-      case Kind::Neg:
-        return "-(" + lhs_->text() + ")";
+      case Kind::Neg: {
+        std::string out = "-(";
+        out += lhs_->text();
+        out += ')';
+        return out;
+      }
       default: {
         const char *op = "?";
         switch (kind_) {
@@ -125,7 +129,12 @@ Expr::text() const
           case Kind::Or: op = "|"; break;
           default: break;
         }
-        return "(" + lhs_->text() + op + rhs_->text() + ")";
+        std::string out = "(";
+        out += lhs_->text();
+        out += op;
+        out += rhs_->text();
+        out += ')';
+        return out;
       }
     }
 }
@@ -133,21 +142,37 @@ Expr::text() const
 std::string
 AsmOperand::text() const
 {
+    // Built by appending: GCC 12 warns (-Wrestrict) on
+    // "literal" + std::string&&, which inserts at the front.
+    std::string out;
     switch (kind) {
       case OperKind::Register:
         return isa::regName(reg);
       case OperKind::Indexed:
-        return expr.text() + "(" + isa::regName(reg) + ")";
+        out = expr.text();
+        out += '(';
+        out += isa::regName(reg);
+        out += ')';
+        return out;
       case OperKind::SymbolicMem:
         return expr.text();
       case OperKind::Absolute:
-        return "&" + expr.text();
+        out = "&";
+        out += expr.text();
+        return out;
       case OperKind::Indirect:
-        return "@" + isa::regName(reg);
+        out = "@";
+        out += isa::regName(reg);
+        return out;
       case OperKind::IndirectInc:
-        return "@" + isa::regName(reg) + "+";
+        out = "@";
+        out += isa::regName(reg);
+        out += '+';
+        return out;
       case OperKind::Immediate:
-        return "#" + expr.text();
+        out = "#";
+        out += expr.text();
+        return out;
     }
     support::panic("AsmOperand::text: bad kind");
 }

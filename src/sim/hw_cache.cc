@@ -5,24 +5,16 @@ namespace swapram::sim {
 void
 HwCache::reset()
 {
-    for (Set &set : sets_) {
-        for (Way &way : set.ways)
-            way.valid = false;
-        set.lru = 0;
-    }
+    sets_.fill(Set{});
 }
 
 bool
 HwCache::probe(std::uint16_t addr) const
 {
     std::uint32_t line = addr >> kLineShift;
-    const Set &set = sets_[line & (kSets - 1)];
-    std::uint32_t tag = line >> 1;
-    for (int w = 0; w < kWays; ++w) {
-        if (set.ways[w].valid && set.ways[w].tag == tag)
-            return true;
-    }
-    return false;
+    const Set &set = sets_[line % kSets];
+    auto tag = static_cast<std::uint16_t>(line / kSets);
+    return set.mru == tag || set.lru == tag;
 }
 
 } // namespace swapram::sim

@@ -16,7 +16,11 @@
 
 namespace swapram::sim {
 
-/** Tag-only model of the 2-way FRAM read cache. */
+/**
+ * Tag-only model of the 2-way FRAM read cache. Each set holds its two
+ * tags in recency order, so a lookup is at most two compares and a
+ * rotate.
+ */
 class HwCache
 {
   public:
@@ -29,6 +33,11 @@ class HwCache
      * Look up the line containing @p addr, filling it on a miss.
      * @return true on hit.
      *
+     * A hit on the most recent tag changes nothing. Otherwise the tag
+     * becomes the most recent and the old most recent one becomes the
+     * least recent; that is the hit path for the least recent tag and
+     * the fill path (evicting it) for a miss alike.
+     *
      * Always inlined: this sits on the per-access hot path of both the
      * bus and the threaded fast path, where GCC's size budget would
      * otherwise leave it a call (one that spills the dispatch loop's
@@ -38,20 +47,14 @@ class HwCache
     access(std::uint16_t addr)
     {
         std::uint32_t line = addr >> kLineShift;
-        Set &set = sets_[line & (kSets - 1)];
-        std::uint32_t tag = line >> 1;
-        for (int w = 0; w < kWays; ++w) {
-            if (set.ways[w].valid && set.ways[w].tag == tag) {
-                // other way is LRU
-                set.lru = static_cast<std::uint8_t>(1 - w);
-                return true;
-            }
-        }
-        Way &victim = set.ways[set.lru];
-        victim.valid = true;
-        victim.tag = tag;
-        set.lru = static_cast<std::uint8_t>(1 - set.lru);
-        return false;
+        Set &set = sets_[line % kSets];
+        auto tag = static_cast<std::uint16_t>(line / kSets);
+        if (set.mru == tag)
+            return true;
+        std::uint16_t old = set.lru;
+        set.lru = set.mru;
+        set.mru = tag;
+        return old == tag;
     }
 
     /** True if the line containing @p addr is present (no state change). */
@@ -61,14 +64,17 @@ class HwCache
     static constexpr int kSets = platform::kHwCacheSets;
     static constexpr int kWays = platform::kHwCacheWays;
     static constexpr int kLineShift = 3; // 8-byte lines
+    static_assert(kWays == 2, "a set keeps exactly an mru and an lru tag");
+    static_assert(kSets > 0 && (kSets & (kSets - 1)) == 0,
+                  "the set index is the line's low bits");
 
-    struct Way {
-        bool valid = false;
-        std::uint32_t tag = 0;
-    };
+    /** Marks an empty way; no tag reaches it (the largest is 0xFFF). */
+    static constexpr std::uint16_t kInvalid = 0xFFFF;
+    static_assert((0xFFFFu >> kLineShift) / kSets < kInvalid);
+
     struct Set {
-        std::array<Way, kWays> ways{};
-        std::uint8_t lru = 0; ///< way to replace next
+        std::uint16_t mru = kInvalid; ///< most recently used tag
+        std::uint16_t lru = kInvalid; ///< the tag a miss replaces
     };
 
     std::array<Set, kSets> sets_;

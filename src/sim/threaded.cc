@@ -318,21 +318,18 @@ mappedAddr(const DCtx *st, std::uint16_t addr)
  *  out of line in the dispatch loop. */
 #define SWAPRAM_INLINE inline __attribute__((always_inline))
 
+/** Write N, Z, C and V into SR without a branch per flag. */
 SWAPRAM_INLINE void
 setF(std::uint16_t *regs, bool n, bool z, bool c, bool v)
 {
     namespace sr = isa::sr;
-    std::uint16_t s = regs[2];
-    s &= static_cast<std::uint16_t>(~(sr::kN | sr::kZ | sr::kC | sr::kV));
-    if (n)
-        s |= sr::kN;
-    if (z)
-        s |= sr::kZ;
-    if (c)
-        s |= sr::kC;
-    if (v)
-        s |= sr::kV;
-    regs[2] = s;
+    static_assert(sr::kC == 1u << 0 && sr::kZ == 1u << 1 &&
+                      sr::kN == 1u << 2 && sr::kV == 1u << 8,
+                  "the flag bits are built from these positions");
+    constexpr std::uint16_t kFlags = sr::kN | sr::kZ | sr::kC | sr::kV;
+    unsigned f = unsigned{c} | unsigned{z} << 1 | unsigned{n} << 2 |
+                 unsigned{v} << 8;
+    regs[2] = static_cast<std::uint16_t>((regs[2] & ~kFlags) | f);
 }
 
 /** Format I ops that write the destination / that set flags. */
@@ -469,7 +466,7 @@ simStore(std::uint8_t *dp, std::uint32_t r, std::uint32_t mask)
 
 /** One dynamic FRAM data read: the contention chain, the
  *  hardware-cache probe, and the stall. */
-inline void
+SWAPRAM_INLINE void
 dynFramRead(DCtx *st, std::uint16_t addr)
 {
     std::uint32_t contention =
@@ -480,7 +477,7 @@ dynFramRead(DCtx *st, std::uint16_t addr)
 }
 
 /** One dynamic FRAM data write (never probes the read cache). */
-inline void
+SWAPRAM_INLINE void
 dynFramWrite(DCtx *st, std::uint16_t addr)
 {
     std::uint32_t contention =
@@ -495,13 +492,23 @@ dynClassify(DCtx *st, std::uint16_t addr)
                                                              : kAccData];
 }
 
+/** The simulated program made an unaligned word access: fatal. Out
+ *  of line so the inlined accessors carry only the test and a call. */
+[[noreturn, gnu::cold, gnu::noinline]] void
+unalignedAccess(const char *what, std::uint16_t addr)
+{
+    support::fatal("unaligned word ", what, " at ", support::hex16(addr));
+}
+
 /** Dynamic-address load with full accounting (the caller pre-checked
- *  the address lies in SRAM/FRAM). */
-inline std::uint32_t
+ *  the address lies in SRAM/FRAM). Inlined into every kernel, as are
+ *  the helpers it and dynStore call, so a dynamic access makes no call
+ *  that spills the dispatch loop's registers. */
+SWAPRAM_INLINE std::uint32_t
 dynLoad(DCtx *st, std::uint16_t addr, bool byte)
 {
     if (!byte && (addr & 1))
-        support::fatal("unaligned word read at ", support::hex16(addr));
+        unalignedAccess("read", addr);
     dynClassify(st, addr);
     if (addr >= platform::kFramBase) {
         ++st->acc[kAccFramRead];
@@ -520,7 +527,7 @@ dynLoad(DCtx *st, std::uint16_t addr, bool byte)
 /** Store-side invalidation duty of this tier: the page-generation
  *  bump, plus own-block SMC detection (the bounding window first, then
  *  the trace's segments). */
-inline void
+SWAPRAM_INLINE void
 dynNoteStore(DCtx *st, std::uint16_t addr, unsigned nbytes)
 {
     st->gens->noteWrite(addr, nbytes);
@@ -531,12 +538,13 @@ dynNoteStore(DCtx *st, std::uint16_t addr, unsigned nbytes)
         st->smc = true;
 }
 
-/** Dynamic-address store with full accounting. */
-inline void
+/** Dynamic-address store with full accounting (inlined like
+ *  dynLoad). */
+SWAPRAM_INLINE void
 dynStore(DCtx *st, std::uint16_t addr, std::uint32_t value, bool byte)
 {
     if (!byte && (addr & 1))
-        support::fatal("unaligned word write at ", support::hex16(addr));
+        unalignedAccess("write", addr);
     dynClassify(st, addr);
     if (addr >= platform::kFramBase) {
         ++st->acc[kAccFramWrite];

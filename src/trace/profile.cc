@@ -64,11 +64,11 @@ FunctionProfiler::pseudoRow(std::uint8_t owner)
     std::uint8_t slot = owner < 8 ? owner : 7;
     if (!pseudo_[slot]) {
         ProfileRow row;
-        row.name =
-            owner < sim::kNumOwners
-                ? "[" + sim::ownerName(static_cast<sim::CodeOwner>(owner)) +
-                      "]"
-                : "[unknown]";
+        row.name = "[";
+        row.name += owner < sim::kNumOwners
+                        ? sim::ownerName(static_cast<sim::CodeOwner>(owner))
+                        : "unknown";
+        row.name += ']';
         rows_.push_back(std::move(row));
         pseudo_[slot] = rows_.size(); // 1-based so 0 means "unset"
     }

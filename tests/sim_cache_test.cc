@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <random>
+
 #include "sim/hw_cache.hh"
 #include "testutil.hh"
 
@@ -55,6 +58,98 @@ TEST(HwCache, ResetInvalidates)
     cache.access(0x8000);
     cache.reset();
     EXPECT_FALSE(cache.probe(0x8000));
+}
+
+/** The cache as first modelled: per-way valid bits and tags plus an
+ *  LRU way pointer per set. HwCache must behave exactly like it. */
+class ReferenceLru
+{
+  public:
+    void
+    reset()
+    {
+        sets_ = {};
+    }
+
+    bool
+    access(std::uint16_t addr)
+    {
+        std::uint32_t line = addr >> 3;
+        Set &set = sets_[line & 1];
+        std::uint32_t tag = line >> 1;
+        for (int w = 0; w < 2; ++w) {
+            if (set.ways[w].valid && set.ways[w].tag == tag) {
+                set.lru = static_cast<std::uint8_t>(1 - w);
+                return true;
+            }
+        }
+        Way &victim = set.ways[set.lru];
+        victim.valid = true;
+        victim.tag = tag;
+        set.lru = static_cast<std::uint8_t>(1 - set.lru);
+        return false;
+    }
+
+    bool
+    probe(std::uint16_t addr) const
+    {
+        std::uint32_t line = addr >> 3;
+        const Set &set = sets_[line & 1];
+        std::uint32_t tag = line >> 1;
+        for (const Way &way : set.ways) {
+            if (way.valid && way.tag == tag)
+                return true;
+        }
+        return false;
+    }
+
+  private:
+    struct Way {
+        bool valid = false;
+        std::uint32_t tag = 0;
+    };
+    struct Set {
+        std::array<Way, 2> ways{};
+        std::uint8_t lru = 0;
+    };
+    std::array<Set, 2> sets_{};
+};
+
+TEST(HwCache, MatchesReferenceLru)
+{
+    // Each stream draws from a handful of lines, so lines are reused,
+    // evicted and reused again in both sets. The pool always holds the
+    // top line (0xFFF8-0xFFFF, the largest tag) and address 0.
+    for (std::uint32_t seed = 1; seed <= 64; ++seed) {
+        std::mt19937 rng(seed);
+        std::array<std::uint16_t, 6> lines{0xFFF8, 0x0000};
+        for (std::size_t i = 2; i < lines.size(); ++i)
+            lines[i] = static_cast<std::uint16_t>(rng() & 0xFFF8);
+        HwCache cache;
+        ReferenceLru ref;
+        for (int step = 0; step < 4000; ++step) {
+            std::uint16_t addr = static_cast<std::uint16_t>(
+                lines[rng() % lines.size()] | (rng() & 7));
+            std::uint32_t what = rng() % 64;
+            if (what == 0) {
+                cache.reset();
+                ref.reset();
+            } else if (what < 8) {
+                ASSERT_EQ(cache.probe(addr), ref.probe(addr))
+                    << "seed " << seed << " step " << step;
+            } else {
+                ASSERT_EQ(cache.access(addr), ref.access(addr))
+                    << "seed " << seed << " step " << step;
+            }
+        }
+        // After a reset both agree that every line is gone.
+        cache.reset();
+        ref.reset();
+        for (std::uint16_t line : lines) {
+            EXPECT_FALSE(cache.probe(line));
+            EXPECT_EQ(cache.access(line), ref.access(line));
+        }
+    }
 }
 
 TEST(Stalls, SequentialCodeMostlyHits)

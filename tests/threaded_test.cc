@@ -1425,6 +1425,60 @@ TEST(Threaded, SingleOperandMemoryFormsMatchOracle)
                      "single operand memory");
 }
 
+/** Flag-setting ops with SR as the destination store their result
+ *  into SR first and then write N, Z, C and V over it, as the oracle
+ *  does; a byte store clears SR's high byte before V lands in bit 8.
+ *  Each op starts from a known SR and R12/R13 fold every SR it leaves
+ *  (a Fletcher-style checksum), so one wrong flag or order shows. The
+ *  operands never set GIE, CPUOFF or OSCOFF. A byte op can only
+ *  overflow into a negative result, so the two byte forms that set V
+ *  leave bit 7 (SCG1) set until the next MOV; the model gives that bit
+ *  no meaning. */
+TEST(Threaded, AluIntoSrMatchesOracle)
+{
+    auto step = [](const char *init, const char *op) {
+        return std::string("        MOV #") + init + ", SR\n        " + op +
+               "\n        ADD SR, R12\n        ADD R12, R13\n";
+    };
+    std::string body = "        MOV #0xC000, R5\n"
+                       "        MOV #0x8000, R6\n"
+                       "        MOV #sword, R7\n"
+                       "        MOV #20, R10\n"
+                       "srloop:\n";
+    // Word forms, V set by ADD, SUB and XOR; register, immediate,
+    // @Rn and absolute sources.
+    body += step("0x4000", "ADD #0x4000, SR");
+    body += step("0x4000", "ADD R5, SR");
+    body += step("0x4000", "ADD @R7, SR");
+    body += step("0x0002", "SUB #0x4000, SR");
+    body += step("0", "SUB R6, SR");
+    body += step("0x8000", "XOR R6, SR");
+    body += step("0xC003", "AND #0x8001, SR");
+    body += step("0xC003", "AND &sword, SR");
+    body += step("0x0100", "BIT #0x0100, SR");
+    body += step("0x8107", "BIC #0x0103, SR");
+    body += step("0", "BIS #0x4101, SR");
+    body += step("0x4001", "RRC SR");
+    body += step("0x8004", "RRA SR");
+    body += step("0x4105", "SXT SR");
+    // Byte forms: V set by ADD.B and SUB.B, cleared with the high byte
+    // by XOR.B, AND.B, BIC.B, BIS.B, RRC.B and RRA.B.
+    body += step("0x0007", "ADD.B #0x7C, SR");
+    body += step("0x0001", "SUB.B #0x81, SR");
+    body += step("0x0106", "XOR.B #0x03, SR");
+    body += step("0x8107", "AND.B #0x05, SR");
+    body += step("0x4102", "BIT.B #0x02, SR");
+    body += step("0x8107", "BIC.B #0x02, SR");
+    body += step("0x8100", "BIS.B #0x03, SR");
+    body += step("0x0102", "RRC.B SR");
+    body += step("0x0107", "RRA.B SR");
+    body += "        DEC R10\n"
+            "        JNZ srloop\n";
+    test::MiniRun on = expectKernelTwin(
+        kernelSource(body, "sword:  .word 0x4000\n"), "alu into sr");
+    EXPECT_NE(on.reg(Reg::R13), 0);
+}
+
 /** MOV @PC, Rn reads the word after the instruction: inside a block
  *  the PC register still holds the instruction's own address, so a
  *  PC-based operand must not take a register-based kernel. */
