@@ -27,15 +27,18 @@ using isa::Operand;
  *     into the flat simulated memory (little-endian bytes).
  *   - a/b: immediate value (the cell sp may point at), jump target,
  *     or the static source/destination address.
- *   - runs/fa0/fa1: dynamic FRAM fetch probes. Three sequential fetch
- *     words span at most two 8-byte lines, so a fetch stream collapses
- *     to at most two hardware-cache probes; same-line followers are
- *     guaranteed hits with zero stall (a hit on the just-used way does
- *     not move the LRU) and fold into the static totals.
- *   - probe/d0_hit/d0_miss: one dynamic data-read probe for a static
- *     FRAM address with the hardware cache on; the line-contention
+ *   - runs/fa0/fa1/fm0: dynamic FRAM fetch probes. Three sequential
+ *     fetch words span at most two 8-byte lines, so a fetch stream
+ *     collapses to at most two hardware-cache probes; same-line
+ *     followers are guaranteed hits with zero stall (a hit on the
+ *     just-used way does not move the LRU). The statics count every
+ *     fetch word as a hit with its hit stall; a probe that misses adds
+ *     its miss-minus-hit stall (fm0 for the first) and one miss fix.
+ *   - probe/d0_miss: one dynamic data-read probe for a static FRAM
+ *     address with the hardware cache on, booked the same way: a hit
+ *     in the statics, d0_miss more stall on a miss. The line-contention
  *     component of the stall is static (the fetch stream's addresses
- *     are fixed), so both outcomes' stalls are precomputed.
+ *     are fixed), so both outcomes' stalls are known at lowering.
  *   - d_*: this op's share of the block's static totals, subtracted
  *     back on the rare bail-out walk over the unexecuted suffix.
  */
@@ -46,20 +49,24 @@ struct alignas(64) TOp {
     std::uint16_t next_pc = 0;
     std::uint16_t a = 0;
     std::uint16_t b = 0; ///< static dst addr; instr index for generic
-    std::uint16_t mask = 0xFFFF;
+    std::uint16_t mask = 0xFFFF; ///< conditional jump: truth table
     std::uint16_t msb = 0x8000;
     std::uint16_t fa0 = 0, fa1 = 0;
-    std::uint16_t fc0 = 0, fm0 = 0; ///< first fetch probe hit/miss stall
-    std::uint16_t d0_hit = 0, d0_miss = 0;
+    std::uint16_t fm0 = 0; ///< first fetch probe's miss-minus-hit stall
+    std::uint16_t d0_miss = 0;
     std::uint16_t lastline = 0;
+    std::uint16_t pc = 0; ///< the op's own address
+    /** Side exit: the base and stall totals of the ops after it. */
+    std::uint16_t xbase = 0, xstall = 0;
     std::uint8_t byte = 0;
     std::uint8_t runs = 0;
     std::uint8_t probe = 0;
-    std::uint8_t ra = 0;  ///< dyn src reg index / jump polarity
-    std::uint8_t rd = 0;  ///< dyn dst reg index
+    std::uint8_t ra = 0;  ///< dyn src reg index
+    std::uint8_t rd = 0;  ///< dyn dst reg index; kPcRmw: the op's kernel
     std::uint8_t inc = 0; ///< @Rn+ post-increment amount
     std::uint8_t smc = 0; ///< static store into the block's own code
     std::uint8_t chain = 0; ///< FRAM fetch words seeding data contention
+    std::uint32_t taken = 0; ///< side exit: takes since the last fold
 };
 static_assert(sizeof(TOp) == 64, "TOp must stay one cache line");
 static_assert(fram::accessStall(false, platform::kFramWaitStates24MHz,
@@ -190,15 +197,15 @@ class ThreadedCode
      *  cache line. */
     alignas(64) Totals tot{};
     std::vector<TDelta> deltas;
-    /** A side exit (a conditional jump inside the block, indexed by
-     *  its op's b field): the static totals of the ops after it, and
-     *  how often the running chain took it. Taking it takes back the
-     *  base and stall totals at once (chain deadlines need them
-     *  exact); the chain-end fold takes back the rest, times the
-     *  count. */
+    /** A side exit (a conditional jump inside the block): the static
+     *  totals of the ops after it, and the index of the jump's op.
+     *  Taking it takes back the suffix's base and stall totals at once
+     *  (chain deadlines need them exact), from copies in the jump's op
+     *  (TOp::xbase/xstall), and counts itself there (TOp::taken); the
+     *  fold takes back the rest, times the count. */
     struct Exit {
         Totals suffix{};
-        std::uint64_t taken = 0;
+        std::uint16_t op = 0;
     };
     std::vector<Exit> exits;
     /** The block's decoded instructions (generic kernel). */
@@ -208,6 +215,14 @@ class ThreadedCode
 };
 
 namespace {
+
+/** Per-op flag-liveness facts that lowering gathers for its backward
+ *  pass (ThreadedEngine::flow_). */
+enum : std::uint8_t {
+    kFlowReads = 1, ///< reads N/Z/C/V, or can stop the chain
+    kFlowKills = 2, ///< writes all four
+    kFlowNR = 4,    ///< a kNR flag-setting op with a flagless form
+};
 
 /** Kernel identifiers, in exact label-table order. The four Format I
  *  families are contiguous runs indexed by (op - Op::Mov). */
@@ -226,21 +241,55 @@ enum KernelId : int {
     kCallImm,
     kM1Base,        ///< single-operand op on a memory operand, indexed
                     ///< by (op - Op::Rrc)
-    kNop = kM1Base + 6, ///< MOV of a register/immediate to CG2
+    kNop = kM1Base + 6, ///< MOV of a register/immediate to CG2; a dead
+                        ///< CMP/BIT
     kReti,
     kJmp,
-    kJcc,
-    kJSigned,
-    kJccExit,     ///< kJcc inside a block: taken is a side exit
-    kJSignedExit, ///< kJSigned inside a block: taken is a side exit
+    kJcc,     ///< conditional jump, the block's last op
+    kJccExit, ///< conditional jump inside a block: taken is a side exit
+    kFXBase,  ///< flag-setting kNR op + side-exit jump, indexed by
+              ///< flagOpIndex
+    kFEBase = kFXBase + 9, ///< flag-setting kNR op + last-op jump
+    kNFBase = kFEBase + 9, ///< flagless kNR op, indexed by
+                           ///< flaglessOpIndex
+    kPcRmw = kNFBase + 7, ///< PC store, then the kernel in TOp::rd
     kGeneric,
     kBlockEnd,
+    kBlockEndPc, ///< kBlockEnd that stores the fall-through PC first
     kNumKernels,
 };
 
 #define SWAPRAM_FMT1_OPS(X)                                              \
     X(Mov) X(Add) X(Addc) X(Subc) X(Sub) X(Cmp) X(Dadd) X(Bit) X(Bic)    \
     X(Bis) X(Xor) X(And)
+
+/** The Format I ops that set flags, in Op order (flagOpIndex). */
+#define SWAPRAM_FLAG_OPS(X)                                              \
+    X(Add) X(Addc) X(Subc) X(Sub) X(Cmp) X(Dadd) X(Bit) X(Xor) X(And)
+
+/** The flag-setting ops with a flagless kernel: CMP and BIT, whose
+ *  flags are their only effect, become kNop instead. */
+#define SWAPRAM_FLAGLESS_OPS(X)                                          \
+    X(Add) X(Addc) X(Subc) X(Sub) X(Dadd) X(Xor) X(And)
+
+/** Index of a Format I op (by op - Op::Mov) among SWAPRAM_FLAG_OPS,
+ *  or -1 for MOV, BIC and BIS. */
+constexpr int
+flagOpIndex(int op_off)
+{
+    constexpr std::array<std::int8_t, 12> kIdx = {-1, 0, 1,  2,  3, 4,
+                                                  5,  6, -1, -1, 7, 8};
+    return kIdx[static_cast<std::size_t>(op_off)];
+}
+
+/** Index of a Format I op among SWAPRAM_FLAGLESS_OPS, or -1. */
+constexpr int
+flaglessOpIndex(int op_off)
+{
+    constexpr std::array<std::int8_t, 12> kIdx = {-1, 0,  1,  2,  3, -1,
+                                                  4,  -1, -1, -1, 5, 6};
+    return kIdx[static_cast<std::size_t>(op_off)];
+}
 
 /** The Format II ops with a memory-operand kernel, in Op order. */
 #define SWAPRAM_FMT2_OPS(X) X(Rrc) X(Swpb) X(Rra) X(Sxt) X(Push) X(Call)
@@ -261,7 +310,10 @@ struct DCtx {
 
     // Timing-model constants.
     std::uint32_t ws = 0;
-    std::uint32_t ms = 0; ///< stall of a contending FRAM miss
+    /** Miss-minus-hit stall of a contending fetch probe. */
+    std::uint32_t mx = 0;
+    /** Static hardware-cache hits that missed at run time. */
+    std::uint64_t miss_fix = 0;
     std::uint32_t sram_size = 0;
     std::uint16_t code_base = 0;
     std::uint32_t code_end = 0;
@@ -284,9 +336,9 @@ struct DCtx {
     ThreadedCode *touched = nullptr;
     std::uint64_t dispatches = 0; ///< blocks with progress this chain
     bool chain_in_recovery = false;
-    // What the inline step checks: blocks end below deadline (0 with a
-    // timer, which only the tail sequences), and their key matches the
-    // chain's under key_mask.
+    // What the inline step checks: blocks end below deadline
+    // (inlineDeadline), and their key matches the chain's under
+    // key_mask.
     std::uint64_t now0 = 0;
     std::uint64_t deadline = 0;
     std::uint16_t key = 0;
@@ -350,6 +402,23 @@ struct AluR {
     std::uint32_t r;
     bool n, z, c, v;
 };
+
+/** The flags as a 4-bit index, C | Z << 1 | N << 2 | V << 3: the bit
+ *  of a conditional jump's truth table (TOp::mask) that says whether
+ *  it is taken. */
+SWAPRAM_INLINE unsigned
+flagIndex(const AluR &o)
+{
+    return unsigned{o.c} | unsigned{o.z} << 1 | unsigned{o.n} << 2 |
+           unsigned{o.v} << 3;
+}
+
+/** The flag index of the flags in @p sr. */
+SWAPRAM_INLINE unsigned
+flagIndex(std::uint16_t sr)
+{
+    return (sr & 7u) | ((sr >> 5) & 8u);
+}
 
 /** The Format I ALU, result + flags; mirrors ExecCore::executeFormatI
  *  op by op (the kernels then store-before-set-flags in the same
@@ -426,6 +495,73 @@ fmt1Alu(std::uint32_t src, std::uint32_t dst, std::uint16_t sr_val,
         return o;
     }
 }
+
+/** True for the conditional jumps (every Jump-format op but JMP). */
+constexpr bool
+isCondJump(Op o)
+{
+    static_assert(static_cast<int>(Op::Jl) - static_cast<int>(Op::Jne) ==
+                          6 &&
+                      static_cast<int>(Op::Jmp) ==
+                          static_cast<int>(Op::Jl) + 1,
+                  "the seven conditional jumps are one run, JMP after it");
+    return o >= Op::Jne && o <= Op::Jl;
+}
+
+/** True when @p in leaves a PC of its own (a jump, CALL, RETI or a
+ *  write to a PC register destination): a kernel that runs it stores
+ *  the PC. Everything else leaves the fall-through, which only
+ *  SMC-stopping and generic kernels store. */
+bool
+writesPc(const isa::Instr &in)
+{
+    const bool pc_dst =
+        in.dst.mode == Mode::Register && in.dst.reg == isa::Reg::PC;
+    switch (isa::opFormat(in.op)) {
+      case isa::OpFormat::Jump:
+        return true;
+      case isa::OpFormat::DoubleOperand:
+        return pc_dst && in.op != Op::Cmp && in.op != Op::Bit;
+      case isa::OpFormat::SingleOperand:
+        return in.op == Op::Reti || in.op == Op::Call ||
+               (pc_dst && in.op != Op::Push);
+    }
+    return false;
+}
+
+/** A conditional jump's truth table: bit flagIndex(flags) is set when
+ *  the jump is taken with those flags. */
+constexpr std::uint16_t
+jumpTruthTable(Op o)
+{
+    std::uint16_t tt = 0;
+    for (unsigned f = 0; f < 16; ++f) {
+        const bool c = f & 1, z = f & 2, n = f & 4, v = f & 8;
+        bool taken = false;
+        switch (o) {
+          case Op::Jne: taken = !z; break;
+          case Op::Jeq: taken = z; break;
+          case Op::Jnc: taken = !c; break;
+          case Op::Jc: taken = c; break;
+          case Op::Jn: taken = n; break;
+          case Op::Jge: taken = n == v; break;
+          case Op::Jl: taken = n != v; break;
+          default: break;
+        }
+        if (taken)
+            tt = static_cast<std::uint16_t>(tt | 1u << f);
+    }
+    return tt;
+}
+
+/** The seven truth tables, indexed by (op - Op::Jne). */
+constexpr std::array<std::uint16_t, 7> kJumpTruth = {
+    jumpTruthTable(Op::Jne), jumpTruthTable(Op::Jeq),
+    jumpTruthTable(Op::Jnc), jumpTruthTable(Op::Jc),
+    jumpTruthTable(Op::Jn),  jumpTruthTable(Op::Jge),
+    jumpTruthTable(Op::Jl)};
+static_assert(kJumpTruth[0] == 0x3333 && kJumpTruth[5] == 0xF00F,
+              "JNE is taken with Z clear, JGE with N equal to V");
 
 /** Native u16 cell load (register file or the op's immediate cell). */
 inline std::uint32_t
@@ -599,56 +735,48 @@ class ShimMem
 
 /** Replay the fetch stream's dynamic hardware-cache probes (at most
  *  two line runs; same-line followers are folded statically). The
- *  first probe's stall contributions are per-op (fc0/fm0): normally
- *  0/ws (a leading run never contends), but when cross-op folding
- *  removed the leading run, the surviving probe is a contending line
- *  change and carries the contention stall (ms on a miss) instead. */
+ *  statics booked each probe as a hit; a miss adds the rest of its
+ *  stall and a miss fix, which the flush moves from hits to misses.
+ *  The first probe's extra stall is per-op (fm0): normally ws (a
+ *  leading run never contends), but when cross-op folding removed the
+ *  leading run, the surviving probe is a contending line change and
+ *  owes what the second probe owes. */
 SWAPRAM_INLINE void
 tFetch(DCtx *st, const TOp *op)
 {
     if (op->runs) {
-        if (st->hw->access(op->fa0)) {
-            ++st->acc[kAccHits];
-            st->acc[kAccStall] += op->fc0;
-        } else {
-            ++st->acc[kAccMisses];
+        if (!st->hw->access(op->fa0)) {
             st->acc[kAccStall] += op->fm0;
+            ++st->miss_fix;
         }
-        if (op->runs > 1) {
-            if (st->hw->access(op->fa1)) {
-                ++st->acc[kAccHits];
-                st->acc[kAccStall] += fram::kContentionStall;
-            } else {
-                ++st->acc[kAccMisses];
-                st->acc[kAccStall] += st->ms;
-            }
+        if (op->runs > 1 && !st->hw->access(op->fa1)) {
+            st->acc[kAccStall] += st->mx;
+            ++st->miss_fix;
         }
     }
 }
 
-/** One dynamic data-read probe of a static FRAM address. */
+/** One dynamic data-read probe of a static FRAM address, booked like
+ *  a fetch probe. */
 SWAPRAM_INLINE void
 tProbe(DCtx *st, const TOp *op, std::uint16_t addr)
 {
-    if (op->probe) {
-        if (st->hw->access(addr)) {
-            ++st->acc[kAccHits];
-            st->acc[kAccStall] += op->d0_hit;
-        } else {
-            ++st->acc[kAccMisses];
-            st->acc[kAccStall] += op->d0_miss;
-        }
+    if (op->probe && !st->hw->access(addr)) {
+        st->acc[kAccStall] += op->d0_miss;
+        ++st->miss_fix;
     }
 }
 
-/** imm/reg src -> reg dst: no memory, fully static accounting. */
-template <Op OP>
-SWAPRAM_INLINE int
+/** imm/reg src -> reg dst: no memory, fully static accounting. Never
+ *  stops the chain; returns the ALU outcome, whose flags a fused jump
+ *  tests. kFlags false is the flagless form of an op whose flags the
+ *  block overwrites unread: the flag arithmetic folds away. */
+template <Op OP, bool kFlags = fmt1Flags<OP>()>
+SWAPRAM_INLINE AluR
 kernNR(DCtx *st, TOp *op)
 {
     tFetch(st, op);
     std::uint16_t *regs = st->regs;
-    regs[0] = op->next_pc;
     std::uint32_t src = cellLoad(op->sp, op->mask);
     std::uint32_t dst = 0;
     if constexpr (OP != Op::Mov)
@@ -656,9 +784,9 @@ kernNR(DCtx *st, TOp *op)
     AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
     if constexpr (fmt1Writes<OP>())
         cellStore(op->dp, o.r, op->mask);
-    if constexpr (fmt1Flags<OP>())
+    if constexpr (kFlags)
         setF(regs, o.n, o.z, o.c, o.v);
-    return 0;
+    return o;
 }
 
 /** Static mem src -> reg dst: at most one dynamic probe. */
@@ -669,7 +797,6 @@ kernMR(DCtx *st, TOp *op)
     tFetch(st, op);
     tProbe(st, op, op->a);
     std::uint16_t *regs = st->regs;
-    regs[0] = op->next_pc;
     std::uint32_t src = simLoad(op->sp, op->mask);
     std::uint32_t dst = 0;
     if constexpr (OP != Op::Mov)
@@ -693,7 +820,6 @@ kernNM(DCtx *st, TOp *op)
     if constexpr (OP != Op::Mov)
         tProbe(st, op, op->b);
     std::uint16_t *regs = st->regs;
-    regs[0] = op->next_pc;
     std::uint32_t src = cellLoad(op->sp, op->mask);
     std::uint32_t dst = 0;
     if constexpr (OP != Op::Mov)
@@ -706,8 +832,10 @@ kernNM(DCtx *st, TOp *op)
     if constexpr (fmt1Flags<OP>())
         setF(regs, o.n, o.z, o.c, o.v);
     if constexpr (fmt1Writes<OP>()) {
-        if (op->smc)
+        if (op->smc) {
+            regs[0] = op->next_pc;
             return 2;
+        }
     }
     return 0;
 }
@@ -725,7 +853,6 @@ kernDR(DCtx *st, TOp *op)
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
-    regs[0] = op->next_pc;
     regs[op->ra] = static_cast<std::uint16_t>(regs[op->ra] + op->inc);
     std::uint32_t src = dynLoad(st, addr, op->byte != 0);
     std::uint32_t dst = 0;
@@ -752,7 +879,6 @@ kernND(DCtx *st, TOp *op)
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
-    regs[0] = op->next_pc;
     std::uint32_t src = cellLoad(op->sp, op->mask);
     std::uint32_t dst = 0;
     if constexpr (OP != Op::Mov)
@@ -763,8 +889,10 @@ kernND(DCtx *st, TOp *op)
     if constexpr (fmt1Flags<OP>())
         setF(regs, o.n, o.z, o.c, o.v);
     if constexpr (fmt1Writes<OP>()) {
-        if (st->smc)
+        if (st->smc) {
+            regs[0] = op->next_pc;
             return 2;
+        }
     }
     return 0;
 }
@@ -777,7 +905,6 @@ kernRot(DCtx *st, TOp *op)
     namespace sr = isa::sr;
     tFetch(st, op);
     std::uint16_t *regs = st->regs;
-    regs[0] = op->next_pc;
     std::uint32_t v = cellLoad(op->dp, op->mask);
     std::uint32_t r;
     if constexpr (RRC)
@@ -799,11 +926,14 @@ kernPush(DCtx *st, TOp *op)
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
-    regs[0] = op->next_pc;
     std::uint32_t v = cellLoad(op->sp, op->mask);
     regs[1] = nsp;
     dynStore(st, nsp, v, op->byte != 0);
-    return st->smc ? 2 : 0;
+    if (st->smc) {
+        regs[0] = op->next_pc;
+        return 2;
+    }
+    return 0;
 }
 
 /** CALL #imm: static target, one dynamic stack write. Terminator. */
@@ -816,7 +946,6 @@ kernCallImm(DCtx *st, TOp *op)
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
-    regs[0] = op->next_pc;
     regs[1] = nsp;
     dynStore(st, nsp, op->next_pc, false);
     regs[0] = op->a;
@@ -848,7 +977,6 @@ kernMM(DCtx *st, TOp *op)
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
-    regs[0] = op->next_pc;
     regs[op->ra] = static_cast<std::uint16_t>(regs[op->ra] + op->inc);
     const bool byte = op->byte != 0;
     std::uint32_t src = dynLoad(st, saddr, byte);
@@ -861,8 +989,10 @@ kernMM(DCtx *st, TOp *op)
     if constexpr (fmt1Flags<OP>())
         setF(regs, o.n, o.z, o.c, o.v);
     if constexpr (fmt1Writes<OP>()) {
-        if (st->smc)
+        if (st->smc) {
+            regs[0] = op->next_pc;
             return 2;
+        }
     }
     return 0;
 }
@@ -888,7 +1018,6 @@ kernM1(DCtx *st, TOp *op)
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
-    regs[0] = op->next_pc;
     regs[op->ra] = static_cast<std::uint16_t>(regs[op->ra] + op->inc);
     const bool byte = op->byte != 0;
     if constexpr (OP == Op::Push) {
@@ -918,7 +1047,12 @@ kernM1(DCtx *st, TOp *op)
         dynStore(st, addr, r, byte);
         setF(regs, (r & op->msb) != 0, r == 0, (v & 1) != 0, false);
     }
-    return st->smc ? 2 : 0;
+    if (st->smc) {
+        if constexpr (OP != Op::Call)
+            regs[0] = op->next_pc;
+        return 2;
+    }
+    return 0;
 }
 
 /** RETI: pops SR, then PC, off a pre-checked stack. Terminator. */
@@ -944,6 +1078,7 @@ SWAPRAM_INLINE int
 kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
 {
     const SuperblockEngine::BlockInstr *bi = &st->cur_tc->instrs[op->b];
+    st->regs[0] = op->next_pc; // as ExecCore sees it after the fetch
     if ((bi->flags & SuperblockEngine::kFlagDynMem) &&
         !SuperblockEngine::dynOperandsMapped(bi->instr, *st->regs_arr,
                                              st->sram_size))
@@ -951,7 +1086,6 @@ kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
     ++st->generic;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
-    st->regs[0] = op->next_pc;
     core.execute(bi->instr);
     return st->smc ? 2 : 0;
 }
@@ -1034,6 +1168,19 @@ chainStep(DCtx *st)
     return static_cast<TOp *>(st->eng->advanceChain(st));
 }
 
+/** The inline step's deadline, at a fold at total-cycle count @p now:
+ *  the chain's limit (0 with a timer, which only the tail sequences),
+ *  and at most 2^32 cycles on, so no side exit's 32-bit taken count
+ *  (a taken exit costs at least one cycle) wraps before the next
+ *  fold. */
+std::uint64_t
+inlineDeadline(const ThreadedEngine::ChainLimits &limits, std::uint64_t now)
+{
+    if (limits.timer_period)
+        return 0;
+    return std::min(limits.limit_cycles, now + (std::uint64_t{1} << 32));
+}
+
 /** Apply every touched block's static totals other than base and
  *  stall, times its entries, less those of its taken side exits'
  *  suffixes, times their counts, and empty the touched list. */
@@ -1044,12 +1191,13 @@ foldTouched(DCtx &st)
         const std::uint64_t e = tc->execs;
         for (int i = kAccStall + 1; i < kNumAcc; ++i)
             st.acc[i] += e * tc->tot[i];
-        for (ThreadedCode::Exit &x : tc->exits) {
-            if (!x.taken)
+        for (const ThreadedCode::Exit &x : tc->exits) {
+            TOp &j = tc->ops[x.op];
+            if (!j.taken)
                 continue;
             for (int i = kAccStall + 1; i < kNumAcc; ++i)
-                st.acc[i] -= x.taken * x.suffix[i];
-            x.taken = 0;
+                st.acc[i] -= std::uint64_t{j.taken} * x.suffix[i];
+            j.taken = 0;
         }
         st.dispatches += e;
         tc->execs = 0;
@@ -1091,8 +1239,17 @@ dispatchRun(DCtx *st, TOp *op)
 #define X(N) &&L_m1_##N,
         SWAPRAM_FMT2_OPS(X)
 #undef X
-        &&L_nop,     &&L_reti, &&L_jmp, &&L_jcc,  &&L_jsigned,
-        &&L_jcc_x,   &&L_jsigned_x,     &&L_generic, &&L_end,
+        &&L_nop,     &&L_reti, &&L_jmp, &&L_jcc,  &&L_jcc_x,
+#define X(N) &&L_fx_##N,
+        SWAPRAM_FLAG_OPS(X)
+#undef X
+#define X(N) &&L_fe_##N,
+        SWAPRAM_FLAG_OPS(X)
+#undef X
+#define X(N) &&L_nf_##N,
+        SWAPRAM_FLAGLESS_OPS(X)
+#undef X
+        &&L_pc_rmw,  &&L_generic, &&L_end, &&L_end_pc,
     };
     if (!st)
         return kLabels;
@@ -1118,9 +1275,36 @@ dispatchRun(DCtx *st, TOp *op)
     goto *op->h;
 
 #define X(N)                                                             \
-    L_nr_##N : SWAPRAM_RUN(kernNR<Op::N>(st, op));                       \
+    L_nr_##N : kernNR<Op::N>(st, op);                                    \
     SWAPRAM_NEXT;
     SWAPRAM_FMT1_OPS(X)
+#undef X
+    // A flag-setting op fused with the conditional jump after it: the
+    // jump's condition comes from the ALU outcome, not a reload of SR.
+    // The jump keeps its own TOp (fetch probe, target, truth table).
+#define X(N)                                                             \
+    L_fx_##N : {                                                         \
+        const unsigned f_ = flagIndex(kernNR<Op::N>(st, op));            \
+        ++op;                                                            \
+        tFetch(st, op);                                                  \
+        if (!((op->mask >> f_) & 1))                                     \
+            SWAPRAM_NEXT;                                                \
+        st->regs[0] = op->a;                                             \
+        goto L_side_exit;                                                \
+    }                                                                    \
+    L_fe_##N : {                                                         \
+        const unsigned f_ = flagIndex(kernNR<Op::N>(st, op));            \
+        ++op;                                                            \
+        tFetch(st, op);                                                  \
+        st->regs[0] = ((op->mask >> f_) & 1) ? op->a : op->next_pc;      \
+        goto L_end;                                                      \
+    }
+    SWAPRAM_FLAG_OPS(X)
+#undef X
+#define X(N)                                                             \
+    L_nf_##N : kernNR<Op::N, false>(st, op);                             \
+    SWAPRAM_NEXT;
+    SWAPRAM_FLAGLESS_OPS(X)
 #undef X
 #define X(N)                                                             \
     L_mr_##N : SWAPRAM_RUN(kernMR<Op::N>(st, op));                       \
@@ -1161,14 +1345,12 @@ L_rra:
     SWAPRAM_NEXT;
 L_swpb : {
     tFetch(st, op);
-    st->regs[0] = op->next_pc;
     std::uint32_t v = cellLoad(op->dp, 0xFFFF);
     cellStore(op->dp, ((v >> 8) | (v << 8)) & 0xFFFF, 0xFFFF);
     SWAPRAM_NEXT;
 }
 L_sxt : {
     tFetch(st, op);
-    st->regs[0] = op->next_pc;
     std::uint32_t v = cellLoad(op->dp, 0xFF);
     std::uint32_t r = (v & 0x80) ? (v | 0xFF00) : v;
     cellStore(op->dp, r, 0xFFFF);
@@ -1183,7 +1365,6 @@ L_callimm:
     SWAPRAM_NEXT;
 L_nop:
     tFetch(st, op);
-    st->regs[0] = op->next_pc;
     SWAPRAM_NEXT;
 L_reti:
     SWAPRAM_RUN(kernReti(st, op));
@@ -1192,46 +1373,36 @@ L_jmp:
     tFetch(st, op);
     st->regs[0] = op->a;
     SWAPRAM_NEXT;
-L_jcc : {
+L_jcc:
     tFetch(st, op);
-    bool taken =
-        ((st->regs[2] & op->mask) != 0) == (op->ra != 0);
-    st->regs[0] = taken ? op->a : op->next_pc;
+    st->regs[0] =
+        ((op->mask >> flagIndex(st->regs[2])) & 1) ? op->a : op->next_pc;
     SWAPRAM_NEXT;
-}
-L_jsigned : {
-    namespace sr = isa::sr;
-    tFetch(st, op);
-    bool n = (st->regs[2] & sr::kN) != 0;
-    bool v = (st->regs[2] & sr::kV) != 0;
-    st->regs[0] = ((n == v) == (op->ra != 0)) ? op->a : op->next_pc;
-    SWAPRAM_NEXT;
-}
 L_jcc_x:
     tFetch(st, op);
-    if (((st->regs[2] & op->mask) != 0) != (op->ra != 0)) {
-        st->regs[0] = op->next_pc;
+    if (!((op->mask >> flagIndex(st->regs[2])) & 1))
         SWAPRAM_NEXT;
-    }
     st->regs[0] = op->a;
     goto L_side_exit;
-L_jsigned_x : {
-    namespace sr = isa::sr;
-    tFetch(st, op);
-    bool n = (st->regs[2] & sr::kN) != 0;
-    bool v = (st->regs[2] & sr::kV) != 0;
-    if ((n == v) != (op->ra != 0)) {
-        st->regs[0] = op->next_pc;
-        SWAPRAM_NEXT;
-    }
-    st->regs[0] = op->a;
-    goto L_side_exit;
-}
 L_generic:
     SWAPRAM_RUN(kernGeneric(st, op, core));
     SWAPRAM_NEXT;
 
+L_end_pc:
+    // The sentinel of a block whose last op leaves the PC as it was:
+    // no op stored it, so store the fall-through.
+    st->regs[0] = op->next_pc;
+    goto L_end;
+L_pc_rmw:
+    // A PC read-modify-write destination (ADD #k, PC) reads the
+    // fall-through PC, which no op before it stores; rd names the op's
+    // own kernel.
+    st->regs[0] = op->next_pc;
+    goto *kLabels[op->rd];
+
 L_bail_operand:
+    // Nothing committed: the oracle runs the op again from its own PC.
+    st->regs[0] = op->pc;
     st->bail_op = op;
     st->bail_kind = 1;
     return kLabels;
@@ -1243,10 +1414,9 @@ L_side_exit : {
     // A taken side exit leaves the block early: take back the base and
     // stall totals of the ops after it (the fold takes back the rest),
     // then step on as at the block end.
-    ThreadedCode::Exit &x = st->cur_tc->exits[op->b];
-    st->acc[kAccBase] -= x.suffix[kAccBase];
-    st->acc[kAccStall] -= x.suffix[kAccStall];
-    ++x.taken;
+    st->acc[kAccBase] -= op->xbase;
+    st->acc[kAccStall] -= op->xstall;
+    ++op->taken;
 }
 L_end:
     // Block completed: step to the next one in line — the dispatch
@@ -1304,9 +1474,18 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     // immediate's source cell may point into its own TOp.
     tc->ops.resize(n + 1);
     tc->deltas.resize(n);
+    flow_.resize(n);
 
     auto regCell = [regs](isa::Reg r) {
         return reinterpret_cast<std::uint8_t *>(regs + isa::regIndex(r));
+    };
+    // A register source's cell. No op stores the PC it leaves behind,
+    // so a PC source (MOV PC, Rn; PUSH PC) reads the op's own
+    // fall-through cell: the value ExecCore sees after the fetch.
+    auto pcOrRegCell = [&](isa::Reg r, TOp &t) -> const std::uint8_t * {
+        if (r == isa::Reg::PC)
+            return reinterpret_cast<const std::uint8_t *>(&t.next_pc);
+        return regCell(r);
     };
     // A memory operand of the kMM/kM1 kernels as base cell + offset: a
     // register's cell, or g_static_base for a Symbolic/Absolute
@@ -1354,10 +1533,11 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
             ++dl.d_fram_r;
             std::uint32_t cont = staticContention(addr, t);
             t.probe = 1;
-            t.d0_hit = static_cast<std::uint16_t>(
-                fram::accessStall(true, ws, cont));
+            ++dl.d_hits;
+            dl.d_stall += fram::accessStall(true, ws, cont);
             t.d0_miss = static_cast<std::uint16_t>(
-                fram::accessStall(false, ws, cont));
+                fram::accessStall(false, ws, cont) -
+                fram::accessStall(true, ws, cont));
         } else {
             ++dl.d_sram_r;
         }
@@ -1400,6 +1580,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         TOp &t = tc->ops[i];
         TDelta &dl = tc->deltas[i];
         t.next_pc = bi.next_pc;
+        t.pc = bi.pc;
         dl.d_base = bi.base_cycles;
         t.byte = in.byte ? 1 : 0;
         t.mask = in.byte ? 0xFF : 0xFFFF;
@@ -1433,12 +1614,17 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
                 lead = cstall;
                 --runs;
             }
-            t.fc0 = static_cast<std::uint16_t>(
-                fram::accessStall(true, ws, lead));
+            // Every fetch word is a hit in the statics; a probe that
+            // misses adds the rest at run time.
             t.fm0 = static_cast<std::uint16_t>(
-                fram::accessStall(false, ws, lead));
+                fram::accessStall(false, ws, lead) -
+                fram::accessStall(true, ws, lead));
             t.runs = static_cast<std::uint8_t>(runs);
-            dl.d_hits = static_cast<std::uint8_t>(bi.n_words - runs);
+            dl.d_hits = bi.n_words;
+            if (runs > 0)
+                dl.d_stall += fram::accessStall(true, ws, lead);
+            if (runs > 1)
+                dl.d_stall += fram::accessStall(true, ws, cstall);
         }
         dl.d_code = bi.code_words;
         dl.d_data = static_cast<std::uint8_t>(bi.n_words - bi.code_words);
@@ -1447,34 +1633,20 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         int kid = kGeneric;
         std::uint8_t *sbase = nullptr;
         const Op o = in.op;
-        switch (isa::opFormat(o)) {
-          case isa::OpFormat::Jump: {
-            namespace sr = isa::sr;
+        const isa::OpFormat fmt = isa::opFormat(o);
+        switch (fmt) {
+          case isa::OpFormat::Jump:
             t.a = in.jump_target;
             if (o == Op::Jmp) {
                 kid = kJmp;
-            } else if (o == Op::Jge || o == Op::Jl) {
-                kid = kJSigned;
-                t.ra = o == Op::Jge ? 1 : 0;
             } else {
-                kid = kJcc;
-                switch (o) {
-                  case Op::Jne: t.mask = sr::kZ; t.ra = 0; break;
-                  case Op::Jeq: t.mask = sr::kZ; t.ra = 1; break;
-                  case Op::Jnc: t.mask = sr::kC; t.ra = 0; break;
-                  case Op::Jc: t.mask = sr::kC; t.ra = 1; break;
-                  case Op::Jn: t.mask = sr::kN; t.ra = 1; break;
-                  default: kid = kGeneric; break;
-                }
+                // Before the block's last op, a conditional jump is a
+                // side exit (sim/superblock.hh).
+                kid = i + 1 < n ? kJccExit : kJcc;
+                t.mask = kJumpTruth[static_cast<std::size_t>(
+                    static_cast<int>(o) - static_cast<int>(Op::Jne))];
             }
-            // Before the block's last op, a conditional jump is a side
-            // exit (sim/superblock.hh).
-            if (i + 1 < n && kid == kJcc)
-                kid = kJccExit;
-            else if (i + 1 < n && kid == kJSigned)
-                kid = kJSignedExit;
             break;
-          }
           case isa::OpFormat::DoubleOperand: {
             const Operand &s = in.src;
             const Operand &d = in.dst;
@@ -1494,11 +1666,17 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
                 t.a = s.value;
                 t.sp = reinterpret_cast<const std::uint8_t *>(&t.a);
             } else if (s.mode == Mode::Register) {
-                t.sp = regCell(s.reg);
+                t.sp = pcOrRegCell(s.reg, t);
             }
             if (src_nonmem && dst_reg) {
                 kid = kNRBase + op_off;
                 t.dp = regCell(d.reg);
+                // Fused with a conditional jump right after it (a PC
+                // destination ends the block, so it never has one).
+                const int fi = flagOpIndex(op_off);
+                if (fi >= 0 && d.reg != isa::Reg::PC && i + 1 < n &&
+                    isCondJump(block.instrs[i + 1].instr.op))
+                    kid = (i + 2 < n ? kFXBase : kFEBase) + fi;
             } else if (src_static && dst_reg && word_ok_src) {
                 kid = kMRBase + op_off;
                 t.a = s.value;
@@ -1595,7 +1773,7 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
               case Op::Push:
                 if (d.mode == Mode::Register) {
                     kid = kPush;
-                    t.sp = regCell(d.reg);
+                    t.sp = pcOrRegCell(d.reg, t);
                 } else if (d.mode == Mode::Immediate) {
                     kid = kPush;
                     t.a = d.value;
@@ -1617,7 +1795,49 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         }
         if (kid == kGeneric)
             t.b = static_cast<std::uint16_t>(i);
+        // A register-kernel op that reads a PC destination (ADD #k, PC,
+        // RRA PC) first stores the fall-through PC it reads.
+        if (in.dst.mode == Mode::Register && in.dst.reg == isa::Reg::PC &&
+            o != Op::Mov && o != Op::Push && o != Op::Call &&
+            ((kid >= kNRBase && kid < kNRBase + 12) ||
+             (kid >= kMRBase && kid < kMRBase + 12) ||
+             (kid >= kDRBase && kid < kDRBase + 12) || kid == kRrc ||
+             kid == kRra || kid == kSwpb || kid == kSxt)) {
+            t.rd = static_cast<std::uint8_t>(kid);
+            kid = kPcRmw;
+        }
         t.h = labels_[kid];
+
+        // Flag-liveness facts for the backward pass below. An op reads
+        // N/Z/C/V when it tests them, takes a carry in, has SR as an
+        // operand, or can stop the chain (an operand bail-out or an
+        // SMC stop: the oracle or an interrupt may read SR there).
+        const int fmt1_off = fmt == isa::OpFormat::DoubleOperand
+                                 ? static_cast<int>(o) -
+                                       static_cast<int>(Op::Mov)
+                                 : -1;
+        const bool sr_operand =
+            (fmt1_off >= 0 && in.src.mode == Mode::Register &&
+             in.src.reg == isa::Reg::SR) ||
+            (fmt != isa::OpFormat::Jump && in.dst.mode == Mode::Register &&
+             in.dst.reg == isa::Reg::SR);
+        const bool can_stop =
+            (kid >= kDRBase && kid < kMMBase + 12) ||
+            (kid >= kM1Base && kid < kM1Base + 6) || kid == kPush ||
+            kid == kCallImm || kid == kReti || kid == kGeneric || t.smc;
+        const bool sets_flags = (fmt1_off >= 0 && flagOpIndex(fmt1_off) >= 0) ||
+                                o == Op::Rra || o == Op::Rrc ||
+                                o == Op::Sxt;
+        std::uint8_t fl = 0;
+        if (isCondJump(o) || o == Op::Addc || o == Op::Subc ||
+            o == Op::Dadd || o == Op::Rrc || o == Op::Reti || sr_operand ||
+            can_stop)
+            fl |= kFlowReads;
+        if (sets_flags)
+            fl |= kFlowKills;
+        if (sets_flags && !sr_operand && kid >= kNRBase && kid < kNRBase + 12)
+            fl |= kFlowNR;
+        flow_[i] = fl;
 
         // Fold state for the next instruction's leading fetch run:
         // dirty when this op can issue a data-read probe (static FRAM
@@ -1638,18 +1858,49 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         addDelta(tc->tot, dl, fram_code);
     }
     tc->tot[kAccOwner0 + block.owner] = static_cast<std::uint32_t>(n);
-    tc->ops[n].h = labels_[kBlockEnd];
+    // The sentinel stores the fall-through PC unless the last op
+    // leaves one of its own.
+    if (n > 0 && !writesPc(block.instrs[n - 1].instr)) {
+        tc->ops[n].h = labels_[kBlockEndPc];
+        tc->ops[n].next_pc = block.instrs[n - 1].next_pc;
+    } else {
+        tc->ops[n].h = labels_[kBlockEnd];
+    }
+
+    // Flag liveness, backward: N/Z/C/V are live at the block end (the
+    // chain may stop there) and before every op that reads them. Every
+    // flag-setting op writes all four, so it kills them. A kNR writer
+    // whose flags are dead runs flagless; a dead CMP or BIT, whose
+    // flags are its only effect, runs kNop.
+    bool live = true;
+    for (std::size_t i = n; i-- > 0;) {
+        const std::uint8_t fl = flow_[i];
+        if ((fl & kFlowNR) && !live) {
+            const int fi = flaglessOpIndex(
+                static_cast<int>(block.instrs[i].instr.op) -
+                static_cast<int>(Op::Mov));
+            tc->ops[i].h = labels_[fi >= 0 ? kNFBase + fi : kNop];
+        }
+        live = (fl & kFlowReads) || (live && !(fl & kFlowKills));
+    }
 
     // Each side exit's suffix: the totals of the ops after it.
     Totals suffix{};
     for (std::size_t i = n; i-- > 0;) {
-        const void *h = tc->ops[i].h;
-        if (h == labels_[kJccExit] || h == labels_[kJSignedExit]) {
+        if (i + 1 < n && isCondJump(block.instrs[i].instr.op)) {
             Totals sx = suffix;
             sx[kAccOwner0 + block.owner] =
                 static_cast<std::uint32_t>(n - 1 - i);
-            tc->ops[i].b = static_cast<std::uint16_t>(tc->exits.size());
-            tc->exits.push_back({sx, 0});
+            // The suffix's base and stall are at most the block's
+            // worst case, which a block keeps far below 2^16.
+            if (sx[kAccBase] > 0xFFFF || sx[kAccStall] > 0xFFFF)
+                support::fatal("side-exit suffix of the block at ",
+                               support::hex16(block.start_pc),
+                               " overflows its 16-bit fields");
+            TOp &j = tc->ops[i];
+            j.xbase = static_cast<std::uint16_t>(sx[kAccBase]);
+            j.xstall = static_cast<std::uint16_t>(sx[kAccStall]);
+            tc->exits.push_back({sx, static_cast<std::uint16_t>(i)});
         }
         addDelta(suffix, tc->deltas[i], fram_code);
     }
@@ -1668,6 +1919,8 @@ ThreadedEngine::advanceChain(void *p)
     // lookup() may rebuild the block at the PC and drop its old code,
     // which the touched list may hold: fold what ran so far first.
     foldTouched(st);
+    st.deadline = inlineDeadline(
+        limits, limits.now + st.acc[kAccBase] + st.acc[kAccStall]);
 
     const std::uint16_t pc = st.regs[0];
     SuperblockEngine::Block *block = sb_.lookup(pc);
@@ -1732,7 +1985,8 @@ ThreadedEngine::runChain(const ChainLimits &limits)
     st.hw = &bus_.hwCache();
     st.gens = &sb_.pageGens();
     st.ws = config_.effectiveWaitStates();
-    st.ms = fram::accessStall(false, st.ws, fram::kContentionStall);
+    st.mx = fram::accessStall(false, st.ws, fram::kContentionStall) -
+            fram::accessStall(true, st.ws, fram::kContentionStall);
     st.sram_size = config_.sram_size;
     st.code_base = bus_.codeBase();
     st.code_end = bus_.codeEnd();
@@ -1741,7 +1995,7 @@ ThreadedEngine::runChain(const ChainLimits &limits)
     st.sb = &sb_;
     st.limits = &limits;
     st.now0 = limits.now;
-    st.deadline = limits.timer_period ? 0 : limits.limit_cycles;
+    st.deadline = inlineDeadline(limits, limits.now);
     st.chain_in_recovery = sb_.inRecovery(cpu_.pc());
     const bool one_owner = limits.owner != ChainLimits::kAnyOwner;
     st.key = static_cast<std::uint16_t>(
@@ -1806,8 +2060,8 @@ ThreadedEngine::runChain(const ChainLimits &limits)
         stats_.fram.fetch += st.acc[kAccFramFetch];
         stats_.fram.read += st.acc[kAccFramRead];
         stats_.fram.write += st.acc[kAccFramWrite];
-        stats_.fram_cache_hits += st.acc[kAccHits];
-        stats_.fram_cache_misses += st.acc[kAccMisses];
+        stats_.fram_cache_hits += st.acc[kAccHits] - st.miss_fix;
+        stats_.fram_cache_misses += st.acc[kAccMisses] + st.miss_fix;
         stats_.code_space_accesses += st.acc[kAccCode];
         stats_.data_space_accesses += st.acc[kAccData];
         for (int i = 0; i < kNumOwners; ++i)

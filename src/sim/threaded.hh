@@ -15,14 +15,26 @@
  *   - Symbolic/Absolute operands become a direct uint8_t* into the flat
  *     memory array, with their region counters, code/data
  *     classification, and FRAM wait-state/contention stalls folded into
- *     static per-block totals at lowering time (only the hardware-cache
- *     hit/miss outcome stays dynamic);
+ *     static per-block totals at lowering time;
  *   - FRAM fetch streams collapse to at most two hardware-cache line
  *     probes per instruction (three sequential fetch words span at most
  *     two 8-byte lines; the followers are guaranteed hits with zero
  *     stall and fold into the static totals);
+ *   - the statics book every fetch and static data probe as a hit: at
+ *     run time a probe only asks the hardware cache, and a miss adds
+ *     its extra stall and a miss fix that the flush moves from hits to
+ *     misses;
  *   - register-dependent operands keep an inline mapped-space pre-check
  *     and fully dynamic accounting.
+ * Kernels do only the dynamic work a later op, a bail-out or the chain
+ * step can observe. A backward flag-liveness pass gives a flag-setting
+ * register op whose flags the block overwrites unread a flagless
+ * kernel (kNop for CMP/BIT); such an op followed by a conditional jump
+ * runs fused with it, the condition taken from the ALU outcome.
+ * Register kernels store no PC: a PC source reads the op's own
+ * fall-through cell, an operand bail-out restores the op's address,
+ * and the block-end sentinel stores the fall-through when the last op
+ * leaves none of its own.
  * Whatever does not fit a specialized kernel runs a generic kernel:
  * the shared ExecCore template over a direct-memory shim, so the
  * semantics stay single-sourced. Static and dynamic accounting alike
@@ -44,14 +56,15 @@
  * static delta so the rare bail-outs can walk the unexecuted suffix
  * and subtract it back. A forward conditional jump inside a block is
  * a side exit: taken, it subtracts the base and stall totals of the
- * ops after it, precomputed per exit at lowering, counts itself for
- * the chain-end fold to take back the rest, and steps on as at the
- * block end. A block is a trace whose segments follow JMP, BR #imm
- * and CALL #imm (sim/superblock.hh): those transfers run as ordinary
- * ops, and a chain step happens only where the next PC is decided at
- * run time or the trace had to stop. Every case the chain cannot
+ * ops after it, precomputed into its own op at lowering, counts itself
+ * there for the chain-end fold to take back the rest, and steps on as
+ * at the block end. A block is a trace whose segments follow JMP,
+ * BR #imm and CALL #imm (sim/superblock.hh): those transfers run as
+ * ordinary ops, and a chain step happens only where the next PC is
+ * decided at run time or the trace had to stop. Every case the chain cannot
  * prove identical to the oracle is a guard back to it:
- *   - dyn-operand MMIO/unmapped pre-check (nothing committed);
+ *   - dyn-operand MMIO/unmapped pre-check (nothing committed; the PC
+ *     is restored to the op's own);
  *   - a store into the code of any of the block's segments (static
  *     addresses checked at lowering, dynamic ones against the window
  *     bounding the segments, then each segment; committed, then
@@ -75,6 +88,7 @@
 #define SWAPRAM_SIM_THREADED_HH
 
 #include <cstdint>
+#include <vector>
 
 #include "sim/bus.hh"
 #include "sim/config.hh"
@@ -180,6 +194,8 @@ class ThreadedEngine
 
     /** Kernel label table, fetched once from the dispatch function. */
     const void *const *labels_ = nullptr;
+    /** lower()'s per-op flag-liveness facts, kept to reuse the buffer. */
+    std::vector<std::uint8_t> flow_;
 };
 
 } // namespace swapram::sim

@@ -12,8 +12,11 @@
  * across execution systems and power failures; version 3 adds
  * memory-to-memory statements (register-based to Indexed, absolute to
  * absolute, byte and same-register forms, single-operand ops on
- * memory) over a scratch array of its own. Versions 1 and 2 emit
- * exactly what they did before version 3 existed.
+ * memory) over a scratch array of its own; version 4 adds flag chains
+ * (a flag writer, ops that leave the flags alone or a memory op that
+ * can stop the threaded tier's chain, then a flag reader or another
+ * writer) and always runs the tick ISR when interrupts are allowed.
+ * Each version emits exactly what it did before the next existed.
  */
 
 #ifndef SWAPRAM_TESTS_FUZZ_PROGRAMS_HH
@@ -28,7 +31,8 @@ namespace swapram::test {
 
 /** Generator configuration (see file header for the version story). */
 struct FuzzOptions {
-    int version = 1; ///< 1 = historical, 2 = extended, 3 = + mem-to-mem
+    int version = 1; ///< 1 = historical, 2 = extended, 3 = + mem-to-mem,
+                     ///< 4 = + flag chains
     bool allow_interrupts = false; ///< v2+: maybe emit a tick ISR
 };
 
@@ -98,6 +102,108 @@ emitMemCase(std::ostringstream &os, support::Rng &rng, int func_id)
         break;
     }
     os << "        ADD &fz_marr+" << 2 * rng.below(8) << ", R12\n";
+}
+
+/** Emit one version-4 flag chain over R12/R13: a flag writer, zero to
+ *  three ops that leave N/Z/C/V alone or one memory op that can stop
+ *  the threaded chain (an Indexed store, or a store into the console
+ *  register, which bails to the oracle), then a flag reader (a
+ *  conditional skip, a carry-in op, SR as a source) or another writer.
+ *  SR is read masked to its flags: GIE depends on when the ticks land.
+ *  R14 and R15 are scratch, dead after the statement. */
+inline void
+emitFlagChain(std::ostringstream &os, support::Rng &rng, int &label_seq)
+{
+    // No writer takes a carry in: what precedes the chain may be a
+    // return through a cache runtime, which leaves no defined flags.
+    auto writer = [&os, &rng] {
+        static const char *const kOps[] = {"ADD", "SUB", "CMP",
+                                           "BIT", "XOR", "AND"};
+        const char *op = kOps[rng.below(6)];
+        const char *sfx = rng.below(3) == 0 ? ".B" : "";
+        switch (rng.below(4)) {
+          case 0: {
+            const std::uint32_t k = rng.below(0xFFFF);
+            os << "        " << op << sfx << " #" << k << ", R12\n";
+            break;
+          }
+          case 1:
+            os << "        " << op << sfx << " R13, R12\n";
+            break;
+          case 2:
+            os << "        " << op << sfx << " R12, R13\n";
+            break;
+          default:
+            os << (rng.below(2) ? "        RRA R12\n"
+                                : "        SXT R13\n");
+            break;
+        }
+    };
+    writer();
+    if (rng.below(4) == 0) {
+        if (rng.below(2)) {
+            os << "        MOV R12, R15\n"
+                  "        BIC #0xFFF9, R15\n"
+                  "        MOV R13, fz_arr(R15)\n";
+        } else {
+            os << "        MOV #0x0100, R15\n"
+                  "        MOV.B R13, 0(R15)\n";
+        }
+    } else {
+        for (int i = static_cast<int>(rng.below(4)); i > 0; --i) {
+            switch (rng.below(6)) {
+              case 0: os << "        MOV R12, R14\n"; break;
+              case 1: os << "        BIC #" << rng.below(0xFFFF)
+                         << ", R13\n";
+                break;
+              case 2: os << "        BIS #" << rng.below(0xFFFF)
+                         << ", R14\n";
+                break;
+              case 3: os << "        SWPB R13\n"; break;
+              case 4: os << "        NOP\n"; break;
+              default: {
+                const std::string next =
+                    "fz_fj" + std::to_string(label_seq++);
+                os << "        JMP " << next << "\n" << next << ":\n";
+                break;
+              }
+            }
+        }
+    }
+    if (rng.below(10) < 3) {
+        writer();
+        return;
+    }
+    switch (rng.below(6)) {
+      case 0: {
+        static const char *const kJumps[] = {"JNE", "JEQ", "JNC", "JC",
+                                             "JN",  "JGE", "JL"};
+        const char *j = kJumps[rng.below(7)];
+        const std::uint32_t k = rng.below(511);
+        const std::string skip = "fz_fs" + std::to_string(label_seq++);
+        os << "        " << j << " " << skip << "\n"
+           << "        ADD #" << k << ", R12\n"
+           << skip << ":\n";
+        break;
+      }
+      case 1: os << "        ADDC R13, R12\n"; break;
+      case 2: os << "        SUBC.B #" << rng.below(255) << ", R12\n";
+        break;
+      case 3: os << (rng.below(2) ? "        DADD R13, R12\n"
+                                  : "        RRC R12\n");
+        break;
+      case 4:
+        os << "        MOV SR, R14\n"
+              "        AND #0x0107, R14\n"
+              "        ADD R14, R12\n";
+        break;
+      default:
+        os << "        PUSH SR\n"
+              "        POP R14\n"
+              "        AND #0x0107, R14\n"
+              "        XOR R14, R13\n";
+        break;
+    }
 }
 
 /** Emit ALU case @p pick, mutating R12/R13 or state. Cases 0-11 are
@@ -208,18 +314,24 @@ randomProgram(std::uint32_t seed, const FuzzOptions &opts)
 {
     const bool v2 = opts.version >= 2;
     const bool v3 = opts.version >= 3;
+    const bool v4 = opts.version >= 4;
     // Version 1 pins the legacy biased below() so historical fuzz
     // seeds keep producing byte-identical programs.
-    support::Rng rng(v3 ? seed ^ 0x3A3Bu : v2 ? seed ^ 0xF22Du : seed,
+    support::Rng rng(v4   ? seed ^ 0x4F1Au
+                     : v3 ? seed ^ 0x3A3Bu
+                     : v2 ? seed ^ 0xF22Du
+                          : seed,
                      v2 ? support::Rng::kUniformBelow
                         : support::Rng::kLegacyBelow);
     int label_seq = 0;
     const int nfuncs = 3 + static_cast<int>(rng.below(6)); // 3..8
     // Version 3's memory statement is case 16, drawn as often as the
-    // other sixteen together.
-    const int alu_cases = v3 ? 32 : v2 ? 16 : 12;
+    // other sixteen together; version 4's flag chain is case 32, drawn
+    // as often as both.
+    const int alu_cases = v4 ? 64 : v3 ? 32 : v2 ? 16 : 12;
 
-    bool interrupts = v2 && opts.allow_interrupts && rng.below(10) < 4;
+    bool interrupts =
+        v2 && opts.allow_interrupts && (v4 || rng.below(10) < 4);
     const int isr_ticks = interrupts ? 2 + static_cast<int>(rng.below(6))
                                      : 0;
     const std::uint64_t isr_period =
@@ -250,7 +362,9 @@ randomProgram(std::uint32_t seed, const FuzzOptions &opts)
         int body = 2 + rng.below(6);
         for (int i = 0; i < body; ++i) {
             const int pick = static_cast<int>(rng.below(alu_cases));
-            if (pick >= 16)
+            if (pick >= 32)
+                emitFlagChain(os, rng, label_seq);
+            else if (pick >= 16)
                 emitMemCase(os, rng, f);
             else
                 emitAluCase(os, pick, rng, f, label_seq);

@@ -10,6 +10,7 @@
 #include <random>
 
 #include "sim/hw_cache.hh"
+#include "support/platform.hh"
 #include "testutil.hh"
 
 namespace {
@@ -154,16 +155,33 @@ TEST(HwCache, MatchesReferenceLru)
 
 TEST(Stalls, SequentialCodeMostlyHits)
 {
-    // Straight-line code in FRAM at 24 MHz: one miss per 8-byte line.
-    sim::MachineConfig cfg;
-    cfg.clock_hz = 24'000'000;
-    auto r = test::runBody("        NOP\n        NOP\n        NOP\n"
-                           "        NOP\n        NOP\n        NOP\n",
-                           cfg);
-    const auto &st = r.stats();
-    EXPECT_GT(st.fram_cache_hits, st.fram_cache_misses);
-    EXPECT_EQ(st.stall_cycles % 1, 0u); // sanity
-    EXPECT_GT(st.stall_cycles, 0u);
+    // Straight-line code in FRAM at 24 MHz, one line at a time: every
+    // fetch word is one read-cache access, one miss per 8-byte line,
+    // and no access contends (no instruction crosses a line), so every
+    // stall cycle is a miss's wait states. The oracle and the threaded
+    // tier (which books its probes as hits and fixes up the misses)
+    // count the same hits and misses.
+    const std::string body = "        NOP\n        NOP\n        NOP\n"
+                             "        NOP\n        NOP\n        NOP\n";
+    std::array<sim::Stats, 2> tier{};
+    for (bool threaded : {false, true}) {
+        sim::MachineConfig cfg;
+        cfg.clock_hz = 24'000'000;
+        cfg.superblock_enabled = threaded;
+        cfg.threaded_enabled = threaded;
+        auto r = test::runBody(body, cfg);
+        ASSERT_TRUE(r.result.done);
+        const sim::Stats &st = r.stats();
+        EXPECT_EQ(st.fram_cache_hits + st.fram_cache_misses, st.fram.fetch);
+        EXPECT_GT(st.fram_cache_hits, st.fram_cache_misses);
+        EXPECT_GT(st.fram_cache_misses, 0u);
+        EXPECT_EQ(st.stall_cycles,
+                  st.fram_cache_misses * platform::kFramWaitStates24MHz);
+        EXPECT_EQ(st.threaded_instructions > 0, threaded);
+        tier[threaded] = st;
+    }
+    EXPECT_EQ(tier[1].fram_cache_hits, tier[0].fram_cache_hits);
+    EXPECT_EQ(tier[1].fram_cache_misses, tier[0].fram_cache_misses);
 }
 
 TEST(Stalls, ZeroWaitStatesAt8MHz)

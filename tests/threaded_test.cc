@@ -1503,6 +1503,203 @@ TEST(Threaded, IndirectPcSourceMatchesOracle)
     expectMostlyThreaded(on.stats(), "mov @pc");
 }
 
+// ---- Flag and PC liveness, fused compare-and-branch -----------------
+
+/** Operand pairs for the flag tests: zero, carry, overflow both ways,
+ *  negative, equal and byte-boundary results. */
+const char kFlagPairs[] =
+    "pairs:  .word 0x0000, 0x0000, 0x7FFF, 0x0001, 0x8000, 0x8000\n"
+    "        .word 0xFFFF, 0x0001, 0x0001, 0xFFFF, 0x1234, 0x1234\n"
+    "        .word 0x8000, 0x7FFF, 0x00FF, 0x0001, 0x0080, 0x0080\n"
+    "        .word 0x5555, 0xAAAA, 0x0F0F, 0x00F0, 0x7F7F, 0x0101\n";
+
+/** A loop over the 12 operand pairs: R5 and R6 hold a pair when @p body
+ *  runs; R12..R14 are its checksum registers. */
+std::string
+pairLoop(const std::string &label, const std::string &body)
+{
+    return "        MOV #pairs, R11\n"
+           "        MOV #12, R10\n" +
+           label + ":\n"
+           "        MOV @R11+, R5\n"
+           "        MOV @R11+, R6\n" +
+           body +
+           "        DEC R10\n"
+           "        JZ " + label + "_end\n"
+           "        MOV #" + label + ", PC\n" // beyond a jump's reach
+           + label + "_end:\n";
+}
+
+/** Writers whose flags the block overwrites unread run flagless (or as
+ *  kNop for CMP and BIT), through neutral ops (MOV, BIC, BIS, SWPB and
+ *  a JMP the trace follows) before an overwriter or a reader. */
+TEST(Threaded, DeadFlagWritersMatchOracle)
+{
+    const std::string body = "        ADD R5, R7\n"   // dead: CMP next
+                             "        CMP R5, R6\n"   // read by ADDC
+                             "        MOV R5, R8\n"
+                             "        BIC #1, R8\n"
+                             "        BIS #4, R8\n"
+                             "        SWPB R8\n"
+                             "        JMP fw1\n"
+                             "        NOP\n"
+                             "fw1:    ADDC R8, R12\n" // reads C
+                             "        XOR R6, R9\n"   // dead: AND next
+                             "        AND #0x0FF0, R9\n"
+                             "        CMP R9, R5\n"   // dead: BIT next
+                             "        BIT R5, R6\n"   // dead: ADD next
+                             "        MOV R9, R15\n"
+                             "        ADD R6, R15\n"
+                             "        MOV SR, R14\n"  // reads all four
+                             "        ADD R14, R13\n"
+                             "        ADD R15, R13\n";
+    expectKernelTwin(kernelSource(pairLoop("dloop", body), kFlagPairs),
+                     "dead flag writers");
+}
+
+/** Every reader keeps the flags before it live: the carry-in ops, an SR
+ *  source (PUSH SR, MOV SR, Rn), and a writer whose flags reach the
+ *  block end. R8 and R9 sum R12 and R13 after each reader. */
+TEST(Threaded, FlagReadersKeepTheirWritersMatchOracle)
+{
+    std::string body;
+    for (const char *reader :
+         {"ADDC R6, R12", "SUBC R5, R12", "DADD R6, R13", "RRC R13",
+          "ADDC.B R6, R12", "SUBC.B R5, R13", "DADD.B R5, R13",
+          "RRC.B R12", "MOV SR, R14\n        ADD R14, R13",
+          "PUSH SR\n        POP R14\n        ADD R14, R12"}) {
+        // Word sums keep every reader's result to the end.
+        body += std::string("        ADD R5, R6\n"
+                            "        ") + reader + "\n"
+                "        ADD R12, R8\n"
+                "        ADD R13, R9\n";
+    }
+    body += "        SUB R5, R13\n"; // flags live at the block end
+    expectKernelTwin(kernelSource(pairLoop("rloop", body), kFlagPairs),
+                     "flag readers");
+}
+
+/** A writer before an operand bail-out (a store into MMIO) or an own-
+ *  block SMC store, then an overwriter: the chain stops between them,
+ *  so the writer keeps its flags. */
+TEST(Threaded, FlagWritersBeforeStopsMatchOracle)
+{
+    const std::string body = "        ADD R5, R6\n"
+                             "        MOV.B R6, 0(R4)\n" // MMIO: bails
+                             "        SUB R5, R6\n"
+                             "        ADD R6, R13\n"
+                             "        XOR R5, R6\n"
+                             "        MOV R6, &spatch+2\n" // own code
+                             "spatch: ADD #0x1234, R12\n" // not a CG
+                             "        AND R5, R6\n"
+                             "        ADD R6, R13\n";
+    test::MiniRun on = expectKernelTwin(
+        kernelSource("        MOV #0x0100, R4\n" + // console register
+                         pairLoop("bloop", body),
+                     kFlagPairs),
+        "writers before stops");
+    EXPECT_GT(on.stats().threaded_bail_operand, 0u);
+    EXPECT_GT(on.stats().threaded_bail_smc, 0u);
+}
+
+/** Every conditional jump right after each flag-setting op that fuses
+ *  with it (word and byte forms, SR among the operands too): as a side
+ *  exit (forward) and as the block's last op (backward). R12 counts
+ *  the taken jumps. */
+std::string
+fusedJumpMatrix()
+{
+    std::string body;
+    int k = 0;
+    const char *jumps[] = {"JNE", "JEQ", "JNC", "JC", "JN", "JGE", "JL"};
+    for (const char *op : {"CMP", "BIT", "SUB", "ADD", "AND", "XOR",
+                           "ADDC"}) {
+        for (const char *sfx : {"", ".B"}) {
+            for (const char *j : jumps) {
+                const std::string n = std::to_string(k++);
+                const std::string alu = std::string("        ") + op +
+                                        sfx + " R5, R7\n";
+                // Side exit: the block goes on after a forward jump.
+                body += "        MOV R6, R7\n" + alu + "        " + j +
+                        " fx" + n + "\n"
+                        "        ADD R7, R13\n"
+                        "        JMP fy" + n + "\n"
+                        "fx" + n + ":   INC R12\n"
+                        "fy" + n + ":   ADD R7, R14\n";
+                // Last op: a backward jump ends the block.
+                body += "        JMP fb" + n + "\n"
+                        "fa" + n + ":   INC R12\n"
+                        "        JMP fc" + n + "\n"
+                        "fb" + n + ":   MOV R6, R7\n" + alu +
+                        "        " + j + " fa" + n + "\n"
+                        "fc" + n + ":   ADD R7, R13\n";
+            }
+        }
+    }
+    // SR as the destination: read (CMP, BIT) and written (AND).
+    for (const char *j : jumps) {
+        const std::string n = std::to_string(k++);
+        body += "        MOV R5, R7\n"
+                "        AND #0x0107, R7\n"
+                "        MOV R7, SR\n"
+                "        BIT #2, SR\n"
+                "        " + std::string(j) + " fx" + n + "\n"
+                "        AND #0x0105, SR\n"
+                "        " + j + " fx" + n + "\n"
+                "        CMP R6, SR\n"
+                "        " + j + " fx" + n + "\n"
+                "        INC R13\n"
+                "fx" + n + ":   ADD SR, R14\n";
+    }
+    return body;
+}
+
+TEST(Threaded, FusedCompareAndBranchMatchesOracle)
+{
+    test::MiniRun on = expectKernelTwin(
+        kernelSource(pairLoop("jloop", fusedJumpMatrix()), kFlagPairs),
+        "fused jumps");
+    EXPECT_NE(on.reg(Reg::R12), 0);
+}
+
+/** The same matrix with code and data in FRAM: side exits and the
+ *  pair loads' probes must leave exact hardware-cache hit and miss
+ *  counts (the statics book every probe as a hit). */
+TEST(Threaded, FramSideExitsCountExactHitsAndMisses)
+{
+    masm::LayoutSpec layout;
+    layout.data_base = 0x9000; // FRAM data
+    const std::string body = "        MOV &pairs+2, R8\n" + // static probe
+                             fusedJumpMatrix() +
+                             "        MOV.B R8, 0(R4)\n"; // MMIO: bails
+    test::MiniRun on = expectKernelTwin(
+        kernelSource("        MOV #0x0100, R4\n" + pairLoop("hloop", body),
+                     kFlagPairs),
+        "fram side exits", layout);
+    EXPECT_GT(on.stats().fram_cache_misses, 0u);
+    EXPECT_GT(on.stats().threaded_bail_operand, 0u);
+}
+
+/** The PC that reaches a PC source, PUSH PC and a PC read-modify-write
+ *  destination after register kernels that no longer store it. */
+TEST(Threaded, PcReadsAfterElidedStoresMatchOracle)
+{
+    const std::string body = "        ADD R5, R7\n"
+                             "        MOV PC, R8\n"
+                             "        ADD R8, R13\n"
+                             "        XOR R6, R7\n"
+                             "        PUSH PC\n"
+                             "        POP R8\n"
+                             "        ADD R8, R14\n"
+                             "        SUB R6, R7\n"
+                             "        ADD #2, PC\n"
+                             "        INC R12\n" // skipped
+                             "        ADD R7, R13\n";
+    test::MiniRun on = expectKernelTwin(
+        kernelSource(pairLoop("ploop", body), kFlagPairs), "pc reads");
+    EXPECT_EQ(on.reg(Reg::R12), 0);
+}
+
 // ---- Traces: blocks joined across JMP, BR #imm and CALL #imm --------
 
 /** Four blocks joined by JMPs form one trace: each pass of the loop is
