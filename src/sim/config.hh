@@ -34,13 +34,12 @@ struct MachineConfig {
      * Host-side fast tier: straight-line blocks from the block cache,
      * lowered once to computed-goto threaded code and dispatched as a
      * chain, with batched accounting and direct-memory data access.
-     * A run takes it when both flags hold, the build has the GNU
-     * computed-goto extension and no per-step observer is attached
-     * (Machine::run); otherwise it takes the oracle tier. Simulated
-     * behaviour and timing are identical either way (the chain bails
-     * to the oracle at every boundary it cannot prove safe). Tests
-     * turn both flags off for the oracle side of a tier twin;
-     * perfbench reads both.
+     * A run takes it when both flags hold and no per-step observer is
+     * attached (Machine::run); otherwise it takes the oracle tier.
+     * Simulated behaviour and timing are identical either way (the
+     * chain bails to the oracle at every boundary it cannot prove
+     * safe). Tests turn both flags off for the oracle side of a tier
+     * twin; perfbench reads both.
      */
     bool superblock_enabled = true;
     bool threaded_enabled = true; ///< see above; perfbench reads it

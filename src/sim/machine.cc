@@ -459,7 +459,7 @@ Machine::run()
     // The profiler and metrics record every instruction, and per-step
     // trace categories exist only on the oracle.
     buildTier(config_.superblock_enabled && config_.threaded_enabled &&
-              ThreadedEngine::available() && !profiler_ && !metrics_ &&
+              !profiler_ && !metrics_ &&
               !(trace_ && (trace_->mask() & trace::kCatPerStep)));
     RunResult result = runLoop();
     // A copy cut short by the end of the run (cycle budget, livelock,

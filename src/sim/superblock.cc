@@ -6,7 +6,6 @@
 #include "isa/cycles.hh"
 #include "isa/decode.hh"
 #include "sim/fram_timing.hh"
-#include "support/platform.hh"
 
 namespace swapram::sim {
 
@@ -18,13 +17,6 @@ namespace {
 
 /** Block-table geometry: one slot per word-aligned PC. */
 constexpr std::uint32_t kSlots = 32768;
-
-/** Shorthand for the shared mapped-space predicate. */
-inline bool
-addrMapped(std::uint16_t addr, std::uint32_t sram_size)
-{
-    return SuperblockEngine::addrMapped(addr, sram_size);
-}
 
 /** Build-time classification of one decoded instruction. */
 struct Analysis {
@@ -42,7 +34,7 @@ analyze(const isa::Instr &in, std::uint16_t pc, std::uint32_t sram_size)
         // Symbolic/Absolute effective addresses are fixed at decode:
         // reject device/unmapped space once, at build time.
         if (op.mode == Mode::Symbolic || op.mode == Mode::Absolute)
-            return addrMapped(op.value, sram_size);
+            return SuperblockEngine::addrMapped(op.value, sram_size);
         return true;
     };
     auto is_dyn = [](const Operand &op) {
@@ -126,17 +118,6 @@ staticTarget(const isa::Instr &in)
 
 } // namespace
 
-/** MachineConfig's sram_size shapes the mapped window
- *  (capacity-pressure runs shrink or grow the SRAM). */
-bool
-SuperblockEngine::addrMapped(std::uint16_t addr,
-                             std::uint32_t sram_size)
-{
-    return addr >= platform::kFramBase ||
-           static_cast<std::uint16_t>(addr - platform::kSramBase) <
-               sram_size;
-}
-
 /** MMIO device effects and unmapped fatals must happen exactly as a
  *  single step would produce them, so any register-dependent address
  *  that leaves SRAM/FRAM sends the whole instruction to the oracle. */
@@ -145,9 +126,6 @@ SuperblockEngine::dynOperandsMapped(
     const isa::Instr &in, const std::array<std::uint16_t, 16> &regs,
     std::uint32_t sram_size)
 {
-    auto addrMapped = [sram_size](std::uint16_t addr) {
-        return SuperblockEngine::addrMapped(addr, sram_size);
-    };
     switch (isa::opFormat(in.op)) {
       case isa::OpFormat::Jump:
         return true;
@@ -158,15 +136,16 @@ SuperblockEngine::dynOperandsMapped(
         switch (s.mode) {
           case Mode::Indexed:
             if (!addrMapped(static_cast<std::uint16_t>(
-                    regs[isa::regIndex(s.reg)] + s.value)))
+                                regs[isa::regIndex(s.reg)] + s.value),
+                            sram_size))
                 return false;
             break;
           case Mode::Indirect:
-            if (!addrMapped(regs[isa::regIndex(s.reg)]))
+            if (!addrMapped(regs[isa::regIndex(s.reg)], sram_size))
                 return false;
             break;
           case Mode::IndirectInc:
-            if (!addrMapped(regs[isa::regIndex(s.reg)]))
+            if (!addrMapped(regs[isa::regIndex(s.reg)], sram_size))
                 return false;
             inc_reg = isa::regIndex(s.reg);
             inc = in.byte ? 1 : 2;
@@ -179,30 +158,33 @@ SuperblockEngine::dynOperandsMapped(
             std::uint16_t base = regs[isa::regIndex(d.reg)];
             if (isa::regIndex(d.reg) == inc_reg)
                 base = static_cast<std::uint16_t>(base + inc);
-            if (!addrMapped(static_cast<std::uint16_t>(base + d.value)))
+            if (!addrMapped(static_cast<std::uint16_t>(base + d.value),
+                            sram_size))
                 return false;
         }
         return true;
       }
       case isa::OpFormat::SingleOperand: {
         if (in.op == Op::Reti) {
-            return addrMapped(regs[1]) &&
-                   addrMapped(static_cast<std::uint16_t>(regs[1] + 2));
+            return addrMapped(regs[1], sram_size) &&
+                   addrMapped(static_cast<std::uint16_t>(regs[1] + 2),
+                              sram_size);
         }
         std::uint16_t sp = regs[1];
         const Operand &d = in.dst;
         switch (d.mode) {
           case Mode::Indexed:
             if (!addrMapped(static_cast<std::uint16_t>(
-                    regs[isa::regIndex(d.reg)] + d.value)))
+                                regs[isa::regIndex(d.reg)] + d.value),
+                            sram_size))
                 return false;
             break;
           case Mode::Indirect:
-            if (!addrMapped(regs[isa::regIndex(d.reg)]))
+            if (!addrMapped(regs[isa::regIndex(d.reg)], sram_size))
                 return false;
             break;
           case Mode::IndirectInc:
-            if (!addrMapped(regs[isa::regIndex(d.reg)]))
+            if (!addrMapped(regs[isa::regIndex(d.reg)], sram_size))
                 return false;
             if (isa::regIndex(d.reg) == 1)
                 sp = static_cast<std::uint16_t>(sp + (in.byte ? 1 : 2));
@@ -211,7 +193,7 @@ SuperblockEngine::dynOperandsMapped(
             break;
         }
         if (in.op == Op::Push || in.op == Op::Call) {
-            if (!addrMapped(static_cast<std::uint16_t>(sp - 2)))
+            if (!addrMapped(static_cast<std::uint16_t>(sp - 2), sram_size))
                 return false;
         }
         return true;

@@ -79,6 +79,7 @@
 #include "sim/memory.hh"
 #include "sim/pagegen.hh"
 #include "sim/stats.hh"
+#include "support/platform.hh"
 
 namespace swapram::sim {
 
@@ -277,8 +278,16 @@ class SuperblockEngine
     }
 
     /** True when @p addr lies in plain memory (SRAM or FRAM) — the
-     *  only space the fast paths may touch directly. */
-    static bool addrMapped(std::uint16_t addr, std::uint32_t sram_size);
+     *  only space the fast paths may touch directly. MachineConfig's
+     *  sram_size shapes the mapped window (capacity-pressure runs
+     *  shrink or grow the SRAM). */
+    static bool
+    addrMapped(std::uint16_t addr, std::uint32_t sram_size)
+    {
+        return addr >= platform::kFramBase ||
+               static_cast<std::uint16_t>(addr - platform::kSramBase) <
+                   sram_size;
+    }
 
     /**
      * Pre-execution check of every register-dependent effective

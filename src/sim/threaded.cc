@@ -7,8 +7,6 @@
 #include "support/platform.hh"
 #include "support/strings.hh"
 
-#if SWAPRAM_THREADED_AVAILABLE
-
 #include <algorithm>
 #include <cstring>
 
@@ -259,10 +257,6 @@ enum KernelId : int {
     kNumKernels,
 };
 
-#define SWAPRAM_FMT1_OPS(X)                                              \
-    X(Mov) X(Add) X(Addc) X(Subc) X(Sub) X(Cmp) X(Dadd) X(Bit) X(Bic)    \
-    X(Bis) X(Xor) X(And)
-
 /** The Format I ops that set flags, in Op order (flagOpIndex). */
 #define SWAPRAM_FLAG_OPS(X)                                              \
     X(Add) X(Addc) X(Subc) X(Sub) X(Cmp) X(Dadd) X(Bit) X(Xor) X(And)
@@ -358,156 +352,6 @@ struct DCtx {
     int bail_kind = 0; ///< 0 done, 1 operand (uncommitted), 2 SMC
 };
 
-inline bool
-mappedAddr(const DCtx *st, std::uint16_t addr)
-{
-    return addr >= platform::kFramBase ||
-           static_cast<std::uint16_t>(addr - platform::kSramBase) <
-               st->sram_size;
-}
-
-/** Force inlining where GCC's per-unit budget would leave a hot helper
- *  out of line in the dispatch loop. */
-#define SWAPRAM_INLINE inline __attribute__((always_inline))
-
-/** Write N, Z, C and V into SR without a branch per flag. */
-SWAPRAM_INLINE void
-setF(std::uint16_t *regs, bool n, bool z, bool c, bool v)
-{
-    namespace sr = isa::sr;
-    static_assert(sr::kC == 1u << 0 && sr::kZ == 1u << 1 &&
-                      sr::kN == 1u << 2 && sr::kV == 1u << 8,
-                  "the flag bits are built from these positions");
-    constexpr std::uint16_t kFlags = sr::kN | sr::kZ | sr::kC | sr::kV;
-    unsigned f = unsigned{c} | unsigned{z} << 1 | unsigned{n} << 2 |
-                 unsigned{v} << 8;
-    regs[2] = static_cast<std::uint16_t>((regs[2] & ~kFlags) | f);
-}
-
-/** Format I ops that write the destination / that set flags. */
-template <Op OP>
-constexpr bool
-fmt1Writes()
-{
-    return OP != Op::Cmp && OP != Op::Bit;
-}
-template <Op OP>
-constexpr bool
-fmt1Flags()
-{
-    return OP != Op::Mov && OP != Op::Bic && OP != Op::Bis;
-}
-
-struct AluR {
-    std::uint32_t r;
-    bool n, z, c, v;
-};
-
-/** The flags as a 4-bit index, C | Z << 1 | N << 2 | V << 3: the bit
- *  of a conditional jump's truth table (TOp::mask) that says whether
- *  it is taken. */
-SWAPRAM_INLINE unsigned
-flagIndex(const AluR &o)
-{
-    return unsigned{o.c} | unsigned{o.z} << 1 | unsigned{o.n} << 2 |
-           unsigned{o.v} << 3;
-}
-
-/** The flag index of the flags in @p sr. */
-SWAPRAM_INLINE unsigned
-flagIndex(std::uint16_t sr)
-{
-    return (sr & 7u) | ((sr >> 5) & 8u);
-}
-
-/** The Format I ALU, result + flags; mirrors ExecCore::executeFormatI
- *  op by op (the kernels then store-before-set-flags in the same
- *  order, which matters when the destination is SR). */
-template <Op OP>
-SWAPRAM_INLINE AluR
-fmt1Alu(std::uint32_t src, std::uint32_t dst, std::uint16_t sr_val,
-        std::uint32_t mask, std::uint32_t msb)
-{
-    namespace sr = isa::sr;
-    AluR o{0, false, false, false, false};
-    if constexpr (OP == Op::Mov) {
-        o.r = src & mask;
-        return o;
-    } else if constexpr (OP == Op::Add || OP == Op::Addc ||
-                         OP == Op::Sub || OP == Op::Subc ||
-                         OP == Op::Cmp) {
-        std::uint32_t a = src;
-        std::uint32_t cin = 0;
-        if constexpr (OP == Op::Add) {
-            cin = 0;
-        } else if constexpr (OP == Op::Addc) {
-            cin = (sr_val & sr::kC) ? 1 : 0;
-        } else if constexpr (OP == Op::Sub || OP == Op::Cmp) {
-            a = (~src) & mask;
-            cin = 1;
-        } else { // Subc
-            a = (~src) & mask;
-            cin = (sr_val & sr::kC) ? 1 : 0;
-        }
-        std::uint32_t sum = a + dst + cin;
-        o.r = sum & mask;
-        o.c = sum > mask;
-        o.z = o.r == 0;
-        o.n = (o.r & msb) != 0;
-        o.v = ((~(a ^ dst)) & (a ^ o.r) & msb) != 0;
-        return o;
-    } else if constexpr (OP == Op::Dadd) {
-        std::uint32_t carry = (sr_val & sr::kC) ? 1 : 0;
-        std::uint32_t r = 0;
-        int nibbles = mask == 0xFF ? 2 : 4;
-        for (int i = 0; i < nibbles; ++i) {
-            std::uint32_t a = (src >> (4 * i)) & 0xF;
-            std::uint32_t b = (dst >> (4 * i)) & 0xF;
-            std::uint32_t d = a + b + carry;
-            carry = d >= 10 ? 1 : 0;
-            if (carry)
-                d -= 10;
-            r |= (d & 0xF) << (4 * i);
-        }
-        o.r = r;
-        o.n = (r & msb) != 0;
-        o.z = r == 0;
-        o.c = carry != 0;
-        return o;
-    } else if constexpr (OP == Op::Bit || OP == Op::And) {
-        o.r = src & dst;
-        o.n = (o.r & msb) != 0;
-        o.z = o.r == 0;
-        o.c = o.r != 0;
-        return o;
-    } else if constexpr (OP == Op::Bic) {
-        o.r = dst & ~src & mask;
-        return o;
-    } else if constexpr (OP == Op::Bis) {
-        o.r = dst | src;
-        return o;
-    } else { // Xor
-        o.r = (dst ^ src) & mask;
-        o.n = (o.r & msb) != 0;
-        o.z = o.r == 0;
-        o.c = o.r != 0;
-        o.v = ((src & msb) != 0) && ((dst & msb) != 0);
-        return o;
-    }
-}
-
-/** True for the conditional jumps (every Jump-format op but JMP). */
-constexpr bool
-isCondJump(Op o)
-{
-    static_assert(static_cast<int>(Op::Jl) - static_cast<int>(Op::Jne) ==
-                          6 &&
-                      static_cast<int>(Op::Jmp) ==
-                          static_cast<int>(Op::Jl) + 1,
-                  "the seven conditional jumps are one run, JMP after it");
-    return o >= Op::Jne && o <= Op::Jl;
-}
-
 /** True when @p in leaves a PC of its own (a jump, CALL, RETI or a
  *  write to a PC register destination): a kernel that runs it stores
  *  the PC. Everything else leaves the fall-through, which only
@@ -528,40 +372,6 @@ writesPc(const isa::Instr &in)
     }
     return false;
 }
-
-/** A conditional jump's truth table: bit flagIndex(flags) is set when
- *  the jump is taken with those flags. */
-constexpr std::uint16_t
-jumpTruthTable(Op o)
-{
-    std::uint16_t tt = 0;
-    for (unsigned f = 0; f < 16; ++f) {
-        const bool c = f & 1, z = f & 2, n = f & 4, v = f & 8;
-        bool taken = false;
-        switch (o) {
-          case Op::Jne: taken = !z; break;
-          case Op::Jeq: taken = z; break;
-          case Op::Jnc: taken = !c; break;
-          case Op::Jc: taken = c; break;
-          case Op::Jn: taken = n; break;
-          case Op::Jge: taken = n == v; break;
-          case Op::Jl: taken = n != v; break;
-          default: break;
-        }
-        if (taken)
-            tt = static_cast<std::uint16_t>(tt | 1u << f);
-    }
-    return tt;
-}
-
-/** The seven truth tables, indexed by (op - Op::Jne). */
-constexpr std::array<std::uint16_t, 7> kJumpTruth = {
-    jumpTruthTable(Op::Jne), jumpTruthTable(Op::Jeq),
-    jumpTruthTable(Op::Jnc), jumpTruthTable(Op::Jc),
-    jumpTruthTable(Op::Jn),  jumpTruthTable(Op::Jge),
-    jumpTruthTable(Op::Jl)};
-static_assert(kJumpTruth[0] == 0x3333 && kJumpTruth[5] == 0xF00F,
-              "JNE is taken with Z clear, JGE with N equal to V");
 
 /** Native u16 cell load (register file or the op's immediate cell). */
 inline std::uint32_t
@@ -771,7 +581,7 @@ tProbe(DCtx *st, const TOp *op, std::uint16_t addr)
  *  stops the chain; returns the ALU outcome, whose flags a fused jump
  *  tests. kFlags false is the flagless form of an op whose flags the
  *  block overwrites unread: the flag arithmetic folds away. */
-template <Op OP, bool kFlags = fmt1Flags<OP>()>
+template <Op OP, bool kFlags = fmt1Flags(OP)>
 SWAPRAM_INLINE AluR
 kernNR(DCtx *st, TOp *op)
 {
@@ -782,10 +592,10 @@ kernNR(DCtx *st, TOp *op)
     if constexpr (OP != Op::Mov)
         dst = cellLoad(op->dp, op->mask);
     AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
-    if constexpr (fmt1Writes<OP>())
+    if constexpr (fmt1Writes(OP))
         cellStore(op->dp, o.r, op->mask);
     if constexpr (kFlags)
-        setF(regs, o.n, o.z, o.c, o.v);
+        setF(regs[2], o);
     return o;
 }
 
@@ -802,10 +612,10 @@ kernMR(DCtx *st, TOp *op)
     if constexpr (OP != Op::Mov)
         dst = cellLoad(op->dp, op->mask);
     AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
-    if constexpr (fmt1Writes<OP>())
+    if constexpr (fmt1Writes(OP))
         cellStore(op->dp, o.r, op->mask);
-    if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
+    if constexpr (fmt1Flags(OP))
+        setF(regs[2], o);
     return 0;
 }
 
@@ -825,13 +635,13 @@ kernNM(DCtx *st, TOp *op)
     if constexpr (OP != Op::Mov)
         dst = simLoad(op->dp, op->mask);
     AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
-    if constexpr (fmt1Writes<OP>()) {
+    if constexpr (fmt1Writes(OP)) {
         simStore(op->dp, o.r, op->mask);
         st->gens->noteWrite(op->b, op->byte ? 1 : 2);
     }
-    if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
-    if constexpr (fmt1Writes<OP>()) {
+    if constexpr (fmt1Flags(OP))
+        setF(regs[2], o);
+    if constexpr (fmt1Writes(OP)) {
         if (op->smc) {
             regs[0] = op->next_pc;
             return 2;
@@ -849,7 +659,7 @@ kernDR(DCtx *st, TOp *op)
     std::uint16_t *regs = st->regs;
     std::uint16_t addr =
         static_cast<std::uint16_t>(regs[op->ra] + op->a);
-    if (!mappedAddr(st, addr))
+    if (!SuperblockEngine::addrMapped(addr, st->sram_size))
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
@@ -859,10 +669,10 @@ kernDR(DCtx *st, TOp *op)
     if constexpr (OP != Op::Mov)
         dst = cellLoad(op->dp, op->mask);
     AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
-    if constexpr (fmt1Writes<OP>())
+    if constexpr (fmt1Writes(OP))
         cellStore(op->dp, o.r, op->mask);
-    if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
+    if constexpr (fmt1Flags(OP))
+        setF(regs[2], o);
     return 0;
 }
 
@@ -875,7 +685,7 @@ kernND(DCtx *st, TOp *op)
     std::uint16_t *regs = st->regs;
     std::uint16_t addr =
         static_cast<std::uint16_t>(regs[op->rd] + op->b);
-    if (!mappedAddr(st, addr))
+    if (!SuperblockEngine::addrMapped(addr, st->sram_size))
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
@@ -884,11 +694,11 @@ kernND(DCtx *st, TOp *op)
     if constexpr (OP != Op::Mov)
         dst = dynLoad(st, addr, op->byte != 0);
     AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
-    if constexpr (fmt1Writes<OP>())
+    if constexpr (fmt1Writes(OP))
         dynStore(st, addr, o.r, op->byte != 0);
-    if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
-    if constexpr (fmt1Writes<OP>()) {
+    if constexpr (fmt1Flags(OP))
+        setF(regs[2], o);
+    if constexpr (fmt1Writes(OP)) {
         if (st->smc) {
             regs[0] = op->next_pc;
             return 2;
@@ -897,23 +707,32 @@ kernND(DCtx *st, TOp *op)
     return 0;
 }
 
-/** RRC/RRA on a register destination (mask distinguishes .B). */
-template <bool RRC>
-SWAPRAM_INLINE int
-kernRot(DCtx *st, TOp *op)
+/** RRC, RRA, SWPB or SXT on a register destination (mask
+ *  distinguishes RRC.B and RRA.B). */
+template <Op OP>
+SWAPRAM_INLINE void
+kernF2(DCtx *st, TOp *op)
 {
-    namespace sr = isa::sr;
+    const std::uint32_t mask = fmt2Word(OP) ? 0xFFFF : op->mask;
+    const std::uint32_t msb = fmt2Word(OP) ? 0x8000 : op->msb;
     tFetch(st, op);
     std::uint16_t *regs = st->regs;
-    std::uint32_t v = cellLoad(op->dp, op->mask);
-    std::uint32_t r;
-    if constexpr (RRC)
-        r = ((v >> 1) | ((regs[2] & sr::kC) ? op->msb : 0)) & op->mask;
-    else
-        r = ((v >> 1) | (v & op->msb)) & op->mask;
-    cellStore(op->dp, r, op->mask);
-    setF(regs, (r & op->msb) != 0, r == 0, (v & 1) != 0, false);
-    return 0;
+    const std::uint32_t v = cellLoad(op->dp, mask);
+    AluR o;
+    if constexpr (OP == Op::Rrc) {
+        // Branch on the carry in: passed SR as it is, GCC selects the
+        // top bit with a cmov that waits for the SR the previous
+        // kernel stored, and steady ran 2.5% slower.
+        if (regs[2] & isa::sr::kC)
+            o = fmt2Alu<OP>(v, isa::sr::kC, mask, msb);
+        else
+            o = fmt2Alu<OP>(v, 0, mask, msb);
+    } else {
+        o = fmt2Alu<OP>(v, regs[2], mask, msb);
+    }
+    cellStore(op->dp, o.r, mask);
+    if constexpr (fmt2Flags(OP))
+        setF(regs[2], o);
 }
 
 /** PUSH of a register/immediate source: one dynamic stack write. */
@@ -922,7 +741,7 @@ kernPush(DCtx *st, TOp *op)
 {
     std::uint16_t *regs = st->regs;
     std::uint16_t nsp = static_cast<std::uint16_t>(regs[1] - 2);
-    if (!mappedAddr(st, nsp))
+    if (!SuperblockEngine::addrMapped(nsp, st->sram_size))
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
@@ -942,7 +761,7 @@ kernCallImm(DCtx *st, TOp *op)
 {
     std::uint16_t *regs = st->regs;
     std::uint16_t nsp = static_cast<std::uint16_t>(regs[1] - 2);
-    if (!mappedAddr(st, nsp))
+    if (!SuperblockEngine::addrMapped(nsp, st->sram_size))
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
@@ -973,7 +792,8 @@ kernMM(DCtx *st, TOp *op)
         static_cast<std::uint16_t>(cellLoad(op->sp, 0xFFFF) + op->a);
     const std::uint16_t daddr =
         static_cast<std::uint16_t>(cellLoad(op->dp, 0xFFFF) + op->b);
-    if (!mappedAddr(st, saddr) || !mappedAddr(st, daddr))
+    if (!SuperblockEngine::addrMapped(saddr, st->sram_size) ||
+        !SuperblockEngine::addrMapped(daddr, st->sram_size))
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
@@ -984,11 +804,11 @@ kernMM(DCtx *st, TOp *op)
     if constexpr (OP != Op::Mov)
         dst = dynLoad(st, daddr, byte);
     AluR o = fmt1Alu<OP>(src, dst, regs[2], op->mask, op->msb);
-    if constexpr (fmt1Writes<OP>())
+    if constexpr (fmt1Writes(OP))
         dynStore(st, daddr, o.r, byte);
-    if constexpr (fmt1Flags<OP>())
-        setF(regs, o.n, o.z, o.c, o.v);
-    if constexpr (fmt1Writes<OP>()) {
+    if constexpr (fmt1Flags(OP))
+        setF(regs[2], o);
+    if constexpr (fmt1Writes(OP)) {
         if (st->smc) {
             regs[0] = op->next_pc;
             return 2;
@@ -1006,7 +826,6 @@ template <Op OP>
 SWAPRAM_INLINE int
 kernM1(DCtx *st, TOp *op)
 {
-    namespace sr = isa::sr;
     constexpr bool kStack = OP == Op::Push || OP == Op::Call;
     std::uint16_t *regs = st->regs;
     const std::uint16_t addr =
@@ -1014,7 +833,8 @@ kernM1(DCtx *st, TOp *op)
     std::uint16_t slot = 0;
     if constexpr (kStack)
         slot = static_cast<std::uint16_t>(cellLoad(op->dp, 0xFFFF) + op->b);
-    if (!mappedAddr(st, addr) || (kStack && !mappedAddr(st, slot)))
+    if (!SuperblockEngine::addrMapped(addr, st->sram_size) ||
+        (kStack && !SuperblockEngine::addrMapped(slot, st->sram_size)))
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
@@ -1029,23 +849,14 @@ kernM1(DCtx *st, TOp *op)
         regs[1] = slot;
         dynStore(st, slot, op->next_pc, false);
         regs[0] = static_cast<std::uint16_t>(target);
-    } else if constexpr (OP == Op::Swpb) {
-        std::uint32_t v = dynLoad(st, addr, false);
-        dynStore(st, addr, ((v >> 8) | (v << 8)) & 0xFFFF, false);
-    } else if constexpr (OP == Op::Sxt) {
-        std::uint32_t v = dynLoad(st, addr, false);
-        std::uint32_t r = (v & 0x80) ? (v | 0xFF00) : (v & 0xFF);
-        dynStore(st, addr, r, false);
-        setF(regs, (r & 0x8000) != 0, r == 0, r != 0, false);
-    } else { // Rrc, Rra
-        std::uint32_t v = dynLoad(st, addr, byte);
-        std::uint32_t r;
-        if constexpr (OP == Op::Rrc)
-            r = ((v >> 1) | ((regs[2] & sr::kC) ? op->msb : 0)) & op->mask;
-        else
-            r = ((v >> 1) | (v & op->msb)) & op->mask;
-        dynStore(st, addr, r, byte);
-        setF(regs, (r & op->msb) != 0, r == 0, (v & 1) != 0, false);
+    } else {
+        const bool b = !fmt2Word(OP) && byte;
+        const std::uint32_t mask = fmt2Word(OP) ? 0xFFFF : op->mask;
+        const std::uint32_t msb = fmt2Word(OP) ? 0x8000 : op->msb;
+        AluR o = fmt2Alu<OP>(dynLoad(st, addr, b), regs[2], mask, msb);
+        dynStore(st, addr, o.r, b);
+        if constexpr (fmt2Flags(OP))
+            setF(regs[2], o);
     }
     if (st->smc) {
         if constexpr (OP != Op::Call)
@@ -1062,7 +873,8 @@ kernReti(DCtx *st, TOp *op)
     std::uint16_t *regs = st->regs;
     const std::uint16_t sp = regs[1];
     const auto sp2 = static_cast<std::uint16_t>(sp + 2);
-    if (!mappedAddr(st, sp) || !mappedAddr(st, sp2))
+    if (!SuperblockEngine::addrMapped(sp, st->sram_size) ||
+        !SuperblockEngine::addrMapped(sp2, st->sram_size))
         return 1;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
@@ -1072,10 +884,20 @@ kernReti(DCtx *st, TOp *op)
     return 0;
 }
 
-/** Everything else: the shared ExecCore over the direct-memory shim,
- *  behind the dynamic-operand guard. */
+/** Run @p in on the shared ExecCore over the direct-memory shim. Kept
+ *  out of line: no built-in workload runs it, and inlined it would
+ *  grow the dispatch loop by a whole ExecCore. */
+[[gnu::noinline]] void
+execGeneric(DCtx *st, const isa::Instr &in)
+{
+    ShimMem shim(*st);
+    ExecCore<ShimMem>(*st->regs_arr, shim).execute(in);
+}
+
+/** Everything else: the shared ExecCore, behind the dynamic-operand
+ *  guard. */
 SWAPRAM_INLINE int
-kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
+kernGeneric(DCtx *st, TOp *op)
 {
     const SuperblockEngine::BlockInstr *bi = &st->cur_tc->instrs[op->b];
     st->regs[0] = op->next_pc; // as ExecCore sees it after the fetch
@@ -1086,7 +908,7 @@ kernGeneric(DCtx *st, TOp *op, ExecCore<ShimMem> &core)
     ++st->generic;
     tFetch(st, op);
     st->chain = {op->chain, op->lastline};
-    core.execute(bi->instr);
+    execGeneric(st, bi->instr);
     return st->smc ? 2 : 0;
 }
 
@@ -1254,9 +1076,6 @@ dispatchRun(DCtx *st, TOp *op)
     if (!st)
         return kLabels;
 
-    ShimMem shim(*st);
-    ExecCore<ShimMem> core(*st->regs_arr, shim);
-
 #define SWAPRAM_NEXT                                                     \
     do {                                                                 \
         ++op;                                                            \
@@ -1338,25 +1157,17 @@ dispatchRun(DCtx *st, TOp *op)
 #undef X
 
 L_rrc:
-    SWAPRAM_RUN(kernRot<true>(st, op));
+    kernF2<Op::Rrc>(st, op);
     SWAPRAM_NEXT;
 L_rra:
-    SWAPRAM_RUN(kernRot<false>(st, op));
+    kernF2<Op::Rra>(st, op);
     SWAPRAM_NEXT;
-L_swpb : {
-    tFetch(st, op);
-    std::uint32_t v = cellLoad(op->dp, 0xFFFF);
-    cellStore(op->dp, ((v >> 8) | (v << 8)) & 0xFFFF, 0xFFFF);
+L_swpb:
+    kernF2<Op::Swpb>(st, op);
     SWAPRAM_NEXT;
-}
-L_sxt : {
-    tFetch(st, op);
-    std::uint32_t v = cellLoad(op->dp, 0xFF);
-    std::uint32_t r = (v & 0x80) ? (v | 0xFF00) : v;
-    cellStore(op->dp, r, 0xFFFF);
-    setF(st->regs, (r & 0x8000) != 0, r == 0, r != 0, false);
+L_sxt:
+    kernF2<Op::Sxt>(st, op);
     SWAPRAM_NEXT;
-}
 L_push:
     SWAPRAM_RUN(kernPush(st, op));
     SWAPRAM_NEXT;
@@ -1385,7 +1196,7 @@ L_jcc_x:
     st->regs[0] = op->a;
     goto L_side_exit;
 L_generic:
-    SWAPRAM_RUN(kernGeneric(st, op, core));
+    SWAPRAM_RUN(kernGeneric(st, op));
     SWAPRAM_NEXT;
 
 L_end_pc:
@@ -2072,42 +1883,3 @@ ThreadedEngine::runChain(const ChainLimits &limits)
 }
 
 } // namespace swapram::sim
-
-#else // !SWAPRAM_THREADED_AVAILABLE
-
-namespace swapram::sim {
-
-/** Placeholder so Block's shared_ptr<ThreadedCode> has a complete
- *  deleter on toolchains without computed goto. */
-class ThreadedCode
-{
-};
-
-ThreadedEngine::ThreadedEngine(Cpu &cpu, Memory &memory, Bus &bus,
-                               Stats &stats, const MachineConfig &config,
-                               SuperblockEngine &sb)
-    : cpu_(cpu), memory_(memory), bus_(bus), stats_(stats),
-      config_(config), sb_(sb)
-{
-}
-
-void
-ThreadedEngine::lower(SuperblockEngine::Block &)
-{
-}
-
-ThreadedEngine::ChainResult
-ThreadedEngine::runChain(const ChainLimits &)
-{
-    return {0, 0};
-}
-
-void *
-ThreadedEngine::advanceChain(void *)
-{
-    return nullptr;
-}
-
-} // namespace swapram::sim
-
-#endif // SWAPRAM_THREADED_AVAILABLE

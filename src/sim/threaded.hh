@@ -35,10 +35,13 @@
  * fall-through cell, an operand bail-out restores the op's address,
  * and the block-end sentinel stores the fall-through when the last op
  * leaves none of its own.
+ * Every kernel computes its result, flags and jump condition through
+ * the ALU of sim/exec.hh (fmt1Alu, fmt2Alu, setF, flagIndex and
+ * kJumpTruth), the functions the oracle's ExecCore calls too.
  * Whatever does not fit a specialized kernel runs a generic kernel:
- * the shared ExecCore template over a direct-memory shim, so the
- * semantics stay single-sourced. Static and dynamic accounting alike
- * apply the FRAM cost model of sim/fram_timing.hh, as the bus does.
+ * the ExecCore template itself over a direct-memory shim. Static and
+ * dynamic accounting alike apply the FRAM cost model of
+ * sim/fram_timing.hh, as the bus does.
  *
  * The step from block to block is an inline head at the block-end
  * sentinel with advanceChain as its out-of-line tail. The head
@@ -78,10 +81,10 @@
  *
  * A store's one invalidation duty here is the page-generation bump:
  * Machine::run builds only the block cache for a run that dispatches.
- * The tier requires the GNU computed-goto extension; without it the
- * Machine runs the oracle (available()). Simulated results are
- * bit-identical either way — the differential fuzz twins and the
- * golden matrix pin this.
+ * The tier needs the GNU computed-goto extension (GCC or Clang, which
+ * the library requires anyway). Simulated results are bit-identical
+ * to the oracle's — the differential fuzz twins and the golden matrix
+ * pin this.
  */
 
 #ifndef SWAPRAM_SIM_THREADED_HH
@@ -97,26 +100,12 @@
 #include "sim/stats.hh"
 #include "sim/superblock.hh"
 
-#if defined(__GNUC__) || defined(__clang__)
-#define SWAPRAM_THREADED_AVAILABLE 1
-#else
-#define SWAPRAM_THREADED_AVAILABLE 0
-#endif
-
 namespace swapram::sim {
 
 /** Computed-goto dispatch over lowered blocks. */
 class ThreadedEngine
 {
   public:
-    /** True when the build supports computed goto (GCC/Clang). The
-     *  Machine only constructs the engine when this holds. */
-    static constexpr bool
-    available()
-    {
-        return SWAPRAM_THREADED_AVAILABLE != 0;
-    }
-
     /** The engine shares the block cache's table, page-generation
      *  invalidation, code epoch, and recovery boundary; lowered code
      *  hangs off each Block, so every invalidation path (stale

@@ -1,7 +1,8 @@
 /**
  * @file
  * Differential tests: the cycle-level machine (encode -> load ->
- * fetch/decode/execute) against the independent AST-level interpreter.
+ * fetch/decode/execute), on the threaded tier and on the single-step
+ * oracle, against the independent AST-level interpreter.
  * Any divergence in final registers, memory, or console output points
  * at an encoder, decoder, or CPU-semantics bug.
  */
@@ -21,19 +22,25 @@ namespace {
 
 using namespace swapram;
 
+/** Run @p assembled on one tier and compare its final registers,
+ *  console and memory with the interpreter's @p interp. */
 void
-compareRuns(const std::string &source, const char *what)
+compareTier(const masm::AssembleResult &assembled,
+            const test::InterpResult &interp, bool fast,
+            const std::string &what)
 {
-    masm::LayoutSpec layout; // unified: everything in FRAM
-    auto assembled = masm::assemble(masm::parse(source), layout);
-
-    sim::Machine machine;
+    sim::MachineConfig config;
+    config.superblock_enabled = fast;
+    config.threaded_enabled = fast;
+    sim::Machine machine(config);
     machine.load(assembled.image, 0xFF80);
     auto run = machine.run();
     ASSERT_TRUE(run.done) << what;
-
-    auto interp = test::interpret(assembled, 0xFF80);
-    ASSERT_TRUE(interp.done) << what;
+    // Each leg only counts if it ran on its own tier.
+    if (fast)
+        EXPECT_GT(machine.stats().threaded_instructions, 0u) << what;
+    else
+        EXPECT_EQ(machine.stats().threaded_instructions, 0u) << what;
 
     // Registers R1..R15 (PC is meaningless after halt).
     for (int r = 1; r < 16; ++r) {
@@ -61,6 +68,22 @@ compareRuns(const std::string &source, const char *what)
                           << " interp=" << int(i);
         }
     }
+}
+
+/** Both tiers against the interpreter: the tiers share one ALU
+ *  (sim/exec.hh), so a tier twin alone cannot catch an ALU error. */
+void
+compareRuns(const std::string &source, const char *what)
+{
+    masm::LayoutSpec layout; // unified: everything in FRAM
+    auto assembled = masm::assemble(masm::parse(source), layout);
+
+    auto interp = test::interpret(assembled, 0xFF80);
+    ASSERT_TRUE(interp.done) << what;
+
+    compareTier(assembled, interp, true, std::string(what) + " [fast]");
+    compareTier(assembled, interp, false,
+                std::string(what) + " [oracle]");
 }
 
 class WorkloadDifferential
@@ -129,6 +152,125 @@ mt_loop:
 bench_result: .word 0
 )";
     compareRuns(harness::startupSource(0xFF80) + body, "flag-torture");
+}
+
+TEST(Differential, FlagMatrix)
+{
+    // Every ALU op, byte and word, over operand pairs at the sign and
+    // carry edges, each op's full N/Z/C/V (and its result) folded into
+    // a checksum: an ALU flag rule wrong on both tiers alike shows
+    // here against the interpreter. The carry in of ADDC/SUBC/DADD/RRC
+    // is whatever the op before left.
+    const char *body = R"(
+        .text
+        .func main
+        PUSH R10
+        MOV #fm_pairs, R4
+        MOV #12, R10
+        CLR R9
+fm_loop:
+        MOV @R4+, R5
+        MOV @R4+, R6
+        MOV R6, R8
+        SUBC.B R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        ADDC.B R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        SUB.B R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        CMP.B R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        ADD.B R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        XOR.B R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        AND.B R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        BIT.B R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        DADD.B R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        SUBC R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        ADDC R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        SUB R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        CMP R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        ADD R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        XOR R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        AND R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        BIT R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        DADD R5, R8
+        CALL #fm_fold
+        MOV R6, R8
+        RRC.B R8
+        CALL #fm_fold
+        MOV R6, R8
+        RRA.B R8
+        CALL #fm_fold
+        MOV R6, R8
+        RRC R8
+        CALL #fm_fold
+        MOV R6, R8
+        RRA R8
+        CALL #fm_fold
+        MOV R6, R8
+        SXT R8
+        CALL #fm_fold
+        MOV R6, R8
+        SWPB R8
+        CALL #fm_fold
+        DEC R10
+        JNZ fm_loop
+        MOV R9, &bench_result
+        POP R10
+        RET
+        .endfunc
+
+        ; R9 = (R9 + flags + result) rotated left one bit; keeps C.
+        .func fm_fold
+        MOV SR, R7
+        AND #0x0107, R7
+        ADD R7, R9
+        ADD R8, R9
+        RLA R9
+        ADC R9
+        MOV R7, SR
+        RET
+        .endfunc
+        .data
+        .align 2
+fm_pairs:
+        .word 0x0080, 0x0001, 0x007F, 0x00FF, 0x0001, 0x0080
+        .word 0x00FF, 0x0000, 0x8000, 0x0001, 0x7FFF, 0xFFFF
+        .word 0x0001, 0x8000, 0xFFFF, 0x0000, 0x0099, 0x0001
+        .word 0x9999, 0x0001, 0x0050, 0x0050, 0x8080, 0x7F7F
+bench_result: .word 0
+)";
+    compareRuns(harness::startupSource(0xFF80) + body, "flag-matrix");
 }
 
 class RandomDifferential : public ::testing::TestWithParam<std::uint32_t>
