@@ -165,7 +165,6 @@ hostJson(const sim::TierCounters &s)
         {"threaded_blocks_lowered", s.threaded_blocks_lowered},
         {"threaded_dispatches", s.threaded_dispatches},
         {"threaded_instructions", s.threaded_instructions},
-        {"threaded_generic_executions", s.threaded_generic_executions},
         {"threaded_bail_operand", s.threaded_bail_operand},
         {"threaded_bail_smc", s.threaded_bail_smc},
         {"threaded_bail_boundary", s.threaded_bail_boundary},

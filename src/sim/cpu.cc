@@ -12,7 +12,7 @@ namespace swapram::sim {
 void
 Cpu::execute(const isa::Instr &instr)
 {
-    ExecCore<Bus> core(regs_, bus_);
+    ExecCore core(regs_, bus_);
     core.execute(instr);
 }
 
@@ -20,7 +20,7 @@ void
 Cpu::interrupt(std::uint16_t vector_addr, Stats &stats)
 {
     bus_.beginInstruction();
-    ExecCore<Bus> core(regs_, bus_);
+    ExecCore core(regs_, bus_);
     core.push16(regs_[0]);
     core.push16(regs_[2]);
     regs_[2] = 0; // SR cleared on entry (GIE off)

@@ -62,8 +62,8 @@ class Cpu
     }
 
     /** The raw register file. The threaded tier executes directly on
-     *  it (sharing ExecCore with step()); everyone else should use
-     *  reg()/setReg(). */
+     *  it (sharing the ALU of sim/exec.hh with step()); everyone else
+     *  should use reg()/setReg(). */
     std::array<std::uint16_t, 16> &regs() { return regs_; }
 
   private:

@@ -1,7 +1,7 @@
 /**
  * @file
- * The MSP430 execution core, templated on the memory interface, and
- * the ALU it shares with the threaded tier's kernels.
+ * The MSP430 execution core of the single-step oracle, and the ALU it
+ * shares with the threaded tier's kernels.
  *
  * Every ALU and flag rule lives here exactly once, as free functions
  * that both tiers call:
@@ -13,26 +13,17 @@
  *   - flagIndex, kJumpTruth (jumpTruthTable) and jumpTaken: each
  *     conditional jump's condition as a 16-entry truth table over the
  *     flags.
- * ExecCore adds operand resolution and the memory accesses. Two
- * instantiations exist:
- *   - ExecCore<Bus>: the single-step oracle (sim/cpu.cc), where each
- *     access pays full bus dispatch (region routing, MMIO devices,
- *     stall accounting, trace emission);
- *   - ExecCore<ShimMem>: the threaded tier's generic kernel
- *     (sim/threaded.cc), where accesses are pre-checked to hit plain
- *     SRAM/FRAM and go straight to the flat memory array with inlined
- *     accounting.
- * The threaded tier's specialized kernels resolve operands their own
- * way (pre-lowered cells and addresses) but compute every result, flag
+ * ExecCore adds operand resolution and the memory accesses for the
+ * single-step oracle (sim/cpu.cc): each access pays full bus dispatch
+ * (region routing, MMIO devices, stall accounting, trace emission),
+ * and every form the ISA decodes runs here.
+ * The threaded tier's kernels resolve operands their own way
+ * (pre-lowered cells and addresses) but compute every result, flag
  * and jump condition through the functions above, so the tiers cannot
  * disagree on the ALU; the differential suites then pin the
  * accounting, and check both tiers against an independent interpreter.
- *
- * The memory policy must provide:
- *   std::uint16_t read16(std::uint16_t addr, AccessKind kind);
- *   std::uint8_t  read8(std::uint16_t addr, AccessKind kind);
- *   void write16(std::uint16_t addr, std::uint16_t value);
- *   void write8(std::uint16_t addr, std::uint8_t value);
+ * A form no kernel covers never reaches the threaded tier: its block
+ * ends before it (sim/superblock.hh), and ExecCore runs it.
  */
 
 #ifndef SWAPRAM_SIM_EXEC_HH
@@ -293,14 +284,13 @@ jumpTaken(isa::Op o, std::uint16_t sr_val)
     return (kJumpTruth[i] >> flagIndex(sr_val)) & 1u;
 }
 
-/** Register-file + memory instruction executor. Callers must have set
+/** Register-file + bus instruction executor. Callers must have set
  *  PC past the full instruction (fetch semantics) before execute(). */
-template <class MemT>
 class ExecCore
 {
   public:
-    ExecCore(std::array<std::uint16_t, 16> &regs, MemT &mem)
-        : regs_(regs), mem_(mem)
+    ExecCore(std::array<std::uint16_t, 16> &regs, Bus &bus)
+        : regs_(regs), bus_(bus)
     {
     }
 
@@ -324,13 +314,13 @@ class ExecCore
     push16(std::uint16_t value)
     {
         regs_[1] = static_cast<std::uint16_t>(regs_[1] - 2);
-        mem_.write16(regs_[1], value);
+        bus_.write16(regs_[1], value);
     }
 
     std::uint16_t
     pop16()
     {
-        std::uint16_t value = mem_.read16(regs_[1], AccessKind::Read);
+        std::uint16_t value = bus_.read16(regs_[1], AccessKind::Read);
         regs_[1] = static_cast<std::uint16_t>(regs_[1] + 2);
         return value;
     }
@@ -388,8 +378,8 @@ class ExecCore
                         : loc.imm;
           case Loc::Kind::Mem:
             if (byte)
-                return mem_.read8(loc.addr, AccessKind::Read);
-            return mem_.read16(loc.addr, AccessKind::Read);
+                return bus_.read8(loc.addr, AccessKind::Read);
+            return bus_.read16(loc.addr, AccessKind::Read);
         }
         support::panic("ExecCore::loadLoc: bad kind");
     }
@@ -410,10 +400,10 @@ class ExecCore
           }
           case Loc::Kind::Mem:
             if (byte)
-                mem_.write8(loc.addr,
+                bus_.write8(loc.addr,
                             static_cast<std::uint8_t>(value & 0xFF));
             else
-                mem_.write16(loc.addr, value);
+                bus_.write16(loc.addr, value);
             return;
           case Loc::Kind::Imm:
             support::panic("ExecCore::storeLoc: store to immediate");
@@ -469,9 +459,9 @@ class ExecCore
             std::uint16_t v = loadLoc(loc, byte);
             regs_[1] = static_cast<std::uint16_t>(regs_[1] - 2);
             if (byte)
-                mem_.write8(regs_[1], static_cast<std::uint8_t>(v));
+                bus_.write8(regs_[1], static_cast<std::uint8_t>(v));
             else
-                mem_.write16(regs_[1], v);
+                bus_.write16(regs_[1], v);
             return;
           }
           case Op::Call: {
@@ -511,7 +501,7 @@ class ExecCore
     }
 
     std::array<std::uint16_t, 16> &regs_;
-    MemT &mem_;
+    Bus &bus_;
 };
 
 } // namespace swapram::sim

@@ -1,6 +1,7 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
+#include <cstring>
 
 #include "isa/decode.hh"
 #include "support/logging.hh"
@@ -99,9 +100,9 @@ Machine::powerCycle()
     ++stats_.reboots;
 
     // SRAM decays; FRAM keeps every byte.
-    for (std::uint32_t a = platform::kSramBase; a < config_.sramEnd();
-         ++a)
-        memory_.write8(static_cast<std::uint16_t>(a), 0);
+    std::uint8_t *mem = memory_.bytes();
+    std::memset(mem + platform::kSramBase, 0,
+                config_.sramEnd() - platform::kSramBase);
     bus_.hwCache().reset();
 
     // The crt0 model: re-copy image chunks that live in SRAM (code or
@@ -115,15 +116,11 @@ Machine::powerCycle()
         bool is_data = image_.data.size &&
                        chunk.base >= image_.data.base &&
                        chunk.base < image_.data.end();
-        if (!in_sram && !is_data)
-            continue;
-        for (std::size_t i = 0; i < chunk.bytes.size(); ++i) {
-            memory_.write8(static_cast<std::uint16_t>(chunk.base + i),
-                           chunk.bytes[i]);
-        }
+        if ((in_sram || is_data) && !chunk.bytes.empty())
+            std::memcpy(mem + chunk.base, chunk.bytes.data(),
+                        chunk.bytes.size());
     }
-    for (std::uint32_t a = image_.bss.base; a < image_.bss.end(); ++a)
-        memory_.write8(static_cast<std::uint16_t>(a), 0);
+    std::memset(mem + image_.bss.base, 0, image_.bss.size);
 
     // Volatile device and CPU state. The SRAM decay and crt0 re-copy
     // above bypassed the bus, so every cached decode is suspect.

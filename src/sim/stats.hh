@@ -100,10 +100,6 @@ struct TierCounters {
     std::uint64_t threaded_blocks_lowered = 0; ///< blocks lowered
     std::uint64_t threaded_dispatches = 0;     ///< blocks executed
     std::uint64_t threaded_instructions = 0;   ///< retired threaded
-    /** Of threaded_instructions, those no specialized kernel covers:
-     *  run by the generic kernel (ExecCore over the direct-memory
-     *  shim). Kernel coverage is 1 - this / threaded_instructions. */
-    std::uint64_t threaded_generic_executions = 0;
     /** Mid-block stop: an operand resolved to MMIO/unmapped, so the
      *  instruction was handed to the single-step oracle untouched. */
     std::uint64_t threaded_bail_operand = 0;

@@ -22,7 +22,7 @@ constexpr std::uint32_t kSlots = 32768;
 struct Analysis {
     bool include = true;     ///< false: stop the block before it
     bool terminator = false; ///< include it, then stop
-    std::uint8_t flags = 0;
+    bool writes_sr = false;  ///< may write SR (GIE)
     std::uint32_t max_data = 0; ///< data accesses upper bound
 };
 
@@ -37,13 +37,15 @@ analyze(const isa::Instr &in, std::uint16_t pc, std::uint32_t sram_size)
             return SuperblockEngine::addrMapped(op.value, sram_size);
         return true;
     };
-    auto is_dyn = [](const Operand &op) {
-        return op.mode == Mode::Indexed || op.mode == Mode::Indirect ||
-               op.mode == Mode::IndirectInc;
-    };
     auto is_mem = [](const Operand &op) {
         return op.mode != Mode::Register && op.mode != Mode::Immediate;
     };
+    // A form no kernel covers runs on the oracle, as a static MMIO
+    // operand does.
+    if (kernelFamily(in) == KernelFamily::None) {
+        a.include = false;
+        return a;
+    }
     switch (isa::opFormat(in.op)) {
       case isa::OpFormat::Jump:
         // A forward conditional jump is a side exit: the block goes on
@@ -56,13 +58,9 @@ analyze(const isa::Instr &in, std::uint16_t pc, std::uint32_t sram_size)
             a.include = false;
             return a;
         }
-        if (is_dyn(in.src) || is_dyn(in.dst))
-            a.flags |= SuperblockEngine::kFlagDynMem;
         if (in.dst.mode == Mode::Register) {
-            if (in.dst.reg == isa::Reg::PC)
-                a.terminator = true;
-            if (in.dst.reg == isa::Reg::SR)
-                a.flags |= SuperblockEngine::kFlagWritesSr;
+            a.terminator = in.dst.reg == isa::Reg::PC;
+            a.writes_sr = in.dst.reg == isa::Reg::SR;
         }
         a.max_data = (is_mem(in.src) ? 1u : 0u) +
                      (is_mem(in.dst) ? 2u : 0u);
@@ -72,8 +70,7 @@ analyze(const isa::Instr &in, std::uint16_t pc, std::uint32_t sram_size)
         if (in.op == Op::Reti) {
             // Pops SR (may set GIE) and PC off a dynamic SP.
             a.terminator = true;
-            a.flags = SuperblockEngine::kFlagDynMem |
-                      SuperblockEngine::kFlagWritesSr;
+            a.writes_sr = true;
             a.max_data = 2;
             return a;
         }
@@ -81,18 +78,12 @@ analyze(const isa::Instr &in, std::uint16_t pc, std::uint32_t sram_size)
             a.include = false;
             return a;
         }
-        if (is_dyn(in.dst))
-            a.flags |= SuperblockEngine::kFlagDynMem;
-        if (in.op == Op::Push || in.op == Op::Call)
-            a.flags |= SuperblockEngine::kFlagDynMem; // stack write
         if (in.op == Op::Call)
             a.terminator = true;
         if (in.dst.mode == Mode::Register && in.op != Op::Push &&
             in.op != Op::Call) {
-            if (in.dst.reg == isa::Reg::PC)
-                a.terminator = true; // e.g. RRA PC
-            if (in.dst.reg == isa::Reg::SR)
-                a.flags |= SuperblockEngine::kFlagWritesSr;
+            a.terminator = in.dst.reg == isa::Reg::PC; // e.g. RRA PC
+            a.writes_sr = in.dst.reg == isa::Reg::SR;
         }
         a.max_data = 2;
         return a;
@@ -118,88 +109,68 @@ staticTarget(const isa::Instr &in)
 
 } // namespace
 
-/** MMIO device effects and unmapped fatals must happen exactly as a
- *  single step would produce them, so any register-dependent address
- *  that leaves SRAM/FRAM sends the whole instruction to the oracle. */
-bool
-SuperblockEngine::dynOperandsMapped(
-    const isa::Instr &in, const std::array<std::uint16_t, 16> &regs,
-    std::uint32_t sram_size)
+KernelFamily
+kernelFamily(const isa::Instr &in)
 {
+    // A memory operand based on PC: the kernels take a register's
+    // value from the register file, where inside a block PC is not
+    // kept current.
+    auto pc_based = [](const Operand &op) {
+        return (op.mode == Mode::Indexed || op.mode == Mode::Indirect ||
+                op.mode == Mode::IndirectInc) &&
+               op.reg == isa::Reg::PC;
+    };
+    auto is_static = [](const Operand &op) {
+        return op.mode == Mode::Symbolic || op.mode == Mode::Absolute;
+    };
+    // A word access to an odd static address, which the oracle's bus
+    // reports as a fatal.
+    auto odd_word = [&](const Operand &op, bool word) {
+        return word && is_static(op) && (op.value & 1);
+    };
+    auto nonmem = [](const Operand &op) {
+        return op.mode == Mode::Register || op.mode == Mode::Immediate;
+    };
+    const Operand &s = in.src;
+    const Operand &d = in.dst;
     switch (isa::opFormat(in.op)) {
       case isa::OpFormat::Jump:
-        return true;
-      case isa::OpFormat::DoubleOperand: {
-        int inc_reg = -1;
-        std::uint16_t inc = 0;
-        const Operand &s = in.src;
-        switch (s.mode) {
-          case Mode::Indexed:
-            if (!addrMapped(static_cast<std::uint16_t>(
-                                regs[isa::regIndex(s.reg)] + s.value),
-                            sram_size))
-                return false;
-            break;
-          case Mode::Indirect:
-            if (!addrMapped(regs[isa::regIndex(s.reg)], sram_size))
-                return false;
-            break;
-          case Mode::IndirectInc:
-            if (!addrMapped(regs[isa::regIndex(s.reg)], sram_size))
-                return false;
-            inc_reg = isa::regIndex(s.reg);
-            inc = in.byte ? 1 : 2;
-            break;
-          default:
-            break;
+        return in.op == Op::Jmp ? KernelFamily::Jmp : KernelFamily::Jcc;
+      case isa::OpFormat::DoubleOperand:
+        if (pc_based(s) || odd_word(s, !in.byte) || odd_word(d, !in.byte))
+            return KernelFamily::None;
+        if (d.mode == Mode::Register) {
+            if (d.reg == isa::Reg::CG2)
+                return in.op == Op::Mov && nonmem(s) ? KernelFamily::Nop
+                                                     : KernelFamily::None;
+            if (nonmem(s))
+                return KernelFamily::NR;
+            return is_static(s) ? KernelFamily::MR : KernelFamily::DR;
         }
-        const Operand &d = in.dst;
-        if (d.mode == Mode::Indexed) {
-            std::uint16_t base = regs[isa::regIndex(d.reg)];
-            if (isa::regIndex(d.reg) == inc_reg)
-                base = static_cast<std::uint16_t>(base + inc);
-            if (!addrMapped(static_cast<std::uint16_t>(base + d.value),
-                            sram_size))
-                return false;
-        }
-        return true;
-      }
+        if (nonmem(s))
+            return is_static(d) ? KernelFamily::NM : KernelFamily::ND;
+        return KernelFamily::MM;
       case isa::OpFormat::SingleOperand: {
-        if (in.op == Op::Reti) {
-            return addrMapped(regs[1], sram_size) &&
-                   addrMapped(static_cast<std::uint16_t>(regs[1] + 2),
-                              sram_size);
-        }
-        std::uint16_t sp = regs[1];
-        const Operand &d = in.dst;
-        switch (d.mode) {
-          case Mode::Indexed:
-            if (!addrMapped(static_cast<std::uint16_t>(
-                                regs[isa::regIndex(d.reg)] + d.value),
-                            sram_size))
-                return false;
-            break;
-          case Mode::Indirect:
-            if (!addrMapped(regs[isa::regIndex(d.reg)], sram_size))
-                return false;
-            break;
-          case Mode::IndirectInc:
-            if (!addrMapped(regs[isa::regIndex(d.reg)], sram_size))
-                return false;
-            if (isa::regIndex(d.reg) == 1)
-                sp = static_cast<std::uint16_t>(sp + (in.byte ? 1 : 2));
-            break;
-          default:
-            break;
-        }
-        if (in.op == Op::Push || in.op == Op::Call) {
-            if (!addrMapped(static_cast<std::uint16_t>(sp - 2), sram_size))
-                return false;
-        }
-        return true;
+        if (in.op == Op::Reti)
+            return KernelFamily::Reti;
+        // SWPB, SXT and CALL access a word whatever their B/W bit says.
+        const bool word = !in.byte || (in.op != Op::Rrc &&
+                                       in.op != Op::Rra && in.op != Op::Push);
+        if (pc_based(d) || odd_word(d, word))
+            return KernelFamily::None;
+        if (!nonmem(d))
+            return KernelFamily::Fmt2Mem;
+        if (in.op == Op::Push)
+            return KernelFamily::Push;
+        if (in.op == Op::Call)
+            return d.mode == Mode::Immediate ? KernelFamily::CallImm
+                                             : KernelFamily::None;
+        return d.mode == Mode::Register && d.reg != isa::Reg::CG2
+                   ? KernelFamily::Fmt2Reg
+                   : KernelFamily::None;
       }
     }
-    return true;
+    return KernelFamily::None;
 }
 
 SuperblockEngine::SuperblockEngine(Memory &memory, Bus &bus,
@@ -331,7 +302,6 @@ SuperblockEngine::build(std::uint16_t pc)
             bi.n_words = static_cast<std::uint8_t>(n_words);
             bi.base_cycles =
                 static_cast<std::uint8_t>(isa::baseCycles(instr));
-            bi.flags = a.flags;
             fram::LineChain fetch_chain;
             for (int w = 0; w < n_words; ++w) {
                 std::uint16_t waddr =
@@ -343,8 +313,7 @@ SuperblockEngine::build(std::uint16_t pc)
                     bi.last_fetch_line = fetch_chain.last_line;
                 }
             }
-            if (a.flags & kFlagWritesSr)
-                b->writes_sr = true;
+            b->writes_sr = b->writes_sr || a.writes_sr;
             worst += bi.base_cycles +
                      stall_max * ((fram_code ? n_words : 0) + a.max_data);
             seg.end = end;

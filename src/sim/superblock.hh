@@ -12,6 +12,12 @@
  *     copy loop's `TST/JZ/MOV/INCD/DECD/JMP` iteration is one block;
  *   - a statically MMIO-or-unmapped operand (Symbolic/Absolute into
  *     device space) — such instructions always run on the oracle;
+ *   - a form with no threaded kernel (kernelFamily() is None: a
+ *     PC-based memory operand such as `MOV @PC, R5`, `CALL Rn`, a
+ *     write other than MOV to CG2 such as `ADD R5, R3`, a memory
+ *     source into CG2, RRC/RRA/SWPB/SXT of an immediate, or an
+ *     unaligned static word address) — the oracle single-steps it and
+ *     the chain resumes after it;
  *   - a fetch that would leave the block's memory region (or a word
  *     that is not a decodable leading word, or a PC wrap);
  *   - crossing the boot-recovery attribution boundary or a code-owner
@@ -33,12 +39,11 @@
  * never overlap.
  *
  * Each instruction carries its build-time analysis: code-space fetch
- * words, the FRAM line-contention flags of its fetch
- * stream (static, because fetch addresses are), and whether any
- * operand address depends on a register (dynOperandsMapped() then
- * guards it at run time). Each block carries a worst-case cycle bound,
- * so the dispatcher can refuse a block that might cross a fault,
- * timer, or max-cycles boundary.
+ * words and the FRAM line-contention flags of its fetch stream
+ * (static, because fetch addresses are). Each block carries a
+ * worst-case cycle bound, so the dispatcher can refuse a block that
+ * might cross a fault, timer, or max-cycles boundary, and whether it
+ * may write SR.
  *
  * It is a fast-tier run's one decode cache (no predecode cache
  * exists then). Every store bumps per-page write generations
@@ -88,6 +93,36 @@ namespace swapram::sim {
  *  by the threaded tier (sim/threaded.cc). */
 class ThreadedCode;
 
+/** The threaded tier's kernel families (sim/threaded.cc): how a block
+ *  instruction runs there. The block builder ends a block before an
+ *  instruction of family None, and lowering runs every other one on
+ *  its family's kernel. */
+enum class KernelFamily : std::uint8_t {
+    /** No kernel: a PC-based memory operand (`@PC`; inside a block
+     *  the PC register is not kept current), `CALL Rn`, a CG2
+     *  destination other than `MOV imm/reg, R3`, RRC/RRA/SWPB/SXT of
+     *  an immediate, or a word access to an odd static address. */
+    None,
+    NR,      ///< imm/reg source -> register destination
+    MR,      ///< static memory source -> register destination
+    NM,      ///< imm/reg source -> static memory destination
+    DR,      ///< register-based memory source -> register destination
+    ND,      ///< imm/reg source -> Indexed destination
+    MM,      ///< memory source -> memory destination
+    Nop,     ///< MOV of an imm/reg source to CG2: the write is lost
+    Fmt2Reg, ///< RRC, RRA, SWPB or SXT of a register
+    Push,    ///< PUSH of a register or an immediate
+    CallImm, ///< CALL #imm
+    Fmt2Mem, ///< RRC, RRA, SWPB, SXT, PUSH or CALL of a memory operand
+    Reti,
+    Jmp,
+    Jcc, ///< a conditional jump
+};
+
+/** The kernel family of @p in: the one decision of which forms the
+ *  threaded tier runs, shared by the block builder and lowering. */
+KernelFamily kernelFamily(const isa::Instr &in);
+
 /** The block cache: builds, validates, and looks up straight-line
  *  blocks for the threaded tier. */
 class SuperblockEngine
@@ -109,16 +144,6 @@ class SuperblockEngine
         kMaxScanBytes / (1u << PageGenTable::kPageShift) +
         2 * kMaxSegments;
 
-    /** Per-instruction flags. */
-    enum : std::uint8_t {
-        /** Some operand address depends on a register: pre-check the
-         *  effective addresses before executing. */
-        kFlagDynMem = 0x01,
-        /** May write SR (GIE): gates dispatch while a timer interrupt
-         *  is or may become pending. */
-        kFlagWritesSr = 0x02,
-    };
-
     /** One pre-analysed instruction. */
     struct BlockInstr {
         isa::Instr instr{};
@@ -126,7 +151,6 @@ class SuperblockEngine
         std::uint16_t next_pc = 0;
         std::uint8_t n_words = 1;
         std::uint8_t base_cycles = 0;
-        std::uint8_t flags = 0;
         std::uint8_t code_words = 0; ///< fetch words inside .text
         /** FRAM fetch line-contention flags (static: the 2nd+ FRAM
          *  access of an instruction contends iff it changes 8-byte
@@ -164,6 +188,8 @@ class SuperblockEngine
         std::array<std::uint64_t, kMaxBlockPages> page_gens{};
         std::uint16_t start_pc = 0;
         std::uint8_t owner = 0; ///< CodeOwner of every instruction
+        /** Some instruction may write SR (GIE): gates dispatch while a
+         *  timer interrupt is or may become pending. */
         bool writes_sr = false;
         /** Upper bound on total cycles one execution can cost. */
         std::uint32_t worst_case_cycles = 0;
@@ -288,19 +314,6 @@ class SuperblockEngine
                static_cast<std::uint16_t>(addr - platform::kSramBase) <
                    sram_size;
     }
-
-    /**
-     * Pre-execution check of every register-dependent effective
-     * address @p in will touch, reproducing resolve()'s address
-     * arithmetic (including @Rn+ post-increments feeding a later
-     * operand through the same register, and PUSH/CALL's SP-2 stack
-     * slot). False means some access would leave SRAM/FRAM — the
-     * caller bails to the oracle with nothing committed.
-     */
-    static bool
-    dynOperandsMapped(const isa::Instr &in,
-                      const std::array<std::uint16_t, 16> &regs,
-                      std::uint32_t sram_size);
 
   private:
     std::unique_ptr<Block> build(std::uint16_t pc);

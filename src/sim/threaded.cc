@@ -1,6 +1,7 @@
 #include "sim/threaded.hh"
 
 #include "isa/cycles.hh"
+#include "isa/disasm.hh"
 #include "sim/exec.hh"
 #include "sim/fram_timing.hh"
 #include "support/logging.hh"
@@ -46,7 +47,7 @@ struct alignas(64) TOp {
     std::uint8_t *dp = nullptr;
     std::uint16_t next_pc = 0;
     std::uint16_t a = 0;
-    std::uint16_t b = 0; ///< static dst addr; instr index for generic
+    std::uint16_t b = 0; ///< static dst addr
     std::uint16_t mask = 0xFFFF; ///< conditional jump: truth table
     std::uint16_t msb = 0x8000;
     std::uint16_t fa0 = 0, fa1 = 0;
@@ -206,8 +207,6 @@ class ThreadedCode
         std::uint16_t op = 0;
     };
     std::vector<Exit> exits;
-    /** The block's decoded instructions (generic kernel). */
-    const SuperblockEngine::BlockInstr *instrs = nullptr;
     bool fram_code = false;
     std::uint8_t owner = 0; ///< the block's CodeOwner
 };
@@ -251,7 +250,6 @@ enum KernelId : int {
     kNFBase = kFEBase + 9, ///< flagless kNR op, indexed by
                            ///< flaglessOpIndex
     kPcRmw = kNFBase + 7, ///< PC store, then the kernel in TOp::rd
-    kGeneric,
     kBlockEnd,
     kBlockEndPc, ///< kBlockEnd that stores the fall-through PC first
     kNumKernels,
@@ -291,17 +289,16 @@ flaglessOpIndex(int op_off)
 /** Shared chain state + accumulators for one runChain invocation. */
 struct DCtx {
     std::uint16_t *regs = nullptr;
-    std::array<std::uint16_t, 16> *regs_arr = nullptr;
     std::uint8_t *bytes = nullptr;
     HwCache *hw = nullptr;
     PageGenTable *gens = nullptr;
 
-    // Dynamic accumulators (AccIdx order), flushed to Stats once per
-    // chain. Each block's static base and stall totals are added here
-    // at entry, the rest by the chain-end fold over the touched list,
-    // so a bail-out only has to subtract the unexecuted suffix.
-    alignas(32) std::array<std::uint64_t, kNumAcc> acc{};
-
+    // What the kernels touch on dynamic accesses and fetch probes
+    // comes first, at offsets short enough for a one-byte
+    // displacement in the dispatch loop.
+    // Per-instruction FRAM line-contention chain (dynamic paths),
+    // seeded from each op's fetch stream.
+    fram::LineChain chain;
     // Timing-model constants.
     std::uint32_t ws = 0;
     /** Miss-minus-hit stall of a contending fetch probe. */
@@ -309,14 +306,23 @@ struct DCtx {
     /** Static hardware-cache hits that missed at run time. */
     std::uint64_t miss_fix = 0;
     std::uint32_t sram_size = 0;
+    /** A store hit the code of the running block's segments. */
+    bool smc = false;
+
+    // Dynamic accumulators (AccIdx order), flushed to Stats once per
+    // chain. Each block's static base and stall totals are added here
+    // at entry, the rest by the chain-end fold over the touched list,
+    // so a bail-out only has to subtract the unexecuted suffix.
+    alignas(32) std::array<std::uint64_t, kNumAcc> acc{};
+
     std::uint16_t code_base = 0;
     std::uint32_t code_end = 0;
 
     // Per-block self-modification window: bounds every segment of
-    // the running trace (a hit is checked against the segments).
+    // the running trace (a hit, checked against the segments, sets
+    // smc).
     std::uint16_t blk_start = 0;
     std::uint32_t blk_end = 0;
-    bool smc = false;
 
     // Chain state for block transitions inside the dispatch loop: the
     // inline step (chainStep) and its out-of-line tail
@@ -340,13 +346,6 @@ struct DCtx {
     std::uint16_t ckpt_commit = 0;
     std::uint16_t ckpt_restore = 0;
 
-    // Per-instruction FRAM line-contention chain (dynamic paths),
-    // seeded from each op's fetch stream.
-    fram::LineChain chain;
-
-    /** Instructions the generic kernel executed this chain. */
-    std::uint64_t generic = 0;
-
     // Bail-out report: the op the dispatch stopped at, and why.
     TOp *bail_op = nullptr;
     int bail_kind = 0; ///< 0 done, 1 operand (uncommitted), 2 SMC
@@ -355,7 +354,7 @@ struct DCtx {
 /** True when @p in leaves a PC of its own (a jump, CALL, RETI or a
  *  write to a PC register destination): a kernel that runs it stores
  *  the PC. Everything else leaves the fall-through, which only
- *  SMC-stopping and generic kernels store. */
+ *  SMC-stopping kernels store. */
 bool
 writesPc(const isa::Instr &in)
 {
@@ -504,44 +503,6 @@ dynStore(DCtx *st, std::uint16_t addr, std::uint32_t value, bool byte)
             static_cast<std::uint8_t>((value >> 8) & 0xFF);
     dynNoteStore(st, addr, byte ? 1 : 2);
 }
-
-/**
- * Direct-memory policy over DCtx for the generic kernel's ExecCore, so
- * instructions with no specialized kernel still run the single-sourced
- * semantics with the bus's accounting.
- */
-class ShimMem
-{
-  public:
-    explicit ShimMem(DCtx &st) : st_(&st) {}
-
-    std::uint16_t
-    read16(std::uint16_t addr, AccessKind)
-    {
-        return static_cast<std::uint16_t>(dynLoad(st_, addr, false));
-    }
-
-    std::uint8_t
-    read8(std::uint16_t addr, AccessKind)
-    {
-        return static_cast<std::uint8_t>(dynLoad(st_, addr, true));
-    }
-
-    void
-    write16(std::uint16_t addr, std::uint16_t value)
-    {
-        dynStore(st_, addr, value, false);
-    }
-
-    void
-    write8(std::uint16_t addr, std::uint8_t value)
-    {
-        dynStore(st_, addr, value, true);
-    }
-
-  private:
-    DCtx *st_;
-};
 
 /** Replay the fetch stream's dynamic hardware-cache probes (at most
  *  two line runs; same-line followers are folded statically). The
@@ -884,34 +845,6 @@ kernReti(DCtx *st, TOp *op)
     return 0;
 }
 
-/** Run @p in on the shared ExecCore over the direct-memory shim. Kept
- *  out of line: no built-in workload runs it, and inlined it would
- *  grow the dispatch loop by a whole ExecCore. */
-[[gnu::noinline]] void
-execGeneric(DCtx *st, const isa::Instr &in)
-{
-    ShimMem shim(*st);
-    ExecCore<ShimMem>(*st->regs_arr, shim).execute(in);
-}
-
-/** Everything else: the shared ExecCore, behind the dynamic-operand
- *  guard. */
-SWAPRAM_INLINE int
-kernGeneric(DCtx *st, TOp *op)
-{
-    const SuperblockEngine::BlockInstr *bi = &st->cur_tc->instrs[op->b];
-    st->regs[0] = op->next_pc; // as ExecCore sees it after the fetch
-    if ((bi->flags & SuperblockEngine::kFlagDynMem) &&
-        !SuperblockEngine::dynOperandsMapped(bi->instr, *st->regs_arr,
-                                             st->sram_size))
-        return 1;
-    ++st->generic;
-    tFetch(st, op);
-    st->chain = {op->chain, op->lastline};
-    execGeneric(st, bi->instr);
-    return st->smc ? 2 : 0;
-}
-
 /** Enter a lowered block: its base and stall cycles now, one more
  *  execution for the chain-end fold (joining the touched list on the
  *  first), and the block's SMC window. Returns its op array. */
@@ -1071,7 +1004,7 @@ dispatchRun(DCtx *st, TOp *op)
 #define X(N) &&L_nf_##N,
         SWAPRAM_FLAGLESS_OPS(X)
 #undef X
-        &&L_pc_rmw,  &&L_generic, &&L_end, &&L_end_pc,
+        &&L_pc_rmw,  &&L_end, &&L_end_pc,
     };
     if (!st)
         return kLabels;
@@ -1195,9 +1128,6 @@ L_jcc_x:
         SWAPRAM_NEXT;
     st->regs[0] = op->a;
     goto L_side_exit;
-L_generic:
-    SWAPRAM_RUN(kernGeneric(st, op));
-    SWAPRAM_NEXT;
 
 L_end_pc:
     // The sentinel of a block whose last op leaves the PC as it was:
@@ -1265,7 +1195,6 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     const std::uint32_t code_end = bus_.codeEnd();
     std::uint16_t *regs = cpu_.regs().data();
     std::uint8_t *bytes = memory_.bytes();
-    tc->instrs = block.instrs.data();
     tc->n_segs = block.n_segs;
     tc->segs = block.segs;
     tc->lo = block.start_pc;
@@ -1300,32 +1229,20 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
     };
     // A memory operand of the kMM/kM1 kernels as base cell + offset: a
     // register's cell, or g_static_base for a Symbolic/Absolute
-    // address. @Rn+ records its register and step in ra/inc. False
-    // for non-memory operands and for a PC base, whose register value
-    // inside a block is the instruction's own address, not the next
-    // one that ExecCore sees.
+    // address. @Rn+ records its register and step in ra/inc. The
+    // families of these kernels have no PC-based operand.
     auto memOperand = [&](const Operand &op, bool byte, TOp &t,
                           std::uint8_t *&base, std::uint16_t &offset) {
-        switch (op.mode) {
-          case Mode::Symbolic:
-          case Mode::Absolute:
+        if (op.mode == Mode::Symbolic || op.mode == Mode::Absolute) {
             base = reinterpret_cast<std::uint8_t *>(&g_static_base);
             offset = op.value;
-            return true;
-          case Mode::Indexed:
-          case Mode::Indirect:
-          case Mode::IndirectInc:
-            if (op.reg == isa::Reg::PC)
-                return false;
-            base = regCell(op.reg);
-            offset = op.mode == Mode::Indexed ? op.value : 0;
-            if (op.mode == Mode::IndirectInc) {
-                t.ra = isa::regIndex(op.reg);
-                t.inc = byte ? 1 : 2;
-            }
-            return true;
-          default:
-            return false;
+            return;
+        }
+        base = regCell(op.reg);
+        offset = op.mode == Mode::Indexed ? op.value : 0;
+        if (op.mode == Mode::IndirectInc) {
+            t.ra = isa::regIndex(op.reg);
+            t.inc = byte ? 1 : 2;
         }
     };
     // The contention a static-address data access owes: the chain
@@ -1440,180 +1357,137 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         dl.d_code = bi.code_words;
         dl.d_data = static_cast<std::uint8_t>(bi.n_words - bi.code_words);
 
-        // Kernel selection.
-        int kid = kGeneric;
-        std::uint8_t *sbase = nullptr;
+        // Kernel selection: the family the block builder admitted the
+        // instruction with, then its operands.
         const Op o = in.op;
         const isa::OpFormat fmt = isa::opFormat(o);
-        switch (fmt) {
-          case isa::OpFormat::Jump:
-            t.a = in.jump_target;
-            if (o == Op::Jmp) {
-                kid = kJmp;
-            } else {
-                // Before the block's last op, a conditional jump is a
-                // side exit (sim/superblock.hh).
-                kid = i + 1 < n ? kJccExit : kJcc;
-                t.mask = kJumpTruth[static_cast<std::size_t>(
-                    static_cast<int>(o) - static_cast<int>(Op::Jne))];
-            }
-            break;
-          case isa::OpFormat::DoubleOperand: {
-            const Operand &s = in.src;
-            const Operand &d = in.dst;
-            const int op_off = static_cast<int>(o) -
-                               static_cast<int>(Op::Mov);
-            const bool src_nonmem = s.mode == Mode::Register ||
-                                    s.mode == Mode::Immediate;
-            const bool src_static = s.mode == Mode::Symbolic ||
-                                    s.mode == Mode::Absolute;
-            const bool dst_reg = d.mode == Mode::Register &&
-                                 d.reg != isa::Reg::CG2;
-            const bool dst_static = d.mode == Mode::Symbolic ||
-                                    d.mode == Mode::Absolute;
-            const bool word_ok_src = in.byte || !(s.value & 1);
-            const bool word_ok_dst = in.byte || !(d.value & 1);
+        const Operand &s = in.src;
+        const Operand &d = in.dst;
+        const int op_off = static_cast<int>(o) - static_cast<int>(Op::Mov);
+        const KernelFamily fam = kernelFamily(in);
+        if (fmt == isa::OpFormat::DoubleOperand) {
             if (s.mode == Mode::Immediate) {
                 t.a = s.value;
                 t.sp = reinterpret_cast<const std::uint8_t *>(&t.a);
             } else if (s.mode == Mode::Register) {
                 t.sp = pcOrRegCell(s.reg, t);
             }
-            if (src_nonmem && dst_reg) {
-                kid = kNRBase + op_off;
-                t.dp = regCell(d.reg);
-                // Fused with a conditional jump right after it (a PC
-                // destination ends the block, so it never has one).
-                const int fi = flagOpIndex(op_off);
-                if (fi >= 0 && d.reg != isa::Reg::PC && i + 1 < n &&
-                    isCondJump(block.instrs[i + 1].instr.op))
-                    kid = (i + 2 < n ? kFXBase : kFEBase) + fi;
-            } else if (src_static && dst_reg && word_ok_src) {
-                kid = kMRBase + op_off;
-                t.a = s.value;
-                t.sp = bytes + s.value;
-                t.dp = regCell(d.reg);
-                staticRead(s.value, t, dl);
-            } else if (src_nonmem && dst_static && word_ok_dst) {
-                kid = kNMBase + op_off;
-                t.b = d.value;
-                t.dp = bytes + d.value;
-                const bool reads_dst = o != Op::Mov;
-                if (reads_dst)
-                    staticRead(d.value, t, dl);
-                if (o != Op::Cmp && o != Op::Bit)
-                    staticWrite(d.value, t, dl, reads_dst,
-                                in.byte ? 1 : 2);
-            } else if ((s.mode == Mode::Indexed ||
-                        s.mode == Mode::Indirect ||
-                        s.mode == Mode::IndirectInc) &&
-                       s.reg != isa::Reg::PC && dst_reg) { // as memOperand
-                kid = kDRBase + op_off;
-                t.ra = isa::regIndex(s.reg);
-                t.a = s.mode == Mode::Indexed ? s.value : 0;
-                t.inc = s.mode == Mode::IndirectInc
-                            ? (in.byte ? 1 : 2)
-                            : 0;
-                t.dp = regCell(d.reg);
-            } else if (src_nonmem && d.mode == Mode::Indexed) {
-                kid = kNDBase + op_off;
-                t.rd = isa::regIndex(d.reg);
-                t.b = d.value;
-            } else if (src_nonmem && o == Op::Mov &&
-                       d.mode == Mode::Register && d.reg == isa::Reg::CG2) {
-                kid = kNop; // the write to the constant generator is lost
-            } else if (memOperand(d, in.byte, t, t.dp, t.b) &&
-                       memOperand(s, in.byte, t, sbase, t.a)) {
-                kid = kMMBase + op_off;
-                t.sp = sbase;
-                // ExecCore resolves the destination after the source's
-                // post-increment: fold it into the destination offset.
-                if (d.mode == Mode::Indexed && t.inc &&
-                    isa::regIndex(d.reg) == t.ra)
-                    t.b = static_cast<std::uint16_t>(t.b + t.inc);
-            }
-            break;
-          }
-          case isa::OpFormat::SingleOperand: {
-            const Operand &d = in.dst;
-            const bool d_reg = d.mode == Mode::Register &&
-                               d.reg != isa::Reg::CG2;
-            if (o == Op::Reti) {
-                kid = kReti;
-                break;
-            }
-            if (memOperand(d, in.byte, t, sbase, t.a)) {
-                kid = kM1Base + (static_cast<int>(o) -
-                                 static_cast<int>(Op::Rrc));
-                t.sp = sbase;
-                if (o == Op::Push || o == Op::Call) {
-                    // The slot is SP - 2 after the operand's own
-                    // post-increment of SP, if any.
-                    t.dp = regCell(isa::Reg::SP);
-                    t.b = static_cast<std::uint16_t>(
-                        (t.ra == isa::regIndex(isa::Reg::SP) ? t.inc : 0) -
-                        2);
-                }
-                break;
-            }
-            switch (o) {
-              case Op::Rrc:
-                if (d_reg) {
-                    kid = kRrc;
-                    t.dp = regCell(d.reg);
-                }
-                break;
-              case Op::Rra:
-                if (d_reg) {
-                    kid = kRra;
-                    t.dp = regCell(d.reg);
-                }
-                break;
-              case Op::Swpb:
-                if (d_reg) {
-                    kid = kSwpb;
-                    t.dp = regCell(d.reg);
-                }
-                break;
-              case Op::Sxt:
-                if (d_reg) {
-                    kid = kSxt;
-                    t.dp = regCell(d.reg);
-                }
-                break;
-              case Op::Push:
-                if (d.mode == Mode::Register) {
-                    kid = kPush;
-                    t.sp = pcOrRegCell(d.reg, t);
-                } else if (d.mode == Mode::Immediate) {
-                    kid = kPush;
-                    t.a = d.value;
-                    t.sp =
-                        reinterpret_cast<const std::uint8_t *>(&t.a);
-                }
-                break;
-              case Op::Call:
-                if (d.mode == Mode::Immediate) {
-                    kid = kCallImm;
-                    t.a = d.value;
-                }
-                break;
-              default:
-                break;
-            }
-            break;
-          }
         }
-        if (kid == kGeneric)
-            t.b = static_cast<std::uint16_t>(i);
+        int kid = 0;
+        std::uint8_t *sbase = nullptr;
+        switch (fam) {
+          case KernelFamily::None:
+            support::panic("ThreadedEngine::lower: no kernel for `",
+                           isa::disasm(in), "` at ", support::hex16(bi.pc));
+          case KernelFamily::Jmp:
+            kid = kJmp;
+            t.a = in.jump_target;
+            break;
+          case KernelFamily::Jcc:
+            // Before the block's last op, a conditional jump is a side
+            // exit (sim/superblock.hh).
+            kid = i + 1 < n ? kJccExit : kJcc;
+            t.a = in.jump_target;
+            t.mask = kJumpTruth[static_cast<std::size_t>(
+                static_cast<int>(o) - static_cast<int>(Op::Jne))];
+            break;
+          case KernelFamily::NR: {
+            kid = kNRBase + op_off;
+            t.dp = regCell(d.reg);
+            // Fused with a conditional jump right after it (a PC
+            // destination ends the block, so it never has one).
+            const int fi = flagOpIndex(op_off);
+            if (fi >= 0 && d.reg != isa::Reg::PC && i + 1 < n &&
+                isCondJump(block.instrs[i + 1].instr.op))
+                kid = (i + 2 < n ? kFXBase : kFEBase) + fi;
+            break;
+          }
+          case KernelFamily::MR:
+            kid = kMRBase + op_off;
+            t.a = s.value;
+            t.sp = bytes + s.value;
+            t.dp = regCell(d.reg);
+            staticRead(s.value, t, dl);
+            break;
+          case KernelFamily::NM: {
+            kid = kNMBase + op_off;
+            t.b = d.value;
+            t.dp = bytes + d.value;
+            const bool reads_dst = o != Op::Mov;
+            if (reads_dst)
+                staticRead(d.value, t, dl);
+            if (o != Op::Cmp && o != Op::Bit)
+                staticWrite(d.value, t, dl, reads_dst, in.byte ? 1 : 2);
+            break;
+          }
+          case KernelFamily::DR:
+            kid = kDRBase + op_off;
+            t.ra = isa::regIndex(s.reg);
+            t.a = s.mode == Mode::Indexed ? s.value : 0;
+            t.inc = s.mode == Mode::IndirectInc ? (in.byte ? 1 : 2) : 0;
+            t.dp = regCell(d.reg);
+            break;
+          case KernelFamily::ND:
+            kid = kNDBase + op_off;
+            t.rd = isa::regIndex(d.reg);
+            t.b = d.value;
+            break;
+          case KernelFamily::MM:
+            kid = kMMBase + op_off;
+            memOperand(d, in.byte, t, t.dp, t.b);
+            memOperand(s, in.byte, t, sbase, t.a);
+            t.sp = sbase;
+            // ExecCore resolves the destination after the source's
+            // post-increment: fold it into the destination offset.
+            if (d.mode == Mode::Indexed && t.inc &&
+                isa::regIndex(d.reg) == t.ra)
+                t.b = static_cast<std::uint16_t>(t.b + t.inc);
+            break;
+          case KernelFamily::Nop:
+            kid = kNop; // the write to the constant generator is lost
+            break;
+          case KernelFamily::Fmt2Reg:
+            kid = o == Op::Rrc ? kRrc
+                : o == Op::Rra ? kRra
+                : o == Op::Swpb ? kSwpb
+                                : kSxt;
+            t.dp = regCell(d.reg);
+            break;
+          case KernelFamily::Push:
+            kid = kPush;
+            if (d.mode == Mode::Immediate) {
+                t.a = d.value;
+                t.sp = reinterpret_cast<const std::uint8_t *>(&t.a);
+            } else {
+                t.sp = pcOrRegCell(d.reg, t);
+            }
+            break;
+          case KernelFamily::CallImm:
+            kid = kCallImm;
+            t.a = d.value;
+            break;
+          case KernelFamily::Fmt2Mem:
+            kid = kM1Base + (static_cast<int>(o) - static_cast<int>(Op::Rrc));
+            memOperand(d, in.byte, t, sbase, t.a);
+            t.sp = sbase;
+            if (o == Op::Push || o == Op::Call) {
+                // The slot is SP - 2 after the operand's own
+                // post-increment of SP, if any.
+                t.dp = regCell(isa::Reg::SP);
+                t.b = static_cast<std::uint16_t>(
+                    (t.ra == isa::regIndex(isa::Reg::SP) ? t.inc : 0) - 2);
+            }
+            break;
+          case KernelFamily::Reti:
+            kid = kReti;
+            break;
+        }
         // A register-kernel op that reads a PC destination (ADD #k, PC,
         // RRA PC) first stores the fall-through PC it reads.
-        if (in.dst.mode == Mode::Register && in.dst.reg == isa::Reg::PC &&
-            o != Op::Mov && o != Op::Push && o != Op::Call &&
-            ((kid >= kNRBase && kid < kNRBase + 12) ||
-             (kid >= kMRBase && kid < kMRBase + 12) ||
-             (kid >= kDRBase && kid < kDRBase + 12) || kid == kRrc ||
-             kid == kRra || kid == kSwpb || kid == kSxt)) {
+        if ((fam == KernelFamily::NR || fam == KernelFamily::MR ||
+             fam == KernelFamily::DR || fam == KernelFamily::Fmt2Reg) &&
+            d.mode == Mode::Register && d.reg == isa::Reg::PC &&
+            o != Op::Mov) {
             t.rd = static_cast<std::uint8_t>(kid);
             kid = kPcRmw;
         }
@@ -1623,19 +1497,18 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
         // N/Z/C/V when it tests them, takes a carry in, has SR as an
         // operand, or can stop the chain (an operand bail-out or an
         // SMC stop: the oracle or an interrupt may read SR there).
-        const int fmt1_off = fmt == isa::OpFormat::DoubleOperand
-                                 ? static_cast<int>(o) -
-                                       static_cast<int>(Op::Mov)
-                                 : -1;
+        const int fmt1_off =
+            fmt == isa::OpFormat::DoubleOperand ? op_off : -1;
         const bool sr_operand =
-            (fmt1_off >= 0 && in.src.mode == Mode::Register &&
-             in.src.reg == isa::Reg::SR) ||
-            (fmt != isa::OpFormat::Jump && in.dst.mode == Mode::Register &&
-             in.dst.reg == isa::Reg::SR);
+            (fmt1_off >= 0 && s.mode == Mode::Register &&
+             s.reg == isa::Reg::SR) ||
+            (fmt != isa::OpFormat::Jump && d.mode == Mode::Register &&
+             d.reg == isa::Reg::SR);
         const bool can_stop =
-            (kid >= kDRBase && kid < kMMBase + 12) ||
-            (kid >= kM1Base && kid < kM1Base + 6) || kid == kPush ||
-            kid == kCallImm || kid == kReti || kid == kGeneric || t.smc;
+            fam == KernelFamily::DR || fam == KernelFamily::ND ||
+            fam == KernelFamily::MM || fam == KernelFamily::Fmt2Mem ||
+            fam == KernelFamily::Push || fam == KernelFamily::CallImm ||
+            fam == KernelFamily::Reti || t.smc;
         const bool sets_flags = (fmt1_off >= 0 && flagOpIndex(fmt1_off) >= 0) ||
                                 o == Op::Rra || o == Op::Rrc ||
                                 o == Op::Sxt;
@@ -1652,18 +1525,17 @@ ThreadedEngine::lower(SuperblockEngine::Block &block)
 
         // Fold state for the next instruction's leading fetch run:
         // dirty when this op can issue a data-read probe (static FRAM
-        // read, dynamic-address read, or anything via the generic
-        // core). Dynamic and generic writes go through framStall's
-        // write path, which never probes, but a dynamic *read* might
-        // land in FRAM, so DR / read-modify-write ND / generic all
-        // invalidate the MRU assumption.
+        // read or dynamic-address read). Dynamic writes go through
+        // framStall's write path, which never probes, but a dynamic
+        // *read* might land in FRAM, so DR, read-modify-write ND, MM,
+        // the memory single-operand forms and RETI all invalidate the
+        // MRU assumption.
         fold_line = bi.last_fetch_line;
         const bool may_probe =
-            t.probe != 0 || (kid >= kDRBase && kid < kDRBase + 12) ||
-            (kid >= kNDBase && kid < kNDBase + 12 && o != Op::Mov) ||
-            (kid >= kMMBase && kid < kMMBase + 12) ||
-            (kid >= kM1Base && kid < kM1Base + 6) || kid == kReti ||
-            kid == kGeneric;
+            t.probe != 0 || fam == KernelFamily::DR ||
+            (fam == KernelFamily::ND && o != Op::Mov) ||
+            fam == KernelFamily::MM || fam == KernelFamily::Fmt2Mem ||
+            fam == KernelFamily::Reti;
         fold_clean = !may_probe;
 
         addDelta(tc->tot, dl, fram_code);
@@ -1790,7 +1662,6 @@ ThreadedEngine::ChainResult
 ThreadedEngine::runChain(const ChainLimits &limits)
 {
     DCtx st;
-    st.regs_arr = &cpu_.regs();
     st.regs = cpu_.regs().data();
     st.bytes = memory_.bytes();
     st.hw = &bus_.hwCache();
@@ -1860,7 +1731,6 @@ ThreadedEngine::runChain(const ChainLimits &limits)
     for (int i = 0; i < kNumOwners; ++i)
         total += st.acc[kAccOwner0 + i];
     stats_.threaded_dispatches += st.dispatches;
-    stats_.threaded_generic_executions += st.generic;
     if (total) {
         stats_.instructions += total;
         stats_.base_cycles += st.acc[kAccBase];

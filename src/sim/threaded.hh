@@ -8,8 +8,8 @@
  * falls back to the single-step oracle.
  *
  * Lowering happens lazily at the first dispatch of a (built and
- * validated) block. Each instruction is resolved to a specialized
- * kernel plus flattened operands:
+ * validated) block. Each instruction is resolved to the kernel of its
+ * family (kernelFamily, sim/superblock.hh) plus flattened operands:
  *   - immediate and register sources become a direct uint8_t* into the
  *     op's own immediate cell or the register file;
  *   - Symbolic/Absolute operands become a direct uint8_t* into the flat
@@ -38,10 +38,10 @@
  * Every kernel computes its result, flags and jump condition through
  * the ALU of sim/exec.hh (fmt1Alu, fmt2Alu, setF, flagIndex and
  * kJumpTruth), the functions the oracle's ExecCore calls too.
- * Whatever does not fit a specialized kernel runs a generic kernel:
- * the ExecCore template itself over a direct-memory shim. Static and
- * dynamic accounting alike apply the FRAM cost model of
- * sim/fram_timing.hh, as the bus does.
+ * A form without a kernel never reaches lowering: the block builder
+ * ends the block before it, so the oracle single-steps it and the
+ * next chain starts after it. Static and dynamic accounting alike
+ * apply the FRAM cost model of sim/fram_timing.hh, as the bus does.
  *
  * The step from block to block is an inline head at the block-end
  * sentinel with advanceChain as its out-of-line tail. The head

@@ -391,9 +391,6 @@ TEST(RunReport, JsonRoundTripsAndMatchesMetrics)
               static_cast<std::int64_t>(m.stats.threaded_dispatches));
     EXPECT_EQ(doc["host"]["threaded_instructions"].asInt(),
               static_cast<std::int64_t>(m.stats.threaded_instructions));
-    EXPECT_EQ(doc["host"]["threaded_generic_executions"].asInt(),
-              static_cast<std::int64_t>(
-                  m.stats.threaded_generic_executions));
 
     const json::Array &profile = doc["profile"].asArray();
     ASSERT_EQ(profile.size(), m.profile.size());
